@@ -8,9 +8,9 @@ counterexample words via bisimulation up to congruence.
 """
 
 from .equivalence import (CongruenceBasis, Equivalent, EquivResult,
-                          Extraction, Inconclusive, NotEquivalent,
-                          OutputKind, basis_contains, basis_insert, hk,
-                          hkc_finite, hkc_inf, naive)
+                          Extraction, Inconclusive, InvariantError,
+                          NotEquivalent, OutputKind, hk, hkc_finite,
+                          hkc_inf, naive)
 from .linear import (Config, LinearRep, build_rep, dirac, dot, out_term,
                      out_total, step, word_transform)
 from .measure import (All, AllFinite, AllInfinite, Cone, Empty, FiniteWord,
@@ -30,13 +30,13 @@ __all__ = [
     "All", "AllFinite", "AllInfinite", "Cone", "Config", "CongruenceBasis",
     "DistributionSumViolation", "DuplicateIdentifier", "Empty",
     "EquivResult", "Equivalent", "Extraction", "FiniteWord", "GenSet",
-    "InfCone", "Inconclusive", "LinearRep", "MalformedRational",
-    "NotEquivalent", "OutputKind", "ProbabilityOutOfRange", "Pts",
-    "PtsFormatError", "SingularRestrictedSystem", "UnknownIdentifier",
-    "Violation", "Word", "basis_contains", "basis_insert", "brute_measure",
-    "build_rep", "dirac", "dot", "finite_mass_vector", "format_rational",
-    "hk", "hkc_finite", "hkc_inf", "measure", "naive", "out_term",
-    "out_total", "parse_pts", "parse_query", "parse_rational",
+    "InfCone", "Inconclusive", "InvariantError", "LinearRep",
+    "MalformedRational", "NotEquivalent", "OutputKind",
+    "ProbabilityOutOfRange", "Pts", "PtsFormatError",
+    "SingularRestrictedSystem", "UnknownIdentifier", "Violation", "Word",
+    "brute_measure", "build_rep", "dirac", "dot", "finite_mass_vector",
+    "format_rational", "hk", "hkc_finite", "hkc_inf", "measure", "naive",
+    "out_term", "out_total", "parse_pts", "parse_query", "parse_rational",
     "pts_from_dict", "pts_to_dict", "serialize_pts", "step",
     "tokenize_word", "validate", "word_oracle_equiv", "word_transform",
 ]

@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
-from .equivalence import (Equivalent, Inconclusive, NotEquivalent, hk,
-                          hkc_finite, hkc_inf, naive)
+from .equivalence import (Equivalent, Inconclusive, InvariantError,
+                          NotEquivalent, hk, hkc_finite, hkc_inf, naive)
 from .linear import build_rep, dirac
 from .measure import measure, parse_query
 from .model import (PtsFormatError, Word, format_rational, parse_pts,
@@ -40,7 +41,11 @@ def format_word(word: Word) -> str:
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise PtsFormatError(f"{path}: not UTF-8 text ({exc.reason} "
+                                 f"at byte {exc.start})") from None
 
 
 def _emit(payload: dict) -> None:
@@ -126,12 +131,13 @@ def _cmd_equiv(args) -> int:
         payload["lhs"] = format_rational(result.lhs)
         payload["rhs"] = format_rational(result.rhs)
         status = EXIT_NOT_EQUIVALENT
-    else:
-        assert isinstance(result, Inconclusive)
+    elif isinstance(result, Inconclusive):
         payload["result"] = "inconclusive"
         payload["iterations"] = result.steps_exhausted
         payload["relation_size"] = result.relation_size
         status = EXIT_INCONCLUSIVE
+    else:
+        raise InvariantError(f"{args.algo} returned {result!r}")
     _emit(payload)
     return status
 
@@ -174,9 +180,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing never changes the parser, and argparse
+    # leaves reference cycles behind for every parser it builds
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except PtsFormatError as exc:

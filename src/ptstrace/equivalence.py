@@ -25,9 +25,21 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
-from .linear import Config, LinearRep, dirac, out_term, out_total, step
+from .linear import (Config, IntConfig, LinearRep, dirac, eliminate,
+                     from_ints, int_out_term, int_out_total, int_step,
+                     to_ints)
 from .model import Word
+
+_ZERO = Fraction(0)
+
+
+class InvariantError(RuntimeError):
+    """An internal bound or invariant of a decision run was broken.
+
+    Never caused by input; raised only on a bug in this package.
+    """
 
 
 class OutputKind(Enum):
@@ -72,79 +84,104 @@ class Extraction:
     skipped: bool
 
 
+def _difference(u: IntConfig, v: IntConfig) -> list[int]:
+    """An integer vector with the direction of u - v (a positive multiple of it)."""
+    (a, d), (b, e) = u, v
+    g = gcd(d, e)
+    d, e = d // g, e // g
+    return [x * e - y * d for x, y in zip(a, b)]
+
+
 class CongruenceBasis:
     """Reduced row-echelon basis of difference vectors.
 
     Spans the set of differences u - v over all pairs (u, v) in the
     congruence closure of the inserted pairs; a pair belongs to the closure
     exactly when its difference reduces to zero against the rows.  Rows are
-    kept normalized (pivot entry 1, pivot column clear in every other row)
-    with strictly increasing pivot indices, so runs are deterministic.
+    held as sparse primitive integer vectors (column -> entry, content 1,
+    positive pivot entry), each zero at every other row's pivot, with
+    strictly increasing pivot indices.  Elimination is fraction-free: a
+    vector w is reduced against a row r with pivot p by
+    ``w := (r[p]/g) w - (w[p]/g) r`` with ``g = gcd(r[p], w[p])``.
+    ``rows`` is the derived Fraction view: the unique reduced row-echelon
+    form of the span, pivot entries 1.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows: list[list[Fraction]] = []
+        self._rows: list[dict[int, int]] = []
         self.pivots: list[int] = []
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
-    def _reduce(self, vector: list[Fraction]) -> list[Fraction]:
-        for row, pivot in zip(self.rows, self.pivots):
-            coefficient = vector[pivot]
-            if coefficient:
-                for j in range(pivot, self.dim):
-                    if row[j]:
-                        vector[j] -= coefficient * row[j]
-        return vector
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        dense = []
+        for row, pivot in zip(self._rows, self.pivots):
+            out = [_ZERO] * self.dim
+            for j, x in row.items():
+                out[j] = Fraction(x, row[pivot])
+            dense.append(out)
+        return dense
 
-    def contains(self, u: Config, v: Config) -> bool:
-        """True iff u - v lies in the span of the recorded differences."""
-        difference = self._reduce([a - b for a, b in zip(u, v)])
-        return not any(difference)
+    def _reduce(self, w: list[int]) -> list[int]:
+        """A positive multiple of w minus its component in the span.
 
-    def insert(self, u: Config, v: Config) -> bool:
-        """Add u - v to the span; returns False when it was already inside."""
-        residual = self._reduce([a - b for a, b in zip(u, v)])
+        Rows are zero at each other's pivots, so w's pivot entries are
+        untouched by the other rows and the order of the steps is free.
+        Updates w in place and returns it.
+        """
+        for row, pivot in zip(self._rows, self.pivots):
+            c = w[pivot]
+            if c:
+                r = row[pivot]
+                g = gcd(r, c)
+                r, c = r // g, c // g
+                if r != 1:
+                    w[:] = [r * x for x in w]
+                for j, y in row.items():
+                    w[j] -= c * y
+        return w
+
+    def _add_residual(self, residual: list[int]) -> bool:
+        """Record a reduced vector as a new row; False when it is zero."""
         pivot = next((j for j, c in enumerate(residual) if c), None)
         if pivot is None:
             return False
-        inv = residual[pivot]
-        row = [c / inv for c in residual]
-        for existing in self.rows:
-            coefficient = existing[pivot]
-            if coefficient:
-                for j in range(self.dim):
-                    if row[j]:
-                        existing[j] -= coefficient * row[j]
+        content = gcd(*residual)
+        if residual[pivot] < 0:
+            content = -content
+        new = {j: x // content for j, x in enumerate(residual) if x}
+        for i, row in enumerate(self._rows):
+            if pivot in row:
+                self._rows[i] = eliminate(row, new, pivot)
         position = bisect_left(self.pivots, pivot)
-        self.rows.insert(position, row)
+        self._rows.insert(position, new)
         self.pivots.insert(position, pivot)
         return True
 
+    def contains(self, u: Config, v: Config) -> bool:
+        """True iff u - v lies in the span of the recorded differences."""
+        return not any(self._reduce(_difference(to_ints(u), to_ints(v))))
 
-def basis_contains(basis: CongruenceBasis, u: Config, v: Config) -> bool:
-    return basis.contains(u, v)
-
-
-def basis_insert(basis: CongruenceBasis, u: Config, v: Config) -> CongruenceBasis:
-    basis.insert(u, v)
-    return basis
+    def insert(self, u: Config, v: Config) -> bool:
+        """Add u - v to the span; returns False when it was already inside."""
+        return self._add_residual(self._reduce(_difference(to_ints(u), to_ints(v))))
 
 
 class _PairStore:
     """Exact pair lookup: the naive membership test."""
 
     def __init__(self):
-        self._pairs: set[tuple[Config, Config]] = set()
+        self._pairs: set[tuple[IntConfig, IntConfig]] = set()
         self.size = 0
 
-    def subsumed(self, u: Config, v: Config) -> bool:
+    def subsumed(self, u: IntConfig, v: IntConfig) -> bool:
         return (u, v) in self._pairs
 
-    def add(self, u: Config, v: Config) -> None:
+    def add(self, u: IntConfig, v: IntConfig) -> None:
         self._pairs.add((u, v))
         self.size += 1
 
@@ -153,11 +190,11 @@ class _EquivalenceStore:
     """Reflexive-symmetric-transitive closure via union-find over interned vectors."""
 
     def __init__(self):
-        self._ids: dict[Config, int] = {}
+        self._ids: dict[IntConfig, int] = {}
         self._parent: list[int] = []
         self.size = 0
 
-    def _intern(self, u: Config) -> int:
+    def _intern(self, u: IntConfig) -> int:
         node = self._ids.get(u)
         if node is None:
             node = len(self._parent)
@@ -171,10 +208,10 @@ class _EquivalenceStore:
             node = self._parent[node]
         return node
 
-    def subsumed(self, u: Config, v: Config) -> bool:
+    def subsumed(self, u: IntConfig, v: IntConfig) -> bool:
         return self._find(self._intern(u)) == self._find(self._intern(v))
 
-    def add(self, u: Config, v: Config) -> None:
+    def add(self, u: IntConfig, v: IntConfig) -> None:
         self._parent[self._find(self._intern(u))] = self._find(self._intern(v))
         self.size += 1
 
@@ -184,18 +221,18 @@ class _CongruenceStore:
 
     def __init__(self, dim: int):
         self.basis = CongruenceBasis(dim)
-        self.pairs: list[tuple[Config, Config]] = []
+        self.pairs: list[tuple[IntConfig, IntConfig]] = []
 
     @property
     def size(self) -> int:
         return len(self.pairs)
 
-    def subsumed(self, u: Config, v: Config) -> bool:
-        return self.basis.contains(u, v)
+    def subsumed(self, u: IntConfig, v: IntConfig) -> bool:
+        return not any(self.basis._reduce(_difference(u, v)))
 
-    def add(self, u: Config, v: Config) -> None:
-        grew = self.basis.insert(u, v)
-        assert grew, "pair inserted although already in the closure"
+    def add(self, u: IntConfig, v: IntConfig) -> None:
+        if not self.basis._add_residual(self.basis._reduce(_difference(u, v))):
+            raise InvariantError("pair inserted although already in the closure")
         self.pairs.append((u, v))
 
 
@@ -204,15 +241,18 @@ def _check_loop_invariant(rep: LinearRep, store: _CongruenceStore, todo) -> None
     pending = {(u, v) for _, u, v in todo}
     for u, v in store.pairs:
         for letter in rep.alphabet:
-            successor = (step(rep, u, letter), step(rep, v, letter))
-            assert store.subsumed(*successor) or successor in pending, (
-                "loop invariant violated: recorded pair has an unhandled successor")
+            successor = (int_step(rep, u, letter), int_step(rep, v, letter))
+            if not (store.subsumed(*successor) or successor in pending):
+                raise InvariantError(
+                    "loop invariant violated: recorded pair has an unhandled successor")
 
 
 def _decide(rep, x, y, store, *, check_total_mass, max_steps=None,
             trace=None, debug=False) -> EquivResult:
+    # configurations travel as lowest-terms IntConfigs, so equal vectors
+    # have equal keys in the naive and hk stores
     todo = deque()
-    todo.append(((), dirac(rep, x), dirac(rep, y)))
+    todo.append(((), to_ints(dirac(rep, x)), to_ints(dirac(rep, y))))
     iterations = 0
     while todo:
         if max_steps is not None and iterations >= max_steps:
@@ -221,23 +261,23 @@ def _decide(rep, x, y, store, *, check_total_mass, max_steps=None,
             _check_loop_invariant(rep, store, todo)
         word, u, v = todo.popleft()
         iterations += 1
-        if store.subsumed(u, v):
-            if trace is not None:
-                trace.append(Extraction(word, u, v, skipped=True))
-            continue
+        skipped = store.subsumed(u, v)
         if trace is not None:
-            trace.append(Extraction(word, u, v, skipped=False))
+            trace.append(Extraction(word, from_ints(u), from_ints(v), skipped))
+        if skipped:
+            continue
         if check_total_mass:
-            lhs, rhs = out_total(rep, u), out_total(rep, v)
+            lhs, rhs = int_out_total(u), int_out_total(v)
             if lhs != rhs:
                 return NotEquivalent(word, OutputKind.TOTAL_MASS, lhs, rhs,
                                      iterations, store.size)
-        lhs, rhs = out_term(rep, u), out_term(rep, v)
+        lhs, rhs = int_out_term(rep, u), int_out_term(rep, v)
         if lhs != rhs:
             return NotEquivalent(word, OutputKind.TERMINATION, lhs, rhs,
                                  iterations, store.size)
         for letter in rep.alphabet:
-            todo.append((word + (letter,), step(rep, u, letter), step(rep, v, letter)))
+            todo.append((word + (letter,), int_step(rep, u, letter),
+                         int_step(rep, v, letter)))
         store.add(u, v)
     return Equivalent(iterations=iterations, relation_size=store.size)
 
@@ -245,8 +285,9 @@ def _decide(rep, x, y, store, *, check_total_mass, max_steps=None,
 def _checked_bound(rep: LinearRep, result: EquivResult) -> EquivResult:
     # rank growth bounds every hkc run: at most dim insertions, hence at
     # most 1 + |alphabet| * dim extractions
-    assert result.iterations <= 1 + len(rep.alphabet) * rep.dim
-    assert result.relation_size <= rep.dim
+    if (result.iterations > 1 + len(rep.alphabet) * rep.dim
+            or result.relation_size > rep.dim):
+        raise InvariantError(f"hkc run exceeded its bound: {result}")
     return result
 
 
@@ -255,7 +296,8 @@ def hkc_inf(rep: LinearRep, x: str, y: str, *, debug: bool = False,
     """Decide equality of the full trace measures of two states.
 
     Always terminates.  ``trace`` (a list, appended in place) records every
-    extraction; ``debug`` asserts the worklist loop invariant at each head.
+    extraction; ``debug`` checks the worklist loop invariant at each head
+    and raises ``InvariantError`` if it fails.
     """
     store = _CongruenceStore(rep.dim)
     result = _decide(rep, x, y, store, check_total_mass=True,

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .linear import Config, LinearRep, dot, out_term, out_total, word_transform
+from .linear import (Config, LinearRep, dot, eliminate, out_term, out_total,
+                     primitive, to_ints, word_transform)
 from .model import PtsFormatError, UnknownIdentifier, Word
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -82,32 +83,43 @@ class SingularRestrictedSystem(RuntimeError):
     """
 
 
-def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over rationals for a square nonsingular system."""
-    n = len(a)
-    a = [row[:] for row in a]
-    b = b[:]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot_row is None:
+def _transition_numerators(rep: LinearRep) -> tuple[list[dict[int, int]], int]:
+    """Per source state, the integer one-step weights to each target over
+    all letters, and their common denominator."""
+    common = lcm(*rep.denominators.values())
+    combined: list[dict[int, int]] = [{} for _ in range(rep.dim)]
+    for letter, columns in rep.columns.items():
+        scale = common // rep.denominators[letter]
+        for out, column in zip(combined, columns):
+            for j, p in column:
+                out[j] = out.get(j, 0) + p * scale
+    return combined, common
+
+
+def _solve_sparse(rows: list[dict[int, int]], m: int) -> list[Fraction]:
+    """Exact solution of a square nonsingular integer system.
+
+    Row i is a dict of column -> coefficient, with the right-hand side under
+    key m.  Fraction-free forward elimination, choosing per column the
+    sparsest remaining row as pivot, then back substitution over rationals.
+    """
+    remaining = [primitive(row) for row in rows]
+    eliminated: list[tuple[int, dict[int, int]]] = []
+    for col in range(m):
+        candidates = [row for row in remaining if col in row]
+        if not candidates:
             raise SingularRestrictedSystem("restricted system has no unique solution")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            b[col], b[pivot_row] = b[pivot_row], b[col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / inv
-            if not factor:
-                continue
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-            b[r] -= factor * b[col]
-    solution = [_ZERO] * n
-    for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, n):
-            acc -= a[r][c] * solution[c]
-        solution[r] = acc / a[r][r]
+        pivot_row = min(candidates, key=len)
+        remaining = [eliminate(row, pivot_row, col) if col in row else row
+                     for row in remaining if row is not pivot_row]
+        eliminated.append((col, pivot_row))
+    solution = [_ZERO] * m
+    for col, row in reversed(eliminated):
+        acc = Fraction(row.get(m, 0))
+        for j, x in row.items():
+            if j != col and j != m:
+                acc -= x * solution[j]
+        solution[col] = acc / row[col]
     return solution
 
 
@@ -117,47 +129,65 @@ def finite_mass_vector(rep: LinearRep) -> Config:
     Computed as the least nonnegative solution of the fixed-point system
     s = l_star + (sum_a M_a)^T s: states that cannot reach a positively
     terminating state get 0, and the system restricted to the remaining
-    states is nonsingular and solved exactly.
+    states is nonsingular and solved exactly.  Read from the sparse
+    columns and computed once per representation.
     """
+    cached = rep._memo.get("finite_mass")
+    if cached is None:
+        cached = rep._memo["finite_mass"] = _finite_mass(rep)
+    return cached
+
+
+def _finite_mass(rep: LinearRep) -> Config:
     n = rep.dim
-    # combined one-step probability from source k to target j
-    combined = [[_ZERO] * n for _ in range(n)]
-    for matrix in rep.mats.values():
-        for j in range(n):
-            row = matrix[j]
-            for k in range(n):
-                if row[k]:
-                    combined[j][k] += row[k]
+    # combined[k][j] / common: one-step probability from source k to target j
+    combined, common = _transition_numerators(rep)
+    star, star_den = to_ints(rep.l_star)
 
     # states from which a positively terminating state is reachable
-    live = {k for k in range(n) if rep.l_star[k]}
+    sources: list[list[int]] = [[] for _ in range(n)]
+    for k, out in enumerate(combined):
+        for j in out:
+            sources[j].append(k)
+    live = {k for k in range(n) if star[k]}
     stack = list(live)
     while stack:
-        target = stack.pop()
-        for source in range(n):
-            if source not in live and combined[target][source]:
+        for source in sources[stack.pop()]:
+            if source not in live:
                 live.add(source)
                 stack.append(source)
 
     order = [k for k in range(n) if k in live]
     s = [_ZERO] * n
     if order:
+        # row of state k, times common * star_den:
+        # (common * s_k - sum_j combined[k][j] * s_j) * star_den = common * star_k
         m = len(order)
-        a = [[(_ONE if i == j else _ZERO) - combined[order[j]][order[i]]
-              for j in range(m)] for i in range(m)]
-        b = [rep.l_star[k] for k in order]
-        solution = _solve_exact(a, b)
+        position = {k: i for i, k in enumerate(order)}
+        rows = []
         for i, k in enumerate(order):
-            s[k] = solution[i]
+            row = {i: common * star_den}
+            for j, q in combined[k].items():
+                if j in position:
+                    x = row.get(position[j], 0) - q * star_den
+                    if x:
+                        row[position[j]] = x
+                    else:
+                        del row[position[j]]
+            if star[k]:
+                row[m] = common * star[k]
+            rows.append(row)
+        for k, value in zip(order, _solve_sparse(rows, m)):
+            s[k] = value
 
     result = tuple(s)
     # exact fixed point and probability range, as a guard on the solver
+    nums, den = to_ints(result)
     for k in range(n):
-        if not _ZERO <= result[k] <= _ONE:
+        if not 0 <= nums[k] <= den:
             raise SingularRestrictedSystem(f"mass {result[k]} for state index {k}")
-        expected = rep.l_star[k] + sum(
-            (combined[j][k] * result[j] for j in range(n)), _ZERO)
-        if result[k] != expected:
+        inflow = sum(q * nums[j] for j, q in combined[k].items())
+        if nums[k] * common * star_den != star[k] * den * common + inflow * star_den:
             raise SingularRestrictedSystem("fixed-point equation violated")
     return result
 

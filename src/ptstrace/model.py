@@ -109,11 +109,16 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise MalformedRational(f"not a rational string: {text!r}")
     num, _, den = text.partition("/")
-    if den == "":
-        return Fraction(int(num))
-    if int(den) == 0:
+    try:
+        numerator, denominator = int(num), int(den or "1")
+    except ValueError:
+        # Python refuses to convert integers of more than 4,300 digits
+        # (sys.get_int_max_str_digits); such inputs are rejected, not parsed
+        raise MalformedRational(
+            f"rational has too many digits: {len(text)} characters") from None
+    if denominator == 0:
         raise MalformedRational(f"zero denominator: {text!r}")
-    return Fraction(int(num), int(den))
+    return Fraction(numerator, denominator)
 
 
 def format_rational(value: Fraction) -> str:
@@ -194,7 +199,8 @@ def parse_pts(text: str, check: bool = True) -> Pts:
     """Parse and validate a JSON document into a Pts."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or a number literal past the int-to-str digit limit
         raise PtsFormatError(f"invalid JSON: {exc}") from exc
     return pts_from_dict(doc, check=check)
 

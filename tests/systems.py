@@ -136,3 +136,58 @@ def random_pts(rng, max_states=5, max_letters=2, clone_prob=0.3):
     pts = Pts(tuple(letters), states, term, moves)
     assert validate(pts) == []
     return pts
+
+
+SPLIT_RATIOS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+                Fraction(3, 4))
+
+
+def split_copy_pts(rng, max_base=10, max_letters=3, perturb=False):
+    """A random system A (states a0..) plus a split copy B of it.
+
+    Every state s of A becomes b<s>p and b<s>q in B, with A's stop mass,
+    and each move of a B state into s is split between the two copies in a
+    ratio r : (1 - r) drawn per source state.  Both copies behave like s,
+    so a0 and b0p are trace equivalent, and since the ratios differ the
+    explored difference vectors are not plain clones: the congruence basis
+    has to grow.  With ``perturb`` one B state reachable from b0p moves
+    part of one move's mass to stopping, which usually breaks the
+    equivalence.
+    """
+    m = rng.randint(1, max_base)
+    letters = ("a", "b", "c")[: rng.randint(1, max_letters)]
+    base = tuple(f"a{i}" for i in range(m))
+    term, moves = {}, {}
+    for state in base:
+        stop, row = _random_distribution(rng, letters, base)
+        term[state] = stop
+        for (letter, target), p in row.items():
+            moves[(state, letter, target)] = p
+    copies = tuple(f"b{i}{c}" for i in range(m) for c in "pq")
+    for i, state in enumerate(base):
+        for c in "pq":
+            source = f"b{i}{c}"
+            term[source] = term[state]
+            r = rng.choice(SPLIT_RATIOS)
+            for (s, letter, target), p in list(moves.items()):
+                if s == state:
+                    moves[(source, letter, f"b{target[1:]}p")] = p * r
+                    moves[(source, letter, f"b{target[1:]}q")] = p * (1 - r)
+    if perturb:
+        reachable, frontier = {"b0p"}, ["b0p"]
+        while frontier:
+            state = frontier.pop()
+            for s, _, target in moves:
+                if s == state and target not in reachable:
+                    reachable.add(target)
+                    frontier.append(target)
+        outgoing = sorted(key for key in moves if key[0] in reachable)
+        if outgoing:
+            key = rng.choice(outgoing)
+            source = key[0]
+            shift = moves[key] / rng.randint(2, 4)
+            moves[key] -= shift
+            term[source] += shift
+    pts = Pts(tuple(letters), base + copies, term, moves)
+    assert validate(pts) == []
+    return pts

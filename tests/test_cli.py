@@ -189,3 +189,44 @@ def test_module_entry_point(doc_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "1/9\n"
+
+
+def test_overlong_rational_exit_2(doc_path, capsys):
+    doc = {"alphabet": ["a"], "states": ["x"],
+           "transitions": {"x": {"stop": "1" * 5001 + "/" + "1" * 5001}}}
+    path = doc_path(doc)
+    code, out, err = run(capsys, "validate", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "too many digits" in err
+
+
+def test_overlong_json_number_exit_2(tmp_path, capsys):
+    path = tmp_path / "number.json"
+    path.write_text('{"alphabet": ' + "7" * 5001 + "}", encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert err.startswith("error: invalid JSON") and err.count("\n") == 1
+
+
+def test_non_utf8_input_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"alphabet": ["\xe9"]}'.encode("latin-1"))
+    for argv in (["validate", str(path)], ["rep", str(path)],
+                 ["eval", str(path), "--state", "x", "--query", "all"],
+                 ["equiv", str(path), "x", "y"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "UTF-8" in err
+        assert err.count("\n") == 1
+
+
+def test_unknown_result_kind_is_an_error(doc_path, monkeypatch, capsys):
+    from ptstrace import cli
+    from ptstrace.equivalence import InvariantError
+    monkeypatch.setitem(cli._ALGORITHMS, "hkc-inf", lambda rep, x, y: None)
+    with pytest.raises(InvariantError):
+        main(["equiv", doc_path(HALF_LOOP_XY), "x", "y"])
+    assert capsys.readouterr().out == ""

@@ -1,0 +1,294 @@
+"""The sparse integer kernel against the dense Fraction code it replaced.
+
+The reference below is the earlier implementation, kept small: dense
+``mats`` built entry by entry from the system, a dense Fraction ``step``,
+a Fraction reduced row-echelon ``CongruenceBasis``, the shared worklist
+loop and the dense finite-mass solve.  Split-copy systems make the basis
+grow, so the basis paths are exercised, not just the clone shortcut.
+"""
+
+import random
+from bisect import bisect_left
+from collections import deque
+from fractions import Fraction
+
+import pytest
+
+from ptstrace import (CongruenceBasis, Equivalent, Extraction,
+                      Inconclusive, NotEquivalent, OutputKind, build_rep,
+                      finite_mass_vector, hk, hkc_finite, hkc_inf, naive)
+
+from systems import random_pts, split_copy_pts
+
+F = Fraction
+_ZERO = F(0)
+_ONE = F(1)
+
+
+def ref_mats(pts):
+    return {letter: tuple(tuple(pts.move(source, letter, target) for source in pts.states)
+                          for target in pts.states)
+            for letter in pts.alphabet}
+
+
+def ref_step(mats, u, letter):
+    n = len(u)
+    return tuple(sum((row[k] * u[k] for k in range(n) if u[k] and row[k]), _ZERO)
+                 for row in mats[letter])
+
+
+class RefBasis:
+    """Fraction rows in reduced row-echelon form, pivot entries 1."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.rows = []
+        self.pivots = []
+
+    def _reduce(self, vector):
+        for row, pivot in zip(self.rows, self.pivots):
+            coefficient = vector[pivot]
+            if coefficient:
+                for j in range(pivot, self.dim):
+                    if row[j]:
+                        vector[j] -= coefficient * row[j]
+        return vector
+
+    def contains(self, u, v):
+        return not any(self._reduce([a - b for a, b in zip(u, v)]))
+
+    def insert(self, u, v):
+        residual = self._reduce([a - b for a, b in zip(u, v)])
+        pivot = next((j for j, c in enumerate(residual) if c), None)
+        if pivot is None:
+            return False
+        row = [c / residual[pivot] for c in residual]
+        for existing in self.rows:
+            coefficient = existing[pivot]
+            if coefficient:
+                for j in range(self.dim):
+                    if row[j]:
+                        existing[j] -= coefficient * row[j]
+        position = bisect_left(self.pivots, pivot)
+        self.rows.insert(position, row)
+        self.pivots.insert(position, pivot)
+        return True
+
+
+class RefPairs:
+    def __init__(self):
+        self.pairs = set()
+        self.size = 0
+
+    def subsumed(self, u, v):
+        return (u, v) in self.pairs
+
+    def add(self, u, v):
+        self.pairs.add((u, v))
+        self.size += 1
+
+
+class RefClosure:
+    """Union-find over exact vectors."""
+
+    def __init__(self):
+        self.parent = {}
+        self.size = 0
+
+    def _find(self, u):
+        self.parent.setdefault(u, u)
+        while self.parent[u] != u:
+            u = self.parent[u]
+        return u
+
+    def subsumed(self, u, v):
+        return self._find(u) == self._find(v)
+
+    def add(self, u, v):
+        self.parent[self._find(u)] = self._find(v)
+        self.size += 1
+
+
+class RefSpan:
+    def __init__(self, dim):
+        self.basis = RefBasis(dim)
+        self.size = 0
+
+    def subsumed(self, u, v):
+        return self.basis.contains(u, v)
+
+    def add(self, u, v):
+        grew = self.basis.insert(u, v)
+        assert grew
+        self.size += 1
+
+
+def ref_decide(pts, x, y, store, check_total_mass, max_steps=None):
+    """The worklist loop of the earlier implementation; returns (result, trace)."""
+    mats = ref_mats(pts)
+    l_star = tuple(pts.stop(s) for s in pts.states)
+    n = len(pts.states)
+
+    def unit(state):
+        return tuple(_ONE if s == state else _ZERO for s in pts.states)
+
+    todo = deque([((), unit(x), unit(y))])
+    trace, iterations = [], 0
+    while todo:
+        if max_steps is not None and iterations >= max_steps:
+            return Inconclusive(max_steps, store.size), trace
+        word, u, v = todo.popleft()
+        iterations += 1
+        if store.subsumed(u, v):
+            trace.append(Extraction(word, u, v, True))
+            continue
+        trace.append(Extraction(word, u, v, False))
+        outputs = [(OutputKind.TERMINATION, l_star)]
+        if check_total_mass:
+            outputs.insert(0, (OutputKind.TOTAL_MASS, (_ONE,) * n))
+        for kind, row in outputs:
+            lhs = sum((a * b for a, b in zip(row, u)), _ZERO)
+            rhs = sum((a * b for a, b in zip(row, v)), _ZERO)
+            if lhs != rhs:
+                return NotEquivalent(word, kind, lhs, rhs, iterations, store.size), trace
+        for letter in pts.alphabet:
+            todo.append((word + (letter,), ref_step(mats, u, letter),
+                         ref_step(mats, v, letter)))
+        store.add(u, v)
+    return Equivalent(iterations, store.size), trace
+
+
+def ref_finite_mass(pts):
+    """Dense reachability pre-pass and dense Gaussian elimination."""
+    n = len(pts.states)
+    mats = ref_mats(pts)
+    combined = [[sum((m[j][k] for m in mats.values()), _ZERO) for k in range(n)]
+                for j in range(n)]
+    l_star = [pts.stop(s) for s in pts.states]
+    live = {k for k in range(n) if l_star[k]}
+    stack = list(live)
+    while stack:
+        target = stack.pop()
+        for source in range(n):
+            if source not in live and combined[target][source]:
+                live.add(source)
+                stack.append(source)
+    order = [k for k in range(n) if k in live]
+    m = len(order)
+    a = [[(_ONE if i == j else _ZERO) - combined[order[j]][order[i]] for j in range(m)]
+         for i in range(m)]
+    b = [l_star[k] for k in order]
+    for col in range(m):
+        pivot = next(r for r in range(col, m) if a[r][col])
+        a[col], a[pivot] = a[pivot], a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        for r in range(col + 1, m):
+            factor = a[r][col] / a[col][col]
+            for c in range(col, m):
+                a[r][c] -= factor * a[col][c]
+            b[r] -= factor * b[col]
+    solution = [_ZERO] * m
+    for r in range(m - 1, -1, -1):
+        acc = b[r] - sum((a[r][c] * solution[c] for c in range(r + 1, m)), _ZERO)
+        solution[r] = acc / a[r][r]
+    s = [_ZERO] * n
+    for k, value in zip(order, solution):
+        s[k] = value
+    return tuple(s)
+
+
+def _replayed_basis(rep, result, trace):
+    # the basis the run ended with: every recorded pair, in order
+    basis = CongruenceBasis(rep.dim)
+    recorded = [e for e in trace if not e.skipped]
+    if isinstance(result, NotEquivalent):
+        recorded = recorded[:-1]
+    for e in recorded:
+        grew = basis.insert(e.left, e.right)
+        assert grew
+    return basis
+
+
+def _systems():
+    rng = random.Random(113)
+    cases = []
+    for i in range(48):
+        pts = split_copy_pts(rng, max_base=10, max_letters=3, perturb=i % 3 == 2)
+        cases.append((pts, "a0", "b0p"))
+        cases.append((pts, rng.choice(pts.states), rng.choice(pts.states)))
+    return cases
+
+
+SYSTEMS = _systems()
+
+
+@pytest.mark.parametrize("index", range(0, len(SYSTEMS), 8))
+def test_rep_and_finite_mass_match_dense_reference(index):
+    for pts, _, _ in SYSTEMS[index:index + 8]:
+        rep = build_rep(pts)
+        assert rep.mats == ref_mats(pts)
+        assert finite_mass_vector(rep) == ref_finite_mass(pts)
+
+
+@pytest.mark.parametrize("index", range(0, len(SYSTEMS), 8))
+def test_hkc_matches_dense_reference(index):
+    for pts, x, y in SYSTEMS[index:index + 8]:
+        rep = build_rep(pts)
+        for algorithm, check_total_mass in ((hkc_inf, True), (hkc_finite, False)):
+            store = RefSpan(rep.dim)
+            expected, expected_trace = ref_decide(pts, x, y, store, check_total_mass)
+            trace = []
+            result = algorithm(rep, x, y, trace=trace)
+            assert result == expected
+            assert trace == expected_trace
+            basis = _replayed_basis(rep, result, trace)
+            assert basis.rows == store.basis.rows
+            assert basis.pivots == store.basis.pivots
+
+
+@pytest.mark.parametrize("index", range(0, len(SYSTEMS), 8))
+def test_budgeted_searches_match_dense_reference(index):
+    for pts, x, y in SYSTEMS[index:index + 8]:
+        rep = build_rep(pts)
+        for algorithm, store in ((naive, RefPairs()), (hk, RefClosure())):
+            expected, expected_trace = ref_decide(pts, x, y, store, True, max_steps=40)
+            trace = []
+            assert algorithm(rep, x, y, 40, trace=trace) == expected
+            assert trace == expected_trace
+
+
+def test_split_copies_grow_the_basis():
+    # the a0/b0p cases: equivalent ones must record many pairs, not one
+    results = [hkc_inf(build_rep(pts), "a0", "b0p") for pts, _, _ in SYSTEMS[::2]]
+    ranks = [r.relation_size for r in results if isinstance(r, Equivalent)]
+    assert max(ranks) >= 10
+    assert sum(rank > 2 for rank in ranks) >= len(ranks) // 2
+
+
+def test_basis_matches_reference_on_random_vectors():
+    rng = random.Random(127)
+    for _ in range(60):
+        dim = rng.randint(1, 8)
+        basis, reference = CongruenceBasis(dim), RefBasis(dim)
+        for _ in range(12):
+            u = tuple(F(rng.randint(-5, 5), rng.randint(1, 9)) for _ in range(dim))
+            v = tuple(F(rng.randint(-5, 5), rng.randint(1, 9)) if rng.random() < 0.7
+                      else u[j] for j in range(dim))
+            inside = basis.contains(u, v)
+            assert inside == reference.contains(u, v)
+            grew, expected = basis.insert(u, v), reference.insert(u, v)
+            assert grew == expected == (not inside)
+            assert basis.rows == reference.rows
+            assert basis.pivots == reference.pivots
+
+
+def test_random_systems_match_dense_reference():
+    rng = random.Random(131)
+    for _ in range(60):
+        pts = random_pts(rng)
+        rep = build_rep(pts)
+        assert rep.mats == ref_mats(pts)
+        assert finite_mass_vector(rep) == ref_finite_mass(pts)
+        x, y = rng.choice(pts.states), rng.choice(pts.states)
+        expected, _ = ref_decide(pts, x, y, RefSpan(rep.dim), True)
+        assert hkc_inf(rep, x, y) == expected

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from ptstrace import (CongruenceBasis, Equivalent, Inconclusive,
-                      NotEquivalent, OutputKind, basis_contains,
-                      basis_insert, build_rep, dirac, hk, hkc_finite,
-                      hkc_inf, naive, out_term, out_total, parse_pts, step,
-                      word_oracle_equiv, word_transform)
+                      InvariantError, NotEquivalent, OutputKind, build_rep,
+                      dirac, hk, hkc_finite, hkc_inf, naive, out_term,
+                      out_total, parse_pts, step, word_oracle_equiv,
+                      word_transform)
+from ptstrace.equivalence import _checked_bound, _CongruenceStore
+from ptstrace.linear import to_ints
 
 from systems import random_pts
 
@@ -22,8 +24,7 @@ def test_basis_contains_worked_query():
     basis.insert((F(1), F(0), F(0), F(0)), (F(0), F(0), F(1), F(0)))
     basis.insert((F(0), F(1, 6), F(0), F(1, 2)), (F(0), F(0), F(1, 3), F(1, 3)))
     assert basis.rank == 2
-    assert basis_contains(basis,
-                          (F(0), F(1, 18), F(0), F(1, 2)),
+    assert basis.contains((F(0), F(1, 18), F(0), F(1, 2)),
                           (F(0), F(0), F(1, 9), F(4, 9)))
 
 
@@ -55,8 +56,8 @@ def test_basis_insert_same_vector_is_noop():
     u = (F(1, 3), F(2, 3), F(0))
     assert not basis.insert(u, u)
     assert basis.rank == 0
-    returned = basis_insert(basis, u, u)
-    assert returned is basis and basis.rank == 0
+    assert not basis.insert(u, u)
+    assert basis.rank == 0
 
 
 def test_basis_two_rows_from_worked_loops():
@@ -239,3 +240,24 @@ def test_hkc_finite_agrees_with_termination_only_oracle():
         decided = isinstance(hkc_finite(rep, x, y, debug=True), Equivalent)
         oracle = _terminations_agree(rep, dirac(rep, x), dirac(rep, y), rep.dim)
         assert decided == oracle
+
+
+def test_iteration_bound_breach_raises(worked_rep):
+    bound = 1 + len(worked_rep.alphabet) * worked_rep.dim
+    within = Equivalent(iterations=bound, relation_size=worked_rep.dim)
+    assert _checked_bound(worked_rep, within) is within
+    with pytest.raises(InvariantError):
+        _checked_bound(worked_rep, Equivalent(iterations=bound + 1, relation_size=1))
+    with pytest.raises(InvariantError):
+        _checked_bound(worked_rep, Equivalent(iterations=1,
+                                              relation_size=worked_rep.dim + 1))
+
+
+def test_recording_a_subsumed_pair_raises(worked_rep):
+    store = _CongruenceStore(worked_rep.dim)
+    u, v = to_ints(dirac(worked_rep, "x")), to_ints(dirac(worked_rep, "z"))
+    store.add(u, v)
+    assert store.subsumed(u, v)
+    with pytest.raises(InvariantError):
+        store.add(u, v)
+    assert store.size == 1
