@@ -156,6 +156,12 @@ def int_step(rep: LinearRep, u: IntConfig, letter: str) -> IntConfig:
     return tuple(acc), den
 
 
+def int_word_transform(rep: LinearRep, u: IntConfig, word: Iterable[str]) -> IntConfig:
+    for letter in word:
+        u = int_step(rep, u, letter)
+    return u
+
+
 def int_out_total(u: IntConfig) -> Fraction:
     nums, den = u
     return Fraction(sum(nums), den)
@@ -193,7 +199,7 @@ def eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[
     return primitive(out)
 
 
-def _checked_ints(rep: LinearRep, u: Config) -> IntConfig:
+def checked_ints(rep: LinearRep, u: Config) -> IntConfig:
     if len(u) != rep.dim:
         raise ValueError(f"configuration has length {len(u)}, expected {rep.dim}")
     return to_ints(u)
@@ -207,15 +213,12 @@ def dirac(rep: LinearRep, state: str) -> Config:
 
 def step(rep: LinearRep, u: Config, letter: str) -> Config:
     """One transition: the exact matrix-vector product ``M_letter . u``."""
-    return from_ints(int_step(rep, _checked_ints(rep, u), letter))
+    return from_ints(int_step(rep, checked_ints(rep, u), letter))
 
 
 def word_transform(rep: LinearRep, u: Config, word: Iterable[str]) -> Config:
     """Apply the letters of ``word`` left to right; the empty word is the identity."""
-    v = _checked_ints(rep, u)
-    for letter in word:
-        v = int_step(rep, v, letter)
-    return from_ints(v)
+    return from_ints(int_word_transform(rep, checked_ints(rep, u), word))
 
 
 def dot(a: Config, b: Config) -> Fraction:
@@ -227,9 +230,9 @@ def dot(a: Config, b: Config) -> Fraction:
 
 def out_total(rep: LinearRep, u: Config) -> Fraction:
     """Total mass output: the cone measure of the full word space."""
-    return int_out_total(_checked_ints(rep, u))
+    return int_out_total(checked_ints(rep, u))
 
 
 def out_term(rep: LinearRep, u: Config) -> Fraction:
     """Termination output: the measure of the empty word."""
-    return int_out_term(rep, _checked_ints(rep, u))
+    return int_out_term(rep, checked_ints(rep, u))

@@ -7,16 +7,26 @@ derived sets of all finite words, all infinite words, and infinite-only
 cones.  Finite-word mass is obtained in closed form as the least
 nonnegative solution of a linear fixed-point system, so no query involves
 limits or approximation.
+
+That system is solved once per representation, for every state: a
+reachability pre-pass zeroes the states that can never stop, and the rest
+is solved by sparse fraction-free elimination in Markowitz order (fewest
+rows per cleared column first, which keeps fill-in low) with integer back
+substitution.  The solution is cached as integers over one common
+denominator, so the finite, infinite and infinite-cone queries are integer
+dot products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
-from .linear import (Config, LinearRep, dot, eliminate, out_term, out_total,
-                     primitive, to_ints, word_transform)
+from .linear import (Config, IntConfig, LinearRep, checked_ints, eliminate,
+                     from_ints, int_out_term, int_out_total,
+                     int_word_transform, primitive, to_ints)
 from .model import PtsFormatError, UnknownIdentifier, Word
 
 _ZERO = Fraction(0)
@@ -96,31 +106,79 @@ def _transition_numerators(rep: LinearRep) -> tuple[list[dict[int, int]], int]:
     return combined, common
 
 
-def _solve_sparse(rows: list[dict[int, int]], m: int) -> list[Fraction]:
-    """Exact solution of a square nonsingular integer system.
+def _solve_sparse(rows: list[dict[int, int]], m: int) -> IntConfig:
+    """Exact solution of a square nonsingular integer system, as integers
+    over one common denominator in lowest terms.
 
     Row i is a dict of column -> coefficient, with the right-hand side under
-    key m.  Fraction-free forward elimination, choosing per column the
-    sparsest remaining row as pivot, then back substitution over rationals.
+    key m.  Fraction-free forward elimination in Markowitz order: each step
+    clears the column held by the fewest remaining rows, pivoting on its
+    shortest row (ties to the smaller index), which keeps fill-in low on
+    the sparse systems built here.  A column -> rows index and a heap with
+    lazily dropped stale counts find that column without scanning.  Back
+    substitution stays in integers over one common denominator.
     """
-    remaining = [primitive(row) for row in rows]
+    rows = [primitive(row) for row in rows]
+    holders: list[set[int]] = [set() for _ in range(m)]
+    for i, row in enumerate(rows):
+        for j in row:
+            if j != m:
+                holders[j].add(i)
+    heap = [(len(held), j) for j, held in enumerate(holders)]
+    heapify(heap)
+    cleared = [False] * m
     eliminated: list[tuple[int, dict[int, int]]] = []
-    for col in range(m):
-        candidates = [row for row in remaining if col in row]
-        if not candidates:
+    while heap:
+        count, col = heappop(heap)
+        if cleared[col] or count != len(holders[col]):
+            continue
+        if not count:
             raise SingularRestrictedSystem("restricted system has no unique solution")
-        pivot_row = min(candidates, key=len)
-        remaining = [eliminate(row, pivot_row, col) if col in row else row
-                     for row in remaining if row is not pivot_row]
+        cleared[col] = True
+        pivot = min(holders[col], key=lambda i: (len(rows[i]), i))
+        pivot_row = rows[pivot]
+        changed = set()
+        for j in pivot_row:
+            if j != m:
+                holders[j].discard(pivot)
+                changed.add(j)
+        # every other row holding col is reduced by the pivot row; none of
+        # them holds col afterwards, so its index entry starts empty
+        targets, holders[col] = holders[col], set()
+        for i in targets:
+            old = rows[i]
+            rows[i] = new = eliminate(old, pivot_row, col)
+            for j in old.keys() - new.keys():
+                if j != m:
+                    holders[j].discard(i)
+                    changed.add(j)
+            for j in new.keys() - old.keys():
+                if j != m:
+                    holders[j].add(i)
+                    changed.add(j)
+        for j in changed:
+            if not cleared[j]:
+                heappush(heap, (len(holders[j]), j))
         eliminated.append((col, pivot_row))
-    solution = [_ZERO] * m
+    # x_j = nums[j] / den; a pivot row involves its own column, columns
+    # cleared after it (solved before it here) and the right-hand side
+    nums, den = [0] * m, 1
     for col, row in reversed(eliminated):
-        acc = Fraction(row.get(m, 0))
+        acc = row.get(m, 0) * den
         for j, x in row.items():
             if j != col and j != m:
-                acc -= x * solution[j]
-        solution[col] = acc / row[col]
-    return solution
+                acc -= x * nums[j]
+        p = row[col]
+        g = gcd(acc, p)
+        scale = p // g
+        if scale < 0:
+            scale, g = -scale, -g
+        if scale != 1:
+            den *= scale
+            nums = [x * scale for x in nums]
+        nums[col] = acc // g
+    g = gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
 
 
 def finite_mass_vector(rep: LinearRep) -> Config:
@@ -132,13 +190,18 @@ def finite_mass_vector(rep: LinearRep) -> Config:
     states is nonsingular and solved exactly.  Read from the sparse
     columns and computed once per representation.
     """
+    return from_ints(_finite_mass_ints(rep))
+
+
+def _finite_mass_ints(rep: LinearRep) -> IntConfig:
+    # cached on the representation as integers over one common denominator
     cached = rep._memo.get("finite_mass")
     if cached is None:
         cached = rep._memo["finite_mass"] = _finite_mass(rep)
     return cached
 
 
-def _finite_mass(rep: LinearRep) -> Config:
+def _finite_mass(rep: LinearRep) -> IntConfig:
     n = rep.dim
     # combined[k][j] / common: one-step probability from source k to target j
     combined, common = _transition_numerators(rep)
@@ -158,7 +221,7 @@ def _finite_mass(rep: LinearRep) -> Config:
                 stack.append(source)
 
     order = [k for k in range(n) if k in live]
-    s = [_ZERO] * n
+    nums, den = [0] * n, 1
     if order:
         # row of state k, times common * star_den:
         # (common * s_k - sum_j combined[k][j] * s_j) * star_den = common * star_k
@@ -177,19 +240,23 @@ def _finite_mass(rep: LinearRep) -> Config:
             if star[k]:
                 row[m] = common * star[k]
             rows.append(row)
-        for k, value in zip(order, _solve_sparse(rows, m)):
-            s[k] = value
+        solution, den = _solve_sparse(rows, m)
+        for k, value in zip(order, solution):
+            nums[k] = value
 
-    result = tuple(s)
     # exact fixed point and probability range, as a guard on the solver
-    nums, den = to_ints(result)
     for k in range(n):
         if not 0 <= nums[k] <= den:
-            raise SingularRestrictedSystem(f"mass {result[k]} for state index {k}")
+            raise SingularRestrictedSystem(f"mass out of [0, 1] for state index {k}")
         inflow = sum(q * nums[j] for j, q in combined[k].items())
         if nums[k] * common * star_den != star[k] * den * common + inflow * star_den:
             raise SingularRestrictedSystem("fixed-point equation violated")
-    return result
+    return tuple(nums), den
+
+
+def _finite_part(rep: LinearRep, u: IntConfig) -> Fraction:
+    (mass, mass_den), (nums, den) = _finite_mass_ints(rep), u
+    return Fraction(sum([mass[k] * x for k, x in enumerate(nums) if x]), mass_den * den)
 
 
 def measure(rep: LinearRep, u: Config, target: GenSet) -> Fraction:
@@ -200,19 +267,20 @@ def measure(rep: LinearRep, u: Config, target: GenSet) -> Fraction:
     """
     if isinstance(target, Empty):
         return _ZERO
+    v = checked_ints(rep, u)
     if isinstance(target, FiniteWord):
-        return out_term(rep, word_transform(rep, u, target.word))
+        return int_out_term(rep, int_word_transform(rep, v, target.word))
     if isinstance(target, Cone):
-        return out_total(rep, word_transform(rep, u, target.word))
+        return int_out_total(int_word_transform(rep, v, target.word))
     if isinstance(target, All):
-        return out_total(rep, u)
+        return int_out_total(v)
     if isinstance(target, AllFinite):
-        return dot(finite_mass_vector(rep), u)
+        return _finite_part(rep, v)
     if isinstance(target, AllInfinite):
-        return out_total(rep, u) - dot(finite_mass_vector(rep), u)
+        return int_out_total(v) - _finite_part(rep, v)
     if isinstance(target, InfCone):
-        v = word_transform(rep, u, target.word)
-        return out_total(rep, v) - dot(finite_mass_vector(rep), v)
+        v = int_word_transform(rep, v, target.word)
+        return int_out_total(v) - _finite_part(rep, v)
     raise TypeError(f"not a generator-set query: {target!r}")
 
 

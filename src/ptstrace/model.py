@@ -52,7 +52,8 @@ class DistributionSumViolation(PtsFormatError):
     """A state's stop mass plus move masses do not sum to exactly 1."""
 
     def __init__(self, state: str, total: Fraction):
-        super().__init__(f"state {state!r}: masses sum to {total}, expected 1")
+        super().__init__(
+            f"state {state!r}: masses sum to {format_rational(total)}, expected 1")
         self.state = state
         self.total = total
 
@@ -121,9 +122,37 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(numerator, denominator)
 
 
+# integers up to this many bits (about 600 decimal digits) go through str()
+# directly: below 640 digits, the least value Python's int/str conversion
+# limit (sys.set_int_max_str_digits) accepts, so no setting of it can refuse
+_STR_BITS = 2000
+
+
+def _decimal(x: int) -> str:
+    """Exact decimal digits of an integer of any size.
+
+    ``str`` refuses integers past Python's digit limit (4,300 by default);
+    larger ones are split by a power of ten into two parts that are
+    converted recursively, so the process-wide limit is left as it is.
+    """
+    if x.bit_length() <= _STR_BITS:
+        return str(x)
+    if x < 0:
+        return "-" + _decimal(-x)
+    # about half the decimal digits of x (log10(2) > 0.301), so high > 0
+    half = x.bit_length() * 301 // 2000
+    high, low = divmod(x, 10 ** half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 def format_rational(value: Fraction) -> str:
-    """Lowest-terms "p/q", or plain integer string when the value is integral."""
-    return str(value)
+    """Lowest-terms "p/q", or plain integer string when the value is integral.
+
+    Exact at any size, past Python's int/str digit limit as well.
+    """
+    if value.denominator == 1:
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
 def _identifier_list(doc: dict, key: str) -> list[str]:
@@ -174,9 +203,10 @@ def pts_from_dict(doc: object, check: bool = True) -> Pts:
                 raise PtsFormatError(
                     f"move entries for state {state!r} need letter/to/p fields")
             letter, target = item["letter"], item["to"]
-            if letter not in letter_set:
+            # a JSON list or object is unhashable: test the type first
+            if not isinstance(letter, str) or letter not in letter_set:
                 raise UnknownIdentifier(f"state {state!r} moves on undeclared letter {letter!r}")
-            if target not in state_set:
+            if not isinstance(target, str) or target not in state_set:
                 raise UnknownIdentifier(f"state {state!r} moves to undeclared state {target!r}")
             key = (state, letter, target)
             if key in moves:
@@ -202,55 +232,67 @@ def parse_pts(text: str, check: bool = True) -> Pts:
     except ValueError as exc:
         # JSONDecodeError, or a number literal past the int-to-str digit limit
         raise PtsFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise PtsFormatError("invalid JSON: nested too deeply") from None
     return pts_from_dict(doc, check=check)
 
 
+def _moves_by_source(pts: Pts) -> dict[str, list[tuple[str, str, Fraction]]]:
+    """Each state's ``(letter, target, p)`` moves in alphabet order, then
+    target order; moves on undeclared letters or states are left out."""
+    letter_index = {letter: i for i, letter in enumerate(pts.alphabet)}
+    state_index = {state: i for i, state in enumerate(pts.states)}
+    grouped: dict[str, list[tuple[int, int, str, str, Fraction]]] = {}
+    for (source, letter, target), p in pts.moves.items():
+        if letter in letter_index and target in state_index:
+            grouped.setdefault(source, []).append(
+                (letter_index[letter], state_index[target], letter, target, p))
+    return {source: [(letter, target, p) for _, _, letter, target, p in sorted(moves)]
+            for source, moves in grouped.items()}
+
+
+def _in_unit_range(p: Fraction) -> bool:
+    return 0 <= p.numerator <= p.denominator
+
+
 def _state_mass(pts: Pts, state: str) -> Fraction:
-    total = pts.stop(state)
-    for letter in pts.alphabet:
-        for target in pts.states:
-            total += pts.move(state, letter, target)
-    return total
+    moves = _moves_by_source(pts).get(state, ())
+    return sum((p for _, _, p in moves), pts.stop(state))
 
 
 def validate(pts: Pts) -> list[Violation]:
     """Check every model invariant; the list is empty iff all of them hold."""
     violations = []
+    by_source = _moves_by_source(pts)
     for state in pts.states:
         stop = pts.stop(state)
-        if not _ZERO <= stop <= _ONE:
+        if not _in_unit_range(stop):
             violations.append(Violation(
                 PROBABILITY_OUT_OF_RANGE, state,
-                f"stop probability {stop} outside [0, 1]"))
+                f"stop probability {format_rational(stop)} outside [0, 1]"))
         total = stop
-        for letter in pts.alphabet:
-            for target in pts.states:
-                p = pts.moves.get((state, letter, target))
-                if p is None:
-                    continue
-                if not _ZERO <= p <= _ONE:
-                    violations.append(Violation(
-                        PROBABILITY_OUT_OF_RANGE, state,
-                        f"move {letter!r} -> {target!r} has probability {p} outside [0, 1]"))
-                total += p
+        for letter, target, p in by_source.get(state, ()):
+            if not _in_unit_range(p):
+                violations.append(Violation(
+                    PROBABILITY_OUT_OF_RANGE, state,
+                    f"move {letter!r} -> {target!r} has probability "
+                    f"{format_rational(p)} outside [0, 1]"))
+            total += p
         if total != _ONE:
             violations.append(Violation(
-                DISTRIBUTION_SUM, state, f"masses sum to {total}, expected 1"))
+                DISTRIBUTION_SUM, state,
+                f"masses sum to {format_rational(total)}, expected 1"))
     return violations
 
 
 def pts_to_dict(pts: Pts) -> dict:
     """Canonical document form: moves listed in alphabet order, then target order."""
     transitions = {}
+    by_source = _moves_by_source(pts)
     for state in pts.states:
         entry: dict = {"stop": format_rational(pts.stop(state))}
-        move_items = []
-        for letter in pts.alphabet:
-            for target in pts.states:
-                p = pts.moves.get((state, letter, target))
-                if p is not None:
-                    move_items.append(
-                        {"letter": letter, "to": target, "p": format_rational(p)})
+        move_items = [{"letter": letter, "to": target, "p": format_rational(p)}
+                      for letter, target, p in by_source.get(state, ())]
         if move_items:
             entry["moves"] = move_items
         transitions[state] = entry

@@ -191,3 +191,104 @@ def split_copy_pts(rng, max_base=10, max_letters=3, perturb=False):
     pts = Pts(tuple(letters), base + copies, term, moves)
     assert validate(pts) == []
     return pts
+
+
+def _units(rng, outcomes, units=12):
+    """Exact masses over distinct outcomes: ``units`` unit counts spread
+    over them, every outcome getting at least one."""
+    counts = [1] * len(outcomes)
+    for _ in range(units - len(outcomes)):
+        counts[rng.randrange(len(outcomes))] += 1
+    return {outcome: Fraction(c, units) for outcome, c in zip(outcomes, counts)}
+
+
+def _system(letters, states, outcomes_by_state):
+    # outcomes_by_state[s] maps "stop" or (letter, target) to a mass
+    term, moves = {}, {}
+    for state, masses in outcomes_by_state.items():
+        term[state] = masses.get("stop", Fraction(0))
+        for key, p in masses.items():
+            if key != "stop":
+                moves[(state,) + key] = moves.get((state,) + key, Fraction(0)) + p
+    pts = Pts(tuple(letters), tuple(states), term, moves)
+    assert validate(pts) == []
+    return pts
+
+
+def sink_split_pts(rng, m, n_letters=2, sinks=2):
+    """A chain-like system with non-terminating sink components, and its
+    split copy (states a<i> and b<i>p / b<i>q, 3 (m + sinks) in all).
+
+    Chain state i stops, moves on to i + 1, back to i // 2 and to a
+    pseudo-random earlier state, and every third one leaks into a sink;
+    the sinks only move among themselves.  The finite-mass system then
+    couples far-apart states, the case where elimination order matters.
+    """
+    letters = ("a", "b", "c", "d")[:n_letters]
+    k = len(letters)
+    base = [f"a{i}" for i in range(m + sinks)]
+    outcomes = {}
+    for i in range(m):
+        keys = ["stop", (letters[(i + 1) % k], base[i // 2]),
+                (letters[(3 * i + 2) % k], base[(7 * i + 3) % (i + 1)])]
+        if i + 1 < m:
+            keys.append((letters[i % k], base[i + 1]))
+        if i % 3 == 1:
+            keys.append((letters[i % k], base[m + i % sinks]))
+        outcomes[base[i]] = _units(rng, list(dict.fromkeys(keys)))
+    for j in range(m, m + sinks):
+        keys = [(letters[j % k], base[j]), (letters[j % k], base[m + (j + 1 - m) % sinks])]
+        outcomes[base[j]] = _units(rng, list(dict.fromkeys(keys)))
+    states = list(base)
+    for i, state in enumerate(base):
+        for c in "pq":
+            r = rng.choice(SPLIT_RATIOS)
+            split = {}
+            for key, p in outcomes[state].items():
+                if key == "stop":
+                    split["stop"] = p
+                else:
+                    letter, target = key
+                    split[(letter, f"b{target[1:]}p")] = p * r
+                    split[(letter, f"b{target[1:]}q")] = p * (1 - r)
+            outcomes[f"b{i}{c}"] = split
+            states.append(f"b{i}{c}")
+    return _system(letters, states, outcomes)
+
+
+def components_pts(rng, components=4, size=4, transient=6, n_letters=2):
+    """Closed components, some dead, fed by transient states.
+
+    Each component is a cycle with random extra edges inside it and
+    self-loops; in a live component some states stop (one with
+    probability 1), in a dead one nothing ever stops, so its finite-word
+    mass is 0 and the reachability pre-pass must remove it.  Transient
+    states stop, loop on themselves and move into later transient states
+    and into the components.
+    """
+    letters = ("a", "b", "c")[:n_letters]
+    groups = [[f"c{g}_{i}" for i in range(size)] for g in range(components)]
+    live = [g % 2 == 0 or rng.random() < 0.3 for g in range(components)]
+    live[-1] = False
+    tstates = [f"t{i}" for i in range(transient)]
+    outcomes = {}
+    for g, group in enumerate(groups):
+        for i, state in enumerate(group):
+            keys = [(rng.choice(letters), group[(i + 1) % size]),
+                    (rng.choice(letters), state),
+                    (rng.choice(letters), rng.choice(group))]
+            if live[g] and i == 0:
+                outcomes[state] = {"stop": Fraction(1)}
+                continue
+            if live[g] and rng.random() < 0.5:
+                keys.append("stop")
+            outcomes[state] = _units(rng, list(dict.fromkeys(keys)))
+    targets = [s for group in groups for s in group]
+    for i, state in enumerate(tstates):
+        keys = [(rng.choice(letters), state), (rng.choice(letters), rng.choice(targets))]
+        if i + 1 < transient:
+            keys.append((rng.choice(letters), rng.choice(tstates[i + 1:])))
+        if rng.random() < 0.5:
+            keys.append("stop")
+        outcomes[state] = _units(rng, list(dict.fromkeys(keys)))
+    return _system(letters, tstates + targets, outcomes)

@@ -3,6 +3,8 @@
 import json
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -208,6 +210,54 @@ def test_overlong_json_number_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(path))
     assert code == 2
     assert err.startswith("error: invalid JSON") and err.count("\n") == 1
+
+
+def _digits(x):
+    # exact decimal digits without str(int), which stops at 4,300 digits
+    return str(Decimal(x))
+
+
+def test_eval_prints_results_past_the_int_str_digit_limit(doc_path, capsys):
+    # p = 1/10^3000 on the loop: the word a.a has mass (1 - p) p^2, whose
+    # denominator 10^9000 has 9,001 digits
+    d = 10 ** 3000
+    doc = {"alphabet": ["a"], "states": ["x"],
+           "transitions": {"x": {"stop": f"{_digits(d - 1)}/{_digits(d)}",
+                                 "moves": [{"letter": "a", "to": "x",
+                                            "p": f"1/{_digits(d)}"}]}}}
+    path = doc_path(doc)
+    expected = "9" * 3000 + "/1" + "0" * 9000
+    code, out, err = run(capsys, "eval", path, "--state", "x", "--query", "word:a.a")
+    assert (code, out, err) == (0, expected + "\n", "")
+    code, out, _ = run(capsys, "eval", path, "--state", "x", "--query", "word:a.a",
+                       "--json")
+    assert code == 0
+    assert json.loads(out) == {"value": expected}
+
+
+def test_validate_reports_sums_past_the_int_str_digit_limit(doc_path, capsys):
+    # 1/2^8000 + 1/3^5000: every input has under 2,500 digits, the sum's
+    # denominator has 4,794
+    a, b = 2 ** 8000, 3 ** 5000
+    doc = {"alphabet": ["a"], "states": ["x"],
+           "transitions": {"x": {"stop": f"1/{_digits(a)}",
+                                 "moves": [{"letter": "a", "to": "x",
+                                            "p": f"1/{_digits(b)}"}]}}}
+    path = doc_path(doc)
+    total = Fraction(1, a) + Fraction(1, b)
+    assert len(_digits(total.denominator)) > 4300
+    message = (f"masses sum to {_digits(total.numerator)}/"
+               f"{_digits(total.denominator)}, expected 1")
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out, err) == (2, f"x: {message}\n", "")
+    code, out, _ = run(capsys, "validate", path, "--json")
+    assert code == 2
+    assert json.loads(out) == {"ok": False, "violations": [
+        {"kind": "distribution_sum", "state": "x", "message": message}]}
+    for argv in (["rep", path], ["eval", path, "--state", "x", "--query", "all"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: state 'x': {message}\n"
 
 
 def test_non_utf8_input_exit_2(tmp_path, capsys):

@@ -5,6 +5,9 @@ The reference below is the earlier implementation, kept small: dense
 a Fraction reduced row-echelon ``CongruenceBasis``, the shared worklist
 loop and the dense finite-mass solve.  Split-copy systems make the basis
 grow, so the basis paths are exercised, not just the clone shortcut.
+Split copies with non-terminating sinks, closed live and dead components,
+self-loops and certain stops exercise the pivot order of the sparse
+finite-mass solve; small ones are also checked against ``brute_measure``.
 """
 
 import random
@@ -14,11 +17,14 @@ from fractions import Fraction
 
 import pytest
 
-from ptstrace import (CongruenceBasis, Equivalent, Extraction,
-                      Inconclusive, NotEquivalent, OutputKind, build_rep,
-                      finite_mass_vector, hk, hkc_finite, hkc_inf, naive)
+from ptstrace import (AllFinite, AllInfinite, Cone, CongruenceBasis,
+                      Equivalent, Extraction, FiniteWord, Inconclusive,
+                      InfCone, NotEquivalent, OutputKind, Pts, brute_measure,
+                      build_rep, dirac, finite_mass_vector, hk, hkc_finite,
+                      hkc_inf, measure, naive, word_transform)
 
-from systems import random_pts, split_copy_pts
+from systems import (all_words, components_pts, random_pts, sink_split_pts,
+                     split_copy_pts)
 
 F = Fraction
 _ZERO = F(0)
@@ -292,3 +298,74 @@ def test_random_systems_match_dense_reference():
         x, y = rng.choice(pts.states), rng.choice(pts.states)
         expected, _ = ref_decide(pts, x, y, RefSpan(rep.dim), True)
         assert hkc_inf(rep, x, y) == expected
+
+
+def _solve_systems():
+    rng = random.Random(139)
+    cases = [sink_split_pts(rng, m, rng.randint(1, 4), sinks=rng.randint(1, 3))
+             for m in (1, 2, 3, 5, 8, 12, 18)]
+    cases.append(sink_split_pts(rng, 28, 2))  # n = 90
+    cases += [components_pts(rng, components=rng.randint(2, 5), size=rng.randint(1, 5),
+                             transient=rng.randint(1, 8), n_letters=rng.randint(1, 3))
+              for _ in range(12)]
+    return cases
+
+
+SOLVE_SYSTEMS = _solve_systems()
+
+
+def test_solve_systems_cover_the_hard_shapes():
+    sizes = [len(pts.states) for pts in SOLVE_SYSTEMS]
+    assert max(sizes) >= 90 and sum(n <= 12 for n in sizes) >= 4
+    masses = [finite_mass_vector(build_rep(pts)) for pts in SOLVE_SYSTEMS]
+    # dead states, certain termination and partial mass all occur
+    assert all(F(0) in m for m in masses)
+    assert sum(F(1) in m for m in masses) >= 10
+    assert sum(any(0 < x < 1 for x in m) for m in masses) >= 15
+    assert any(pts.move(s, a, s) for pts in SOLVE_SYSTEMS for s in pts.states
+               for a in pts.alphabet)
+
+
+@pytest.mark.parametrize("index", range(len(SOLVE_SYSTEMS)))
+def test_sparse_solve_matches_dense_reference(index):
+    pts = SOLVE_SYSTEMS[index]
+    rep = build_rep(pts)
+    expected = ref_finite_mass(pts)
+    assert finite_mass_vector(rep) == expected
+    word = pts.alphabet[:1] * 2
+    for k, state in enumerate(pts.states):
+        u = dirac(rep, state)
+        assert measure(rep, u, AllFinite()) == expected[k]
+        assert measure(rep, u, AllInfinite()) == 1 - expected[k]
+        v = word_transform(rep, u, word)
+        assert measure(rep, u, InfCone(word)) == \
+            sum(v, _ZERO) - sum((a * b for a, b in zip(expected, v)), _ZERO)
+
+
+def _with_stop(pts, term):
+    # the same moves, stopping with the given masses (not a valid system);
+    # brute_measure of a word then weighs where the word ends by ``term``
+    return Pts(pts.alphabet, pts.states, dict(zip(pts.states, term)), pts.moves)
+
+
+@pytest.mark.parametrize("index", [i for i, pts in enumerate(SOLVE_SYSTEMS)
+                                   if len(pts.states) <= 12])
+def test_finite_mass_queries_match_brute_measure(index):
+    pts = SOLVE_SYSTEMS[index]
+    rep = build_rep(pts)
+    mass = finite_mass_vector(rep)
+    by_mass = _with_stop(pts, mass)
+    words = all_words(pts.alphabet, 2)
+    for k, state in enumerate(pts.states):
+        u = dirac(rep, state)
+        finite = measure(rep, u, AllFinite())
+        # the fixed point, one letter at a time, and the partial sums below it
+        assert finite == mass[k] == pts.stop(state) + sum(
+            (brute_measure(by_mass, state, FiniteWord((a,))) for a in pts.alphabet), _ZERO)
+        assert sum((brute_measure(pts, state, FiniteWord(w)) for w in words), _ZERO) \
+            <= finite
+        assert measure(rep, u, AllInfinite()) == \
+            brute_measure(pts, state, Cone(())) - finite
+        for w in words:
+            assert measure(rep, u, InfCone(w)) == \
+                brute_measure(pts, state, Cone(w)) - brute_measure(by_mass, state, FiniteWord(w))

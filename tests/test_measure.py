@@ -1,6 +1,7 @@
 """Trace-measure evaluation: finite-word mass, generator sets, query syntax."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ptstrace import (All, AllFinite, AllInfinite, Cone, Empty, FiniteWord,
-                      InfCone, PtsFormatError, UnknownIdentifier, build_rep,
-                      dirac, finite_mass_vector, measure, parse_query, step,
-                      tokenize_word)
+                      InfCone, PtsFormatError, SingularRestrictedSystem,
+                      UnknownIdentifier, build_rep, dirac, finite_mass_vector,
+                      measure, parse_query, step, tokenize_word)
 from ptstrace.linear import dot
 
-from systems import all_words, random_pts
+from systems import all_words, random_pts, sink_split_pts
 
 F = Fraction
 
@@ -227,3 +228,30 @@ def test_parse_query_forms():
         parse_query("prefix:ab", alphabet)
     with pytest.raises(UnknownIdentifier):
         parse_query("cone:zz", alphabet)
+
+
+def test_solve_sparse_integer_solution_and_singular_systems():
+    solve = sys.modules["ptstrace.measure"]._solve_sparse
+    # 2x - y = 1, -x + 3y = 2 (rhs under key 2): x = 1, y = 1, over den 1;
+    # -3x = 1, 6y = -1: negative pivots, x = -1/3, y = -1/6 over den 6
+    assert solve([{0: 2, 1: -1, 2: 1}, {0: -1, 1: 3, 2: 2}], 2) == ((1, 1), 1)
+    assert solve([{0: -3, 2: 1}, {1: 6, 2: -1}], 2) == ((-2, -1), 6)
+    with pytest.raises(SingularRestrictedSystem):
+        solve([{0: 1, 1: 1, 2: 1}, {0: 2, 1: 2, 2: 3}], 2)
+    with pytest.raises(SingularRestrictedSystem):
+        solve([{0: 1, 2: 1}, {0: 2, 2: 2}], 2)
+
+
+def test_sparse_solve_keeps_fill_in_low(monkeypatch):
+    # a split copy with sinks coupling far-apart states (n = 120): in
+    # natural column order the solve reduces 1,800-odd rows, in Markowitz
+    # order a small multiple of n
+    module = sys.modules["ptstrace.measure"]
+    calls = []
+    eliminate = module.eliminate
+    monkeypatch.setattr(module, "eliminate",
+                        lambda *args: calls.append(1) or eliminate(*args))
+    rep = build_rep(sink_split_pts(random.Random(5), 38, 2))
+    assert rep.dim == 120
+    finite_mass_vector(rep)
+    assert 0 < len(calls) <= 3 * rep.dim

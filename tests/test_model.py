@@ -9,7 +9,7 @@ import pytest
 from ptstrace import (DistributionSumViolation, DuplicateIdentifier,
                       MalformedRational, ProbabilityOutOfRange, Pts,
                       PtsFormatError, UnknownIdentifier, parse_pts,
-                      parse_rational, serialize_pts, validate)
+                      parse_rational, pts_to_dict, serialize_pts, validate)
 from ptstrace.model import DISTRIBUTION_SUM, PROBABILITY_OUT_OF_RANGE
 
 from systems import ALL_DOCS, CANTOR, SINGLE_LETTER_CHAIN, load, random_pts
@@ -96,6 +96,16 @@ def test_parse_rejects_undeclared_identifiers():
         parse_pts(json.dumps(bad_target))
 
 
+def test_parse_rejects_non_string_move_fields():
+    # JSON lists and objects are unhashable; they must not escape as TypeError
+    for field, value in (("letter", ["a"]), ("to", {"x": 1}), ("letter", 1)):
+        item = {"letter": "a", "to": "x", "p": "1", field: value}
+        doc = {"alphabet": ["a"], "states": ["x"],
+               "transitions": {"x": {"moves": [item]}}}
+        with pytest.raises(UnknownIdentifier):
+            load(doc)
+
+
 def test_parse_rejects_duplicates():
     with pytest.raises(DuplicateIdentifier):
         parse_pts(json.dumps({
@@ -152,6 +162,34 @@ def test_validate_reports_negative_move():
     assert len(violations) == 1
     assert violations[0].kind == PROBABILITY_OUT_OF_RANGE
     assert violations[0].state == "x"
+
+
+def test_validate_reports_every_violation_in_canonical_order():
+    # moves are checked in alphabet order, then target order, whatever the
+    # order of the document; moves on undeclared letters are not looked at
+    pts = Pts(("a", "b"), ("x", "y"),
+              {"x": F(5, 4), "y": F(0)},
+              {("x", "b", "x"): F(3, 2), ("x", "a", "y"): F(-1, 3),
+               ("x", "a", "x"): F(7, 6), ("x", "c", "x"): F(9),
+               ("y", "b", "y"): F(1, 2), ("y", "a", "y"): F(1, 2)})
+    assert [(v.kind, v.state, v.message) for v in validate(pts)] == [
+        (PROBABILITY_OUT_OF_RANGE, "x", "stop probability 5/4 outside [0, 1]"),
+        (PROBABILITY_OUT_OF_RANGE, "x", "move 'a' -> 'x' has probability 7/6 outside [0, 1]"),
+        (PROBABILITY_OUT_OF_RANGE, "x", "move 'a' -> 'y' has probability -1/3 outside [0, 1]"),
+        (PROBABILITY_OUT_OF_RANGE, "x", "move 'b' -> 'x' has probability 3/2 outside [0, 1]"),
+        (DISTRIBUTION_SUM, "x", "masses sum to 43/12, expected 1"),
+    ]
+
+
+def test_canonical_document_orders_moves():
+    doc = {"alphabet": ["a", "b"], "states": ["x", "y"],
+           "transitions": {"x": {"stop": "1/4", "moves": [
+               {"letter": "b", "to": "x", "p": "1/4"},
+               {"letter": "a", "to": "y", "p": "1/4"},
+               {"letter": "a", "to": "x", "p": "1/4"}]},
+               "y": {"stop": "1"}}}
+    moves = pts_to_dict(load(doc))["transitions"]["x"]["moves"]
+    assert [(m["letter"], m["to"]) for m in moves] == [("a", "x"), ("a", "y"), ("b", "x")]
 
 
 @pytest.mark.parametrize("name", sorted(ALL_DOCS))
