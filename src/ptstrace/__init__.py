@@ -7,36 +7,31 @@ determinized linear representation, and equivalence checking with
 counterexample words via bisimulation up to congruence.
 """
 
-from .equivalence import (CongruenceBasis, Equivalent, EquivResult,
-                          Extraction, Inconclusive, InvariantError,
-                          NotEquivalent, OutputKind, hk, hkc_finite,
-                          hkc_inf, naive)
-from .linear import (Config, LinearRep, build_rep, dirac, dot, out_term,
-                     out_total, step, word_transform)
+from .equivalence import (CongruenceBasis, Equivalent, Extraction,
+                          Inconclusive, InvariantError, NotEquivalent,
+                          OutputKind, hk, hkc_finite, hkc_inf, naive)
+from .linear import (build_rep, dirac, out_term, out_total, step,
+                     word_transform)
 from .measure import (All, AllFinite, AllInfinite, Cone, Empty, FiniteWord,
-                      GenSet, InfCone, SingularRestrictedSystem,
-                      finite_mass_vector, measure, parse_query,
-                      tokenize_word)
+                      InfCone, SingularRestrictedSystem, finite_mass_vector,
+                      measure, parse_query, tokenize_word)
 from .model import (DistributionSumViolation, DuplicateIdentifier,
                     MalformedRational, ProbabilityOutOfRange, Pts,
-                    PtsFormatError, UnknownIdentifier, Violation, Word,
-                    format_rational, parse_pts, parse_rational,
-                    pts_from_dict, pts_to_dict, serialize_pts, validate)
+                    PtsFormatError, UnknownIdentifier, parse_pts,
+                    parse_rational, pts_to_dict, serialize_pts, validate)
 from .oracle import brute_measure, word_oracle_equiv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "All", "AllFinite", "AllInfinite", "Cone", "Config", "CongruenceBasis",
-    "DistributionSumViolation", "DuplicateIdentifier", "Empty",
-    "EquivResult", "Equivalent", "Extraction", "FiniteWord", "GenSet",
-    "InfCone", "Inconclusive", "InvariantError", "LinearRep",
+    "All", "AllFinite", "AllInfinite", "Cone", "CongruenceBasis",
+    "DistributionSumViolation", "DuplicateIdentifier", "Empty", "Equivalent",
+    "Extraction", "FiniteWord", "InfCone", "Inconclusive", "InvariantError",
     "MalformedRational", "NotEquivalent", "OutputKind",
     "ProbabilityOutOfRange", "Pts", "PtsFormatError",
-    "SingularRestrictedSystem", "UnknownIdentifier", "Violation", "Word",
-    "brute_measure", "build_rep", "dirac", "dot", "finite_mass_vector",
-    "format_rational", "hk", "hkc_finite", "hkc_inf", "measure", "naive",
-    "out_term", "out_total", "parse_pts", "parse_query", "parse_rational",
-    "pts_from_dict", "pts_to_dict", "serialize_pts", "step",
+    "SingularRestrictedSystem", "UnknownIdentifier", "brute_measure",
+    "build_rep", "dirac", "finite_mass_vector", "hk", "hkc_finite",
+    "hkc_inf", "measure", "naive", "out_term", "out_total", "parse_pts",
+    "parse_query", "parse_rational", "pts_to_dict", "serialize_pts", "step",
     "tokenize_word", "validate", "word_oracle_equiv", "word_transform",
 ]

@@ -4,7 +4,10 @@ Four variants share one FIFO worklist loop over configuration pairs and
 differ only in how a candidate pair is discharged before its outputs are
 compared: exact pair lookup (naive), equivalence closure via union-find
 (hk), or membership of the difference vector in the linear span of
-previously recorded differences (the hkc variants).  The span test is what
+previously recorded differences (the hkc variants).  Each store has one
+operation, ``add``, which records a pair or refuses one that is already
+related; for the hkc variants one reduction of the difference against the
+basis both tests membership and records the pair.  The span test is what
 makes the hkc variants terminate on every finite system: each recorded
 pair strictly increases the rank of the difference basis, and rank is
 bounded by the dimension.  naive and hk can run forever on the weighted
@@ -105,6 +108,9 @@ class CongruenceBasis:
     ``w := (r[p]/g) w - (w[p]/g) r`` with ``g = gcd(r[p], w[p])``.
     ``rows`` is the derived Fraction view: the unique reduced row-echelon
     form of the span, pivot entries 1.
+
+    It is the hkc variants' pair store: ``add``/``related`` take integer
+    configurations, ``insert``/``contains`` Fraction ones.
     """
 
     def __init__(self, dim: int):
@@ -145,8 +151,13 @@ class CongruenceBasis:
                     w[j] -= c * y
         return w
 
-    def _add_residual(self, residual: list[int]) -> bool:
-        """Record a reduced vector as a new row; False when it is zero."""
+    def add(self, u: IntConfig, v: IntConfig) -> bool:
+        """Record the pair (u, v): add u - v to the span.
+
+        One reduction both tests membership and records the pair; returns
+        False, leaving the basis unchanged, when u - v was already inside.
+        """
+        residual = self._reduce(_difference(u, v))
         pivot = next((j for j, c in enumerate(residual) if c), None)
         if pivot is None:
             return False
@@ -162,13 +173,17 @@ class CongruenceBasis:
         self.pivots.insert(position, pivot)
         return True
 
+    def related(self, u: IntConfig, v: IntConfig) -> bool:
+        """True iff u - v lies in the span; the basis is left unchanged."""
+        return not any(self._reduce(_difference(u, v)))
+
     def contains(self, u: Config, v: Config) -> bool:
         """True iff u - v lies in the span of the recorded differences."""
-        return not any(self._reduce(_difference(to_ints(u), to_ints(v))))
+        return self.related(to_ints(u), to_ints(v))
 
     def insert(self, u: Config, v: Config) -> bool:
         """Add u - v to the span; returns False when it was already inside."""
-        return self._add_residual(self._reduce(_difference(to_ints(u), to_ints(v))))
+        return self.add(to_ints(u), to_ints(v))
 
 
 class _PairStore:
@@ -176,14 +191,12 @@ class _PairStore:
 
     def __init__(self):
         self._pairs: set[tuple[IntConfig, IntConfig]] = set()
-        self.size = 0
 
-    def subsumed(self, u: IntConfig, v: IntConfig) -> bool:
-        return (u, v) in self._pairs
-
-    def add(self, u: IntConfig, v: IntConfig) -> None:
+    def add(self, u: IntConfig, v: IntConfig) -> bool:
+        if (u, v) in self._pairs:
+            return False
         self._pairs.add((u, v))
-        self.size += 1
+        return True
 
 
 class _EquivalenceStore:
@@ -192,7 +205,6 @@ class _EquivalenceStore:
     def __init__(self):
         self._ids: dict[IntConfig, int] = {}
         self._parent: list[int] = []
-        self.size = 0
 
     def _intern(self, u: IntConfig) -> int:
         node = self._ids.get(u)
@@ -208,41 +220,22 @@ class _EquivalenceStore:
             node = self._parent[node]
         return node
 
-    def subsumed(self, u: IntConfig, v: IntConfig) -> bool:
-        return self._find(self._intern(u)) == self._find(self._intern(v))
-
-    def add(self, u: IntConfig, v: IntConfig) -> None:
-        self._parent[self._find(self._intern(u))] = self._find(self._intern(v))
-        self.size += 1
-
-
-class _CongruenceStore:
-    """Span membership over the accumulated difference basis."""
-
-    def __init__(self, dim: int):
-        self.basis = CongruenceBasis(dim)
-        self.pairs: list[tuple[IntConfig, IntConfig]] = []
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
-    def subsumed(self, u: IntConfig, v: IntConfig) -> bool:
-        return not any(self.basis._reduce(_difference(u, v)))
-
-    def add(self, u: IntConfig, v: IntConfig) -> None:
-        if not self.basis._add_residual(self.basis._reduce(_difference(u, v))):
-            raise InvariantError("pair inserted although already in the closure")
-        self.pairs.append((u, v))
+    def add(self, u: IntConfig, v: IntConfig) -> bool:
+        root_u, root_v = self._find(self._intern(u)), self._find(self._intern(v))
+        if root_u == root_v:
+            return False
+        self._parent[root_u] = root_v
+        return True
 
 
-def _check_loop_invariant(rep: LinearRep, store: _CongruenceStore, todo) -> None:
+def _check_loop_invariant(rep: LinearRep, basis: CongruenceBasis, recorded,
+                          todo) -> None:
     # every letter-successor of a recorded pair is discharged or still pending
     pending = {(u, v) for _, u, v in todo}
-    for u, v in store.pairs:
+    for u, v in recorded:
         for letter in rep.alphabet:
             successor = (int_step(rep, u, letter), int_step(rep, v, letter))
-            if not (store.subsumed(*successor) or successor in pending):
+            if not (basis.related(*successor) or successor in pending):
                 raise InvariantError(
                     "loop invariant violated: recorded pair has an unhandled successor")
 
@@ -253,33 +246,37 @@ def _decide(rep, x, y, store, *, check_total_mass, max_steps=None,
     # have equal keys in the naive and hk stores
     todo = deque()
     todo.append(((), to_ints(dirac(rep, x)), to_ints(dirac(rep, y))))
+    # the pairs whose outputs agreed: the relation built so far (a pair
+    # the store took whose outputs differ ends the run)
+    recorded: list[tuple[IntConfig, IntConfig]] = []
     iterations = 0
     while todo:
         if max_steps is not None and iterations >= max_steps:
-            return Inconclusive(steps_exhausted=max_steps, relation_size=store.size)
+            return Inconclusive(steps_exhausted=max_steps, relation_size=len(recorded))
         if debug:
-            _check_loop_invariant(rep, store, todo)
+            _check_loop_invariant(rep, store, recorded, todo)
         word, u, v = todo.popleft()
         iterations += 1
-        skipped = store.subsumed(u, v)
+        # membership before the outputs: a skipped pair builds no Fractions
+        new = store.add(u, v)
         if trace is not None:
-            trace.append(Extraction(word, from_ints(u), from_ints(v), skipped))
-        if skipped:
+            trace.append(Extraction(word, from_ints(u), from_ints(v), not new))
+        if not new:
             continue
         if check_total_mass:
             lhs, rhs = int_out_total(u), int_out_total(v)
             if lhs != rhs:
                 return NotEquivalent(word, OutputKind.TOTAL_MASS, lhs, rhs,
-                                     iterations, store.size)
+                                     iterations, len(recorded))
         lhs, rhs = int_out_term(rep, u), int_out_term(rep, v)
         if lhs != rhs:
             return NotEquivalent(word, OutputKind.TERMINATION, lhs, rhs,
-                                 iterations, store.size)
+                                 iterations, len(recorded))
         for letter in rep.alphabet:
             todo.append((word + (letter,), int_step(rep, u, letter),
                          int_step(rep, v, letter)))
-        store.add(u, v)
-    return Equivalent(iterations=iterations, relation_size=store.size)
+        recorded.append((u, v))
+    return Equivalent(iterations=iterations, relation_size=len(recorded))
 
 
 def _checked_bound(rep: LinearRep, result: EquivResult) -> EquivResult:
@@ -299,8 +296,7 @@ def hkc_inf(rep: LinearRep, x: str, y: str, *, debug: bool = False,
     extraction; ``debug`` checks the worklist loop invariant at each head
     and raises ``InvariantError`` if it fails.
     """
-    store = _CongruenceStore(rep.dim)
-    result = _decide(rep, x, y, store, check_total_mass=True,
+    result = _decide(rep, x, y, CongruenceBasis(rep.dim), check_total_mass=True,
                      trace=trace, debug=debug)
     return _checked_bound(rep, result)
 
@@ -308,8 +304,7 @@ def hkc_inf(rep: LinearRep, x: str, y: str, *, debug: bool = False,
 def hkc_finite(rep: LinearRep, x: str, y: str, *, debug: bool = False,
                trace: list | None = None) -> EquivResult:
     """Decide equality on finite words only: the total-mass comparison is dropped."""
-    store = _CongruenceStore(rep.dim)
-    result = _decide(rep, x, y, store, check_total_mass=False,
+    result = _decide(rep, x, y, CongruenceBasis(rep.dim), check_total_mass=False,
                      trace=trace, debug=debug)
     return _checked_bound(rep, result)
 

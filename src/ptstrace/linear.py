@@ -221,13 +221,6 @@ def word_transform(rep: LinearRep, u: Config, word: Iterable[str]) -> Config:
     return from_ints(int_word_transform(rep, checked_ints(rep, u), word))
 
 
-def dot(a: Config, b: Config) -> Fraction:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    (x, dx), (y, dy) = to_ints(a), to_ints(b)
-    return Fraction(sum(p * q for p, q in zip(x, y) if p and q), dx * dy)
-
-
 def out_total(rep: LinearRep, u: Config) -> Fraction:
     """Total mass output: the cone measure of the full word space."""
     return int_out_total(checked_ints(rep, u))

@@ -38,33 +38,28 @@ class Empty:
 
 
 @dataclass(frozen=True)
-class FiniteWord:
+class _WordSet:
+    """A generator set named by one finite word, stored as a tuple."""
+
+    word: Word
+
+    def __post_init__(self):
+        object.__setattr__(self, "word", tuple(self.word))
+
+
+@dataclass(frozen=True)
+class FiniteWord(_WordSet):
     """A single finite word."""
 
-    word: Word
-
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(self.word))
-
 
 @dataclass(frozen=True)
-class Cone:
+class Cone(_WordSet):
     """All finite and infinite words with the given prefix."""
 
-    word: Word
-
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(self.word))
-
 
 @dataclass(frozen=True)
-class InfCone:
+class InfCone(_WordSet):
     """All infinite words with the given prefix."""
-
-    word: Word
-
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(self.word))
 
 
 @dataclass(frozen=True)
@@ -265,9 +260,9 @@ def measure(rep: LinearRep, u: Config, target: GenSet) -> Fraction:
     The formulas are linear in ``u``, so any configuration is accepted;
     the result is a probability only when ``u`` is a subdistribution.
     """
+    v = checked_ints(rep, u)
     if isinstance(target, Empty):
         return _ZERO
-    v = checked_ints(rep, u)
     if isinstance(target, FiniteWord):
         return int_out_term(rep, int_word_transform(rep, v, target.word))
     if isinstance(target, Cone):

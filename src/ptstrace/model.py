@@ -225,10 +225,24 @@ def pts_from_dict(doc: object, check: bool = True) -> Pts:
     return pts
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads would keep the last of a repeated key; reject it instead
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DuplicateIdentifier(f"key {key!r} occurs twice in one JSON object")
+            seen.add(key)
+    return doc
+
+
 def parse_pts(text: str, check: bool = True) -> Pts:
     """Parse and validate a JSON document into a Pts."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except DuplicateIdentifier:
+        raise
     except ValueError as exc:
         # JSONDecodeError, or a number literal past the int-to-str digit limit
         raise PtsFormatError(f"invalid JSON: {exc}") from exc

@@ -95,6 +95,18 @@ def test_validate_structural_error_exit_2(doc_path, tmp_path, capsys):
     assert "error" in err
 
 
+def test_duplicate_json_key_exit_2(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text('{"alphabet": ["a"], "states": ["x"], "transitions": '
+                    '{"x": {"stop": "1"}, "x": {"stop": "1"}}}', encoding="utf-8")
+    for argv in (("validate", str(path)),
+                 ("eval", str(path), "--state", "x", "--query", "all")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: key 'x' occurs twice in one JSON object\n"
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "eval", "/nonexistent/f.json",
                        "--state", "x", "--query", "all")

@@ -11,10 +11,10 @@ from ptstrace import (CongruenceBasis, Equivalent, Inconclusive,
                       dirac, hk, hkc_finite, hkc_inf, naive, out_term,
                       out_total, parse_pts, step, word_oracle_equiv,
                       word_transform)
-from ptstrace.equivalence import _checked_bound, _CongruenceStore
+from ptstrace.equivalence import _checked_bound
 from ptstrace.linear import to_ints
 
-from systems import random_pts
+from systems import random_pts, split_copy_pts
 
 F = Fraction
 
@@ -253,11 +253,31 @@ def test_iteration_bound_breach_raises(worked_rep):
                                               relation_size=worked_rep.dim + 1))
 
 
-def test_recording_a_subsumed_pair_raises(worked_rep):
-    store = _CongruenceStore(worked_rep.dim)
+def test_add_refuses_a_related_pair(worked_rep):
+    basis = CongruenceBasis(worked_rep.dim)
     u, v = to_ints(dirac(worked_rep, "x")), to_ints(dirac(worked_rep, "z"))
-    store.add(u, v)
-    assert store.subsumed(u, v)
-    with pytest.raises(InvariantError):
-        store.add(u, v)
-    assert store.size == 1
+    assert basis.add(u, v)
+    assert basis.related(u, v)
+    assert not basis.add(u, v)
+    assert not basis.add(v, u)
+    assert basis.rank == 1
+
+
+def test_one_reduction_per_extraction(monkeypatch):
+    calls = 0
+    reduce = CongruenceBasis._reduce
+
+    def counting(self, w):
+        nonlocal calls
+        calls += 1
+        return reduce(self, w)
+
+    monkeypatch.setattr(CongruenceBasis, "_reduce", counting)
+    pts = split_copy_pts(random.Random(9), max_base=10, max_letters=2)
+    rep = build_rep(pts)
+    for decide in (hkc_inf, hkc_finite):
+        calls = 0
+        result = decide(rep, "a0", "b0p")
+        assert isinstance(result, Equivalent)
+        assert result.relation_size >= 10
+        assert calls == result.iterations

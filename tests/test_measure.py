@@ -12,7 +12,6 @@ from ptstrace import (All, AllFinite, AllInfinite, Cone, Empty, FiniteWord,
                       InfCone, PtsFormatError, SingularRestrictedSystem,
                       UnknownIdentifier, build_rep, dirac, finite_mass_vector,
                       measure, parse_query, step, tokenize_word)
-from ptstrace.linear import dot
 
 from systems import all_words, random_pts, sink_split_pts
 
@@ -183,7 +182,16 @@ def test_measure_derivative_law():
 def test_measure_accepts_arbitrary_configs(worked_rep):
     u = (F(2), F(-1, 3), F(0), F(1, 2))
     assert measure(worked_rep, u, All()) == sum(u, F(0))
-    assert measure(worked_rep, u, FiniteWord(())) == dot(worked_rep.l_star, u)
+    assert measure(worked_rep, u, FiniteWord(())) == \
+        sum((s * x for s, x in zip(worked_rep.l_star, u)), F(0))
+
+
+def test_measure_rejects_wrong_length_for_every_target(worked_rep):
+    short = (F(1), F(0))
+    for target in (Empty(), FiniteWord(()), Cone(("a",)), InfCone(()),
+                   AllFinite(), AllInfinite(), All()):
+        with pytest.raises(ValueError, match="length 2, expected 4"):
+            measure(worked_rep, short, target)
 
 
 def test_measure_rejects_undeclared_letter(worked_rep):
@@ -224,6 +232,9 @@ def test_parse_query_forms():
     assert parse_query("cone:a.b", alphabet) == Cone(("a", "b"))
     assert parse_query("infcone:a", alphabet) == InfCone(("a",))
     assert parse_query("word:", alphabet) == FiniteWord(())
+    # the same word names different sets; a list word is stored as a tuple
+    assert Cone(("a",)) != FiniteWord(("a",)) != InfCone(("a",))
+    assert Cone(["a", "b"]).word == ("a", "b")
     with pytest.raises(PtsFormatError):
         parse_query("prefix:ab", alphabet)
     with pytest.raises(UnknownIdentifier):

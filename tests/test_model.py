@@ -123,6 +123,18 @@ def test_parse_rejects_duplicates():
                 {"letter": "a", "to": "x", "p": "1/2"}]}}}))
 
 
+def test_parse_rejects_duplicate_json_keys():
+    # json.loads alone keeps the last value; neither document may parse
+    twice_x = ('{"alphabet": ["a"], "states": ["x"], "transitions": '
+               '{"x": {"stop": "1"}, "x": {"stop": "1/2", "moves": '
+               '[{"letter": "a", "to": "x", "p": "1/2"}]}}}')
+    twice_p = ('{"alphabet": ["a"], "states": ["x"], "transitions": '
+               '{"x": {"moves": [{"letter": "a", "to": "x", "p": "1/3", "p": "1"}]}}}')
+    for text in (twice_x, twice_p):
+        with pytest.raises(DuplicateIdentifier, match="occurs twice"):
+            parse_pts(text)
+
+
 def test_state_missing_from_transitions_is_a_sum_violation():
     doc = {"alphabet": ["a"], "states": ["x", "y"],
            "transitions": {"x": {"stop": "1"}}}
