@@ -1,16 +1,21 @@
 """Trace-equivalence decision procedures on the determinized linear view.
 
-Four variants share one FIFO worklist loop over configuration pairs and
-differ only in how a candidate pair is discharged before its outputs are
-compared: exact pair lookup (naive), equivalence closure via union-find
-(hk), or membership of the difference vector in the linear span of
-previously recorded differences (the hkc variants).  Each store has one
-operation, ``add``, which records a pair or refuses one that is already
-related; for the hkc variants one reduction of the difference against the
-basis both tests membership and records the pair.  The span test is what
-makes the hkc variants terminate on every finite system: each recorded
-pair strictly increases the rank of the difference basis, and rank is
-bounded by the dimension.  naive and hk can run forever on the weighted
+Four variants share one FIFO worklist loop and differ only in their store,
+which decides what a worklist item is and how a candidate pair is
+discharged before its outputs are compared: exact pair lookup (naive) or
+equivalence closure via union-find (hk), both keyed on the configuration
+pair itself, or membership of the difference vector in the linear span of
+previously recorded differences (the hkc variants).  Span membership, both
+output tests and the successors of a pair (``M_a u - M_a v = M_a (u - v)``)
+are linear in u - v, so the hkc variants carry one primitive integer
+difference vector per pair instead of two configurations; the
+configurations that traces and counterexample values report are rebuilt
+from the word.  Each store has one operation, ``add``, which records an
+item or refuses one that is already related; for the hkc variants one
+reduction of the difference against the basis both tests membership and
+records the pair.  The span test is what makes the hkc variants terminate
+on every finite system: each recorded pair strictly increases the rank of
+the difference basis, and rank is bounded by the dimension.  naive and hk can run forever on the weighted
 state space and therefore require a step budget.
 
 Checking both output rows (total mass and termination) decides equality of
@@ -30,9 +35,10 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .linear import (Config, IntConfig, LinearRep, dirac, eliminate,
-                     from_ints, int_out_term, int_out_total, int_step,
-                     to_ints)
+from .linear import (Config, IntConfig, IntVector, LinearRep, dirac,
+                     eliminate, from_ints, int_out_term, int_out_total,
+                     int_step, int_word_transform, primitive_step,
+                     scaled_out_term, to_ints)
 from .model import Word
 
 _ZERO = Fraction(0)
@@ -79,7 +85,12 @@ EquivResult = Equivalent | NotEquivalent | Inconclusive
 
 @dataclass(frozen=True)
 class Extraction:
-    """One pair taken off the worklist, recorded for run inspection."""
+    """One pair taken off the worklist, recorded for run inspection.
+
+    ``left`` and ``right`` are the configurations reached from the two
+    states along ``word``, rebuilt from the word: the hkc variants carry
+    only their difference.
+    """
 
     word: Word
     left: Config
@@ -109,8 +120,11 @@ class CongruenceBasis:
     ``rows`` is the derived Fraction view: the unique reduced row-echelon
     form of the span, pivot entries 1.
 
-    It is the hkc variants' pair store: ``add``/``related`` take integer
-    configurations, ``insert``/``contains`` Fraction ones.
+    It is the hkc variants' pair store.  Membership, both output tests and
+    the successors of a pair are linear in u - v, so a worklist item is one
+    primitive integer difference vector per pair (``item``), stepped with
+    ``primitive_step``; ``add``/``related`` take such a vector, while
+    ``insert``/``contains`` take a pair of Fraction configurations.
     """
 
     def __init__(self, dim: int):
@@ -151,13 +165,13 @@ class CongruenceBasis:
                     w[j] -= c * y
         return w
 
-    def add(self, u: IntConfig, v: IntConfig) -> bool:
-        """Record the pair (u, v): add u - v to the span.
+    def add(self, d: IntVector) -> bool:
+        """Record a difference vector: add d to the span.
 
         One reduction both tests membership and records the pair; returns
-        False, leaving the basis unchanged, when u - v was already inside.
+        False, leaving the basis unchanged, when d was already inside.
         """
-        residual = self._reduce(_difference(u, v))
+        residual = self._reduce(list(d))
         pivot = next((j for j, c in enumerate(residual) if c), None)
         if pivot is None:
             return False
@@ -173,33 +187,63 @@ class CongruenceBasis:
         self.pivots.insert(position, pivot)
         return True
 
-    def related(self, u: IntConfig, v: IntConfig) -> bool:
-        """True iff u - v lies in the span; the basis is left unchanged."""
-        return not any(self._reduce(_difference(u, v)))
+    def related(self, d: IntVector) -> bool:
+        """True iff d lies in the span; the basis is left unchanged."""
+        return not any(self._reduce(list(d)))
 
     def contains(self, u: Config, v: Config) -> bool:
         """True iff u - v lies in the span of the recorded differences."""
-        return self.related(to_ints(u), to_ints(v))
+        return self.related(_difference(to_ints(u), to_ints(v)))
 
     def insert(self, u: Config, v: Config) -> bool:
         """Add u - v to the span; returns False when it was already inside."""
-        return self.add(to_ints(u), to_ints(v))
+        return self.add(_difference(to_ints(u), to_ints(v)))
+
+    # the worklist item of a pair is its difference; the unit vectors a run
+    # starts from differ by a primitive vector, and steps keep it primitive
+
+    @staticmethod
+    def item(u: IntConfig, v: IntConfig) -> IntVector:
+        return tuple(_difference(u, v))
+
+    successor = staticmethod(primitive_step)
+
+    @staticmethod
+    def difference(d: IntVector) -> IntVector:
+        return d
 
 
-class _PairStore:
+class _PairItems:
+    """The worklist item of a pair is the pair of configurations itself."""
+
+    @staticmethod
+    def item(u: IntConfig, v: IntConfig) -> tuple[IntConfig, IntConfig]:
+        return u, v
+
+    @staticmethod
+    def successor(rep: LinearRep, pair, letter: str) -> tuple[IntConfig, IntConfig]:
+        u, v = pair
+        return int_step(rep, u, letter), int_step(rep, v, letter)
+
+    @staticmethod
+    def difference(pair) -> list[int]:
+        return _difference(*pair)
+
+
+class _PairStore(_PairItems):
     """Exact pair lookup: the naive membership test."""
 
     def __init__(self):
         self._pairs: set[tuple[IntConfig, IntConfig]] = set()
 
-    def add(self, u: IntConfig, v: IntConfig) -> bool:
-        if (u, v) in self._pairs:
+    def add(self, pair: tuple[IntConfig, IntConfig]) -> bool:
+        if pair in self._pairs:
             return False
-        self._pairs.add((u, v))
+        self._pairs.add(pair)
         return True
 
 
-class _EquivalenceStore:
+class _EquivalenceStore(_PairItems):
     """Reflexive-symmetric-transitive closure via union-find over interned vectors."""
 
     def __init__(self):
@@ -220,7 +264,8 @@ class _EquivalenceStore:
             node = self._parent[node]
         return node
 
-    def add(self, u: IntConfig, v: IntConfig) -> bool:
+    def add(self, pair: tuple[IntConfig, IntConfig]) -> bool:
+        u, v = pair
         root_u, root_v = self._find(self._intern(u)), self._find(self._intern(v))
         if root_u == root_v:
             return False
@@ -230,52 +275,74 @@ class _EquivalenceStore:
 
 def _check_loop_invariant(rep: LinearRep, basis: CongruenceBasis, recorded,
                           todo) -> None:
-    # every letter-successor of a recorded pair is discharged or still pending
-    pending = {(u, v) for _, u, v in todo}
-    for u, v in recorded:
+    # every letter-successor of a recorded difference is in the span or
+    # still pending
+    pending = {d for _, d in todo}
+    for d in recorded:
         for letter in rep.alphabet:
-            successor = (int_step(rep, u, letter), int_step(rep, v, letter))
-            if not (basis.related(*successor) or successor in pending):
+            successor = basis.successor(rep, d, letter)
+            if not (basis.related(successor) or successor in pending):
                 raise InvariantError(
                     "loop invariant violated: recorded pair has an unhandled successor")
 
 
+def _separating_output(rep: LinearRep, d, check_total_mass: bool) -> OutputKind | None:
+    # each output is linear, so it separates u and v iff it is nonzero on u - v
+    if check_total_mass and sum(d):
+        return OutputKind.TOTAL_MASS
+    if scaled_out_term(rep, d):
+        return OutputKind.TERMINATION
+    return None
+
+
+def _pair_at(rep: LinearRep, configs: dict, word: Word) -> tuple[IntConfig, IntConfig]:
+    # the configurations reached along a traced word, stepped from its
+    # parent's: breadth-first order extracts and records the parent first
+    if not word:
+        return configs[word]
+    u, v = configs[word[:-1]]
+    return int_step(rep, u, word[-1]), int_step(rep, v, word[-1])
+
+
 def _decide(rep, x, y, store, *, check_total_mass, max_steps=None,
             trace=None, debug=False) -> EquivResult:
-    # configurations travel as lowest-terms IntConfigs, so equal vectors
-    # have equal keys in the naive and hk stores
+    # configurations are lowest-terms IntConfigs, so equal vectors have
+    # equal keys in the naive and hk stores; the store makes its worklist
+    # items out of them
+    start = to_ints(dirac(rep, x)), to_ints(dirac(rep, y))
     todo = deque()
-    todo.append(((), to_ints(dirac(rep, x)), to_ints(dirac(rep, y))))
-    # the pairs whose outputs agreed: the relation built so far (a pair
+    todo.append(((), store.item(*start)))
+    # the items whose outputs agreed: the relation built so far (an item
     # the store took whose outputs differ ends the run)
-    recorded: list[tuple[IntConfig, IntConfig]] = []
+    recorded = []
+    # with a trace, the configuration pair of each extracted word
+    configs = {(): start}
     iterations = 0
     while todo:
         if max_steps is not None and iterations >= max_steps:
             return Inconclusive(steps_exhausted=max_steps, relation_size=len(recorded))
         if debug:
             _check_loop_invariant(rep, store, recorded, todo)
-        word, u, v = todo.popleft()
+        word, item = todo.popleft()
         iterations += 1
-        # membership before the outputs: a skipped pair builds no Fractions
-        new = store.add(u, v)
+        # membership before the outputs: a skipped item costs the store's test only
+        new = store.add(item)
         if trace is not None:
+            u, v = configs[word] = _pair_at(rep, configs, word)
             trace.append(Extraction(word, from_ints(u), from_ints(v), not new))
         if not new:
             continue
-        if check_total_mass:
-            lhs, rhs = int_out_total(u), int_out_total(v)
-            if lhs != rhs:
-                return NotEquivalent(word, OutputKind.TOTAL_MASS, lhs, rhs,
-                                     iterations, len(recorded))
-        lhs, rhs = int_out_term(rep, u), int_out_term(rep, v)
-        if lhs != rhs:
-            return NotEquivalent(word, OutputKind.TERMINATION, lhs, rhs,
-                                 iterations, len(recorded))
+        output = _separating_output(rep, store.difference(item), check_total_mass)
+        if output is not None:
+            u, v = (int_word_transform(rep, c, word) for c in start)
+            if output is OutputKind.TOTAL_MASS:
+                lhs, rhs = int_out_total(u), int_out_total(v)
+            else:
+                lhs, rhs = int_out_term(rep, u), int_out_term(rep, v)
+            return NotEquivalent(word, output, lhs, rhs, iterations, len(recorded))
         for letter in rep.alphabet:
-            todo.append((word + (letter,), int_step(rep, u, letter),
-                         int_step(rep, v, letter)))
-        recorded.append((u, v))
+            todo.append((word + (letter,), store.successor(rep, item, letter)))
+        recorded.append(item)
     return Equivalent(iterations=iterations, relation_size=len(recorded))
 
 

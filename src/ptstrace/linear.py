@@ -12,7 +12,10 @@ pairs with integer ``p`` over one common denominator for the letter.  A
 configuration inside the kernel is an integer vector over one common
 denominator, kept in lowest terms (``to_ints``/``from_ints`` convert), so a
 step is integer multiply-adds over the nonzero entries only, with a single
-gcd normalization at the end.
+gcd normalization at the end.  Where only the direction of a vector counts,
+as for the differences the equivalence checker carries, it is a bare
+integer vector divided by its content, and ``primitive_step`` steps it
+without any denominator.
 
 Matrix convention: ``mats[a][j][k]`` is the probability of moving from the
 k-th state to the j-th state on letter ``a``.  Columns are source states,
@@ -35,8 +38,9 @@ from .model import Pts, UnknownIdentifier
 
 Config = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
+IntVector = tuple[int, ...]
 # an integer vector and its positive common denominator, in lowest terms
-IntConfig = tuple[tuple[int, ...], int]
+IntConfig = tuple[IntVector, int]
 # per source state: the (target index, integer numerator) pairs of nonzero moves
 Columns = tuple[tuple[tuple[int, int], ...], ...]
 
@@ -140,20 +144,39 @@ def from_ints(u: IntConfig) -> Config:
     return tuple(Fraction(x, denominator) if x else _ZERO for x in nums)
 
 
-def int_step(rep: LinearRep, u: IntConfig, letter: str) -> IntConfig:
-    """``M_letter . u`` on the integer kernel, in lowest terms."""
-    columns, denominator = rep.letter_columns(letter)
-    nums, den = u
+def _product(columns: Columns, nums: IntVector) -> list[int]:
+    # the integer numerators of M . nums, over the letter's denominator
     acc = [0] * len(nums)
     for k, x in enumerate(nums):
         if x:
             for j, p in columns[k]:
                 acc[j] += p * x
+    return acc
+
+
+def int_step(rep: LinearRep, u: IntConfig, letter: str) -> IntConfig:
+    """``M_letter . u`` on the integer kernel, in lowest terms."""
+    columns, denominator = rep.letter_columns(letter)
+    nums, den = u
+    acc = _product(columns, nums)
     den *= denominator
     g = gcd(den, *acc)
     if g > 1:
         return tuple([x // g for x in acc]), den // g
     return tuple(acc), den
+
+
+def primitive_step(rep: LinearRep, d: IntVector, letter: str) -> IntVector:
+    """``M_letter . d`` divided by its content: a step of a direction.
+
+    Only the direction of ``d`` counts, so the letter's denominator drops
+    out; the zero vector steps to itself.
+    """
+    acc = _product(rep.letter_columns(letter)[0], d)
+    g = gcd(*acc)
+    if g > 1:
+        return tuple([x // g for x in acc])
+    return tuple(acc)
 
 
 def int_word_transform(rep: LinearRep, u: IntConfig, word: Iterable[str]) -> IntConfig:
@@ -167,9 +190,17 @@ def int_out_total(u: IntConfig) -> Fraction:
     return Fraction(sum(nums), den)
 
 
+def scaled_out_term(rep: LinearRep, nums: IntVector) -> int:
+    """``l_star . nums`` times the common denominator of ``l_star``.
+
+    An integer that is zero exactly when the termination output is.
+    """
+    return sum([s * nums[k] for k, s in rep._stop_terms[0]])
+
+
 def int_out_term(rep: LinearRep, u: IntConfig) -> Fraction:
-    (terms, star_den), (nums, den) = rep._stop_terms, u
-    return Fraction(sum([s * nums[k] for k, s in terms]), star_den * den)
+    nums, den = u
+    return Fraction(scaled_out_term(rep, nums), rep._stop_terms[1] * den)
 
 
 def primitive(row: dict[int, int]) -> dict[int, int]:

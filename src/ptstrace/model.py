@@ -237,10 +237,18 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
+# json.loads with any keyword builds a new decoder on every call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def parse_pts(text: str, check: bool = True) -> Pts:
     """Parse and validate a JSON document into a Pts."""
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        if text.startswith("\ufeff"):
+            # json.loads makes this check, JSONDecoder.decode does not
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                                       text, 0)
+        doc = _DECODER.decode(text)
     except DuplicateIdentifier:
         raise
     except ValueError as exc:

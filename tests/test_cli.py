@@ -285,6 +285,18 @@ def test_non_utf8_input_exit_2(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_utf8_bom_input_exit_2(tmp_path, capsys):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(HALF_LOOP_XY).encode("utf-8"))
+    for argv in (["validate", str(path)], ["rep", str(path)],
+                 ["eval", str(path), "--state", "x", "--query", "all"],
+                 ["equiv", str(path), "x", "y"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: invalid JSON: Unexpected UTF-8 BOM (decode using "
+                       "utf-8-sig): line 1 column 1 (char 0)\n")
+
+
 def test_unknown_result_kind_is_an_error(doc_path, monkeypatch, capsys):
     from ptstrace import cli
     from ptstrace.equivalence import InvariantError

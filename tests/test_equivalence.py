@@ -1,18 +1,22 @@
 """Congruence basis maintenance and the four equivalence procedures."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ptstrace import (CongruenceBasis, Equivalent, Inconclusive,
-                      InvariantError, NotEquivalent, OutputKind, build_rep,
-                      dirac, hk, hkc_finite, hkc_inf, naive, out_term,
-                      out_total, parse_pts, step, word_oracle_equiv,
-                      word_transform)
-from ptstrace.equivalence import _checked_bound
-from ptstrace.linear import to_ints
+from ptstrace import (Cone, CongruenceBasis, Equivalent, FiniteWord,
+                      Inconclusive, InvariantError, NotEquivalent, OutputKind,
+                      build_rep, dirac, hk, hkc_finite, hkc_inf, measure,
+                      naive, out_term, out_total, parse_pts, step,
+                      word_oracle_equiv, word_transform)
+from ptstrace.equivalence import _check_loop_invariant, _checked_bound
+from ptstrace.linear import LinearRep, to_ints
 
 from systems import random_pts, split_copy_pts
 
@@ -255,11 +259,11 @@ def test_iteration_bound_breach_raises(worked_rep):
 
 def test_add_refuses_a_related_pair(worked_rep):
     basis = CongruenceBasis(worked_rep.dim)
-    u, v = to_ints(dirac(worked_rep, "x")), to_ints(dirac(worked_rep, "z"))
-    assert basis.add(u, v)
-    assert basis.related(u, v)
-    assert not basis.add(u, v)
-    assert not basis.add(v, u)
+    u, v = dirac(worked_rep, "x"), dirac(worked_rep, "z")
+    assert basis.insert(u, v)
+    assert basis.contains(u, v)
+    assert not basis.insert(u, v)
+    assert not basis.insert(v, u)
     assert basis.rank == 1
 
 
@@ -281,3 +285,103 @@ def test_one_reduction_per_extraction(monkeypatch):
         assert isinstance(result, Equivalent)
         assert result.relation_size >= 10
         assert calls == result.iterations
+
+
+def _count_steps(monkeypatch):
+    # every kernel step, of a configuration or of a difference vector,
+    # looks its letter's columns up exactly once
+    calls = [0]
+    lookup = LinearRep.letter_columns
+
+    def counting(self, letter):
+        calls[0] += 1
+        return lookup(self, letter)
+
+    monkeypatch.setattr(LinearRep, "letter_columns", counting)
+    return calls
+
+
+def test_hkc_steps_one_difference_per_recorded_pair(monkeypatch):
+    # stepping both configurations of every recorded pair takes twice this
+    calls = _count_steps(monkeypatch)
+    equivalent = split_copy_pts(random.Random(9), max_base=10, max_letters=2)
+    perturbed = split_copy_pts(random.Random(50), max_base=20, max_letters=2, perturb=True)
+    for pts, verdict in ((equivalent, Equivalent), (perturbed, NotEquivalent)):
+        rep = build_rep(pts)
+        for decide in (hkc_inf, hkc_finite):
+            calls[0] = 0
+            result = decide(rep, "a0", "b0p")
+            assert isinstance(result, verdict)
+            assert result.relation_size >= 10
+            steps = result.relation_size * len(rep.alphabet)
+            if verdict is Equivalent:
+                assert calls[0] == steps
+            else:
+                assert len(result.witness) >= 5
+                assert calls[0] <= steps + 2 * len(result.witness)
+
+
+def test_witness_values_are_measures_of_deep_witnesses():
+    rng = random.Random(83)
+    depths = {algorithm: [] for algorithm in ("hkc_inf", "hkc_finite", "naive", "hk")}
+    for _ in range(12):
+        pts = split_copy_pts(rng, max_base=20, max_letters=2, perturb=True)
+        rep = build_rep(pts)
+        for k in range(len(pts.states) // 3):
+            x, y = f"a{k}", f"b{k}p"
+            results = {"hkc_inf": hkc_inf(rep, x, y), "hkc_finite": hkc_finite(rep, x, y),
+                       "naive": naive(rep, x, y, 600), "hk": hk(rep, x, y, 600)}
+            for algorithm, result in results.items():
+                if not isinstance(result, NotEquivalent):
+                    continue
+                depths[algorithm].append(len(result.witness))
+                target = (Cone(result.witness) if result.output == OutputKind.TOTAL_MASS
+                          else FiniteWord(result.witness))
+                assert result.lhs == measure(rep, dirac(rep, x), target)
+                assert result.rhs == measure(rep, dirac(rep, y), target)
+                assert result.lhs != result.rhs
+    for found in depths.values():
+        assert len(found) >= 40
+        assert sum(depth >= 4 for depth in found) >= 10
+
+
+def test_loop_invariant_check_raises_on_an_unhandled_successor(worked_rep):
+    basis = CongruenceBasis(worked_rep.dim)
+    d = basis.item(*(to_ints(dirac(worked_rep, s)) for s in ("x", "z")))
+    successor = basis.successor(worked_rep, d, "a")
+    assert any(successor)
+    _check_loop_invariant(worked_rep, basis, [d], [(("a",), successor)])
+    with pytest.raises(InvariantError):
+        _check_loop_invariant(worked_rep, basis, [d], [])
+    basis.add(successor)
+    _check_loop_invariant(worked_rep, basis, [d], [])
+
+
+def test_guards_survive_optimized_mode():
+    # python -O strips assert statements; the guards must still raise
+    script = """
+import json
+from ptstrace import CongruenceBasis, Equivalent, InvariantError, build_rep, dirac, parse_pts
+from ptstrace.equivalence import _check_loop_invariant, _checked_bound
+from ptstrace.linear import to_ints
+import sys
+sys.path.insert(0, "tests")
+from systems import CONGRUENCE_XZ
+assert False, "asserts are stripped"
+rep = build_rep(parse_pts(json.dumps(CONGRUENCE_XZ)))
+basis = CongruenceBasis(rep.dim)
+d = basis.item(to_ints(dirac(rep, "x")), to_ints(dirac(rep, "z")))
+for guard in (lambda: _check_loop_invariant(rep, basis, [d], []),
+              lambda: _checked_bound(rep, Equivalent(iterations=rep.dim * 9,
+                                                     relation_size=1))):
+    try:
+        guard()
+    except InvariantError:
+        print("raised")
+"""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\nraised\n"
