@@ -15,8 +15,9 @@ item or refuses one that is already related; for the hkc variants one
 reduction of the difference against the basis both tests membership and
 records the pair.  The span test is what makes the hkc variants terminate
 on every finite system: each recorded pair strictly increases the rank of
-the difference basis, and rank is bounded by the dimension.  naive and hk can run forever on the weighted
-state space and therefore require a step budget.
+the difference basis, and rank is bounded by the dimension.  naive and hk
+can run forever on the weighted state space and therefore require a step
+budget.
 
 Checking both output rows (total mass and termination) decides equality of
 the full measures on finite and infinite words; dropping the total-mass
@@ -35,10 +36,11 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .linear import (Config, IntConfig, IntVector, LinearRep, dirac,
-                     eliminate, from_ints, int_out_term, int_out_total,
-                     int_step, int_word_transform, primitive_step,
-                     scaled_out_term, to_ints)
+from .linear import (Config, IntConfig, IntVector, LinearRep, checked_ints,
+                     dirac, eliminate, from_ints, int_difference,
+                     int_out_term, int_out_total, int_step,
+                     int_word_transform, primitive_step, scaled_out_term,
+                     to_ints)
 from .model import Word
 
 _ZERO = Fraction(0)
@@ -96,14 +98,6 @@ class Extraction:
     left: Config
     right: Config
     skipped: bool
-
-
-def _difference(u: IntConfig, v: IntConfig) -> list[int]:
-    """An integer vector with the direction of u - v (a positive multiple of it)."""
-    (a, d), (b, e) = u, v
-    g = gcd(d, e)
-    d, e = d // g, e // g
-    return [x * e - y * d for x, y in zip(a, b)]
 
 
 class CongruenceBasis:
@@ -191,20 +185,23 @@ class CongruenceBasis:
         """True iff d lies in the span; the basis is left unchanged."""
         return not any(self._reduce(list(d)))
 
+    def _pair_difference(self, u: Config, v: Config) -> list[int]:
+        return int_difference(checked_ints(self.dim, u), checked_ints(self.dim, v))
+
     def contains(self, u: Config, v: Config) -> bool:
         """True iff u - v lies in the span of the recorded differences."""
-        return self.related(_difference(to_ints(u), to_ints(v)))
+        return self.related(self._pair_difference(u, v))
 
     def insert(self, u: Config, v: Config) -> bool:
         """Add u - v to the span; returns False when it was already inside."""
-        return self.add(_difference(to_ints(u), to_ints(v)))
+        return self.add(self._pair_difference(u, v))
 
     # the worklist item of a pair is its difference; the unit vectors a run
     # starts from differ by a primitive vector, and steps keep it primitive
 
     @staticmethod
     def item(u: IntConfig, v: IntConfig) -> IntVector:
-        return tuple(_difference(u, v))
+        return tuple(int_difference(u, v))
 
     successor = staticmethod(primitive_step)
 
@@ -227,7 +224,7 @@ class _PairItems:
 
     @staticmethod
     def difference(pair) -> list[int]:
-        return _difference(*pair)
+        return int_difference(*pair)
 
 
 class _PairStore(_PairItems):

@@ -17,6 +17,11 @@ as for the differences the equivalence checker carries, it is a bare
 integer vector divided by its content, and ``primitive_step`` steps it
 without any denominator.
 
+The mass on finite words, ``finite_mass``, is cached like ``mats``: the
+least nonnegative fixed point of ``s = l_star + (sum_a M_a)^T s``, solved
+once by sparse fraction-free elimination in Markowitz order (fewest rows
+per cleared column first, which keeps fill-in low).
+
 Matrix convention: ``mats[a][j][k]`` is the probability of moving from the
 k-th state to the j-th state on letter ``a``.  Columns are source states,
 so one step of a column vector u is the product ``M_a . u`` and the column
@@ -28,9 +33,10 @@ from the sparse columns on first use; the kernel itself never reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable
 
@@ -46,6 +52,14 @@ Columns = tuple[tuple[tuple[int, int], ...], ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+class SingularRestrictedSystem(RuntimeError):
+    """The restricted termination system was singular.
+
+    Cannot happen for a valid system; raised only on an internal
+    invariant breach.
+    """
 
 
 @dataclass(frozen=True)
@@ -67,8 +81,6 @@ class LinearRep:
     l_star: Config
     columns: dict[str, Columns]
     denominators: dict[str, int]
-    # derived values computed once per representation (see measure.py)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -106,6 +118,13 @@ class LinearRep:
                     rows[j][k] = Fraction(p, denominator)
             dense[letter] = tuple(tuple(row) for row in rows)
         return dense
+
+    @cached_property
+    def finite_mass(self) -> IntConfig:
+        """Per-state probability of eventually stopping (0 where no
+        terminating state is reachable), as integers over one common
+        denominator: the mass on finite words."""
+        return _finite_mass(self)
 
 
 def build_rep(pts: Pts) -> LinearRep:
@@ -203,6 +222,20 @@ def int_out_term(rep: LinearRep, u: IntConfig) -> Fraction:
     return Fraction(scaled_out_term(rep, nums), rep._stop_terms[1] * den)
 
 
+def int_out_finite(rep: LinearRep, u: IntConfig) -> Fraction:
+    """Mass on all finite words: ``finite_mass . u``."""
+    (mass, mass_den), (nums, den) = rep.finite_mass, u
+    return Fraction(sum([mass[k] * x for k, x in enumerate(nums) if x]), mass_den * den)
+
+
+def int_difference(u: IntConfig, v: IntConfig) -> list[int]:
+    """An integer vector with the direction of u - v (a positive multiple of it)."""
+    (a, d), (b, e) = u, v
+    g = gcd(d, e)
+    d, e = d // g, e // g
+    return [x * e - y * d for x, y in zip(a, b)]
+
+
 def primitive(row: dict[int, int]) -> dict[int, int]:
     """A sparse integer row divided by its content (the gcd of its entries)."""
     content = gcd(*row.values())
@@ -230,9 +263,144 @@ def eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[
     return primitive(out)
 
 
-def checked_ints(rep: LinearRep, u: Config) -> IntConfig:
-    if len(u) != rep.dim:
-        raise ValueError(f"configuration has length {len(u)}, expected {rep.dim}")
+def _transition_numerators(rep: LinearRep) -> tuple[list[dict[int, int]], int]:
+    """Per source state, the integer one-step weights to each target over
+    all letters, and their common denominator."""
+    common = lcm(*rep.denominators.values())
+    combined: list[dict[int, int]] = [{} for _ in range(rep.dim)]
+    for letter, columns in rep.columns.items():
+        scale = common // rep.denominators[letter]
+        for out, column in zip(combined, columns):
+            for j, p in column:
+                out[j] = out.get(j, 0) + p * scale
+    return combined, common
+
+
+def _solve_sparse(rows: list[dict[int, int]], m: int) -> IntConfig:
+    """Exact solution of a square nonsingular integer system, as integers
+    over one common denominator in lowest terms.
+
+    Row i is a dict of column -> coefficient, with the right-hand side under
+    key m.  Fraction-free forward elimination in Markowitz order: each step
+    clears the column held by the fewest remaining rows, pivoting on its
+    shortest row (ties to the smaller index), which keeps fill-in low on
+    the sparse systems built here.  A column -> rows index and a heap with
+    lazily dropped stale counts find that column without scanning.  Back
+    substitution stays in integers over one common denominator.
+    """
+    rows = [primitive(row) for row in rows]
+    holders: list[set[int]] = [set() for _ in range(m)]
+    for i, row in enumerate(rows):
+        for j in row:
+            if j != m:
+                holders[j].add(i)
+    heap = [(len(held), j) for j, held in enumerate(holders)]
+    heapify(heap)
+    cleared = [False] * m
+    eliminated: list[tuple[int, dict[int, int]]] = []
+    while heap:
+        count, col = heappop(heap)
+        if cleared[col] or count != len(holders[col]):
+            continue
+        if not count:
+            raise SingularRestrictedSystem("restricted system has no unique solution")
+        cleared[col] = True
+        pivot = min(holders[col], key=lambda i: (len(rows[i]), i))
+        pivot_row = rows[pivot]
+        changed = set()
+        for j in pivot_row:
+            if j != m:
+                holders[j].discard(pivot)
+                changed.add(j)
+        # every other row holding col is reduced by the pivot row; none of
+        # them holds col afterwards, so its index entry starts empty
+        targets, holders[col] = holders[col], set()
+        for i in targets:
+            old = rows[i]
+            rows[i] = new = eliminate(old, pivot_row, col)
+            for j in old.keys() - new.keys():
+                if j != m:
+                    holders[j].discard(i)
+                    changed.add(j)
+            for j in new.keys() - old.keys():
+                if j != m:
+                    holders[j].add(i)
+                    changed.add(j)
+        for j in changed:
+            if not cleared[j]:
+                heappush(heap, (len(holders[j]), j))
+        eliminated.append((col, pivot_row))
+    # x_j = nums[j] / den; a pivot row involves its own column, columns
+    # cleared after it (solved before it here) and the right-hand side
+    nums, den = [0] * m, 1
+    for col, row in reversed(eliminated):
+        acc = row.get(m, 0) * den
+        for j, x in row.items():
+            if j != col and j != m:
+                acc -= x * nums[j]
+        p = row[col]
+        g = gcd(acc, p)
+        scale = p // g
+        if scale < 0:
+            scale, g = -scale, -g
+        if scale != 1:
+            den *= scale
+            nums = [x * scale for x in nums]
+        nums[col] = acc // g
+    g = gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
+
+
+def _finite_mass(rep: LinearRep) -> IntConfig:
+    n = rep.dim
+    # combined[k][j] / common: one-step probability from source k to target j
+    combined, common = _transition_numerators(rep)
+    star, star_den = to_ints(rep.l_star)
+
+    # states from which a positively terminating state is reachable
+    sources: list[list[int]] = [[] for _ in range(n)]
+    for k, out in enumerate(combined):
+        for j in out:
+            sources[j].append(k)
+    live = {k for k in range(n) if star[k]}
+    stack = list(live)
+    while stack:
+        for source in sources[stack.pop()]:
+            if source not in live:
+                live.add(source)
+                stack.append(source)
+
+    # a dead state's row is s_k = 0, and its column is held by that row
+    # alone; the row of a live state k, times common * star_den, is
+    # (common * s_k - sum_j combined[k][j] * s_j) * star_den = common * star_k,
+    # with the right-hand side under key n and the dead s_j left out
+    rows = [{k: 1} for k in range(n)]
+    for k in live:
+        row = rows[k] = {k: common * star_den}
+        for j, q in combined[k].items():
+            if j in live:
+                x = row.get(j, 0) - q * star_den
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+        if star[k]:
+            row[n] = common * star[k]
+    nums, den = _solve_sparse(rows, n)
+
+    # exact fixed point and probability range, as a guard on the solver
+    for k in range(n):
+        if not 0 <= nums[k] <= den:
+            raise SingularRestrictedSystem(f"mass out of [0, 1] for state index {k}")
+        inflow = sum(q * nums[j] for j, q in combined[k].items())
+        if nums[k] * common * star_den != star[k] * den * common + inflow * star_den:
+            raise SingularRestrictedSystem("fixed-point equation violated")
+    return nums, den
+
+
+def checked_ints(dim: int, u: Config) -> IntConfig:
+    if len(u) != dim:
+        raise ValueError(f"configuration has length {len(u)}, expected {dim}")
     return to_ints(u)
 
 
@@ -244,19 +412,19 @@ def dirac(rep: LinearRep, state: str) -> Config:
 
 def step(rep: LinearRep, u: Config, letter: str) -> Config:
     """One transition: the exact matrix-vector product ``M_letter . u``."""
-    return from_ints(int_step(rep, checked_ints(rep, u), letter))
+    return from_ints(int_step(rep, checked_ints(rep.dim, u), letter))
 
 
 def word_transform(rep: LinearRep, u: Config, word: Iterable[str]) -> Config:
     """Apply the letters of ``word`` left to right; the empty word is the identity."""
-    return from_ints(int_word_transform(rep, checked_ints(rep, u), word))
+    return from_ints(int_word_transform(rep, checked_ints(rep.dim, u), word))
 
 
 def out_total(rep: LinearRep, u: Config) -> Fraction:
     """Total mass output: the cone measure of the full word space."""
-    return int_out_total(checked_ints(rep, u))
+    return int_out_total(checked_ints(rep.dim, u))
 
 
 def out_term(rep: LinearRep, u: Config) -> Fraction:
     """Termination output: the measure of the empty word."""
-    return int_out_term(rep, checked_ints(rep, u))
+    return int_out_term(rep, checked_ints(rep.dim, u))

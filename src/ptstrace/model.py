@@ -18,7 +18,9 @@ The input format is a JSON document::
 
 Rationals are strings "p/q" or integer strings ("1", "0").  "stop" defaults
 to "0".  Every declared state must appear under "transitions" (a state with
-no entry has total mass 0, which fails the sums-to-1 check).
+no entry has total mass 0, which fails the sums-to-1 check).  Letters may
+not contain ".", which separates the letters of a word in queries and
+printed counterexamples.
 """
 
 from __future__ import annotations
@@ -163,6 +165,8 @@ def _identifier_list(doc: dict, key: str) -> list[str]:
     for item in items:
         if not isinstance(item, str) or not item:
             raise PtsFormatError(f'"{key}" entries must be non-empty strings, got {item!r}')
+        if key == "alphabet" and "." in item:
+            raise PtsFormatError(f'"alphabet" entries must not contain ".", got {item!r}')
         if item in seen:
             raise DuplicateIdentifier(f"{key[:-1]} {item!r} declared twice")
         seen.add(item)

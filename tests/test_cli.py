@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output contracts."""
 
 import json
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -8,10 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+from ptstrace import Pts, pts_to_dict
 from ptstrace.cli import main
 
 from systems import (ALL_DOCS, CANTOR, CONGRUENCE_XZ, HALF_LOOP_XY,
-                     TWO_LETTER_YZ)
+                     TWO_LETTER_YZ, random_pts)
 
 
 @pytest.fixture
@@ -105,6 +107,53 @@ def test_duplicate_json_key_exit_2(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert err == "error: key 'x' occurs twice in one JSON object\n"
+
+
+def test_letter_containing_a_dot_exit_2(doc_path, capsys):
+    # x stops with 1/2 and loops on "a.b"; "." is the CLI's letter
+    # separator, so cone:a.b would read as the word a, b
+    path = doc_path({"alphabet": ["a.b", "a", "b"], "states": ["x", "y"],
+                     "transitions": {
+                         "x": {"stop": "1/2",
+                               "moves": [{"letter": "a.b", "to": "x", "p": "1/2"}]},
+                         "y": {"stop": "1/2",
+                               "moves": [{"letter": "a", "to": "y", "p": "1/2"}]}}})
+    for argv in (("validate", path), ("rep", path), ("equiv", path, "x", "y"),
+                 ("eval", path, "--state", "x", "--query", "cone:a.b")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: \"alphabet\" entries must not contain \".\", got 'a.b'\n"
+
+
+def test_witness_round_trips_through_eval_on_multi_character_letters(doc_path, capsys):
+    # letters "ab", "a", "b": a printed witness fed back as a query word
+    # must name the same word, so eval reproduces lhs and rhs
+    rename = {"a": "ab", "b": "a", "c": "b"}
+    rng = random.Random(23)
+    witnesses = set()
+    for _ in range(60):
+        pts = random_pts(rng, max_states=4, max_letters=3)
+        pts = Pts(tuple(rename[a] for a in pts.alphabet), pts.states, pts.term,
+                  {(s, rename[a], t): p for (s, a, t), p in pts.moves.items()})
+        path = doc_path(pts_to_dict(pts))
+        for x in pts.states:
+            for y in pts.states:
+                code, out, _ = run(capsys, "equiv", path, x, y)
+                payload = json.loads(out)
+                if code != 1:
+                    continue
+                witness = payload["witness"]
+                witnesses.add(witness)
+                kind = "cone" if payload["output"] == "total_mass" else "word"
+                for state, side in ((x, "lhs"), (y, "rhs")):
+                    code, out, _ = run(capsys, "eval", path, "--state", state,
+                                       "--query", f"{kind}:{witness}")
+                    assert code == 0
+                    assert out == payload[side] + "\n"
+    # the runs reach one-letter "ab" and multi-letter witnesses with it
+    assert "ab" in witnesses
+    assert any("." in w and "ab" in w.split(".") for w in witnesses)
 
 
 def test_missing_file_exit_2(capsys):

@@ -64,6 +64,20 @@ def test_basis_insert_same_vector_is_noop():
     assert basis.rank == 0
 
 
+def test_basis_rejects_configurations_of_the_wrong_length():
+    basis = CongruenceBasis(3)
+    e0, e1 = (F(1), F(0), F(0)), (F(0), F(1), F(0))
+    basis.insert(e0, e1)
+    rows, pivots = basis.rows, list(basis.pivots)
+    for u, v in [((F(1), F(0)), (F(0), F(1))),
+                 ((F(1), F(0), F(0), F(7)), e1),
+                 ((F(1), F(0), F(0), F(0), F(1)), (F(0),) * 5)]:
+        for method in (basis.contains, basis.insert):
+            with pytest.raises(ValueError, match=r"has length \d, expected 3"):
+                method(u, v)
+    assert basis.rows == rows and basis.pivots == pivots
+
+
 def test_basis_two_rows_from_worked_loops():
     basis = CongruenceBasis(4)
     basis.insert((F(1), F(0), F(0), F(0)), (F(0), F(0), F(1), F(0)))
@@ -361,9 +375,10 @@ def test_guards_survive_optimized_mode():
     # python -O strips assert statements; the guards must still raise
     script = """
 import json
-from ptstrace import CongruenceBasis, Equivalent, InvariantError, build_rep, dirac, parse_pts
+from ptstrace import (CongruenceBasis, Equivalent, InvariantError, SingularRestrictedSystem,
+                      build_rep, dirac, parse_pts)
 from ptstrace.equivalence import _check_loop_invariant, _checked_bound
-from ptstrace.linear import to_ints
+from ptstrace.linear import _solve_sparse, to_ints
 import sys
 sys.path.insert(0, "tests")
 from systems import CONGRUENCE_XZ
@@ -373,10 +388,11 @@ basis = CongruenceBasis(rep.dim)
 d = basis.item(to_ints(dirac(rep, "x")), to_ints(dirac(rep, "z")))
 for guard in (lambda: _check_loop_invariant(rep, basis, [d], []),
               lambda: _checked_bound(rep, Equivalent(iterations=rep.dim * 9,
-                                                     relation_size=1))):
+                                                     relation_size=1)),
+              lambda: _solve_sparse([{0: 1, 1: 1, 2: 1}, {0: 2, 1: 2, 2: 3}], 2)):
     try:
         guard()
-    except InvariantError:
+    except (InvariantError, SingularRestrictedSystem):
         print("raised")
 """
     root = Path(__file__).resolve().parent.parent
@@ -384,4 +400,4 @@ for guard in (lambda: _check_loop_invariant(rep, basis, [d], []),
     proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=root, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "raised\nraised\n"
+    assert proc.stdout == "raised\nraised\nraised\n"

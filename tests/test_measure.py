@@ -242,7 +242,7 @@ def test_parse_query_forms():
 
 
 def test_solve_sparse_integer_solution_and_singular_systems():
-    solve = sys.modules["ptstrace.measure"]._solve_sparse
+    solve = sys.modules["ptstrace.linear"]._solve_sparse
     # 2x - y = 1, -x + 3y = 2 (rhs under key 2): x = 1, y = 1, over den 1;
     # -3x = 1, 6y = -1: negative pivots, x = -1/3, y = -1/6 over den 6
     assert solve([{0: 2, 1: -1, 2: 1}, {0: -1, 1: 3, 2: 2}], 2) == ((1, 1), 1)
@@ -257,7 +257,7 @@ def test_sparse_solve_keeps_fill_in_low(monkeypatch):
     # a split copy with sinks coupling far-apart states (n = 120): in
     # natural column order the solve reduces 1,800-odd rows, in Markowitz
     # order a small multiple of n
-    module = sys.modules["ptstrace.measure"]
+    module = sys.modules["ptstrace.linear"]
     calls = []
     eliminate = module.eliminate
     monkeypatch.setattr(module, "eliminate",
@@ -266,3 +266,19 @@ def test_sparse_solve_keeps_fill_in_low(monkeypatch):
     assert rep.dim == 120
     finite_mass_vector(rep)
     assert 0 < len(calls) <= 3 * rep.dim
+
+
+def test_finite_mass_is_solved_once_per_representation(monkeypatch):
+    module = sys.modules["ptstrace.linear"]
+    calls = []
+    solve = module._solve_sparse
+    monkeypatch.setattr(module, "_solve_sparse",
+                        lambda *args: calls.append(1) or solve(*args))
+    pts = sink_split_pts(random.Random(3), 6, 2)
+    rep = build_rep(pts)
+    u = dirac(rep, rep.states[0])
+    finite_mass_vector(rep)
+    for target in (AllFinite(), AllInfinite(), InfCone(("a",)), AllFinite()):
+        measure(rep, u, target)
+    assert finite_mass_vector(rep) == finite_mass_vector(build_rep(pts))
+    assert len(calls) == 2

@@ -123,6 +123,17 @@ def test_parse_rejects_duplicates():
                 {"letter": "a", "to": "x", "p": "1/2"}]}}}))
 
 
+def test_parse_rejects_letters_containing_the_word_separator():
+    # "." separates the letters of a query word or printed witness
+    doc = {"alphabet": ["a.b", "a", "b"], "states": ["x.y"],
+           "transitions": {"x.y": {"stop": "1"}}}
+    for check in (True, False):
+        with pytest.raises(PtsFormatError, match='must not contain ".", got \'a.b\''):
+            parse_pts(json.dumps(doc), check=check)
+    doc["alphabet"] = ["ab", "a", "b"]
+    assert parse_pts(json.dumps(doc)).states == ("x.y",)
+
+
 def test_parse_rejects_duplicate_json_keys():
     # json.loads alone keeps the last value; neither document may parse
     twice_x = ('{"alphabet": ["a"], "states": ["x"], "transitions": '
