@@ -10,11 +10,11 @@ counterexample words via bisimulation up to congruence.
 from .equivalence import (CongruenceBasis, Equivalent, Extraction,
                           Inconclusive, InvariantError, NotEquivalent,
                           OutputKind, hk, hkc_finite, hkc_inf, naive)
-from .linear import (build_rep, dirac, out_term, out_total, step,
-                     word_transform)
+from .linear import (SingularRestrictedSystem, build_rep, dirac, out_term,
+                     out_total, step, word_transform)
 from .measure import (All, AllFinite, AllInfinite, Cone, Empty, FiniteWord,
-                      InfCone, SingularRestrictedSystem, finite_mass_vector,
-                      measure, parse_query, tokenize_word)
+                      InfCone, finite_mass_vector, measure, parse_query,
+                      tokenize_word)
 from .model import (DistributionSumViolation, DuplicateIdentifier,
                     MalformedRational, ProbabilityOutOfRange, Pts,
                     PtsFormatError, UnknownIdentifier, parse_pts,

@@ -142,7 +142,10 @@ def _cmd_equiv(args) -> int:
     return status
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing never changes the parser, and argparse
+    # leaves reference cycles behind for every parser it builds
     parser = _Parser(prog="ptstrace",
                      description="Exact trace measures and trace equivalence "
                                  "for probabilistic transition systems.")
@@ -178,13 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_equiv)
 
     return parser
-
-
-@cache
-def _parser() -> argparse.ArgumentParser:
-    # built once per process: parsing never changes the parser, and argparse
-    # leaves reference cycles behind for every parser it builds
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,15 +9,15 @@ previously recorded differences (the hkc variants).  Span membership, both
 output tests and the successors of a pair (``M_a u - M_a v = M_a (u - v)``)
 are linear in u - v, so the hkc variants carry one primitive integer
 difference vector per pair instead of two configurations; the
-configurations that traces and counterexample values report are rebuilt
-from the word.  Each store has one operation, ``add``, which records an
-item or refuses one that is already related; for the hkc variants one
-reduction of the difference against the basis both tests membership and
-records the pair.  The span test is what makes the hkc variants terminate
-on every finite system: each recorded pair strictly increases the rank of
-the difference basis, and rank is bounded by the dimension.  naive and hk
-can run forever on the weighted state space and therefore require a step
-budget.
+configurations that traces report are rebuilt from the word, and
+counterexample values are the measures of the witness cone or word.  Each
+store has one operation, ``add``, which records an item or refuses one
+that is already related; for the hkc variants one reduction of the
+difference against the basis both tests membership and records the pair.
+The span test is what makes the hkc variants terminate on every finite
+system: each recorded pair strictly increases the rank of the difference
+basis, and rank is bounded by the dimension.  naive and hk can run
+forever on the weighted state space and therefore require a step budget.
 
 Checking both output rows (total mass and termination) decides equality of
 the full measures on finite and infinite words; dropping the total-mass
@@ -29,7 +29,6 @@ deterministic and counterexample words shortest possible.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -37,10 +36,9 @@ from fractions import Fraction
 from math import gcd
 
 from .linear import (Config, IntConfig, IntVector, LinearRep, checked_ints,
-                     dirac, eliminate, from_ints, int_difference,
-                     int_out_term, int_out_total, int_step,
-                     int_word_transform, primitive_step, scaled_out_term,
-                     to_ints)
+                     dirac, eliminate, from_ints, int_difference, int_step,
+                     primitive_step, scaled_out_term, to_ints)
+from .measure import Cone, FiniteWord, measure
 from .model import Word
 
 _ZERO = Fraction(0)
@@ -105,56 +103,63 @@ class CongruenceBasis:
 
     Spans the set of differences u - v over all pairs (u, v) in the
     congruence closure of the inserted pairs; a pair belongs to the closure
-    exactly when its difference reduces to zero against the rows.  Rows are
-    held as sparse primitive integer vectors (column -> entry, content 1,
-    positive pivot entry), each zero at every other row's pivot, with
-    strictly increasing pivot indices.  Elimination is fraction-free: a
-    vector w is reduced against a row r with pivot p by
+    exactly when its difference reduces to zero against the rows.  The basis
+    is one map from each pivot column to its row, a sparse primitive integer
+    vector (column -> entry, content 1, positive pivot entry) that is zero
+    at every other row's pivot.  Elimination is fraction-free: a vector w is
+    reduced against a row r with pivot p by
     ``w := (r[p]/g) w - (w[p]/g) r`` with ``g = gcd(r[p], w[p])``.
-    ``rows`` is the derived Fraction view: the unique reduced row-echelon
-    form of the span, pivot entries 1.
+    ``pivots`` and ``rows`` are views derived on demand: the sorted pivot
+    columns and the unique reduced row-echelon form of the span, Fraction
+    rows with pivot entries 1 in increasing pivot order.
 
     It is the hkc variants' pair store.  Membership, both output tests and
     the successors of a pair are linear in u - v, so a worklist item is one
     primitive integer difference vector per pair (``item``), stepped with
     ``primitive_step``; ``add``/``related`` take such a vector, while
-    ``insert``/``contains`` take a pair of Fraction configurations.
+    ``insert``/``contains`` take a pair of Fraction configurations.  All
+    four raise ``ValueError`` on a vector of the wrong length.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._rows: list[dict[int, int]] = []
-        self.pivots: list[int] = []
+        self._rows: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
     @property
+    def pivots(self) -> list[int]:
+        return sorted(self._rows)
+
+    @property
     def rows(self) -> list[list[Fraction]]:
         dense = []
-        for row, pivot in zip(self._rows, self.pivots):
+        for pivot, row in sorted(self._rows.items()):
             out = [_ZERO] * self.dim
             for j, x in row.items():
                 out[j] = Fraction(x, row[pivot])
             dense.append(out)
         return dense
 
-    def _reduce(self, w: list[int]) -> list[int]:
-        """A positive multiple of w minus its component in the span.
+    def _reduce(self, d: IntVector) -> list[int]:
+        """A positive multiple of d minus its component in the span, as a new list.
 
-        Rows are zero at each other's pivots, so w's pivot entries are
+        Rows are zero at each other's pivots, so d's pivot entries are
         untouched by the other rows and the order of the steps is free.
-        Updates w in place and returns it.
         """
-        for row, pivot in zip(self._rows, self.pivots):
+        if len(d) != self.dim:
+            raise ValueError(f"vector has length {len(d)}, expected {self.dim}")
+        w = list(d)
+        for pivot, row in self._rows.items():
             c = w[pivot]
             if c:
                 r = row[pivot]
                 g = gcd(r, c)
                 r, c = r // g, c // g
                 if r != 1:
-                    w[:] = [r * x for x in w]
+                    w = [r * x for x in w]
                 for j, y in row.items():
                     w[j] -= c * y
         return w
@@ -165,7 +170,7 @@ class CongruenceBasis:
         One reduction both tests membership and records the pair; returns
         False, leaving the basis unchanged, when d was already inside.
         """
-        residual = self._reduce(list(d))
+        residual = self._reduce(d)
         pivot = next((j for j, c in enumerate(residual) if c), None)
         if pivot is None:
             return False
@@ -173,17 +178,15 @@ class CongruenceBasis:
         if residual[pivot] < 0:
             content = -content
         new = {j: x // content for j, x in enumerate(residual) if x}
-        for i, row in enumerate(self._rows):
+        for p, row in self._rows.items():
             if pivot in row:
-                self._rows[i] = eliminate(row, new, pivot)
-        position = bisect_left(self.pivots, pivot)
-        self._rows.insert(position, new)
-        self.pivots.insert(position, pivot)
+                self._rows[p] = eliminate(row, new, pivot)
+        self._rows[pivot] = new
         return True
 
     def related(self, d: IntVector) -> bool:
         """True iff d lies in the span; the basis is left unchanged."""
-        return not any(self._reduce(list(d)))
+        return not any(self._reduce(d))
 
     def _pair_difference(self, u: Config, v: Config) -> list[int]:
         return int_difference(checked_ints(self.dim, u), checked_ints(self.dim, v))
@@ -331,11 +334,8 @@ def _decide(rep, x, y, store, *, check_total_mass, max_steps=None,
             continue
         output = _separating_output(rep, store.difference(item), check_total_mass)
         if output is not None:
-            u, v = (int_word_transform(rep, c, word) for c in start)
-            if output is OutputKind.TOTAL_MASS:
-                lhs, rhs = int_out_total(u), int_out_total(v)
-            else:
-                lhs, rhs = int_out_term(rep, u), int_out_term(rep, v)
+            target = Cone(word) if output is OutputKind.TOTAL_MASS else FiniteWord(word)
+            lhs, rhs = (measure(rep, dirac(rep, s), target) for s in (x, y))
             return NotEquivalent(word, output, lhs, rhs, iterations, len(recorded))
         for letter in rep.alphabet:
             todo.append((word + (letter,), store.successor(rep, item, letter)))

@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-# SingularRestrictedSystem is re-exported: the finite-mass queries raise it
-from .linear import (Config, LinearRep, SingularRestrictedSystem,  # noqa: F401
-                     checked_ints, from_ints, int_out_finite, int_out_term,
-                     int_out_total, int_word_transform)
+from .linear import (Config, LinearRep, checked_ints, from_ints,
+                     int_out_finite, int_out_term, int_out_total,
+                     int_word_transform)
 from .model import PtsFormatError, UnknownIdentifier, Word
 
 _ZERO = Fraction(0)

@@ -78,6 +78,33 @@ def test_basis_rejects_configurations_of_the_wrong_length():
     assert basis.rows == rows and basis.pivots == pivots
 
 
+def test_basis_rejects_difference_vectors_of_the_wrong_length():
+    basis = CongruenceBasis(3)
+    basis.add((1, -1, 0))
+    rows, pivots = basis.rows, basis.pivots
+    for d in [(1, 0, 0, 0, 1), (1, -1), ()]:
+        for method in (basis.add, basis.related):
+            with pytest.raises(ValueError, match=r"has length \d, expected 3"):
+                method(d)
+    assert basis.rank == 1
+    assert basis.rows == rows and basis.pivots == pivots
+
+
+def test_basis_views_cannot_corrupt_the_basis():
+    basis = CongruenceBasis(3)
+    e0, e1, e2 = (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))
+    # the second pair brings the smaller pivot
+    assert basis.insert(e2, e1)
+    assert basis.insert(e0, e1)
+    assert basis.pivots == [0, 1]
+    assert basis.rows == [[F(1), F(0), F(-1)], [F(0), F(1), F(-1)]]
+    basis.pivots.reverse()
+    basis.rows.reverse()
+    assert basis.contains(e0, e2)
+    assert basis.pivots == [0, 1]
+    assert basis.rows == [[F(1), F(0), F(-1)], [F(0), F(1), F(-1)]]
+
+
 def test_basis_two_rows_from_worked_loops():
     basis = CongruenceBasis(4)
     basis.insert((F(1), F(0), F(0), F(0)), (F(0), F(0), F(1), F(0)))
