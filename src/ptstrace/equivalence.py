@@ -13,17 +13,17 @@ configurations that traces report are rebuilt from the word, and
 counterexample values are the measures of the witness cone or word.  Each
 store has one operation, ``add``, which records an item or refuses one
 that is already related; for the hkc variants one reduction of the
-difference against the basis both tests membership and records the pair.
-The span test is what makes the hkc variants terminate on every finite
-system: each recorded pair strictly increases the rank of the difference
-basis, and rank is bounded by the dimension.  naive and hk can run
-forever on the weighted state space and therefore require a step budget.
+difference against the basis both tests membership and records the pair,
+as a row written once in echelon form (the reduced form is only a view).
+Each recorded pair strictly increases the rank of the difference basis,
+which is bounded by the dimension, so the hkc variants terminate on every
+finite system; naive and hk can run forever on the weighted state space
+and therefore require a step budget.
 
 Checking both output rows (total mass and termination) decides equality of
 the full measures on finite and infinite words; dropping the total-mass
-comparison (hkc_finite) decides finite-trace equivalence only.
-
-The breadth-first worklist and the declared alphabet order make runs
+comparison (hkc_finite) decides finite-trace equivalence only.  The
+breadth-first worklist and the declared alphabet order make runs
 deterministic and counterexample words shortest possible.
 """
 
@@ -36,12 +36,10 @@ from fractions import Fraction
 from math import gcd
 
 from .linear import (Config, IntConfig, IntVector, LinearRep, checked_ints,
-                     dirac, eliminate, from_ints, int_difference, int_step,
-                     primitive_step, scaled_out_term, to_ints)
+                     dirac, from_ints, int_difference, int_step, primitive_step,
+                     scaled_out_term, to_ints)
 from .measure import Cone, FiniteWord, measure
 from .model import Word
-
-_ZERO = Fraction(0)
 
 
 class InvariantError(RuntimeError):
@@ -99,19 +97,20 @@ class Extraction:
 
 
 class CongruenceBasis:
-    """Reduced row-echelon basis of difference vectors.
+    """Row-echelon basis of difference vectors, each row written once.
 
     Spans the set of differences u - v over all pairs (u, v) in the
     congruence closure of the inserted pairs; a pair belongs to the closure
     exactly when its difference reduces to zero against the rows.  The basis
-    is one map from each pivot column to its row, a sparse primitive integer
-    vector (column -> entry, content 1, positive pivot entry) that is zero
-    at every other row's pivot.  Elimination is fraction-free: a vector w is
+    is one map, in insertion order, from each pivot column to its row: a
+    sparse primitive integer vector (column -> entry, content 1, positive
+    pivot entry) that is zero at the pivots of the rows stored before it
+    and is never rewritten.  Elimination is fraction-free: a vector w is
     reduced against a row r with pivot p by
     ``w := (r[p]/g) w - (w[p]/g) r`` with ``g = gcd(r[p], w[p])``.
     ``pivots`` and ``rows`` are views derived on demand: the sorted pivot
-    columns and the unique reduced row-echelon form of the span, Fraction
-    rows with pivot entries 1 in increasing pivot order.
+    columns and the unique reduced row-echelon form of the span (Fraction
+    rows, pivot entries 1), which membership never needs.
 
     It is the hkc variants' pair store.  Membership, both output tests and
     the successors of a pair are linear in u - v, so a worklist item is one
@@ -135,26 +134,28 @@ class CongruenceBasis:
 
     @property
     def rows(self) -> list[list[Fraction]]:
-        dense = []
-        for pivot, row in sorted(self._rows.items()):
-            out = [_ZERO] * self.dim
-            for j, x in row.items():
-                out[j] = Fraction(x, row[pivot])
-            dense.append(out)
-        return dense
+        # back-substitution, newest row first, by the rows already reduced
+        reduced = {}
+        for pivot, row in reversed(self._rows.items()):
+            out = [Fraction(row.get(j, 0), row[pivot]) for j in range(self.dim)]
+            for p, done in reduced.items():
+                if c := out[p]:
+                    out = [a - c * b for a, b in zip(out, done)]
+            reduced[pivot] = out
+        return [reduced[p] for p in sorted(reduced)]
 
     def _reduce(self, d: IntVector) -> list[int]:
         """A positive multiple of d minus its component in the span, as a new list.
 
-        Rows are zero at each other's pivots, so d's pivot entries are
-        untouched by the other rows and the order of the steps is free.
+        A row is zero only at the pivots stored before it, so the rows are
+        taken in insertion order.  A step that scales w divides out w's
+        content, or w would grow by a pivot entry's bits at every step.
         """
         if len(d) != self.dim:
             raise ValueError(f"vector has length {len(d)}, expected {self.dim}")
         w = list(d)
         for pivot, row in self._rows.items():
-            c = w[pivot]
-            if c:
+            if c := w[pivot]:
                 r = row[pivot]
                 g = gcd(r, c)
                 r, c = r // g, c // g
@@ -162,6 +163,8 @@ class CongruenceBasis:
                     w = [r * x for x in w]
                 for j, y in row.items():
                     w[j] -= c * y
+                if r != 1 and (g := gcd(*w)) > 1:
+                    w = [x // g for x in w]
         return w
 
     def add(self, d: IntVector) -> bool:
@@ -177,11 +180,7 @@ class CongruenceBasis:
         content = gcd(*residual)
         if residual[pivot] < 0:
             content = -content
-        new = {j: x // content for j, x in enumerate(residual) if x}
-        for p, row in self._rows.items():
-            if pivot in row:
-                self._rows[p] = eliminate(row, new, pivot)
-        self._rows[pivot] = new
+        self._rows[pivot] = {j: x // content for j, x in enumerate(residual) if x}
         return True
 
     def related(self, d: IntVector) -> bool:

@@ -263,6 +263,24 @@ def test_budgeted_searches_match_dense_reference(index):
             assert trace == expected_trace
 
 
+@pytest.mark.parametrize("seed", [48, 147])
+def test_hkc_matches_dense_reference_on_unary_chains(seed):
+    # one letter and up to 20 base states: the basis reaches rank 30 or more
+    pts = split_copy_pts(random.Random(seed), max_base=20, max_letters=1)
+    rep = build_rep(pts)
+    for algorithm, check_total_mass in ((hkc_inf, True), (hkc_finite, False)):
+        store = RefSpan(rep.dim)
+        expected, expected_trace = ref_decide(pts, "a0", "b0p", store, check_total_mass)
+        trace = []
+        result = algorithm(rep, "a0", "b0p", trace=trace)
+        assert result == expected
+        assert trace == expected_trace
+        assert result.relation_size >= 30
+        basis = _replayed_basis(rep, result, trace)
+        assert basis.rows == store.basis.rows
+        assert basis.pivots == store.basis.pivots
+
+
 def test_split_copies_grow_the_basis():
     # the a0/b0p cases: equivalent ones must record many pairs, not one
     results = [hkc_inf(build_rep(pts), "a0", "b0p") for pts, _, _ in SYSTEMS[::2]]

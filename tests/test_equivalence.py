@@ -105,6 +105,17 @@ def test_basis_views_cannot_corrupt_the_basis():
     assert basis.rows == [[F(1), F(0), F(-1)], [F(0), F(1), F(-1)]]
 
 
+def test_basis_add_never_rewrites_a_stored_row():
+    basis = CongruenceBasis(3)
+    e0, e1, e2 = (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))
+    assert basis.insert(e0, e1)
+    assert basis.insert(e1, e2)
+    # rows are written once in echelon form; only the rows view is reduced
+    assert basis._rows[0] == {0: 1, 1: -1}
+    assert basis.rows == [[F(1), F(0), F(-1)], [F(0), F(1), F(-1)]]
+    assert basis.pivots == [0, 1]
+
+
 def test_basis_two_rows_from_worked_loops():
     basis = CongruenceBasis(4)
     basis.insert((F(1), F(0), F(0), F(0)), (F(0), F(0), F(1), F(0)))

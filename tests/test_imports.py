@@ -1,0 +1,39 @@
+"""Every name a module of the package imports is used in that module.
+
+A stdlib stand-in for a linter's unused-import rule.  ``__init__.py`` is
+left out: its imports are the re-exports listed in ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ptstrace"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_modules_are_found():
+    assert {"equivalence.py", "linear.py", "cli.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_import_is_reported():
+    source = "import os.path\nfrom math import gcd, lcm as l\nfrom .linear import eliminate\n"
+    assert unused_imports(source + "print(os.sep, gcd)\n") == ["eliminate", "l"]
