@@ -17,10 +17,12 @@ as for the differences the equivalence checker carries, it is a bare
 integer vector divided by its content, and ``primitive_step`` steps it
 without any denominator.
 
-The mass on finite words, ``finite_mass``, is cached like ``mats``: the
-least nonnegative fixed point of ``s = l_star + (sum_a M_a)^T s``, solved
-once by sparse fraction-free elimination in Markowitz order (fewest rows
-per cleared column first, which keeps fill-in low).
+The mass on finite words, the least nonnegative fixed point of
+``s = l_star + (sum_a M_a)^T s``, is cached like ``mats``, each state
+solved once: a query solves the unsolved states its vector reaches, as one
+block with the solved states they reach as constants, by sparse
+fraction-free elimination in Markowitz order (fewest rows per cleared
+column first, which keeps fill-in low).
 
 Matrix convention: ``mats[a][j][k]`` is the probability of moving from the
 k-th state to the j-th state on letter ``a``.  Columns are source states,
@@ -72,7 +74,9 @@ class LinearRep:
     ``l_one`` is always the all-ones row because every state's masses sum
     to 1; keeping it explicit makes the two output functionals symmetric.
     Immutable after construction apart from caches of derived values;
-    safe to share between threads.
+    safe to share between threads, as the caches only grow: a solved
+    finite-mass block is stored before its states point to it, and an
+    exact value, once cached, never changes.
     """
 
     states: tuple[str, ...]
@@ -120,11 +124,22 @@ class LinearRep:
         return dense
 
     @cached_property
-    def finite_mass(self) -> IntConfig:
-        """Per-state probability of eventually stopping (0 where no
-        terminating state is reachable), as integers over one common
-        denominator: the mass on finite words."""
-        return _finite_mass(self)
+    def _mass_cache(self) -> tuple[list[dict[int, int]], int, IntVector, int, list]:
+        """The finite-mass cache, ``(combined, common, star, star_den, solved)``.
+
+        ``combined[k][j] / common`` is the one-step probability from the
+        k-th to the j-th state over all letters, ``star / star_den`` is
+        ``l_star``, and ``solved[k]`` is ``(block, position)`` once the k-th
+        state is solved, ``block`` an ``IntConfig``.
+        """
+        common = lcm(*self.denominators.values())
+        combined: list[dict[int, int]] = [{} for _ in self.states]
+        for letter, columns in self.columns.items():
+            scale = common // self.denominators[letter]
+            for out, column in zip(combined, columns):
+                for j, p in column:
+                    out[j] = out.get(j, 0) + p * scale
+        return combined, common, *to_ints(self.l_star), [None] * self.dim
 
 
 def build_rep(pts: Pts) -> LinearRep:
@@ -223,9 +238,15 @@ def int_out_term(rep: LinearRep, u: IntConfig) -> Fraction:
 
 
 def int_out_finite(rep: LinearRep, u: IntConfig) -> Fraction:
-    """Mass on all finite words: ``finite_mass . u``."""
-    (mass, mass_den), (nums, den) = rep.finite_mass, u
-    return Fraction(sum([mass[k] * x for k, x in enumerate(nums) if x]), mass_den * den)
+    """Mass on all finite words: ``finite_mass . u``, solving what ``u`` reaches."""
+    nums, den = u
+    solved = solve_finite_mass(rep, [k for k, x in enumerate(nums) if x])
+    by_block: dict[int, int] = {}
+    for k, x in enumerate(nums):
+        if x:
+            (block, block_den), position = solved[k]
+            by_block[block_den] = by_block.get(block_den, 0) + block[position] * x
+    return sum([Fraction(acc, block_den * den) for block_den, acc in by_block.items()], _ZERO)
 
 
 def int_difference(u: IntConfig, v: IntConfig) -> list[int]:
@@ -261,19 +282,6 @@ def eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[
         else:
             del out[j]
     return primitive(out)
-
-
-def _transition_numerators(rep: LinearRep) -> tuple[list[dict[int, int]], int]:
-    """Per source state, the integer one-step weights to each target over
-    all letters, and their common denominator."""
-    common = lcm(*rep.denominators.values())
-    combined: list[dict[int, int]] = [{} for _ in range(rep.dim)]
-    for letter, columns in rep.columns.items():
-        scale = common // rep.denominators[letter]
-        for out, column in zip(combined, columns):
-            for j, p in column:
-                out[j] = out.get(j, 0) + p * scale
-    return combined, common
 
 
 def _solve_sparse(rows: list[dict[int, int]], m: int) -> IntConfig:
@@ -351,18 +359,43 @@ def _solve_sparse(rows: list[dict[int, int]], m: int) -> IntConfig:
     return tuple(x // g for x in nums), den // g
 
 
-def _finite_mass(rep: LinearRep) -> IntConfig:
-    n = rep.dim
-    # combined[k][j] / common: one-step probability from source k to target j
-    combined, common = _transition_numerators(rep)
-    star, star_den = to_ints(rep.l_star)
+def solve_finite_mass(rep: LinearRep, support: Iterable[int]) -> list:
+    """Solve, once, the finite mass of every unsolved state reachable from
+    ``support``; returns the per-state ``(block, position)`` cache.
 
-    # states from which a positively terminating state is reachable
-    sources: list[list[int]] = [[] for _ in range(n)]
-    for k, out in enumerate(combined):
-        for j in out:
-            sources[j].append(k)
-    live = {k for k in range(n) if star[k]}
+    The unsolved states reached form one block, solved by one sparse
+    elimination with the solved states they reach as constants.
+    """
+    combined, common, star, star_den, solved = rep._mass_cache
+    stack = [k for k in support if solved[k] is None]
+    reached = set(stack)
+    while stack:
+        for j in combined[stack.pop()]:
+            if j not in reached and solved[j] is None:
+                reached.add(j)
+                stack.append(j)
+    if not reached:
+        return solved
+    states = sorted(reached)
+    local = {k: i for i, k in enumerate(states)}
+    m = len(states)
+
+    # live: stops, or reaches a live state of the block or a solved state of
+    # positive mass; fixed[j] is the mass of a solved neighbour times const
+    sources: dict[int, list[int]] = {k: [] for k in states}
+    masses: dict[int, tuple[int, int]] = {}
+    live = {k for k in states if star[k]}
+    for k in states:
+        for j in combined[k]:
+            if j in local:
+                sources[j].append(k)
+            else:
+                (block, block_den), position = solved[j]
+                masses[j] = block[position], block_den
+                if block[position]:
+                    live.add(k)
+    const = lcm(*(block_den for _, block_den in masses.values()))
+    fixed = {j: x * (const // block_den) for j, (x, block_den) in masses.items()}
     stack = list(live)
     while stack:
         for source in sources[stack.pop()]:
@@ -370,32 +403,39 @@ def _finite_mass(rep: LinearRep) -> IntConfig:
                 live.add(source)
                 stack.append(source)
 
-    # a dead state's row is s_k = 0, and its column is held by that row
-    # alone; the row of a live state k, times common * star_den, is
-    # (common * s_k - sum_j combined[k][j] * s_j) * star_den = common * star_k,
-    # with the right-hand side under key n and the dead s_j left out
-    rows = [{k: 1} for k in range(n)]
+    # a dead state's row is s_k = 0; the row of a live state k, times
+    # common * star_den * const, has the live block states on the left and
+    # star_k and the solved neighbours on the right-hand side (key m)
+    rows: list[dict[int, int]] = [{i: 1} for i in range(m)]
     for k in live:
-        row = rows[k] = {k: common * star_den}
+        row = rows[local[k]] = {local[k]: common * star_den * const}
+        rhs = common * star[k] * const
         for j, q in combined[k].items():
             if j in live:
-                x = row.get(j, 0) - q * star_den
+                x = row.get(local[j], 0) - q * star_den * const
                 if x:
-                    row[j] = x
+                    row[local[j]] = x
                 else:
-                    del row[j]
-        if star[k]:
-            row[n] = common * star[k]
-    nums, den = _solve_sparse(rows, n)
+                    del row[local[j]]
+            elif j in fixed:
+                rhs += q * star_den * fixed[j]
+        if rhs:
+            row[m] = rhs
+    nums, den = _solve_sparse(rows, m)
 
     # exact fixed point and probability range, as a guard on the solver
-    for k in range(n):
-        if not 0 <= nums[k] <= den:
+    for i, k in enumerate(states):
+        if not 0 <= nums[i] <= den:
             raise SingularRestrictedSystem(f"mass out of [0, 1] for state index {k}")
-        inflow = sum(q * nums[j] for j, q in combined[k].items())
-        if nums[k] * common * star_den != star[k] * den * common + inflow * star_den:
+        inflow = sum(q * (nums[local[j]] * const if j in local else fixed[j] * den)
+                     for j, q in combined[k].items())
+        if nums[i] * common * star_den * const != \
+                star[k] * den * common * const + inflow * star_den:
             raise SingularRestrictedSystem("fixed-point equation violated")
-    return nums, den
+    block = nums, den
+    for i, k in enumerate(states):
+        solved[k] = block, i
+    return solved
 
 
 def checked_ints(dim: int, u: Config) -> IntConfig:

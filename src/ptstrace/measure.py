@@ -7,7 +7,7 @@ derived sets of all finite words, all infinite words, and infinite-only
 cones.  This module holds the queries only: words and cones are output
 rows of transformed vectors, and the finite, infinite and infinite-cone
 queries read the finite-word mass that the linear representation solves
-and caches exactly (``LinearRep.finite_mass``), so no query involves
+exactly for the states a query reaches and caches, so no query involves
 limits or approximation.
 """
 
@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linear import (Config, LinearRep, checked_ints, from_ints,
-                     int_out_finite, int_out_term, int_out_total,
-                     int_word_transform)
+from .linear import (Config, LinearRep, checked_ints, int_out_finite,
+                     int_out_term, int_out_total, int_word_transform,
+                     solve_finite_mass)
 from .model import PtsFormatError, UnknownIdentifier, Word
 
 _ZERO = Fraction(0)
@@ -76,10 +76,11 @@ def finite_mass_vector(rep: LinearRep) -> Config:
     """Per-state probability of eventually stopping: the mass on finite words.
 
     The least nonnegative solution of the fixed-point system
-    s = l_star + (sum_a M_a)^T s, solved once per representation and
-    cached on it (``LinearRep.finite_mass``).
+    s = l_star + (sum_a M_a)^T s, solved for the states not solved yet
+    and cached on the representation (``linear.solve_finite_mass``).
     """
-    return from_ints(rep.finite_mass)
+    solved = solve_finite_mass(rep, range(rep.dim))
+    return tuple(Fraction(block[position], den) for (block, den), position in solved)
 
 
 def measure(rep: LinearRep, u: Config, target: GenSet) -> Fraction:
@@ -111,8 +112,8 @@ def tokenize_word(text: str, alphabet: tuple[str, ...]) -> Word:
     """Split a query word into declared letters.
 
     Dots separate letters explicitly ("0.2.1"); without dots the text is
-    matched greedily against declared letters, longest first.  The empty
-    string is the empty word.
+    matched against declared letters longest first, backtracking where the
+    rest does not split.  The empty string is the empty word.
     """
     if text == "":
         return ()
@@ -123,19 +124,28 @@ def tokenize_word(text: str, alphabet: tuple[str, ...]) -> Word:
                 raise UnknownIdentifier(f"undeclared letter {letter!r}")
         return letters
     by_length = sorted(alphabet, key=len, reverse=True)
-    out = []
-    position = 0
+    # path holds (position, index into by_length) of the letters taken; a
+    # position from which the rest does not split is failed, never retried
+    path: list[tuple[int, int]] = []
+    failed: set[int] = set()
+    position = start = 0
     while position < len(text):
-        for letter in by_length:
-            if text.startswith(letter, position):
-                out.append(letter)
-                position += len(letter)
+        for i in range(start, len(by_length)):
+            end = position + len(by_length[i])
+            if end not in failed and text.startswith(by_length[i], position):
+                path.append((position, i))
+                position, start = end, 0
                 break
         else:
-            raise UnknownIdentifier(
-                f"cannot tokenize {text!r} at position {position} "
-                f"against alphabet {list(alphabet)}")
-    return tuple(out)
+            if not path:
+                # every position entered but 0 has failed: the furthest one
+                raise UnknownIdentifier(
+                    f"cannot tokenize {text!r} at position {max(failed, default=0)} "
+                    f"against alphabet {list(alphabet)}")
+            failed.add(position)
+            position, start = path.pop()
+            start += 1
+    return tuple(by_length[i] for _, i in path)
 
 
 _PLAIN_QUERIES = {

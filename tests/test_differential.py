@@ -8,6 +8,8 @@ grow, so the basis paths are exercised, not just the clone shortcut.
 Split copies with non-terminating sinks, closed live and dead components,
 self-loops and certain stops exercise the pivot order of the sparse
 finite-mass solve; small ones are also checked against ``brute_measure``.
+Queries from every state in random orders on one representation check the
+on-demand solve, where each query solves only the states it reaches.
 """
 
 import random
@@ -387,3 +389,99 @@ def test_finite_mass_queries_match_brute_measure(index):
         for w in words:
             assert measure(rep, u, InfCone(w)) == \
                 brute_measure(pts, state, Cone(w)) - brute_measure(by_mass, state, FiniteWord(w))
+
+
+def _on_demand_systems():
+    rng = random.Random(149)
+    cases = [random_pts(rng) for _ in range(12)]
+    cases += [split_copy_pts(rng, max_base=8, perturb=i % 2 == 1) for i in range(6)]
+    return cases + SOLVE_SYSTEMS
+
+
+ON_DEMAND_SYSTEMS = _on_demand_systems()
+
+
+def _walk(rng, pts, state, length):
+    # a random word along the moves of one run; it may end in a sink
+    word = []
+    for _ in range(length):
+        moves = [(letter, target) for (source, letter, target), p in pts.moves.items()
+                 if source == state and p]
+        if not moves:
+            break
+        letter, state = rng.choice(sorted(moves))
+        word.append(letter)
+    return tuple(word), state
+
+
+@pytest.mark.parametrize("index", range(0, len(ON_DEMAND_SYSTEMS), 4))
+def test_on_demand_finite_mass_matches_whole_solve(index):
+    # every finite-mass query kind from every state, in seeded random orders
+    # on one representation, against the dense reference and a fresh
+    # whole-document solve
+    for pts in ON_DEMAND_SYSTEMS[index:index + 4]:
+        expected = ref_finite_mass(pts)
+        assert finite_mass_vector(build_rep(pts)) == expected
+        small = len(pts.states) <= 12
+        by_mass = _with_stop(pts, expected)
+        for seed in range(2):
+            rng = random.Random(seed)
+            rep = build_rep(pts)
+            queries = [(state, kind) for state in pts.states
+                       for kind in ("finite", "infinite", "infcone")]
+            rng.shuffle(queries)
+            for state, kind in queries:
+                k, u = pts.states.index(state), dirac(rep, state)
+                if kind == "finite":
+                    assert measure(rep, u, AllFinite()) == expected[k]
+                elif kind == "infinite":
+                    assert measure(rep, u, AllInfinite()) == 1 - expected[k]
+                else:
+                    word, end = _walk(rng, pts, state, rng.randint(0, 6))
+                    v = word_transform(rep, u, word)
+                    value = measure(rep, u, InfCone(word))
+                    assert value == sum(v, _ZERO) - sum(
+                        (a * b for a, b in zip(expected, v)), _ZERO)
+                    if small:
+                        assert value == brute_measure(pts, state, Cone(word)) - \
+                            brute_measure(by_mass, state, FiniteWord(word))
+            assert finite_mass_vector(rep) == expected
+
+
+def test_on_demand_infcone_from_walks_ending_inside_sinks():
+    # the transformed vector of such a query lies where nothing stops, so
+    # its own solve is a block of dead states, or none at all
+    rng = random.Random(157)
+    into_sinks = 0
+    for pts in SOLVE_SYSTEMS:
+        expected = ref_finite_mass(pts)
+        rep = build_rep(pts)
+        states = list(pts.states)
+        rng.shuffle(states)
+        for state in states:
+            word, end = _walk(rng, pts, state, 8)
+            if expected[pts.states.index(end)] or not word:
+                continue
+            into_sinks += 1
+            u = dirac(rep, state)
+            v = word_transform(rep, u, word)
+            assert measure(rep, u, InfCone(word)) == sum(v, _ZERO) - sum(
+                (a * b for a, b in zip(expected, v)), _ZERO)
+        assert finite_mass_vector(rep) == expected
+    assert into_sinks >= 20
+
+
+def test_finite_mass_of_a_vector_spanning_solved_blocks():
+    # configurations over states solved in separate blocks, before and after
+    # a whole-document solve, against the dense reference
+    rng = random.Random(151)
+    for pts in SOLVE_SYSTEMS[:8]:
+        expected = ref_finite_mass(pts)
+        rep = build_rep(pts)
+        n = len(pts.states)
+        for _ in range(3):
+            measure(rep, dirac(rep, rng.choice(pts.states)), AllFinite())
+            u = tuple(F(rng.randint(-4, 4), rng.randint(1, 6)) if rng.random() < 0.4
+                      else _ZERO for _ in range(n))
+            assert measure(rep, u, AllFinite()) == \
+                sum((a * b for a, b in zip(expected, u)), _ZERO)

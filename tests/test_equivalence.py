@@ -413,8 +413,9 @@ def test_guards_survive_optimized_mode():
     # python -O strips assert statements; the guards must still raise
     script = """
 import json
-from ptstrace import (CongruenceBasis, Equivalent, InvariantError, SingularRestrictedSystem,
-                      build_rep, dirac, parse_pts)
+from ptstrace import (AllFinite, CongruenceBasis, Equivalent, InvariantError,
+                      SingularRestrictedSystem, build_rep, dirac, measure, parse_pts)
+from ptstrace import linear
 from ptstrace.equivalence import _check_loop_invariant, _checked_bound
 from ptstrace.linear import _solve_sparse, to_ints
 import sys
@@ -424,10 +425,13 @@ assert False, "asserts are stripped"
 rep = build_rep(parse_pts(json.dumps(CONGRUENCE_XZ)))
 basis = CongruenceBasis(rep.dim)
 d = basis.item(to_ints(dirac(rep, "x")), to_ints(dirac(rep, "z")))
+# a finite-mass block solved as all zeros breaks the fixed point at x
+linear._solve_sparse = lambda rows, m: ((0,) * m, 1)
 for guard in (lambda: _check_loop_invariant(rep, basis, [d], []),
               lambda: _checked_bound(rep, Equivalent(iterations=rep.dim * 9,
                                                      relation_size=1)),
-              lambda: _solve_sparse([{0: 1, 1: 1, 2: 1}, {0: 2, 1: 2, 2: 3}], 2)):
+              lambda: _solve_sparse([{0: 1, 1: 1, 2: 1}, {0: 2, 1: 2, 2: 3}], 2),
+              lambda: measure(rep, dirac(rep, "x"), AllFinite())):
     try:
         guard()
     except (InvariantError, SingularRestrictedSystem):
@@ -438,4 +442,4 @@ for guard in (lambda: _check_loop_invariant(rep, basis, [d], []),
     proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=root, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "raised\nraised\nraised\n"
+    assert proc.stdout == "raised\nraised\nraised\nraised\n"

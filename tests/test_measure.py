@@ -2,6 +2,7 @@
 
 import random
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from ptstrace import (All, AllFinite, AllInfinite, Cone, Empty, FiniteWord,
                       UnknownIdentifier, build_rep, dirac, finite_mass_vector,
                       measure, parse_query, step, tokenize_word)
 
-from systems import all_words, random_pts, sink_split_pts
+from systems import all_words, random_pts, sink_split_pts, split_copy_pts
 
 F = Fraction
 
@@ -216,6 +217,43 @@ def test_tokenize_word_prefers_longest_letter():
     assert tokenize_word("ab.a", ("a", "ab")) == ("ab", "a")
 
 
+def test_tokenize_word_backtracks_when_the_longest_letter_leads_nowhere():
+    assert tokenize_word("abc", ("ab", "a", "bc")) == ("a", "bc")
+    assert tokenize_word("abcab", ("ab", "a", "bc")) == ("a", "bc", "ab")
+    assert tokenize_word("aaab", ("aa", "a", "ab")) == ("aa", "ab")
+    # the error names the furthest position any split reached
+    with pytest.raises(UnknownIdentifier, match="at position 3 "):
+        tokenize_word("aaab", ("aa", "a"))
+    with pytest.raises(UnknownIdentifier, match="at position 2 "):
+        tokenize_word("abc", ("a", "b"))
+    # failed positions are not retried: 400 letters, 3^133 splits up to the end
+    with pytest.raises(UnknownIdentifier, match="at position 399 "):
+        tokenize_word("a" * 399 + "b", ("a", "aa", "aaa"))
+
+
+def _splits(text, by_length):
+    # every split into letters, longest letter first at each position
+    if not text:
+        yield ()
+    for letter in by_length:
+        if text.startswith(letter):
+            for rest in _splits(text[len(letter):], by_length):
+                yield (letter,) + rest
+
+
+@given(st.lists(st.sampled_from(["a", "b", "ab", "ba", "aab", "bb"]), min_size=1,
+                max_size=4, unique=True),
+       st.text(alphabet="ab", max_size=10))
+def test_tokenize_word_is_the_first_split_in_longest_first_order(alphabet, text):
+    by_length = sorted(alphabet, key=len, reverse=True)
+    expected = next(_splits(text, by_length), None)
+    if expected is None:
+        with pytest.raises(UnknownIdentifier):
+            tokenize_word(text, tuple(alphabet))
+    else:
+        assert tokenize_word(text, tuple(alphabet)) == expected
+
+
 @given(st.lists(st.sampled_from(["0", "1", "2"]), max_size=8))
 def test_tokenize_inverts_dotted_join(letters):
     word = tuple(letters)
@@ -282,3 +320,108 @@ def test_finite_mass_is_solved_once_per_representation(monkeypatch):
         measure(rep, u, target)
     assert finite_mass_vector(rep) == finite_mass_vector(build_rep(pts))
     assert len(calls) == 2
+
+
+def _reachable(pts, state):
+    seen, stack = {state}, [state]
+    while stack:
+        source = stack.pop()
+        for (s, _, target), p in pts.moves.items():
+            if s == source and p and target not in seen:
+                seen.add(target)
+                stack.append(target)
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_finite_mass_query_solves_only_the_reachable_states(monkeypatch, seed):
+    rng = random.Random(seed)
+    pts = (split_copy_pts(rng, max_base=12) if seed % 2
+           else sink_split_pts(rng, rng.randint(3, 12), rng.randint(1, 3)))
+    rep = build_rep(pts)
+    module = sys.modules["ptstrace.linear"]
+    calls, solve = [], module._solve_sparse
+    monkeypatch.setattr(module, "_solve_sparse",
+                        lambda rows, m: calls.append(len(rows)) or solve(rows, m))
+    mass = measure(rep, dirac(rep, "a0"), AllFinite())
+    assert calls == [len(_reachable(pts, "a0"))]
+    # then the other side, then the rest: no state is solved twice
+    assert measure(rep, dirac(rep, "b0p"), AllFinite()) == mass
+    assert calls[1:] == [len(_reachable(pts, "b0p"))]
+    assert finite_mass_vector(rep)[0] == mass
+    assert sum(calls) == rep.dim
+    finite_mass_vector(rep)
+    measure(rep, dirac(rep, "b0p"), InfCone(("a",)))
+    assert sum(calls) == rep.dim
+
+
+@pytest.mark.parametrize("perturb, message", [
+    (lambda nums, den: ((-1,) + nums[1:], den), r"mass out of \[0, 1\] for state index 0"),
+    (lambda nums, den: ((den + 1,) + nums[1:], den), r"mass out of \[0, 1\] for state index 0"),
+    (lambda nums, den: (nums, 2 * den), "fixed-point equation violated"),
+])
+def test_finite_mass_guards_fire_on_a_wrong_solution(monkeypatch, worked_rep, perturb,
+                                                     message):
+    # x stops or moves to y (mass 1) and to the dead sink i: solving y first
+    # makes x's block {x, i} carry y's mass as a constant
+    rep = worked_rep
+    x, y = dirac(rep, "x"), dirac(rep, "y")
+    assert measure(rep, y, AllFinite()) == 1
+    module = sys.modules["ptstrace.linear"]
+    rows, solve = [], module._solve_sparse
+    monkeypatch.setattr(module, "_solve_sparse",
+                        lambda r, m: rows.append(r) or perturb(*solve(r, m)))
+    with pytest.raises(SingularRestrictedSystem, match=message):
+        measure(rep, x, AllFinite())
+    # the block was {x, i}: y, solved already, entered x's row as a constant
+    assert len(rows) == 1 and len(rows[0]) == 2
+    # a block that fails a guard is not cached
+    monkeypatch.setattr(module, "_solve_sparse", solve)
+    assert measure(rep, x, AllFinite()) == F(1, 2)
+    assert finite_mass_vector(rep) == (F(1, 2), F(1), F(1, 2), F(0))
+
+
+def test_finite_mass_guards_fire_on_a_whole_document_solve(monkeypatch):
+    module = sys.modules["ptstrace.linear"]
+    solve = module._solve_sparse
+    rep = build_rep(sink_split_pts(random.Random(7), 5, 2))
+    monkeypatch.setattr(module, "_solve_sparse",
+                        lambda r, m: (lambda nums, den: (nums, 3 * den))(*solve(r, m)))
+    with pytest.raises(SingularRestrictedSystem, match="fixed-point equation violated"):
+        finite_mass_vector(rep)
+
+
+def test_finite_mass_cache_shared_between_threads():
+    # more threads than cores, switching often, each querying every state
+    # of one representation in its own order: every value is exact
+    pts = sink_split_pts(random.Random(11), 12, 2)
+    expected = finite_mass_vector(build_rep(pts))
+    rep = build_rep(pts)
+    errors = []
+
+    def work(seed):
+        try:
+            states = list(range(rep.dim))
+            random.Random(seed).shuffle(states)
+            for k in states:
+                u = dirac(rep, rep.states[k])
+                assert measure(rep, u, AllFinite()) == expected[k]
+                v = step(rep, u, "a")
+                assert measure(rep, u, InfCone(("a",))) == \
+                    sum(v) - sum(a * b for a, b in zip(expected, v))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert finite_mass_vector(rep) == expected
