@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from functools import cache
 
 from .equivalence import (Equivalent, Inconclusive, InvariantError,
@@ -69,11 +70,19 @@ def _cmd_validate(args) -> int:
 
 def _cmd_rep(args) -> int:
     rep = build_rep(parse_pts(_read(args.input)))
+    # mats[a][j][k], printed from the sparse columns: most entries are "0"
+    mats = {}
+    for letter, columns in rep.columns.items():
+        denominator = rep.denominators[letter]
+        rows = [["0"] * rep.dim for _ in range(rep.dim)]
+        for k, column in enumerate(columns):
+            for j, p in column:
+                rows[j][k] = format_rational(Fraction(p, denominator))
+        mats[letter] = rows
     _emit({
         "l_one": [format_rational(c) for c in rep.l_one],
         "l_star": [format_rational(c) for c in rep.l_star],
-        "mats": {letter: [[format_rational(c) for c in row] for row in matrix]
-                 for letter, matrix in rep.mats.items()},
+        "mats": mats,
     })
     return EXIT_OK
 

@@ -30,7 +30,8 @@ so one step of a column vector u is the product ``M_a . u`` and the column
 of ``M_a`` at a state equals the step image of that state's unit vector.
 The transpose convention is equally common elsewhere; everything here
 assumes columns-are-sources.  ``mats`` is a dense Fraction view derived
-from the sparse columns on first use; the kernel itself never reads it.
+from the sparse columns on first use; neither the kernel nor ``ptstrace
+rep``, which prints the matrices from the columns, reads it.
 """
 
 from __future__ import annotations
@@ -111,7 +112,8 @@ class LinearRep:
 
     @cached_property
     def mats(self) -> dict[str, Matrix]:
-        """Dense Fraction matrices, ``mats[a][j][k]``, derived from the columns."""
+        """Dense Fraction matrices, ``mats[a][j][k]``, derived from the columns:
+        a view for callers, which the package itself never reads."""
         n = self.dim
         dense = {}
         for letter, columns in self.columns.items():
@@ -145,17 +147,19 @@ class LinearRep:
 def build_rep(pts: Pts) -> LinearRep:
     """Determinize a valid Pts into its linear representation."""
     index = {state: k for k, state in enumerate(pts.states)}
-    moves: dict[str, list[list[tuple[int, Fraction]]]] = {
+    # per letter and source state: (target index, numerator, denominator)
+    moves: dict[str, list[list[tuple[int, int, int]]]] = {
         letter: [[] for _ in pts.states] for letter in pts.alphabet}
     for (source, letter, target), p in pts.moves.items():
-        if p:
-            moves[letter][index[source]].append((index[target], p))
+        numerator = p.numerator
+        if numerator:
+            moves[letter][index[source]].append((index[target], numerator, p.denominator))
     columns, denominators = {}, {}
     for letter, per_source in moves.items():
-        denominator = lcm(*(p.denominator for column in per_source for _, p in column))
+        denominator = lcm(*[d for column in per_source for _, _, d in column])
         denominators[letter] = denominator
         columns[letter] = tuple(
-            tuple((j, p.numerator * (denominator // p.denominator)) for j, p in column)
+            tuple([(j, p * (denominator // d)) for j, p, d in column])
             for column in per_source)
     return LinearRep(
         states=pts.states,

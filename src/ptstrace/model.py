@@ -16,11 +16,11 @@ The input format is a JSON document::
                         {"letter": "a", "to": "x", "p": "1/2"}]},
         "y": {"stop": "1"}}}
 
-Rationals are strings "p/q" or integer strings ("1", "0").  "stop" defaults
-to "0".  Every declared state must appear under "transitions" (a state with
-no entry has total mass 0, which fails the sums-to-1 check).  Letters may
-not contain ".", which separates the letters of a word in queries and
-printed counterexamples.
+Rationals are strings "p/q" or integer strings ("1", "0") in ASCII digits.
+"stop" defaults to "0".  Every declared state must appear under
+"transitions" (a state with no entry has total mass 0, which fails the
+sums-to-1 check).  Letters may not contain ".", which separates the letters
+of a word in queries and printed counterexamples.
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 Word = tuple[str, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-_RATIONAL_RE = re.compile(r"-?\d+(/\d+)?\Z")
+# [0-9], not \d: \d matches every Unicode digit, and int() converts them all
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
 
 class PtsFormatError(ValueError):
@@ -108,7 +109,7 @@ class Pts:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or an integer string into an exact Fraction."""
+    """Parse "p/q" or an integer string, in ASCII digits, into an exact Fraction."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise MalformedRational(f"not a rational string: {text!r}")
     num, _, den = text.partition("/")
@@ -173,6 +174,17 @@ def _identifier_list(doc: dict, key: str) -> list[str]:
     return items
 
 
+def _parse_once(text: object, parsed: dict[str, Fraction]) -> Fraction:
+    """``parse_rational(text)``, looked up in ``parsed`` first and stored there."""
+    if not isinstance(text, str):
+        # a JSON list or object is unhashable; parse_rational rejects it
+        return parse_rational(text)
+    value = parsed.get(text)
+    if value is None:
+        value = parsed[text] = parse_rational(text)
+    return value
+
+
 def pts_from_dict(doc: object, check: bool = True) -> Pts:
     """Build a Pts from a decoded document, raising on the first problem.
 
@@ -194,16 +206,19 @@ def pts_from_dict(doc: object, check: bool = True) -> Pts:
 
     term: dict[str, Fraction] = {}
     moves: dict[tuple[str, str, str], Fraction] = {}
+    # probability strings repeat within a document: each is parsed once
+    parsed: dict[str, Fraction] = {}
     for state in states:
         entry = transitions.get(state, {})
         if not isinstance(entry, dict):
             raise PtsFormatError(f"transitions for state {state!r} must be an object")
-        term[state] = parse_rational(entry.get("stop", "0"))
+        term[state] = _parse_once(entry.get("stop", "0"), parsed)
         move_items = entry.get("moves", [])
         if not isinstance(move_items, list):
             raise PtsFormatError(f'"moves" for state {state!r} must be a list')
         for item in move_items:
-            if not isinstance(item, dict) or not {"letter", "to", "p"} <= item.keys():
+            if not (isinstance(item, dict) and "letter" in item and "to" in item
+                    and "p" in item):
                 raise PtsFormatError(
                     f"move entries for state {state!r} need letter/to/p fields")
             letter, target = item["letter"], item["to"]
@@ -216,7 +231,7 @@ def pts_from_dict(doc: object, check: bool = True) -> Pts:
             if key in moves:
                 raise DuplicateIdentifier(
                     f"duplicate move {letter!r} -> {target!r} for state {state!r}")
-            moves[key] = parse_rational(item["p"])
+            moves[key] = _parse_once(item["p"], parsed)
 
     pts = Pts(tuple(alphabet), tuple(states), term, moves)
     if check:
@@ -281,9 +296,18 @@ def _in_unit_range(p: Fraction) -> bool:
     return 0 <= p.numerator <= p.denominator
 
 
+def _mass(stop: Fraction, moves: list[tuple[str, str, Fraction]]) -> tuple[int, int]:
+    """A state's stop mass plus move masses as an integer numerator over the
+    lcm of their denominators, not reduced: the sum is 1 iff the two are equal."""
+    denominator = lcm(stop.denominator, *[p.denominator for _, _, p in moves])
+    numerator = stop.numerator * (denominator // stop.denominator)
+    for _, _, p in moves:
+        numerator += p.numerator * (denominator // p.denominator)
+    return numerator, denominator
+
+
 def _state_mass(pts: Pts, state: str) -> Fraction:
-    moves = _moves_by_source(pts).get(state, ())
-    return sum((p for _, _, p in moves), pts.stop(state))
+    return Fraction(*_mass(pts.stop(state), _moves_by_source(pts).get(state, [])))
 
 
 def validate(pts: Pts) -> list[Violation]:
@@ -292,22 +316,22 @@ def validate(pts: Pts) -> list[Violation]:
     by_source = _moves_by_source(pts)
     for state in pts.states:
         stop = pts.stop(state)
+        moves = by_source.get(state, [])
         if not _in_unit_range(stop):
             violations.append(Violation(
                 PROBABILITY_OUT_OF_RANGE, state,
                 f"stop probability {format_rational(stop)} outside [0, 1]"))
-        total = stop
-        for letter, target, p in by_source.get(state, ()):
+        for letter, target, p in moves:
             if not _in_unit_range(p):
                 violations.append(Violation(
                     PROBABILITY_OUT_OF_RANGE, state,
                     f"move {letter!r} -> {target!r} has probability "
                     f"{format_rational(p)} outside [0, 1]"))
-            total += p
-        if total != _ONE:
+        numerator, denominator = _mass(stop, moves)
+        if numerator != denominator:
+            total = format_rational(Fraction(numerator, denominator))
             violations.append(Violation(
-                DISTRIBUTION_SUM, state,
-                f"masses sum to {format_rational(total)}, expected 1"))
+                DISTRIBUTION_SUM, state, f"masses sum to {total}, expected 1"))
     return violations
 
 

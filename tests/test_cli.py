@@ -9,11 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from ptstrace import Pts, pts_to_dict
+from ptstrace import Pts, build_rep, parse_pts, pts_to_dict
 from ptstrace.cli import main
+from ptstrace.model import format_rational
 
 from systems import (ALL_DOCS, CANTOR, CONGRUENCE_XZ, HALF_LOOP_XY,
-                     TWO_LETTER_YZ, random_pts)
+                     TWO_LETTER_YZ, random_pts, split_copy_pts)
 
 
 @pytest.fixture
@@ -66,6 +67,60 @@ def test_rep_dump(doc_path, capsys):
         "mats": {"a": [["1/2", "0"], ["0", "3/4"]],
                  "b": [["1/2", "0"], ["0", "1/4"]]},
     }
+
+
+def _dense_rep_output(doc):
+    # the rep output read from the dense Fraction view, LinearRep.mats
+    rep = build_rep(parse_pts(json.dumps(doc)))
+    return json.dumps({
+        "l_one": [format_rational(c) for c in rep.l_one],
+        "l_star": [format_rational(c) for c in rep.l_star],
+        "mats": {letter: [[format_rational(c) for c in row] for row in matrix]
+                 for letter, matrix in rep.mats.items()},
+    }) + "\n"
+
+
+def test_rep_output_equals_the_dense_view(doc_path, capsys):
+    rng = random.Random(41)
+    docs = list(ALL_DOCS.values())
+    docs += [pts_to_dict(random_pts(rng, max_states=6, max_letters=3)) for _ in range(20)]
+    docs += [pts_to_dict(split_copy_pts(rng, max_base=5, perturb=i % 2 == 1))
+             for i in range(10)]
+    docs += [
+        # a letter without moves, declared between two with moves
+        {"alphabet": ["a", "z", "b"], "states": ["x", "y"],
+         "transitions": {"x": {"stop": "1/4", "moves": [
+             {"letter": "b", "to": "y", "p": "1/2"}, {"letter": "a", "to": "x", "p": "1/4"}]},
+             "y": {"stop": "1"}}},
+        # one state, with and without letters
+        {"alphabet": ["a"], "states": ["x"],
+         "transitions": {"x": {"stop": "2/3", "moves": [{"letter": "a", "to": "x", "p": "1/3"}]}}},
+        {"alphabet": [], "states": ["x"], "transitions": {"x": {"stop": "1"}}},
+        # non-reduced input strings print in lowest terms
+        {"alphabet": ["a"], "states": ["x"],
+         "transitions": {"x": {"stop": "3/6", "moves": [{"letter": "a", "to": "x", "p": "02/4"}]}}},
+    ]
+    path = doc_path({})
+    for doc in docs:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        assert run(capsys, "rep", path) == (0, _dense_rep_output(doc), "")
+
+
+@pytest.mark.parametrize("digits", ["\u0661/\u0663", "\uff11/\uff13", "\U0001d7d9/\U0001d7db"])
+def test_non_ascii_digits_exit_2(doc_path, capsys, digits):
+    doc = {"alphabet": ["a"], "states": ["x"],
+           "transitions": {"x": {"stop": "2/3", "moves": [
+               {"letter": "a", "to": "x", "p": digits}]}}}
+    path = doc_path({})
+    for ensure_ascii in (True, False):
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle, ensure_ascii=ensure_ascii)
+        for argv in (("validate", path), ("rep", path),
+                     ("eval", path, "--state", "x", "--query", "all")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: not a rational string: {digits!r}\n"
 
 
 def test_validate_ok(doc_path, capsys):

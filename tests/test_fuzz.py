@@ -15,7 +15,7 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ptstrace import PtsFormatError, parse_pts
+from ptstrace import MalformedRational, PtsFormatError, parse_pts, parse_rational
 from ptstrace.cli import main
 
 FUZZ = settings(max_examples=50, deadline=None,
@@ -50,6 +50,23 @@ entries = mostly(st.fixed_dictionaries({}, optional={"stop": rationals, "moves":
 documents = mostly(st.fixed_dictionaries(
     {"alphabet": declared, "states": declared,
      "transitions": mostly(st.dictionaries(IDS, entries, max_size=3))}))
+
+
+
+@st.composite
+def repeated_p_documents(draw):
+    # one "p" value, malformed or not, as every state's stop and every move's
+    # probability: the parser sees the same string (or JSON value) many times
+    p = draw(rationals | st.sampled_from(["1/0", "0.5", "1" * 4301, "\u0661/\u0663"]))
+    alphabet = draw(st.lists(IDS, min_size=1, max_size=3, unique=True))
+    states = draw(st.lists(IDS, min_size=1, max_size=3, unique=True))
+    transitions = {}
+    for state in states:
+        pairs = draw(st.lists(st.tuples(st.sampled_from(alphabet), st.sampled_from(states)),
+                              max_size=4, unique=True))
+        transitions[state] = {"stop": p, "moves": [{"letter": a, "to": t, "p": p}
+                                                   for a, t in pairs]}
+    return p, {"alphabet": alphabet, "states": states, "transitions": transitions}
 
 
 def _argvs(path, states):
@@ -121,6 +138,26 @@ def test_near_valid_documents(doc):
     if not (isinstance(states, list) and all(isinstance(s, str) for s in states)):
         states = ["x"]
     _check_cli(text.encode(), states=tuple(dict.fromkeys(states[:2] + ["x"])))
+
+
+@FUZZ
+@given(repeated_p_documents())
+def test_a_value_repeated_across_moves_parses_as_it_does_alone(case):
+    p, doc = case
+    text = json.dumps(doc)
+    try:
+        expected = parse_rational(p)
+    except MalformedRational as exc:
+        try:
+            parse_pts(text, check=False)
+        except MalformedRational as raised:
+            assert str(raised) == str(exc)
+        else:
+            raise AssertionError(f"{p!r} parsed inside a document")
+    else:
+        pts = parse_pts(text, check=False)
+        assert set(pts.term.values()) | set(pts.moves.values()) == {expected}
+    _check_cli(text.encode(), states=tuple(doc["states"][:2]))
 
 
 def test_deeply_nested_json_exit_2(tmp_path):

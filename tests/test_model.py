@@ -8,11 +8,13 @@ import pytest
 
 from ptstrace import (DistributionSumViolation, DuplicateIdentifier,
                       MalformedRational, ProbabilityOutOfRange, Pts,
-                      PtsFormatError, UnknownIdentifier, parse_pts,
+                      PtsFormatError, UnknownIdentifier, model, parse_pts,
                       parse_rational, pts_to_dict, serialize_pts, validate)
-from ptstrace.model import DISTRIBUTION_SUM, PROBABILITY_OUT_OF_RANGE
+from ptstrace.model import (DISTRIBUTION_SUM, PROBABILITY_OUT_OF_RANGE,
+                            Violation, _moves_by_source, format_rational)
 
-from systems import ALL_DOCS, CANTOR, SINGLE_LETTER_CHAIN, load, random_pts
+from systems import (ALL_DOCS, CANTOR, SINGLE_LETTER_CHAIN, load, random_pts,
+                     split_copy_pts)
 
 F = Fraction
 
@@ -28,6 +30,14 @@ def test_parse_rational_accepts_documented_forms():
 @pytest.mark.parametrize("bad", ["", "0.5", "1/", "/3", "1 / 3", "a", "1e-3", "1/0"])
 def test_parse_rational_rejects_other_forms(bad):
     with pytest.raises(MalformedRational):
+        parse_rational(bad)
+
+
+@pytest.mark.parametrize("bad", ["\u0661/\u0663", "\uff11/\uff13", "\U0001d7d9/\U0001d7db",
+                                 "\u0663", "1/\u0663", "-\uff11"])
+def test_parse_rational_rejects_non_ascii_digits(bad):
+    # \d and int() accept every Unicode digit; the grammar is ASCII only
+    with pytest.raises(MalformedRational, match="not a rational string"):
         parse_rational(bad)
 
 
@@ -244,3 +254,177 @@ def test_perturbing_any_probability_breaks_validation():
             moves[key] = moves[key] + delta
         mutated = Pts(pts.alphabet, pts.states, term, moves)
         assert validate(mutated) != []
+
+
+# validate() as it summed masses with Fractions, kept as the reference for
+# the integer sums
+def _reference_mass(pts, state):
+    moves = _moves_by_source(pts).get(state, ())
+    return sum((p for _, _, p in moves), pts.stop(state))
+
+
+def _reference_validate(pts):
+    violations = []
+    by_source = _moves_by_source(pts)
+    for state in pts.states:
+        stop = pts.stop(state)
+        if not 0 <= stop <= 1:
+            violations.append(Violation(
+                PROBABILITY_OUT_OF_RANGE, state,
+                f"stop probability {format_rational(stop)} outside [0, 1]"))
+        total = stop
+        for letter, target, p in by_source.get(state, ()):
+            if not 0 <= p <= 1:
+                violations.append(Violation(
+                    PROBABILITY_OUT_OF_RANGE, state,
+                    f"move {letter!r} -> {target!r} has probability "
+                    f"{format_rational(p)} outside [0, 1]"))
+            total += p
+        if total != 1:
+            violations.append(Violation(
+                DISTRIBUTION_SUM, state,
+                f"masses sum to {format_rational(total)}, expected 1"))
+    return violations
+
+
+def _assert_validate_matches_reference(pts):
+    expected = _reference_validate(pts)
+    assert validate(pts) == expected
+    for state in pts.states:
+        assert model._state_mass(pts, state) == _reference_mass(pts, state)
+    # parse_pts raises on the first violation, with the state's total
+    try:
+        parse_pts(serialize_pts(pts))
+    except DistributionSumViolation as exc:
+        assert (expected[0].kind, expected[0].state) == (DISTRIBUTION_SUM, exc.state)
+        assert exc.total == _reference_mass(pts, exc.state)
+    except ProbabilityOutOfRange as exc:
+        assert expected[0].kind == PROBABILITY_OUT_OF_RANGE
+        assert str(exc) == f"state {expected[0].state!r}: {expected[0].message}"
+    else:
+        assert expected == []
+
+
+def _perturbed(rng, pts, deltas):
+    term, moves = dict(pts.term), dict(pts.moves)
+    entries = [("term", s) for s in pts.states] + [("move", k) for k in moves]
+    for _ in range(rng.randint(1, 3)):
+        kind, key = rng.choice(entries)
+        delta = rng.choice(deltas)
+        if kind == "term":
+            term[key] = term.get(key, F(0)) + delta
+        else:
+            moves[key] = moves[key] + delta
+    return Pts(pts.alphabet, pts.states, term, moves)
+
+
+def test_integer_validation_matches_the_fraction_sums():
+    rng = random.Random(23)
+    deltas = [F(1, 7), F(-1, 7), F(2, 3), F(-3, 5), F(5, 2), F(-2), F(1, 10**30),
+              F(-7, 3), F(3)]
+    for _ in range(150):
+        pts = random_pts(rng) if rng.random() < 0.6 else split_copy_pts(rng, max_base=4)
+        _assert_validate_matches_reference(pts)
+        _assert_validate_matches_reference(_perturbed(rng, pts, deltas))
+
+
+def test_integer_validation_matches_on_states_without_moves_or_entries():
+    rng = random.Random(29)
+    for _ in range(60):
+        pts = random_pts(rng)
+        dropped = rng.choice(pts.states)
+        # a state with no moves keeps its stop mass; a missing one has none
+        no_moves = Pts(pts.alphabet, pts.states, pts.term,
+                       {k: p for k, p in pts.moves.items() if k[0] != dropped})
+        term = {s: p for s, p in pts.term.items() if s != dropped}
+        missing = Pts(pts.alphabet, pts.states, term, no_moves.moves)
+        for mutated in (no_moves, missing):
+            _assert_validate_matches_reference(mutated)
+        doc = pts_to_dict(missing)
+        del doc["transitions"][dropped]
+        with pytest.raises(DistributionSumViolation) as excinfo:
+            parse_pts(json.dumps(doc))
+        assert excinfo.value.total == _reference_mass(
+            parse_pts(json.dumps(doc), check=False), excinfo.value.state)
+
+
+def test_integer_validation_matches_on_many_large_distinct_denominators():
+    rng = random.Random(31)
+    primes = [2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 10**40 + 121, 10**50 + 151]
+    for _ in range(20):
+        targets = [f"t{i}" for i in range(12)]
+        moves, rest = {}, F(1)
+        for i, target in enumerate(targets):
+            p = F(rng.randrange(1, 1000), rng.choice(primes) * rng.randrange(1, 50) + i)
+            moves[("x", "a", target)] = p
+            rest -= p
+        term = {"x": rest + rng.choice([F(0), F(0), F(1, 2**200 + 1), F(-1, 3)])}
+        term.update({t: F(1) for t in targets})
+        pts = Pts(("a",), ("x", *targets), term, moves)
+        _assert_validate_matches_reference(pts)
+
+
+def _counting_parse(monkeypatch):
+    calls = []
+    real = model.parse_rational
+
+    def counted(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(model, "parse_rational", counted)
+    return calls
+
+
+def test_each_distinct_probability_string_is_parsed_once_per_document(monkeypatch):
+    rng = random.Random(37)
+    texts = [serialize_pts(split_copy_pts(rng, max_base=5)) for _ in range(5)]
+    calls = _counting_parse(monkeypatch)
+    # a second pass over the same documents parses every string again: what
+    # one document parsed is not reused by the next
+    for text in texts + texts:
+        doc = json.loads(text)
+        distinct = {e.get("stop", "0") for e in doc["transitions"].values()} | {
+            m["p"] for e in doc["transitions"].values() for m in e.get("moves", [])}
+        calls.clear()
+        pts = parse_pts(text)
+        assert sorted(calls) == sorted(distinct)
+        assert len(pts.moves) + len(pts.states) > len(distinct)
+
+
+@pytest.mark.parametrize("bad, error", [
+    ("1/0", "zero denominator: '1/0'"),
+    ("0.5", "not a rational string: '0.5'"),
+    ("1" * 4301, "rational has too many digits: 4301 characters"),
+    ("\u0661/\u0663", "not a rational string: '\u0661/\u0663'"),
+], ids=["zero-denominator", "decimal", "4301-digits", "non-ascii"])
+def test_a_repeated_malformed_string_raises_in_every_document(monkeypatch, bad, error):
+    doc = {"alphabet": ["a"], "states": ["x", "y"],
+           "transitions": {s: {"moves": [{"letter": "a", "to": t, "p": bad}
+                                         for t in ("x", "y")]} for s in ("x", "y")}}
+    calls = _counting_parse(monkeypatch)
+    for _ in range(2):
+        for check in (True, False):
+            calls.clear()
+            with pytest.raises(MalformedRational) as excinfo:
+                parse_pts(json.dumps(doc), check=check)
+            assert str(excinfo.value) == error
+            # the default stop "0", then the first move: parsed anew each time
+            assert calls == ["0", bad]
+
+
+@pytest.mark.parametrize("value", [["1"], {"p": "1"}, 1, 0.5, None, True])
+def test_a_non_string_probability_is_malformed_not_unhashable(value):
+    for field in ("stop", "p"):
+        entry = {"stop": "0", "moves": [{"letter": "a", "to": "x", "p": "1"},
+                                        {"letter": "a", "to": "y", "p": "1"}]}
+        if field == "stop":
+            entry["stop"] = value
+        else:
+            for item in entry["moves"]:
+                item["p"] = value
+        doc = {"alphabet": ["a"], "states": ["x", "y"],
+               "transitions": {"x": entry, "y": dict(entry)}}
+        for _ in range(2):
+            with pytest.raises(MalformedRational, match="not a rational string"):
+                parse_pts(json.dumps(doc), check=False)
