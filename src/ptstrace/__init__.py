@@ -10,11 +10,10 @@ counterexample words via bisimulation up to congruence.
 from .equivalence import (CongruenceBasis, Equivalent, Extraction,
                           Inconclusive, InvariantError, NotEquivalent,
                           OutputKind, hk, hkc_finite, hkc_inf, naive)
-from .linear import (SingularRestrictedSystem, build_rep, dirac, out_term,
-                     out_total, step, word_transform)
+from .linear import (SingularRestrictedSystem, build_rep, dirac,
+                     finite_mass_vector, step)
 from .measure import (All, AllFinite, AllInfinite, Cone, Empty, FiniteWord,
-                      InfCone, finite_mass_vector, measure, parse_query,
-                      tokenize_word)
+                      InfCone, measure, parse_query, tokenize_word)
 from .model import (DistributionSumViolation, DuplicateIdentifier,
                     MalformedRational, ProbabilityOutOfRange, Pts,
                     PtsFormatError, UnknownIdentifier, parse_pts,
@@ -31,7 +30,7 @@ __all__ = [
     "ProbabilityOutOfRange", "Pts", "PtsFormatError",
     "SingularRestrictedSystem", "UnknownIdentifier", "brute_measure",
     "build_rep", "dirac", "finite_mass_vector", "hk", "hkc_finite",
-    "hkc_inf", "measure", "naive", "out_term", "out_total", "parse_pts",
-    "parse_query", "parse_rational", "pts_to_dict", "serialize_pts", "step",
-    "tokenize_word", "validate", "word_oracle_equiv", "word_transform",
+    "hkc_inf", "measure", "naive", "parse_pts", "parse_query",
+    "parse_rational", "pts_to_dict", "serialize_pts", "step", "tokenize_word",
+    "validate", "word_oracle_equiv",
 ]

@@ -5,6 +5,9 @@ algebra: one transition operator per letter plus two output rows, the
 all-ones total-mass row and the termination row.  Configurations are plain
 tuples of Fractions; entries may be negative or exceed 1, since the
 equivalence checker works with differences and scalings of distributions.
+Output values are read by ``measure.measure`` alone, through the kernel
+readers here (``int_out_term``, ``int_out_finite``); the equivalence
+checker only tests an output of a difference for zero (``scaled_out_term``).
 
 Internally everything runs on one sparse integer kernel.  Each letter is
 stored as sparse columns, one per source state, listing ``(target, p)``
@@ -18,11 +21,12 @@ integer vector divided by its content, and ``primitive_step`` steps it
 without any denominator.
 
 The mass on finite words, the least nonnegative fixed point of
-``s = l_star + (sum_a M_a)^T s``, is cached like ``mats``, each state
-solved once: a query solves the unsolved states its vector reaches, as one
-block with the solved states they reach as constants, by sparse
+``s = l_star + (sum_a M_a)^T s``, is cached on the representation, each
+state solved once: a query solves the unsolved states its vector reaches,
+as one block with the solved states they reach as constants, by sparse
 fraction-free elimination in Markowitz order (fewest rows per cleared
-column first, which keeps fill-in low).
+column first, which keeps fill-in low).  Only this module reads the cache
+entries (``int_out_finite``, ``finite_mass_vector``).
 
 Matrix convention: ``mats[a][j][k]`` is the probability of moving from the
 k-th state to the j-th state on letter ``a``.  Columns are source states,
@@ -217,17 +221,6 @@ def primitive_step(rep: LinearRep, d: IntVector, letter: str) -> IntVector:
     return tuple(acc)
 
 
-def int_word_transform(rep: LinearRep, u: IntConfig, word: Iterable[str]) -> IntConfig:
-    for letter in word:
-        u = int_step(rep, u, letter)
-    return u
-
-
-def int_out_total(u: IntConfig) -> Fraction:
-    nums, den = u
-    return Fraction(sum(nums), den)
-
-
 def scaled_out_term(rep: LinearRep, nums: IntVector) -> int:
     """``l_star . nums`` times the common denominator of ``l_star``.
 
@@ -251,6 +244,17 @@ def int_out_finite(rep: LinearRep, u: IntConfig) -> Fraction:
             (block, block_den), position = solved[k]
             by_block[block_den] = by_block.get(block_den, 0) + block[position] * x
     return sum([Fraction(acc, block_den * den) for block_den, acc in by_block.items()], _ZERO)
+
+
+def finite_mass_vector(rep: LinearRep) -> Config:
+    """Per-state probability of eventually stopping: the mass on finite words.
+
+    The least nonnegative solution of the fixed-point system
+    s = l_star + (sum_a M_a)^T s, solved for the states not solved yet
+    and cached on the representation (``solve_finite_mass``).
+    """
+    solved = solve_finite_mass(rep, range(rep.dim))
+    return tuple(Fraction(block[position], den) for (block, den), position in solved)
 
 
 def int_difference(u: IntConfig, v: IntConfig) -> list[int]:
@@ -457,18 +461,3 @@ def dirac(rep: LinearRep, state: str) -> Config:
 def step(rep: LinearRep, u: Config, letter: str) -> Config:
     """One transition: the exact matrix-vector product ``M_letter . u``."""
     return from_ints(int_step(rep, checked_ints(rep.dim, u), letter))
-
-
-def word_transform(rep: LinearRep, u: Config, word: Iterable[str]) -> Config:
-    """Apply the letters of ``word`` left to right; the empty word is the identity."""
-    return from_ints(int_word_transform(rep, checked_ints(rep.dim, u), word))
-
-
-def out_total(rep: LinearRep, u: Config) -> Fraction:
-    """Total mass output: the cone measure of the full word space."""
-    return int_out_total(checked_ints(rep.dim, u))
-
-
-def out_term(rep: LinearRep, u: Config) -> Fraction:
-    """Termination output: the measure of the empty word."""
-    return int_out_term(rep, checked_ints(rep.dim, u))

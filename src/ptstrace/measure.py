@@ -4,11 +4,12 @@ The measure induced by a configuration is evaluated on the generators of
 the sigma-algebra over finite-and-infinite words -- the empty set, single
 finite words, and cones (all words with a given finite prefix) -- plus the
 derived sets of all finite words, all infinite words, and infinite-only
-cones.  This module holds the queries only: words and cones are output
-rows of transformed vectors, and the finite, infinite and infinite-cone
-queries read the finite-word mass that the linear representation solves
-exactly for the states a query reaches and caches, so no query involves
-limits or approximation.
+cones.  ``measure`` is the one reader of trace-measure values: it applies
+``M_w`` for a target's word and reads an output row of the walked vector,
+the total mass for a cone, the termination mass for a word, and the
+finite-word mass, which the linear representation solves exactly for the
+states a query reaches and caches, for the finite and infinite sets.  No
+query involves limits or approximation.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linear import (Config, LinearRep, checked_ints, int_out_finite,
-                     int_out_term, int_out_total, int_word_transform,
-                     solve_finite_mass)
+                     int_out_term, int_step)
 from .model import PtsFormatError, UnknownIdentifier, Word
 
 _ZERO = Fraction(0)
@@ -72,17 +72,6 @@ class All:
 GenSet = Empty | FiniteWord | Cone | InfCone | AllFinite | AllInfinite | All
 
 
-def finite_mass_vector(rep: LinearRep) -> Config:
-    """Per-state probability of eventually stopping: the mass on finite words.
-
-    The least nonnegative solution of the fixed-point system
-    s = l_star + (sum_a M_a)^T s, solved for the states not solved yet
-    and cached on the representation (``linear.solve_finite_mass``).
-    """
-    solved = solve_finite_mass(rep, range(rep.dim))
-    return tuple(Fraction(block[position], den) for (block, den), position in solved)
-
-
 def measure(rep: LinearRep, u: Config, target: GenSet) -> Fraction:
     """Evaluate the trace measure of a configuration on a generator set.
 
@@ -92,19 +81,18 @@ def measure(rep: LinearRep, u: Config, target: GenSet) -> Fraction:
     v = checked_ints(rep.dim, u)
     if isinstance(target, Empty):
         return _ZERO
-    if isinstance(target, FiniteWord):
-        return int_out_term(rep, int_word_transform(rep, v, target.word))
-    if isinstance(target, Cone):
-        return int_out_total(int_word_transform(rep, v, target.word))
-    if isinstance(target, All):
-        return int_out_total(v)
+    if isinstance(target, (FiniteWord, Cone, InfCone)):
+        for letter in target.word:
+            v = int_step(rep, v, letter)
+        if isinstance(target, FiniteWord):
+            return int_out_term(rep, v)
+    nums, den = v
+    if isinstance(target, (Cone, All)):
+        return Fraction(sum(nums), den)
     if isinstance(target, AllFinite):
         return int_out_finite(rep, v)
-    if isinstance(target, AllInfinite):
-        return int_out_total(v) - int_out_finite(rep, v)
-    if isinstance(target, InfCone):
-        v = int_word_transform(rep, v, target.word)
-        return int_out_total(v) - int_out_finite(rep, v)
+    if isinstance(target, (InfCone, AllInfinite)):
+        return Fraction(sum(nums), den) - int_out_finite(rep, v)
     raise TypeError(f"not a generator-set query: {target!r}")
 
 

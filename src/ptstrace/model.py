@@ -104,9 +104,6 @@ class Pts:
     def stop(self, state: str) -> Fraction:
         return self.term.get(state, _ZERO)
 
-    def move(self, source: str, letter: str, target: str) -> Fraction:
-        return self.moves.get((source, letter, target), _ZERO)
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or an integer string, in ASCII digits, into an exact Fraction."""
@@ -278,30 +275,34 @@ def parse_pts(text: str, check: bool = True) -> Pts:
     return pts_from_dict(doc, check=check)
 
 
-def _moves_by_source(pts: Pts) -> dict[str, list[tuple[str, str, Fraction]]]:
-    """Each state's ``(letter, target, p)`` moves in alphabet order, then
-    target order; moves on undeclared letters or states are left out."""
+# one move of a state: ((letter index, target index), letter, target, p)
+_Move = tuple[tuple[int, int], str, str, Fraction]
+
+
+def _moves_by_source(pts: Pts) -> dict[str, list[_Move]]:
+    """Each state's moves in document order; sorted, they are in alphabet
+    order, then target order.  Moves on undeclared letters or states are
+    left out."""
     letter_index = {letter: i for i, letter in enumerate(pts.alphabet)}
     state_index = {state: i for i, state in enumerate(pts.states)}
-    grouped: dict[str, list[tuple[int, int, str, str, Fraction]]] = {}
+    grouped: dict[str, list[_Move]] = {}
     for (source, letter, target), p in pts.moves.items():
         if letter in letter_index and target in state_index:
             grouped.setdefault(source, []).append(
-                (letter_index[letter], state_index[target], letter, target, p))
-    return {source: [(letter, target, p) for _, _, letter, target, p in sorted(moves)]
-            for source, moves in grouped.items()}
+                ((letter_index[letter], state_index[target]), letter, target, p))
+    return grouped
 
 
 def _in_unit_range(p: Fraction) -> bool:
     return 0 <= p.numerator <= p.denominator
 
 
-def _mass(stop: Fraction, moves: list[tuple[str, str, Fraction]]) -> tuple[int, int]:
+def _mass(stop: Fraction, moves: list[_Move]) -> tuple[int, int]:
     """A state's stop mass plus move masses as an integer numerator over the
     lcm of their denominators, not reduced: the sum is 1 iff the two are equal."""
-    denominator = lcm(stop.denominator, *[p.denominator for _, _, p in moves])
+    denominator = lcm(stop.denominator, *[p.denominator for _, _, _, p in moves])
     numerator = stop.numerator * (denominator // stop.denominator)
-    for _, _, p in moves:
+    for _, _, _, p in moves:
         numerator += p.numerator * (denominator // p.denominator)
     return numerator, denominator
 
@@ -321,12 +322,12 @@ def validate(pts: Pts) -> list[Violation]:
             violations.append(Violation(
                 PROBABILITY_OUT_OF_RANGE, state,
                 f"stop probability {format_rational(stop)} outside [0, 1]"))
-        for letter, target, p in moves:
-            if not _in_unit_range(p):
-                violations.append(Violation(
-                    PROBABILITY_OUT_OF_RANGE, state,
-                    f"move {letter!r} -> {target!r} has probability "
-                    f"{format_rational(p)} outside [0, 1]"))
+        # reported in alphabet order, then target order
+        for _, letter, target, p in sorted(m for m in moves if not _in_unit_range(m[3])):
+            violations.append(Violation(
+                PROBABILITY_OUT_OF_RANGE, state,
+                f"move {letter!r} -> {target!r} has probability "
+                f"{format_rational(p)} outside [0, 1]"))
         numerator, denominator = _mass(stop, moves)
         if numerator != denominator:
             total = format_rational(Fraction(numerator, denominator))
@@ -342,7 +343,7 @@ def pts_to_dict(pts: Pts) -> dict:
     for state in pts.states:
         entry: dict = {"stop": format_rational(pts.stop(state))}
         move_items = [{"letter": letter, "to": target, "p": format_rational(p)}
-                      for letter, target, p in by_source.get(state, ())]
+                      for _, letter, target, p in sorted(by_source.get(state, ()))]
         if move_items:
             entry["moves"] = move_items
         transitions[state] = entry

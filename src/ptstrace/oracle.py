@@ -2,17 +2,18 @@
 
 brute_measure walks the raw transition maps directly and never touches the
 matrix representation, so a shared bug cannot hide; word_oracle_equiv
-settles equivalence by exhaustively comparing outputs on all words up to a
-depth, with depth = dimension decisive because difference spans stabilize
-within that many steps.
+settles equivalence by exhaustively comparing both outputs, read with
+``measure`` as the total mass and the empty-word mass, on all words up to
+a depth, with depth = dimension decisive because difference spans
+stabilize within that many steps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linear import Config, LinearRep, out_term, out_total, step
-from .measure import Cone, FiniteWord
+from .linear import Config, LinearRep, step
+from .measure import All, Cone, FiniteWord, measure
 from .model import Pts, UnknownIdentifier
 
 _ZERO = Fraction(0)
@@ -57,8 +58,9 @@ def word_oracle_equiv(rep: LinearRep, u: Config, v: Config, depth: int) -> bool:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if out_total(rep, u) != out_total(rep, v) or out_term(rep, u) != out_term(rep, v):
-        return False
+    for target in (All(), FiniteWord(())):
+        if measure(rep, u, target) != measure(rep, v, target):
+            return False
     if depth == 0:
         return True
     return all(

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ptstrace import (Cone, FiniteWord, UnknownIdentifier, brute_measure,
-                      build_rep, dirac, out_term, out_total, parse_pts, step,
-                      word_transform)
+from ptstrace import (All, Cone, FiniteWord, UnknownIdentifier, brute_measure,
+                      build_rep, dirac, measure, parse_pts, step)
 
 from systems import CONGRUENCE_XZ, load, random_pts
 
@@ -48,7 +47,7 @@ def test_single_terminating_state():
 
 def test_dirac(worked_rep):
     assert dirac(worked_rep, "x") == (F(1), F(0), F(0), F(0))
-    assert out_total(worked_rep, dirac(worked_rep, "y")) == F(1)
+    assert measure(worked_rep, dirac(worked_rep, "y"), All()) == F(1)
     single = build_rep(parse_pts(json.dumps({
         "alphabet": [], "states": ["s"], "transitions": {"s": {"stop": "1"}}})))
     assert dirac(single, "s") == (F(1),)
@@ -67,26 +66,34 @@ def test_step_examples(worked_rep):
         step(worked_rep, zero, "b")
 
 
+def _walk(rep, u, word):
+    # M_w . u, one step per letter, left to right
+    for letter in word:
+        u = step(rep, u, letter)
+    return u
+
+
 def test_word_transform_examples(worked_rep, yz_rep, yz_pts):
-    assert word_transform(worked_rep, dirac(worked_rep, "x"), ("a", "a")) == \
+    assert _walk(worked_rep, dirac(worked_rep, "x"), ("a", "a")) == \
         (F(0), F(1, 18), F(0), F(1, 2))
     u = (F(1, 7), F(2, 7), F(0), F(4, 7))
-    assert word_transform(worked_rep, u, ()) == u
+    assert _walk(worked_rep, u, ()) == u
     # hand multiply M_b . M_a . e_y, then cross-check by path enumeration
-    v = word_transform(yz_rep, dirac(yz_rep, "y"), ("a", "b"))
+    v = _walk(yz_rep, dirac(yz_rep, "y"), ("a", "b"))
     assert v == (F(1, 4), F(0))
-    assert out_total(yz_rep, v) == brute_measure(yz_pts, "y", Cone(("a", "b")))
-    assert out_term(yz_rep, v) == brute_measure(yz_pts, "y", FiniteWord(("a", "b")))
+    assert measure(yz_rep, v, All()) == brute_measure(yz_pts, "y", Cone(("a", "b")))
+    assert measure(yz_rep, v, FiniteWord(())) == \
+        brute_measure(yz_pts, "y", FiniteWord(("a", "b")))
 
 
 def test_output_examples(worked_rep):
     ex = dirac(worked_rep, "x")
-    assert out_term(worked_rep, ex) == F(1, 3)
-    assert out_total(worked_rep, ex) == F(1)
+    assert measure(worked_rep, ex, FiniteWord(())) == F(1, 3)
+    assert measure(worked_rep, ex, All()) == F(1)
     loop2 = (F(0), F(1, 6), F(0), F(1, 2))
-    assert out_term(worked_rep, loop2) == F(1, 9)
-    assert out_total(worked_rep, loop2) == F(2, 3)
-    assert out_total(worked_rep, (F(0),) * 4) == F(0)
+    assert measure(worked_rep, loop2, FiniteWord(())) == F(1, 9)
+    assert measure(worked_rep, loop2, All()) == F(2, 3)
+    assert measure(worked_rep, (F(0),) * 4, All()) == F(0)
 
 
 def test_factorization_identity_on_random_systems():

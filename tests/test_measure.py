@@ -13,6 +13,7 @@ from ptstrace import (All, AllFinite, AllInfinite, Cone, Empty, FiniteWord,
                       InfCone, PtsFormatError, SingularRestrictedSystem,
                       UnknownIdentifier, build_rep, dirac, finite_mass_vector,
                       measure, parse_query, step, tokenize_word)
+from ptstrace.measure import _WordSet
 
 from systems import all_words, random_pts, sink_split_pts, split_copy_pts
 
@@ -193,6 +194,13 @@ def test_measure_rejects_wrong_length_for_every_target(worked_rep):
                    AllFinite(), AllInfinite(), All()):
         with pytest.raises(ValueError, match="length 2, expected 4"):
             measure(worked_rep, short, target)
+
+
+@pytest.mark.parametrize("target", [object(), _WordSet(("a",))], ids=["object", "_WordSet"])
+def test_measure_rejects_a_non_generator_target(worked_rep, target):
+    # the private base of the word sets is not a query of its own
+    with pytest.raises(TypeError, match="not a generator-set query"):
+        measure(worked_rep, dirac(worked_rep, "x"), target)
 
 
 def test_measure_rejects_undeclared_letter(worked_rep):

@@ -11,7 +11,7 @@ from ptstrace import (DistributionSumViolation, DuplicateIdentifier,
                       PtsFormatError, UnknownIdentifier, model, parse_pts,
                       parse_rational, pts_to_dict, serialize_pts, validate)
 from ptstrace.model import (DISTRIBUTION_SUM, PROBABILITY_OUT_OF_RANGE,
-                            Violation, _moves_by_source, format_rational)
+                            Violation, format_rational)
 
 from systems import (ALL_DOCS, CANTOR, SINGLE_LETTER_CHAIN, load, random_pts,
                      split_copy_pts)
@@ -46,9 +46,9 @@ def test_parse_single_letter_chain_document():
     assert pts.states == ("x", "y")
     assert pts.alphabet == ("a",)
     assert pts.stop("y") == F(1, 3)
-    assert pts.move("y", "a", "x") == F(1, 3)
-    assert pts.move("y", "a", "y") == F(1, 3)
-    assert pts.move("x", "a", "x") == F(1)
+    assert pts.moves[("y", "a", "x")] == F(1, 3)
+    assert pts.moves[("y", "a", "y")] == F(1, 3)
+    assert pts.moves[("x", "a", "x")] == F(1)
     assert pts.stop("x") == F(0)
 
 
@@ -256,16 +256,22 @@ def test_perturbing_any_probability_breaks_validation():
         assert validate(mutated) != []
 
 
+def _reference_moves(pts, state):
+    # the state's (letter, target, p) moves on declared letters and states,
+    # in alphabet order, then target order
+    moves = [(letter, target, p) for (source, letter, target), p in pts.moves.items()
+             if source == state and letter in pts.alphabet and target in pts.states]
+    return sorted(moves, key=lambda m: (pts.alphabet.index(m[0]), pts.states.index(m[1])))
+
+
 # validate() as it summed masses with Fractions, kept as the reference for
 # the integer sums
 def _reference_mass(pts, state):
-    moves = _moves_by_source(pts).get(state, ())
-    return sum((p for _, _, p in moves), pts.stop(state))
+    return sum((p for _, _, p in _reference_moves(pts, state)), pts.stop(state))
 
 
 def _reference_validate(pts):
     violations = []
-    by_source = _moves_by_source(pts)
     for state in pts.states:
         stop = pts.stop(state)
         if not 0 <= stop <= 1:
@@ -273,7 +279,7 @@ def _reference_validate(pts):
                 PROBABILITY_OUT_OF_RANGE, state,
                 f"stop probability {format_rational(stop)} outside [0, 1]"))
         total = stop
-        for letter, target, p in by_source.get(state, ()):
+        for letter, target, p in _reference_moves(pts, state):
             if not 0 <= p <= 1:
                 violations.append(Violation(
                     PROBABILITY_OUT_OF_RANGE, state,
