@@ -11,10 +11,18 @@ are linear in u - v, so the hkc variants carry one primitive integer
 difference vector per pair instead of two configurations; the
 configurations that traces report are rebuilt from the word, and
 counterexample values are the measures of the witness cone or word.  Each
-store has one operation, ``add``, which records an item or refuses one
-that is already related; for the hkc variants one reduction of the
-difference against the basis both tests membership and records the pair,
-as a row written once in echelon form (the reduced form is only a view).
+store has one operation, ``add``, which records an item and returns the
+vector whose successors the run enqueues, or returns None for an item that
+is already related; the pair stores return the pair itself.  For the hkc
+variants one reduction of the difference against the basis both tests
+membership and records the pair, as a row written once in echelon form
+(the reduced form is only a view), and the run steps the new row or the
+difference, whichever has the smaller entries.  Either choice gives the
+same run: the row is a nonzero multiple of the difference minus earlier
+rows, and breadth-first order extracts the successors of the earlier
+stepped vectors first, so when extracted every stepped successor is a
+nonzero multiple of its pair's true difference plus a vector of the span,
+and every membership and output test answers as for the true difference.
 Each recorded pair strictly increases the rank of the difference basis,
 which is bounded by the dimension, so the hkc variants terminate on every
 finite system; naive and hk can run forever on the weighted state space
@@ -116,8 +124,11 @@ class CongruenceBasis:
     the successors of a pair are linear in u - v, so a worklist item is one
     primitive integer difference vector per pair (``item``), stepped with
     ``primitive_step``; ``add``/``related`` take such a vector, while
-    ``insert``/``contains`` take a pair of Fraction configurations.  All
-    four raise ``ValueError`` on a vector of the wrong length.
+    ``insert``/``contains`` take a pair of Fraction configurations.  ``add``
+    returns the vector to step in the item's place (the new row when its
+    entries are no larger), or None when the item was already in the span;
+    the other three return bools.  All four raise ``ValueError`` on a
+    vector of the wrong length.
     """
 
     def __init__(self, dim: int):
@@ -167,21 +178,27 @@ class CongruenceBasis:
                     w = [x // g for x in w]
         return w
 
-    def add(self, d: IntVector) -> bool:
+    def add(self, d: IntVector) -> IntVector | None:
         """Record a difference vector: add d to the span.
 
         One reduction both tests membership and records the pair; returns
-        False, leaving the basis unchanged, when d was already inside.
+        None, leaving the basis unchanged, when d was already inside.
+        Otherwise it returns the vector a run steps in d's place: the new
+        row or d, whichever has the smaller largest absolute entry (ties go
+        to the row).
         """
         residual = self._reduce(d)
         pivot = next((j for j, c in enumerate(residual) if c), None)
         if pivot is None:
-            return False
+            return None
         content = gcd(*residual)
         if residual[pivot] < 0:
             content = -content
-        self._rows[pivot] = {j: x // content for j, x in enumerate(residual) if x}
-        return True
+        row = tuple([x // content for x in residual])
+        self._rows[pivot] = {j: x for j, x in enumerate(row) if x}
+        if max(map(abs, row)) <= max(map(abs, d)):
+            return row
+        return d
 
     def related(self, d: IntVector) -> bool:
         """True iff d lies in the span; the basis is left unchanged."""
@@ -196,7 +213,7 @@ class CongruenceBasis:
 
     def insert(self, u: Config, v: Config) -> bool:
         """Add u - v to the span; returns False when it was already inside."""
-        return self.add(self._pair_difference(u, v))
+        return self.add(self._pair_difference(u, v)) is not None
 
     # the worklist item of a pair is its difference; the unit vectors a run
     # starts from differ by a primitive vector, and steps keep it primitive
@@ -235,11 +252,11 @@ class _PairStore(_PairItems):
     def __init__(self):
         self._pairs: set[tuple[IntConfig, IntConfig]] = set()
 
-    def add(self, pair: tuple[IntConfig, IntConfig]) -> bool:
+    def add(self, pair: tuple[IntConfig, IntConfig]) -> tuple[IntConfig, IntConfig] | None:
         if pair in self._pairs:
-            return False
+            return None
         self._pairs.add(pair)
-        return True
+        return pair
 
 
 class _EquivalenceStore(_PairItems):
@@ -263,13 +280,13 @@ class _EquivalenceStore(_PairItems):
             node = self._parent[node]
         return node
 
-    def add(self, pair: tuple[IntConfig, IntConfig]) -> bool:
+    def add(self, pair: tuple[IntConfig, IntConfig]) -> tuple[IntConfig, IntConfig] | None:
         u, v = pair
         root_u, root_v = self._find(self._intern(u)), self._find(self._intern(v))
         if root_u == root_v:
-            return False
+            return None
         self._parent[root_u] = root_v
-        return True
+        return pair
 
 
 def _check_loop_invariant(rep: LinearRep, basis: CongruenceBasis, recorded,
@@ -311,8 +328,8 @@ def _decide(rep, x, y, store, *, check_total_mass, max_steps=None,
     start = to_ints(dirac(rep, x)), to_ints(dirac(rep, y))
     todo = deque()
     todo.append(((), store.item(*start)))
-    # the items whose outputs agreed: the relation built so far (an item
-    # the store took whose outputs differ ends the run)
+    # the vectors stepped for the items whose outputs agreed: the relation
+    # built so far (an item the store took whose outputs differ ends the run)
     recorded = []
     # with a trace, the configuration pair of each extracted word
     configs = {(): start}
@@ -325,20 +342,20 @@ def _decide(rep, x, y, store, *, check_total_mass, max_steps=None,
         word, item = todo.popleft()
         iterations += 1
         # membership before the outputs: a skipped item costs the store's test only
-        new = store.add(item)
+        stepped = store.add(item)
         if trace is not None:
             u, v = configs[word] = _pair_at(rep, configs, word)
-            trace.append(Extraction(word, from_ints(u), from_ints(v), not new))
-        if not new:
+            trace.append(Extraction(word, from_ints(u), from_ints(v), stepped is None))
+        if stepped is None:
             continue
-        output = _separating_output(rep, store.difference(item), check_total_mass)
+        output = _separating_output(rep, store.difference(stepped), check_total_mass)
         if output is not None:
             target = Cone(word) if output is OutputKind.TOTAL_MASS else FiniteWord(word)
             lhs, rhs = (measure(rep, dirac(rep, s), target) for s in (x, y))
             return NotEquivalent(word, output, lhs, rhs, iterations, len(recorded))
         for letter in rep.alphabet:
-            todo.append((word + (letter,), store.successor(rep, item, letter)))
-        recorded.append(item)
+            todo.append((word + (letter,), store.successor(rep, stepped, letter)))
+        recorded.append(stepped)
     return Equivalent(iterations=iterations, relation_size=len(recorded))
 
 

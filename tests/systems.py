@@ -155,7 +155,7 @@ def split_copy_pts(rng, max_base=10, max_letters=3, perturb=False):
     equivalence.
     """
     m = rng.randint(1, max_base)
-    letters = ("a", "b", "c")[: rng.randint(1, max_letters)]
+    letters = ("a", "b", "c", "d")[: rng.randint(1, max_letters)]
     base = tuple(f"a{i}" for i in range(m))
     term, moves = {}, {}
     for state in base:

@@ -5,6 +5,9 @@ The reference below is the earlier implementation, kept small: dense
 a Fraction reduced row-echelon ``CongruenceBasis``, the shared worklist
 loop and the dense finite-mass solve.  Split-copy systems make the basis
 grow, so the basis paths are exercised, not just the clone shortcut.
+Runs on wide-alphabet and sink split copies mostly step stored rows, runs
+on unary chains mostly their recorded differences; both match the
+reference, which steps configurations.
 Split copies with non-terminating sinks, closed live and dead components,
 self-loops and certain stops exercise the pivot order of the sparse
 finite-mass solve; small ones are also checked against ``brute_measure``.
@@ -289,6 +292,76 @@ def test_hkc_matches_dense_reference_on_unary_chains(seed):
         basis = _replayed_basis(rep, result, trace)
         assert basis.rows == store.basis.rows
         assert basis.pivots == store.basis.pivots
+
+
+# the unary chains above grow their stored rows past the recorded
+# differences; a 4-letter split copy (n = 42) and a 2-letter sink split copy
+# (n = 90) keep them small
+UNARY_CHAINS = [split_copy_pts(random.Random(seed), max_base=20, max_letters=1)
+                for seed in (48, 147)]
+WIDE_CASES = [split_copy_pts(random.Random(0), max_base=14, max_letters=4),
+              sink_split_pts(random.Random(3), 28, 2)]
+
+
+@pytest.mark.parametrize("index", range(len(WIDE_CASES)))
+def test_hkc_matches_dense_reference_on_wide_and_sink_split_copies(index):
+    pts = WIDE_CASES[index]
+    rep = build_rep(pts)
+    for algorithm, check_total_mass in ((hkc_inf, True), (hkc_finite, False)):
+        store = RefSpan(rep.dim)
+        expected, expected_trace = ref_decide(pts, "a0", "b0p", store, check_total_mass)
+        trace = []
+        result = algorithm(rep, "a0", "b0p", trace=trace)
+        assert result == expected
+        assert trace == expected_trace
+        assert result.relation_size >= 25
+        basis = _replayed_basis(rep, result, trace)
+        assert basis.rows == store.basis.rows
+        assert basis.pivots == store.basis.pivots
+
+
+@pytest.mark.parametrize("index", range(len(UNARY_CHAINS + WIDE_CASES)))
+def test_debug_runs_keep_the_loop_invariant(index):
+    pts = (UNARY_CHAINS + WIDE_CASES)[index]
+    rep = build_rep(pts)
+    for algorithm in (hkc_inf, hkc_finite):
+        result = algorithm(rep, "a0", "b0p", debug=True)
+        assert isinstance(result, Equivalent)
+        assert result == algorithm(rep, "a0", "b0p")
+
+
+def test_runs_step_the_smaller_of_row_and_item(monkeypatch):
+    # every recorded item is stepped as the vector add returned for it:
+    # the new row, or the item itself when its entries are smaller
+    added, stepped = [], []
+    add, successor = CongruenceBasis.add, CongruenceBasis.successor
+
+    def recording_add(self, d):
+        result = add(self, d)
+        if result is not None:
+            added.append((d, result))
+        return result
+
+    def recording_step(rep, d, letter):
+        stepped.append(d)
+        return successor(rep, d, letter)
+
+    monkeypatch.setattr(CongruenceBasis, "add", recording_add)
+    monkeypatch.setattr(CongruenceBasis, "successor", staticmethod(recording_step))
+    took_row = took_item = 0
+    for pts in UNARY_CHAINS + WIDE_CASES:
+        rep = build_rep(pts)
+        for algorithm in (hkc_inf, hkc_finite):
+            added.clear()
+            stepped.clear()
+            result = algorithm(rep, "a0", "b0p")
+            assert len(added) == result.relation_size
+            assert stepped == [r for _, r in added for _ in rep.alphabet]
+            for d, r in added:
+                assert max(map(abs, r)) <= max(map(abs, d))
+                took_item += r is d
+                took_row += r != d
+    assert took_row >= 20 and took_item >= 20
 
 
 def test_split_copies_grow_the_basis():

@@ -1,7 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module imports is used in that module.
 
-A stdlib stand-in for a linter's unused-import rule.  ``__init__.py`` is
-left out: its imports are the re-exports listed in ``__all__``.
+A stdlib stand-in for a linter's unused-import rule, run over the package,
+the tests and the demos.  The package's ``__init__.py`` is left out: its
+imports are the re-exports listed in ``__all__``.
 """
 
 import ast
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ptstrace"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ptstrace"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -27,10 +30,17 @@ def unused_imports(source: str) -> list[str]:
 
 def test_modules_are_found():
     assert {"equivalence.py", "linear.py", "cli.py"} <= {p.name for p in MODULES}
+    assert {"test_imports.py", "systems.py", "02_cantor_space.py"} <= \
+        {p.name for p in SCRIPTS}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_test_or_demo_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 

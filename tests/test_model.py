@@ -13,8 +13,7 @@ from ptstrace import (DistributionSumViolation, DuplicateIdentifier,
 from ptstrace.model import (DISTRIBUTION_SUM, PROBABILITY_OUT_OF_RANGE,
                             Violation, format_rational)
 
-from systems import (ALL_DOCS, CANTOR, SINGLE_LETTER_CHAIN, load, random_pts,
-                     split_copy_pts)
+from systems import ALL_DOCS, SINGLE_LETTER_CHAIN, load, random_pts, split_copy_pts
 
 F = Fraction
 
