@@ -3,11 +3,13 @@
 Four variants share one FIFO worklist loop and differ only in their store,
 which decides what a worklist item is and how a candidate pair is
 discharged before its outputs are compared: exact pair lookup (naive) or
-equivalence closure via union-find (hk), both keyed on the configuration
-pair itself, or membership of the difference vector in the linear span of
-previously recorded differences (the hkc variants).  Span membership, both
+equivalence closure via union-find (hk), both keyed on a hashable form of
+the configuration pair, or membership of the difference vector in the
+linear span of previously recorded differences (the hkc variants).  Every
+vector is the kernel's sparse form, a dict from index to nonzero integer,
+so each test and step touches only nonzero entries.  Span membership, both
 output tests and the successors of a pair (``M_a u - M_a v = M_a (u - v)``)
-are linear in u - v, so the hkc variants carry one primitive integer
+are linear in u - v, so the hkc variants carry one primitive sparse
 difference vector per pair instead of two configurations; the
 configurations that traces report are rebuilt from the word, and
 counterexample values are the measures of the witness cone or word.  Each
@@ -43,7 +45,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .linear import (Config, IntConfig, IntVector, LinearRep, checked_ints,
+from .linear import (Config, IntConfig, LinearRep, Sparse, axpy, checked_ints,
                      dirac, from_ints, int_difference, int_step, primitive_step,
                      scaled_out_term, to_ints)
 from .measure import Cone, FiniteWord, measure
@@ -122,13 +124,15 @@ class CongruenceBasis:
 
     It is the hkc variants' pair store.  Membership, both output tests and
     the successors of a pair are linear in u - v, so a worklist item is one
-    primitive integer difference vector per pair (``item``), stepped with
-    ``primitive_step``; ``add``/``related`` take such a vector, while
-    ``insert``/``contains`` take a pair of Fraction configurations.  ``add``
+    primitive difference vector per pair (``item``), sparse like the rows,
+    stepped with ``primitive_step``.  ``add``/``related`` take such a
+    vector and raise ``ValueError`` on an index outside ``range(dim)`` or a
+    stored zero; ``insert``/``contains`` take a pair of Fraction
+    configurations and raise ``ValueError`` on a wrong length.  ``add``
     returns the vector to step in the item's place (the new row when its
     entries are no larger), or None when the item was already in the span;
-    the other three return bools.  All four raise ``ValueError`` on a
-    vector of the wrong length.
+    the other three return bools.  A reduction touches only the nonzero
+    entries of the vector and of the rows it is reduced against.
     """
 
     def __init__(self, dim: int):
@@ -155,56 +159,55 @@ class CongruenceBasis:
             reduced[pivot] = out
         return [reduced[p] for p in sorted(reduced)]
 
-    def _reduce(self, d: IntVector) -> list[int]:
-        """A positive multiple of d minus its component in the span, as a new list.
+    def _reduce(self, d: Sparse) -> Sparse:
+        """A positive multiple of d minus its component in the span, as a new dict.
 
         A row is zero only at the pivots stored before it, so the rows are
         taken in insertion order.  A step that scales w divides out w's
         content, or w would grow by a pivot entry's bits at every step.
         """
-        if len(d) != self.dim:
-            raise ValueError(f"vector has length {len(d)}, expected {self.dim}")
-        w = list(d)
+        if d and (min(d) < 0 or max(d) >= self.dim or 0 in d.values()):
+            raise ValueError(f"vector has an index outside range({self.dim}) or a zero entry")
+        w = dict(d)
         for pivot, row in self._rows.items():
-            if c := w[pivot]:
-                r = row[pivot]
+            if pivot in w:
+                r, c = row[pivot], w[pivot]
                 g = gcd(r, c)
                 r, c = r // g, c // g
                 if r != 1:
-                    w = [r * x for x in w]
-                for j, y in row.items():
-                    w[j] -= c * y
-                if r != 1 and (g := gcd(*w)) > 1:
-                    w = [x // g for x in w]
+                    w = {j: r * x for j, x in w.items()}
+                axpy(w, -c, row)
+                if r != 1 and (g := gcd(*w.values())) > 1:
+                    w = {j: x // g for j, x in w.items()}
         return w
 
-    def add(self, d: IntVector) -> IntVector | None:
+    def add(self, d: Sparse) -> Sparse | None:
         """Record a difference vector: add d to the span.
 
         One reduction both tests membership and records the pair; returns
         None, leaving the basis unchanged, when d was already inside.
-        Otherwise it returns the vector a run steps in d's place: the new
-        row or d, whichever has the smaller largest absolute entry (ties go
-        to the row).
+        Otherwise it returns the vector a run steps in d's place: a copy of
+        the new row or d, whichever has the smaller largest absolute entry
+        (ties go to the row).
         """
         residual = self._reduce(d)
-        pivot = next((j for j, c in enumerate(residual) if c), None)
-        if pivot is None:
+        if not residual:
             return None
-        content = gcd(*residual)
+        # the smallest index: the first nonzero entry of the dense vector
+        pivot = min(residual)
+        content = gcd(*residual.values())
         if residual[pivot] < 0:
             content = -content
-        row = tuple([x // content for x in residual])
-        self._rows[pivot] = {j: x for j, x in enumerate(row) if x}
-        if max(map(abs, row)) <= max(map(abs, d)):
-            return row
+        row = self._rows[pivot] = {j: x // content for j, x in residual.items()}
+        if max(map(abs, row.values())) <= max(map(abs, d.values())):
+            return dict(row)
         return d
 
-    def related(self, d: IntVector) -> bool:
+    def related(self, d: Sparse) -> bool:
         """True iff d lies in the span; the basis is left unchanged."""
-        return not any(self._reduce(d))
+        return not self._reduce(d)
 
-    def _pair_difference(self, u: Config, v: Config) -> list[int]:
+    def _pair_difference(self, u: Config, v: Config) -> Sparse:
         return int_difference(checked_ints(self.dim, u), checked_ints(self.dim, v))
 
     def contains(self, u: Config, v: Config) -> bool:
@@ -218,14 +221,11 @@ class CongruenceBasis:
     # the worklist item of a pair is its difference; the unit vectors a run
     # starts from differ by a primitive vector, and steps keep it primitive
 
-    @staticmethod
-    def item(u: IntConfig, v: IntConfig) -> IntVector:
-        return tuple(int_difference(u, v))
-
+    item = staticmethod(int_difference)
     successor = staticmethod(primitive_step)
 
     @staticmethod
-    def difference(d: IntVector) -> IntVector:
+    def difference(d: Sparse) -> Sparse:
         return d
 
 
@@ -242,20 +242,27 @@ class _PairItems:
         return int_step(rep, u, letter), int_step(rep, v, letter)
 
     @staticmethod
-    def difference(pair) -> list[int]:
+    def difference(pair) -> Sparse:
         return int_difference(*pair)
+
+
+def _key(u: IntConfig) -> tuple[frozenset, int]:
+    # hashable, and equal exactly when the configurations are: terms are
+    # lowest and no zero is stored
+    return frozenset(u[0].items()), u[1]
 
 
 class _PairStore(_PairItems):
     """Exact pair lookup: the naive membership test."""
 
     def __init__(self):
-        self._pairs: set[tuple[IntConfig, IntConfig]] = set()
+        self._pairs: set[tuple[tuple, tuple]] = set()
 
     def add(self, pair: tuple[IntConfig, IntConfig]) -> tuple[IntConfig, IntConfig] | None:
-        if pair in self._pairs:
+        key = _key(pair[0]), _key(pair[1])
+        if key in self._pairs:
             return None
-        self._pairs.add(pair)
+        self._pairs.add(key)
         return pair
 
 
@@ -263,14 +270,15 @@ class _EquivalenceStore(_PairItems):
     """Reflexive-symmetric-transitive closure via union-find over interned vectors."""
 
     def __init__(self):
-        self._ids: dict[IntConfig, int] = {}
+        self._ids: dict[tuple, int] = {}
         self._parent: list[int] = []
 
     def _intern(self, u: IntConfig) -> int:
-        node = self._ids.get(u)
+        key = _key(u)
+        node = self._ids.get(key)
         if node is None:
             node = len(self._parent)
-            self._ids[u] = node
+            self._ids[key] = node
             self._parent.append(node)
         return node
 
@@ -293,18 +301,18 @@ def _check_loop_invariant(rep: LinearRep, basis: CongruenceBasis, recorded,
                           todo) -> None:
     # every letter-successor of a recorded difference is in the span or
     # still pending
-    pending = {d for _, d in todo}
+    pending = {frozenset(d.items()) for _, d in todo}
     for d in recorded:
         for letter in rep.alphabet:
             successor = basis.successor(rep, d, letter)
-            if not (basis.related(successor) or successor in pending):
+            if not (basis.related(successor) or frozenset(successor.items()) in pending):
                 raise InvariantError(
                     "loop invariant violated: recorded pair has an unhandled successor")
 
 
 def _separating_output(rep: LinearRep, d, check_total_mass: bool) -> OutputKind | None:
     # each output is linear, so it separates u and v iff it is nonzero on u - v
-    if check_total_mass and sum(d):
+    if check_total_mass and sum(d.values()):
         return OutputKind.TOTAL_MASS
     if scaled_out_term(rep, d):
         return OutputKind.TERMINATION
@@ -345,7 +353,8 @@ def _decide(rep, x, y, store, *, check_total_mass, max_steps=None,
         stepped = store.add(item)
         if trace is not None:
             u, v = configs[word] = _pair_at(rep, configs, word)
-            trace.append(Extraction(word, from_ints(u), from_ints(v), stepped is None))
+            trace.append(Extraction(word, from_ints(u, rep.dim), from_ints(v, rep.dim),
+                                    stepped is None))
         if stepped is None:
             continue
         output = _separating_output(rep, store.difference(stepped), check_total_mass)

@@ -12,13 +12,15 @@ checker only tests an output of a difference for zero (``scaled_out_term``).
 Internally everything runs on one sparse integer kernel.  Each letter is
 stored as sparse columns, one per source state, listing ``(target, p)``
 pairs with integer ``p`` over one common denominator for the letter.  A
-configuration inside the kernel is an integer vector over one common
-denominator, kept in lowest terms (``to_ints``/``from_ints`` convert), so a
-step is integer multiply-adds over the nonzero entries only, with a single
-gcd normalization at the end.  Where only the direction of a vector counts,
-as for the differences the equivalence checker carries, it is a bare
-integer vector divided by its content, and ``primitive_step`` steps it
-without any denominator.
+vector inside the kernel is sparse (``Sparse``): a dict from index to a
+nonzero integer, which never stores a zero.  A configuration is such a
+vector over one positive common denominator, kept in lowest terms
+(``to_ints``/``from_ints`` convert), so a step is integer multiply-adds over
+the nonzero entries only, entries that cancel to zero are dropped, and one
+gcd normalization follows.  Where only the direction of a vector counts, as
+for the differences the equivalence checker carries, it is a bare sparse
+vector divided by its content, and ``primitive_step`` steps it without any
+denominator.
 
 The mass on finite words, the least nonnegative fixed point of
 ``s = l_star + (sum_a M_a)^T s``, is cached on the representation, each
@@ -52,8 +54,10 @@ from .model import Pts, UnknownIdentifier
 Config = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 IntVector = tuple[int, ...]
-# an integer vector and its positive common denominator, in lowest terms
-IntConfig = tuple[IntVector, int]
+# index -> nonzero integer entry; a zero entry is never stored
+Sparse = dict[int, int]
+# a sparse integer vector and its positive common denominator, in lowest terms
+IntConfig = tuple[Sparse, int]
 # per source state: the (target index, integer numerator) pairs of nonzero moves
 Columns = tuple[tuple[tuple[int, int], ...], ...]
 
@@ -109,10 +113,9 @@ class LinearRep:
             raise UnknownIdentifier(f"undeclared letter {letter!r}") from None
 
     @cached_property
-    def _stop_terms(self) -> tuple[tuple[tuple[int, int], ...], int]:
-        # l_star over its common denominator, nonzero entries as (index, numerator)
-        star, den = to_ints(self.l_star)
-        return tuple((k, s) for k, s in enumerate(star) if s), den
+    def _stop_terms(self) -> IntConfig:
+        # l_star over its common denominator
+        return to_ints(self.l_star)
 
     @cached_property
     def mats(self) -> dict[str, Matrix]:
@@ -130,22 +133,22 @@ class LinearRep:
         return dense
 
     @cached_property
-    def _mass_cache(self) -> tuple[list[dict[int, int]], int, IntVector, int, list]:
+    def _mass_cache(self) -> tuple[list[Sparse], int, Sparse, int, list]:
         """The finite-mass cache, ``(combined, common, star, star_den, solved)``.
 
         ``combined[k][j] / common`` is the one-step probability from the
         k-th to the j-th state over all letters, ``star / star_den`` is
         ``l_star``, and ``solved[k]`` is ``(block, position)`` once the k-th
-        state is solved, ``block`` an ``IntConfig``.
+        state is solved, ``block`` a dense ``(numerators, denominator)`` pair.
         """
         common = lcm(*self.denominators.values())
-        combined: list[dict[int, int]] = [{} for _ in self.states]
+        combined: list[Sparse] = [{} for _ in self.states]
         for letter, columns in self.columns.items():
             scale = common // self.denominators[letter]
             for out, column in zip(combined, columns):
                 for j, p in column:
                     out[j] = out.get(j, 0) + p * scale
-        return combined, common, *to_ints(self.l_star), [None] * self.dim
+        return combined, common, *self._stop_terms, [None] * self.dim
 
 
 def build_rep(pts: Pts) -> LinearRep:
@@ -176,24 +179,27 @@ def build_rep(pts: Pts) -> LinearRep:
 
 
 def to_ints(u: Config) -> IntConfig:
-    """A Fraction configuration as integers over their least common denominator."""
+    """A Fraction configuration as sparse integers over their least common denominator."""
     denominator = lcm(*(x.denominator for x in u))
-    return tuple(x.numerator * (denominator // x.denominator) for x in u), denominator
+    return {k: x.numerator * (denominator // x.denominator)
+            for k, x in enumerate(u) if x}, denominator
 
 
-def from_ints(u: IntConfig) -> Config:
+def from_ints(u: IntConfig, dim: int) -> Config:
     nums, denominator = u
-    return tuple(Fraction(x, denominator) if x else _ZERO for x in nums)
+    return tuple(Fraction(nums[k], denominator) if k in nums else _ZERO for k in range(dim))
 
 
-def _product(columns: Columns, nums: IntVector) -> list[int]:
+def _product(columns: Columns, nums: Sparse) -> Sparse:
     # the integer numerators of M . nums, over the letter's denominator
-    acc = [0] * len(nums)
-    for k, x in enumerate(nums):
-        if x:
-            for j, p in columns[k]:
+    acc: Sparse = {}
+    for k, x in nums.items():
+        for j, p in columns[k]:
+            if j in acc:
                 acc[j] += p * x
-    return acc
+            else:
+                acc[j] = p * x
+    return acc if all(acc.values()) else {j: x for j, x in acc.items() if x}
 
 
 def int_step(rep: LinearRep, u: IntConfig, letter: str) -> IntConfig:
@@ -202,31 +208,28 @@ def int_step(rep: LinearRep, u: IntConfig, letter: str) -> IntConfig:
     nums, den = u
     acc = _product(columns, nums)
     den *= denominator
-    g = gcd(den, *acc)
+    g = gcd(den, *acc.values())
     if g > 1:
-        return tuple([x // g for x in acc]), den // g
-    return tuple(acc), den
+        return {j: x // g for j, x in acc.items()}, den // g
+    return acc, den
 
 
-def primitive_step(rep: LinearRep, d: IntVector, letter: str) -> IntVector:
+def primitive_step(rep: LinearRep, d: Sparse, letter: str) -> Sparse:
     """``M_letter . d`` divided by its content: a step of a direction.
 
     Only the direction of ``d`` counts, so the letter's denominator drops
     out; the zero vector steps to itself.
     """
-    acc = _product(rep.letter_columns(letter)[0], d)
-    g = gcd(*acc)
-    if g > 1:
-        return tuple([x // g for x in acc])
-    return tuple(acc)
+    return primitive(_product(rep.letter_columns(letter)[0], d))
 
 
-def scaled_out_term(rep: LinearRep, nums: IntVector) -> int:
+def scaled_out_term(rep: LinearRep, nums: Sparse) -> int:
     """``l_star . nums`` times the common denominator of ``l_star``.
 
     An integer that is zero exactly when the termination output is.
     """
-    return sum([s * nums[k] for k, s in rep._stop_terms[0]])
+    star = rep._stop_terms[0]
+    return sum([star[k] * x for k, x in nums.items() if k in star])
 
 
 def int_out_term(rep: LinearRep, u: IntConfig) -> Fraction:
@@ -237,12 +240,11 @@ def int_out_term(rep: LinearRep, u: IntConfig) -> Fraction:
 def int_out_finite(rep: LinearRep, u: IntConfig) -> Fraction:
     """Mass on all finite words: ``finite_mass . u``, solving what ``u`` reaches."""
     nums, den = u
-    solved = solve_finite_mass(rep, [k for k, x in enumerate(nums) if x])
+    solved = solve_finite_mass(rep, nums)
     by_block: dict[int, int] = {}
-    for k, x in enumerate(nums):
-        if x:
-            (block, block_den), position = solved[k]
-            by_block[block_den] = by_block.get(block_den, 0) + block[position] * x
+    for k, x in nums.items():
+        (block, block_den), position = solved[k]
+        by_block[block_den] = by_block.get(block_den, 0) + block[position] * x
     return sum([Fraction(acc, block_den * den) for block_den, acc in by_block.items()], _ZERO)
 
 
@@ -257,21 +259,32 @@ def finite_mass_vector(rep: LinearRep) -> Config:
     return tuple(Fraction(block[position], den) for (block, den), position in solved)
 
 
-def int_difference(u: IntConfig, v: IntConfig) -> list[int]:
-    """An integer vector with the direction of u - v (a positive multiple of it)."""
+def int_difference(u: IntConfig, v: IntConfig) -> Sparse:
+    """A sparse integer vector with the direction of u - v (a positive multiple of it)."""
     (a, d), (b, e) = u, v
     g = gcd(d, e)
-    d, e = d // g, e // g
-    return [x * e - y * d for x, y in zip(a, b)]
+    return axpy({k: x * (e // g) for k, x in a.items()}, -(d // g), b)
 
 
-def primitive(row: dict[int, int]) -> dict[int, int]:
+def axpy(w: Sparse, c: int, row: Sparse) -> Sparse:
+    """``w + c * row``, computed in place in ``w``, with cancelled entries dropped."""
+    for j, y in row.items():
+        if j not in w:
+            w[j] = c * y
+        elif x := w[j] + c * y:
+            w[j] = x
+        else:
+            del w[j]
+    return w
+
+
+def primitive(row: Sparse) -> Sparse:
     """A sparse integer row divided by its content (the gcd of its entries)."""
     content = gcd(*row.values())
     return {j: x // content for j, x in row.items()} if content > 1 else row
 
 
-def eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[int, int]:
+def eliminate(row: Sparse, pivot_row: Sparse, col: int) -> Sparse:
     """Clear entry ``col`` of a sparse row, fraction-free.
 
     Returns ``(p/g) row - (c/g) pivot_row`` divided by its content, where
@@ -282,17 +295,10 @@ def eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[
     p, c = pivot_row[col], row[col]
     g = gcd(p, c)
     a, c = p // g, c // g
-    out = {j: a * x for j, x in row.items()}
-    for j, y in pivot_row.items():
-        x = out.get(j, 0) - c * y
-        if x:
-            out[j] = x
-        else:
-            del out[j]
-    return primitive(out)
+    return primitive(axpy({j: a * x for j, x in row.items()}, -c, pivot_row))
 
 
-def _solve_sparse(rows: list[dict[int, int]], m: int) -> IntConfig:
+def _solve_sparse(rows: list[Sparse], m: int) -> tuple[IntVector, int]:
     """Exact solution of a square nonsingular integer system, as integers
     over one common denominator in lowest terms.
 
@@ -392,7 +398,7 @@ def solve_finite_mass(rep: LinearRep, support: Iterable[int]) -> list:
     # positive mass; fixed[j] is the mass of a solved neighbour times const
     sources: dict[int, list[int]] = {k: [] for k in states}
     masses: dict[int, tuple[int, int]] = {}
-    live = {k for k in states if star[k]}
+    live = {k for k in states if k in star}
     for k in states:
         for j in combined[k]:
             if j in local:
@@ -417,7 +423,7 @@ def solve_finite_mass(rep: LinearRep, support: Iterable[int]) -> list:
     rows: list[dict[int, int]] = [{i: 1} for i in range(m)]
     for k in live:
         row = rows[local[k]] = {local[k]: common * star_den * const}
-        rhs = common * star[k] * const
+        rhs = common * star.get(k, 0) * const
         for j, q in combined[k].items():
             if j in live:
                 x = row.get(local[j], 0) - q * star_den * const
@@ -438,7 +444,7 @@ def solve_finite_mass(rep: LinearRep, support: Iterable[int]) -> list:
         inflow = sum(q * (nums[local[j]] * const if j in local else fixed[j] * den)
                      for j, q in combined[k].items())
         if nums[i] * common * star_den * const != \
-                star[k] * den * common * const + inflow * star_den:
+                star.get(k, 0) * den * common * const + inflow * star_den:
             raise SingularRestrictedSystem("fixed-point equation violated")
     block = nums, den
     for i, k in enumerate(states):
@@ -460,4 +466,4 @@ def dirac(rep: LinearRep, state: str) -> Config:
 
 def step(rep: LinearRep, u: Config, letter: str) -> Config:
     """One transition: the exact matrix-vector product ``M_letter . u``."""
-    return from_ints(int_step(rep, checked_ints(rep.dim, u), letter))
+    return from_ints(int_step(rep, checked_ints(rep.dim, u), letter), rep.dim)

@@ -88,11 +88,11 @@ def measure(rep: LinearRep, u: Config, target: GenSet) -> Fraction:
             return int_out_term(rep, v)
     nums, den = v
     if isinstance(target, (Cone, All)):
-        return Fraction(sum(nums), den)
+        return Fraction(sum(nums.values()), den)
     if isinstance(target, AllFinite):
         return int_out_finite(rep, v)
     if isinstance(target, (InfCone, AllInfinite)):
-        return Fraction(sum(nums), den) - int_out_finite(rep, v)
+        return Fraction(sum(nums.values()), den) - int_out_finite(rep, v)
     raise TypeError(f"not a generator-set query: {target!r}")
 
 

@@ -21,12 +21,16 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ptstrace import (AllFinite, AllInfinite, Cone, CongruenceBasis,
                       Equivalent, Extraction, FiniteWord, Inconclusive,
                       InfCone, NotEquivalent, OutputKind, Pts, brute_measure,
                       build_rep, dirac, finite_mass_vector, hk, hkc_finite,
                       hkc_inf, measure, naive, step)
+from ptstrace.linear import (from_ints, int_step, primitive, primitive_step,
+                             to_ints)
 
 from systems import (all_words, components_pts, random_pts, sink_split_pts,
                      split_copy_pts)
@@ -54,6 +58,54 @@ def _transform(rep, u, word):
     for letter in word:
         u = step(rep, u, letter)
     return u
+
+
+# a split copy of 5 base states on two letters (n = 15): the copies b<i>p
+# and b<i>q of a base state move to the same targets in different ratios
+STEP_PTS = split_copy_pts(random.Random(5), max_base=8, max_letters=2)
+STEP_REP, STEP_MATS = build_rep(STEP_PTS), ref_mats(STEP_PTS)
+STEP_BASE = len(STEP_PTS.states) // 3
+
+
+@st.composite
+def _random_sparse(draw):
+    d = draw(st.dictionaries(st.integers(0, STEP_REP.dim - 1),
+                             st.integers(-60, 60).filter(bool), max_size=STEP_REP.dim))
+    return d, draw(st.sampled_from(STEP_PTS.alphabet)), None
+
+
+@st.composite
+def _cancelling_difference(draw):
+    # x e_p - y e_q for the two copies p, q of one base state, weighted so
+    # that M_a cancels exactly at the target t of p's first move on a
+    i = draw(st.integers(0, STEP_BASE - 1))
+    p, q = (STEP_PTS.states.index(f"b{i}{c}") for c in "pq")
+    letters = [a for a in STEP_PTS.alphabet if STEP_REP.columns[a][p]]
+    if not letters:
+        return {p: 1, q: -1}, STEP_PTS.alphabet[0], None
+    letter = draw(st.sampled_from(letters))
+    t = STEP_REP.columns[letter][p][0][0]
+    x, y = STEP_MATS[letter][t][q], STEP_MATS[letter][t][p]
+    scale = draw(st.integers(1, 6)) * x.denominator * y.denominator
+    return {p: int(x * scale), q: -int(y * scale)}, letter, t
+
+
+@given(case=st.one_of(_random_sparse(), _cancelling_difference()),
+       den=st.integers(1, 36))
+def test_sparse_steps_match_dense_reference(case, den):
+    d, letter, cancelled = case
+    n = STEP_REP.dim
+    expected = ref_step(STEP_MATS, from_ints((d, den), n), letter)
+    nums, out_den = int_step(STEP_REP, (d, den), letter)
+    assert from_ints((nums, out_den), n) == expected
+    assert to_ints(expected) == (nums, out_den)
+    direction = primitive_step(STEP_REP, d, letter)
+    assert direction == primitive(to_ints(expected)[0])
+    # entries that cancel to zero are dropped, never stored
+    assert 0 not in nums.values() and 0 not in direction.values()
+    if cancelled is not None:
+        assert expected[cancelled] == 0
+        assert cancelled not in nums and cancelled not in direction
 
 
 class RefBasis:
@@ -358,7 +410,7 @@ def test_runs_step_the_smaller_of_row_and_item(monkeypatch):
             assert len(added) == result.relation_size
             assert stepped == [r for _, r in added for _ in rep.alphabet]
             for d, r in added:
-                assert max(map(abs, r)) <= max(map(abs, d))
+                assert max(map(abs, r.values())) <= max(map(abs, d.values()))
                 took_item += r is d
                 took_row += r != d
     assert took_row >= 20 and took_item >= 20

@@ -78,13 +78,13 @@ def test_basis_rejects_configurations_of_the_wrong_length():
     assert basis.rows == rows and basis.pivots == pivots
 
 
-def test_basis_rejects_difference_vectors_of_the_wrong_length():
+def test_basis_rejects_difference_vectors_with_an_index_out_of_range():
     basis = CongruenceBasis(3)
-    basis.add((1, -1, 0))
+    basis.add({0: 1, 1: -1})
     rows, pivots = basis.rows, basis.pivots
-    for d in [(1, 0, 0, 0, 1), (1, -1), ()]:
+    for d in [{0: 1, 4: 1}, {3: 2}, {-1: 1, 1: -1}, {0: 1, 7: 0}, {0: 1, 2: 0}, {1: 0}]:
         for method in (basis.add, basis.related):
-            with pytest.raises(ValueError, match=r"has length \d, expected 3"):
+            with pytest.raises(ValueError, match=r"outside range\(3\) or a zero entry"):
                 method(d)
     assert basis.rank == 1
     assert basis.rows == rows and basis.pivots == pivots
