@@ -5,30 +5,28 @@ which decides what a worklist item is and how a candidate pair is
 discharged before its outputs are compared: exact pair lookup (naive) or
 equivalence closure via union-find (hk), both keyed on a hashable form of
 the configuration pair, or membership of the difference vector in the
-linear span of previously recorded differences (the hkc variants).  Every
-vector is the kernel's sparse form, a dict from index to nonzero integer,
-so each test and step touches only nonzero entries.  Span membership, both
-output tests and the successors of a pair (``M_a u - M_a v = M_a (u - v)``)
-are linear in u - v, so the hkc variants carry one primitive sparse
-difference vector per pair instead of two configurations; the
-configurations that traces report are rebuilt from the word, and
-counterexample values are the measures of the witness cone or word.  Each
-store has one operation, ``add``, which records an item and returns the
-vector whose successors the run enqueues, or returns None for an item that
-is already related; the pair stores return the pair itself.  For the hkc
-variants one reduction of the difference against the basis both tests
-membership and records the pair, as a row written once in echelon form
-(the reduced form is only a view), and the run steps the new row or the
-difference, whichever has the smaller entries.  Either choice gives the
-same run: the row is a nonzero multiple of the difference minus earlier
-rows, and breadth-first order extracts the successors of the earlier
-stepped vectors first, so when extracted every stepped successor is a
-nonzero multiple of its pair's true difference plus a vector of the span,
-and every membership and output test answers as for the true difference.
-Each recorded pair strictly increases the rank of the difference basis,
-which is bounded by the dimension, so the hkc variants terminate on every
-finite system; naive and hk can run forever on the weighted state space
-and therefore require a step budget.
+linear span of previously recorded differences (the hkc variants).  Span
+membership, both output tests and the successors of a pair
+(``M_a u - M_a v = M_a (u - v)``) are linear in u - v, so the hkc variants
+carry one primitive sparse difference vector per pair instead of two
+configurations; traces rebuild the configurations from the word.  Each
+store has one operation, ``record``, which records an item and returns
+the item whose successors the run enqueues, or None for an item already
+related.  For the hkc variants one reduction of the difference against the
+basis both tests membership and records the pair, as a row written once in
+echelon form, and the run steps the new row or the difference, whichever
+has the smaller entries.  Either choice gives the same run: the row is a
+nonzero multiple of the difference minus earlier rows, and breadth-first
+order extracts the successors of the earlier stepped vectors first, so an
+extracted vector d is ``c M_w (e_x - e_y) + z`` for its word w, a rational
+c != 0 and a z in the span, on which every checked output vanishes.  So
+every test answers as for the true difference, and with c carried exactly
+a counterexample costs one walk: ``lhs`` is read from x's unit vector along
+the witness and ``rhs = lhs - o(d) / c`` for the separating output o (naive
+and hk read both from their pair).  Each recorded pair strictly increases
+the rank of the difference basis, which is bounded by the dimension, so the
+hkc variants terminate on every finite system; naive and hk can run forever
+on the weighted state space and therefore require a step budget.
 
 Checking both output rows (total mass and termination) decides equality of
 the full measures on finite and infinite words; dropping the total-mass
@@ -43,12 +41,13 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
-from .linear import (Config, IntConfig, LinearRep, Sparse, axpy, checked_ints,
-                     dirac, from_ints, int_difference, int_step, primitive_step,
-                     scaled_out_term, to_ints)
-from .measure import Cone, FiniteWord, measure
+from .linear import (Config, IntConfig, LinearRep, Sparse, checked_ints,
+                     from_ints, int_difference, int_step, scaled_out_term,
+                     scaled_step)
+from .measure import Cone, FiniteWord, int_measure
 from .model import Word
 
 
@@ -114,25 +113,24 @@ class CongruenceBasis:
     exactly when its difference reduces to zero against the rows.  The basis
     is one map, in insertion order, from each pivot column to its row: a
     sparse primitive integer vector (column -> entry, content 1, positive
-    pivot entry) that is zero at the pivots of the rows stored before it
-    and is never rewritten.  Elimination is fraction-free: a vector w is
-    reduced against a row r with pivot p by
-    ``w := (r[p]/g) w - (w[p]/g) r`` with ``g = gcd(r[p], w[p])``.
-    ``pivots`` and ``rows`` are views derived on demand: the sorted pivot
-    columns and the unique reduced row-echelon form of the span (Fraction
-    rows, pivot entries 1), which membership never needs.
+    pivot entry) that is zero below its pivot, its smallest column, and is
+    never rewritten.  By pivot the rows are in echelon form, so a reduction
+    reads only the rows whose pivots its vector holds; it is fraction-free,
+    ``w := (r[p]/g) w - (w[p]/g) r`` with ``g = gcd(r[p], w[p])`` clearing
+    pivot p of w by its row r.  ``pivots`` and ``rows`` are views derived on
+    demand: the sorted pivot columns and the unique reduced row-echelon form
+    of the span (Fraction rows, pivot entries 1), which membership never
+    needs.
 
-    It is the hkc variants' pair store.  Membership, both output tests and
-    the successors of a pair are linear in u - v, so a worklist item is one
-    primitive difference vector per pair (``item``), sparse like the rows,
-    stepped with ``primitive_step``.  ``add``/``related`` take such a
-    vector and raise ``ValueError`` on an index outside ``range(dim)`` or a
-    stored zero; ``insert``/``contains`` take a pair of Fraction
-    configurations and raise ``ValueError`` on a wrong length.  ``add``
-    returns the vector to step in the item's place (the new row when its
-    entries are no larger), or None when the item was already in the span;
-    the other three return bools.  A reduction touches only the nonzero
-    entries of the vector and of the rows it is reduced against.
+    It is the hkc variants' pair store.  A worklist item (``item``) is
+    ``(d, num, den)``: a primitive sparse difference vector that is
+    ``num / den`` times its pair's u - v plus a vector of the span, stepped
+    with ``scaled_step``.  ``record`` returns the item to step in d's place
+    (the new row when its entries are no larger), or None when d was
+    already in the span.  ``add`` and ``related`` take vectors from outside
+    a run and raise ``ValueError`` on an index outside ``range(dim)`` or a
+    stored zero; ``insert``/``contains`` take Fraction configurations and
+    raise ``ValueError`` on a wrong length.
     """
 
     def __init__(self, dim: int):
@@ -159,38 +157,51 @@ class CongruenceBasis:
             reduced[pivot] = out
         return [reduced[p] for p in sorted(reduced)]
 
-    def _reduce(self, d: Sparse) -> Sparse:
-        """A positive multiple of d minus its component in the span, as a new dict.
-
-        A row is zero only at the pivots stored before it, so the rows are
-        taken in insertion order.  A step that scales w divides out w's
-        content, or w would grow by a pivot entry's bits at every step.
-        """
-        if d and (min(d) < 0 or max(d) >= self.dim or 0 in d.values()):
-            raise ValueError(f"vector has an index outside range({self.dim}) or a zero entry")
-        w = dict(d)
-        for pivot, row in self._rows.items():
-            if pivot in w:
-                r, c = row[pivot], w[pivot]
-                g = gcd(r, c)
-                r, c = r // g, c // g
-                if r != 1:
-                    w = {j: r * x for j, x in w.items()}
-                axpy(w, -c, row)
-                if r != 1 and (g := gcd(*w.values())) > 1:
+    def _reduce(self, d: Sparse) -> tuple[Sparse, int, int]:
+        """``(w, num, den)``: w is ``num / den`` times d minus its component
+        in the span, as a new dict.  Clearing a pivot changes only larger
+        columns, so w's pivots are cleared smallest first, from a heap.  A
+        step that scales w divides out w's content, or w would grow by a
+        pivot entry's bits at every step."""
+        rows, w, num, den = self._rows, dict(d), 1, 1
+        heap = [j for j in w if j in rows]
+        heapify(heap)
+        while heap:
+            pivot = heappop(heap)
+            if pivot not in w:  # cancelled after it was pushed
+                continue
+            row = rows[pivot]
+            r, c = row[pivot], w[pivot]
+            g = gcd(r, c)
+            r, c = r // g, -(c // g)
+            if r != 1:
+                w = {j: r * x for j, x in w.items()}
+            for j, y in row.items():
+                if j not in w:
+                    w[j] = c * y
+                    if j in rows:
+                        heappush(heap, j)
+                elif x := w[j] + c * y:
+                    w[j] = x
+                else:
+                    del w[j]
+            if r != 1:
+                num *= r
+                if (g := gcd(*w.values())) > 1:
                     w = {j: x // g for j, x in w.items()}
-        return w
+                    den *= g
+        return w, num, den
 
-    def add(self, d: Sparse) -> Sparse | None:
+    def record(self, d: Sparse, num: int, den: int) -> tuple[Sparse, int, int] | None:
         """Record a difference vector: add d to the span.
 
         One reduction both tests membership and records the pair; returns
         None, leaving the basis unchanged, when d was already inside.
-        Otherwise it returns the vector a run steps in d's place: a copy of
+        Otherwise it returns the item a run steps in d's place: a copy of
         the new row or d, whichever has the smaller largest absolute entry
-        (ties go to the row).
+        (ties go to the row), with its scale (``num / den`` for d).
         """
-        residual = self._reduce(d)
+        residual, multiple, divisor = self._reduce(d)
         if not residual:
             return None
         # the smallest index: the first nonzero entry of the dense vector
@@ -200,12 +211,22 @@ class CongruenceBasis:
             content = -content
         row = self._rows[pivot] = {j: x // content for j, x in residual.items()}
         if max(map(abs, row.values())) <= max(map(abs, d.values())):
-            return dict(row)
-        return d
+            # the row is multiple / (divisor * content) times d plus a span vector
+            return dict(row), num * multiple, den * divisor * content
+        return d, num, den
+
+    def add(self, d: Sparse, num: int = 1, den: int = 1) -> tuple[Sparse, int, int] | None:
+        """``record`` for a vector from outside a run, checked first."""
+        return self.record(self._checked(d), num, den)
 
     def related(self, d: Sparse) -> bool:
         """True iff d lies in the span; the basis is left unchanged."""
-        return not self._reduce(d)
+        return not self._reduce(self._checked(d))[0]
+
+    def _checked(self, d: Sparse) -> Sparse:
+        if d and (min(d) < 0 or max(d) >= self.dim or 0 in d.values()):
+            raise ValueError(f"vector has an index outside range({self.dim}) or a zero entry")
+        return d
 
     def _pair_difference(self, u: Config, v: Config) -> Sparse:
         return int_difference(checked_ints(self.dim, u), checked_ints(self.dim, v))
@@ -218,15 +239,23 @@ class CongruenceBasis:
         """Add u - v to the span; returns False when it was already inside."""
         return self.add(self._pair_difference(u, v)) is not None
 
-    # the worklist item of a pair is its difference; the unit vectors a run
-    # starts from differ by a primitive vector, and steps keep it primitive
-
-    item = staticmethod(int_difference)
-    successor = staticmethod(primitive_step)
+    # the worklist item of a pair is its difference with the scale of u - v
 
     @staticmethod
-    def difference(d: Sparse) -> Sparse:
-        return d
+    def item(u: IntConfig, v: IntConfig) -> tuple[Sparse, int, int]:
+        return int_difference(u, v), lcm(u[1], v[1]), 1
+
+    successor = staticmethod(scaled_step)
+
+    @staticmethod
+    def difference(item) -> Sparse:
+        return item[0]
+
+    @staticmethod
+    def values(rep: LinearRep, x: IntConfig, word: Word, item, kind) -> tuple[Fraction, Fraction]:
+        # lhs - rhs is the item's output over its scale
+        lhs = int_measure(rep, x, kind(word))
+        return lhs, lhs - int_measure(rep, (item[0], 1), kind(())) * Fraction(item[2], item[1])
 
 
 class _PairItems:
@@ -245,6 +274,10 @@ class _PairItems:
     def difference(pair) -> Sparse:
         return int_difference(*pair)
 
+    @staticmethod
+    def values(rep: LinearRep, x: IntConfig, word: Word, pair, kind) -> tuple[Fraction, Fraction]:
+        return int_measure(rep, pair[0], kind(())), int_measure(rep, pair[1], kind(()))
+
 
 def _key(u: IntConfig) -> tuple[frozenset, int]:
     # hashable, and equal exactly when the configurations are: terms are
@@ -258,12 +291,12 @@ class _PairStore(_PairItems):
     def __init__(self):
         self._pairs: set[tuple[tuple, tuple]] = set()
 
-    def add(self, pair: tuple[IntConfig, IntConfig]) -> tuple[IntConfig, IntConfig] | None:
-        key = _key(pair[0]), _key(pair[1])
+    def record(self, u: IntConfig, v: IntConfig) -> tuple[IntConfig, IntConfig] | None:
+        key = _key(u), _key(v)
         if key in self._pairs:
             return None
         self._pairs.add(key)
-        return pair
+        return u, v
 
 
 class _EquivalenceStore(_PairItems):
@@ -288,23 +321,22 @@ class _EquivalenceStore(_PairItems):
             node = self._parent[node]
         return node
 
-    def add(self, pair: tuple[IntConfig, IntConfig]) -> tuple[IntConfig, IntConfig] | None:
-        u, v = pair
+    def record(self, u: IntConfig, v: IntConfig) -> tuple[IntConfig, IntConfig] | None:
         root_u, root_v = self._find(self._intern(u)), self._find(self._intern(v))
         if root_u == root_v:
             return None
         self._parent[root_u] = root_v
-        return pair
+        return u, v
 
 
 def _check_loop_invariant(rep: LinearRep, basis: CongruenceBasis, recorded,
                           todo) -> None:
     # every letter-successor of a recorded difference is in the span or
     # still pending
-    pending = {frozenset(d.items()) for _, d in todo}
-    for d in recorded:
+    pending = {frozenset(item[0].items()) for _, item in todo}
+    for item in recorded:
         for letter in rep.alphabet:
-            successor = basis.successor(rep, d, letter)
+            successor = basis.successor(rep, item, letter)[0]
             if not (basis.related(successor) or frozenset(successor.items()) in pending):
                 raise InvariantError(
                     "loop invariant violated: recorded pair has an unhandled successor")
@@ -333,9 +365,8 @@ def _decide(rep, x, y, store, *, check_total_mass, max_steps=None,
     # configurations are lowest-terms IntConfigs, so equal vectors have
     # equal keys in the naive and hk stores; the store makes its worklist
     # items out of them
-    start = to_ints(dirac(rep, x)), to_ints(dirac(rep, y))
-    todo = deque()
-    todo.append(((), store.item(*start)))
+    start = ({rep.state_index(x): 1}, 1), ({rep.state_index(y): 1}, 1)
+    todo = deque([((), store.item(*start))])
     # the vectors stepped for the items whose outputs agreed: the relation
     # built so far (an item the store took whose outputs differ ends the run)
     recorded = []
@@ -350,7 +381,7 @@ def _decide(rep, x, y, store, *, check_total_mass, max_steps=None,
         word, item = todo.popleft()
         iterations += 1
         # membership before the outputs: a skipped item costs the store's test only
-        stepped = store.add(item)
+        stepped = store.record(*item)
         if trace is not None:
             u, v = configs[word] = _pair_at(rep, configs, word)
             trace.append(Extraction(word, from_ints(u, rep.dim), from_ints(v, rep.dim),
@@ -359,8 +390,8 @@ def _decide(rep, x, y, store, *, check_total_mass, max_steps=None,
             continue
         output = _separating_output(rep, store.difference(stepped), check_total_mass)
         if output is not None:
-            target = Cone(word) if output is OutputKind.TOTAL_MASS else FiniteWord(word)
-            lhs, rhs = (measure(rep, dirac(rep, s), target) for s in (x, y))
+            kind = Cone if output is OutputKind.TOTAL_MASS else FiniteWord
+            lhs, rhs = store.values(rep, start[0], word, stepped, kind)
             return NotEquivalent(word, output, lhs, rhs, iterations, len(recorded))
         for letter in rep.alphabet:
             todo.append((word + (letter,), store.successor(rep, stepped, letter)))

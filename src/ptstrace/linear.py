@@ -5,9 +5,9 @@ algebra: one transition operator per letter plus two output rows, the
 all-ones total-mass row and the termination row.  Configurations are plain
 tuples of Fractions; entries may be negative or exceed 1, since the
 equivalence checker works with differences and scalings of distributions.
-Output values are read by ``measure.measure`` alone, through the kernel
-readers here (``int_out_term``, ``int_out_finite``); the equivalence
-checker only tests an output of a difference for zero (``scaled_out_term``).
+Output values are read by ``measure`` alone, through the kernel readers
+here (``int_out_term``, ``int_out_finite``); the equivalence checker tests
+an output of a difference for zero (``scaled_out_term``).
 
 Internally everything runs on one sparse integer kernel.  Each letter is
 stored as sparse columns, one per source state, listing ``(target, p)``
@@ -19,8 +19,8 @@ vector over one positive common denominator, kept in lowest terms
 the nonzero entries only, entries that cancel to zero are dropped, and one
 gcd normalization follows.  Where only the direction of a vector counts, as
 for the differences the equivalence checker carries, it is a bare sparse
-vector divided by its content, and ``primitive_step`` steps it without any
-denominator.
+vector divided by its content, and ``scaled_step`` steps it without any
+denominator, reporting the factor it scaled the true step by.
 
 The mass on finite words, the least nonnegative fixed point of
 ``s = l_star + (sum_a M_a)^T s``, is cached on the representation, each
@@ -180,7 +180,7 @@ def build_rep(pts: Pts) -> LinearRep:
 
 def to_ints(u: Config) -> IntConfig:
     """A Fraction configuration as sparse integers over their least common denominator."""
-    denominator = lcm(*(x.denominator for x in u))
+    denominator = lcm(*(x.denominator for x in u if x))
     return {k: x.numerator * (denominator // x.denominator)
             for k, x in enumerate(u) if x}, denominator
 
@@ -214,13 +214,18 @@ def int_step(rep: LinearRep, u: IntConfig, letter: str) -> IntConfig:
     return acc, den
 
 
-def primitive_step(rep: LinearRep, d: Sparse, letter: str) -> Sparse:
-    """``M_letter . d`` divided by its content: a step of a direction.
-
-    Only the direction of ``d`` counts, so the letter's denominator drops
-    out; the zero vector steps to itself.
-    """
-    return primitive(_product(rep.letter_columns(letter)[0], d))
+def scaled_step(rep: LinearRep, scaled: tuple[Sparse, int, int],
+                letter: str) -> tuple[Sparse, int, int]:
+    """A step of a direction and its scale: ``(d, num, den)`` steps to
+    ``(p, num * a, den * g)``, ``p = (a / g) M_letter . d`` primitive, for
+    ``a`` the letter's denominator and ``g`` the content divided out."""
+    d, num, den = scaled
+    columns, denominator = rep.letter_columns(letter)
+    acc = _product(columns, d)
+    g = gcd(*acc.values())
+    if g > 1:
+        return {j: x // g for j, x in acc.items()}, num * denominator, den * g
+    return acc, num * denominator, den
 
 
 def scaled_out_term(rep: LinearRep, nums: Sparse) -> int:
@@ -461,7 +466,7 @@ def checked_ints(dim: int, u: Config) -> IntConfig:
 def dirac(rep: LinearRep, state: str) -> Config:
     """Unit basis vector of a state."""
     index = rep.state_index(state)
-    return tuple(_ONE if j == index else _ZERO for j in range(rep.dim))
+    return (_ZERO,) * index + (_ONE,) + (_ZERO,) * (rep.dim - index - 1)
 
 
 def step(rep: LinearRep, u: Config, letter: str) -> Config:

@@ -4,12 +4,12 @@ The measure induced by a configuration is evaluated on the generators of
 the sigma-algebra over finite-and-infinite words -- the empty set, single
 finite words, and cones (all words with a given finite prefix) -- plus the
 derived sets of all finite words, all infinite words, and infinite-only
-cones.  ``measure`` is the one reader of trace-measure values: it applies
-``M_w`` for a target's word and reads an output row of the walked vector,
-the total mass for a cone, the termination mass for a word, and the
-finite-word mass, which the linear representation solves exactly for the
-states a query reaches and caches, for the finite and infinite sets.  No
-query involves limits or approximation.
+cones.  ``measure`` (``int_measure`` on the kernel) is the one reader of
+trace-measure values: it applies ``M_w`` for a target's word and reads an
+output row of the walked vector, the total mass for a cone, the termination
+mass for a word, and the finite-word mass, which the linear representation
+solves exactly for the states a query reaches and caches, for the finite
+and infinite sets.  No query involves limits or approximation.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linear import (Config, LinearRep, checked_ints, int_out_finite,
-                     int_out_term, int_step)
+from .linear import (Config, IntConfig, LinearRep, checked_ints,
+                     int_out_finite, int_out_term, int_step)
 from .model import PtsFormatError, UnknownIdentifier, Word
 
 _ZERO = Fraction(0)
@@ -78,7 +78,11 @@ def measure(rep: LinearRep, u: Config, target: GenSet) -> Fraction:
     The formulas are linear in ``u``, so any configuration is accepted;
     the result is a probability only when ``u`` is a subdistribution.
     """
-    v = checked_ints(rep.dim, u)
+    return int_measure(rep, checked_ints(rep.dim, u), target)
+
+
+def int_measure(rep: LinearRep, v: IntConfig, target: GenSet) -> Fraction:
+    """``measure`` of a kernel configuration: sparse integers over a denominator."""
     if isinstance(target, Empty):
         return _ZERO
     if isinstance(target, (FiniteWord, Cone, InfCone)):

@@ -3,7 +3,9 @@
 The reference below is the earlier implementation, kept small: dense
 ``mats`` built entry by entry from the system, a dense Fraction ``step``,
 a Fraction reduced row-echelon ``CongruenceBasis``, the shared worklist
-loop and the dense finite-mass solve.  Split-copy systems make the basis
+loop and the dense finite-mass solve; and the reduction that takes the
+stored rows in insertion order, which the pivot-order one must match row
+for row.  Split-copy systems make the basis
 grow, so the basis paths are exercised, not just the clone shortcut.
 Runs on wide-alphabet and sink split copies mostly step stored rows, runs
 on unary chains mostly their recorded differences; both match the
@@ -19,6 +21,7 @@ import random
 from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -29,8 +32,8 @@ from ptstrace import (AllFinite, AllInfinite, Cone, CongruenceBasis,
                       InfCone, NotEquivalent, OutputKind, Pts, brute_measure,
                       build_rep, dirac, finite_mass_vector, hk, hkc_finite,
                       hkc_inf, measure, naive, step)
-from ptstrace.linear import (from_ints, int_step, primitive, primitive_step,
-                             to_ints)
+from ptstrace.linear import (axpy, from_ints, int_step, primitive,
+                             scaled_step, to_ints)
 
 from systems import (all_words, components_pts, random_pts, sink_split_pts,
                      split_copy_pts)
@@ -99,8 +102,12 @@ def test_sparse_steps_match_dense_reference(case, den):
     nums, out_den = int_step(STEP_REP, (d, den), letter)
     assert from_ints((nums, out_den), n) == expected
     assert to_ints(expected) == (nums, out_den)
-    direction = primitive_step(STEP_REP, d, letter)
+    direction, a, g = scaled_step(STEP_REP, (d, 1, 1), letter)
     assert direction == primitive(to_ints(expected)[0])
+    # direction = (a / g) M_a d, where d = den * u
+    assert a == STEP_REP.denominators[letter]
+    assert from_ints((direction, a), n) == tuple(x * den / g for x in expected)
+    assert scaled_step(STEP_REP, (d, 3, -5), letter) == (direction, 3 * a, -5 * g)
     # entries that cancel to zero are dropped, never stored
     assert 0 not in nums.values() and 0 not in direction.values()
     if cancelled is not None:
@@ -383,13 +390,13 @@ def test_debug_runs_keep_the_loop_invariant(index):
 
 
 def test_runs_step_the_smaller_of_row_and_item(monkeypatch):
-    # every recorded item is stepped as the vector add returned for it:
+    # every recorded item is stepped as the vector record returned for it:
     # the new row, or the item itself when its entries are smaller
     added, stepped = [], []
-    add, successor = CongruenceBasis.add, CongruenceBasis.successor
+    record, successor = CongruenceBasis.record, CongruenceBasis.successor
 
-    def recording_add(self, d):
-        result = add(self, d)
+    def recording_record(self, d, *scale):
+        result = record(self, d, *scale)
         if result is not None:
             added.append((d, result))
         return result
@@ -398,7 +405,7 @@ def test_runs_step_the_smaller_of_row_and_item(monkeypatch):
         stepped.append(d)
         return successor(rep, d, letter)
 
-    monkeypatch.setattr(CongruenceBasis, "add", recording_add)
+    monkeypatch.setattr(CongruenceBasis, "record", recording_record)
     monkeypatch.setattr(CongruenceBasis, "successor", staticmethod(recording_step))
     took_row = took_item = 0
     for pts in UNARY_CHAINS + WIDE_CASES:
@@ -409,11 +416,156 @@ def test_runs_step_the_smaller_of_row_and_item(monkeypatch):
             result = algorithm(rep, "a0", "b0p")
             assert len(added) == result.relation_size
             assert stepped == [r for _, r in added for _ in rep.alphabet]
-            for d, r in added:
+            for d, (r, _, _) in added:
                 assert max(map(abs, r.values())) <= max(map(abs, d.values()))
                 took_item += r is d
                 took_row += r != d
     assert took_row >= 20 and took_item >= 20
+
+
+def insertion_order_reduce(basis, d):
+    """``CongruenceBasis._reduce`` taking the rows in insertion order, each
+    row checked once: a row is zero at the pivots stored before it."""
+    w, num, den = dict(d), 1, 1
+    for pivot, row in basis._rows.items():
+        if pivot in w:
+            r, c = row[pivot], w[pivot]
+            g = gcd(r, c)
+            r, c = r // g, c // g
+            if r != 1:
+                w = {j: r * x for j, x in w.items()}
+                num *= r
+            axpy(w, -c, row)
+            if r != 1 and (g := gcd(*w.values())) > 1:
+                w = {j: x // g for j, x in w.items()}
+                den *= g
+    return w, num, den
+
+
+def _order_cases():
+    rng = random.Random(137)
+    cases = []
+    for _ in range(6):
+        pts = random_pts(rng)
+        cases.append((pts, rng.choice(pts.states), rng.choice(pts.states)))
+    for letters in (1, 2, 3):
+        found = 0
+        while found < 2:
+            pts = split_copy_pts(rng, max_base=16, max_letters=letters, perturb=found == 1)
+            if len(pts.alphabet) == letters:
+                cases.append((pts, "a0", "b0p"))
+                found += 1
+    cases.append((sink_split_pts(rng, 20, 2), "a0", "b0p"))
+    # n = 396: the basis passes rank 100
+    cases.append((sink_split_pts(rng, 130, 2), "a0", "b0p"))
+    return cases
+
+
+ORDER_CASES = _order_cases()
+
+
+def _recorded_bases(monkeypatch):
+    bases = []
+    init = CongruenceBasis.__init__
+
+    def recording_init(self, dim):
+        init(self, dim)
+        bases.append(self)
+
+    monkeypatch.setattr(CongruenceBasis, "__init__", recording_init)
+    return bases
+
+
+@pytest.mark.parametrize("index", range(len(ORDER_CASES)))
+def test_rows_match_insertion_order_reduction(index, monkeypatch):
+    # the rows, taken by pivot index, are in echelon form: reducing in
+    # pivot order stores the same rows, in the same order, and gives the
+    # same run, as reducing in insertion order
+    pts, x, y = ORDER_CASES[index]
+    rep = build_rep(pts)
+    bases = _recorded_bases(monkeypatch)
+    for algorithm in (hkc_inf, hkc_finite):
+        result = algorithm(rep, x, y)
+        with monkeypatch.context() as patched:
+            patched.setattr(CongruenceBasis, "_reduce", insertion_order_reduce)
+            assert algorithm(rep, x, y) == result
+        basis, reference = bases[-2:]
+        assert list(basis._rows.items()) == list(reference._rows.items())
+    if index == len(ORDER_CASES) - 1:
+        assert basis.rank >= 100
+
+
+def test_reduce_looks_up_only_rows_whose_pivot_the_vector_holds(monkeypatch):
+    # a pivot is looked up only after an elimination brought it into the
+    # vector (or the vector came with it), and only once per reduction
+    reduce = CongruenceBasis._reduce
+    lookups, ranks = [], []
+
+    class WatchedRows(dict):
+        def __getitem__(self, pivot):
+            fetched.append(pivot)
+            return dict.__getitem__(self, pivot)
+
+        def __iter__(self):
+            raise AssertionError("a reduction scanned the rows")
+
+        items = keys = values = __iter__
+
+    def watching(self, d):
+        nonlocal fetched
+        rows, fetched = self._rows, []
+        self._rows = WatchedRows(rows)
+        try:
+            result = reduce(self, d)
+        finally:
+            self._rows = rows
+        held = set(d)
+        for pivot in fetched:
+            assert pivot in held and pivot in rows
+            held.update(rows[pivot])
+        assert len(fetched) == len(set(fetched))
+        lookups.append(len(fetched))
+        ranks.append(len(rows))
+        return result
+
+    fetched = []
+    monkeypatch.setattr(CongruenceBasis, "_reduce", watching)
+    pts, x, y = ORDER_CASES[-1]
+    rep = build_rep(pts)
+    assert isinstance(hkc_inf(rep, x, y), Equivalent)
+    assert max(ranks) >= 100
+    # a stepped vector holds a few entries, so it meets a few pivots
+    assert sum(lookups) * 10 < sum(ranks)
+
+
+def test_add_returns_the_scale_of_the_vector_it_steps():
+    # d is num / den times a difference plus a vector of the span; the
+    # returned vector is the returned scale times that difference plus a
+    # vector of the span before d, whatever the reduction multiplied and
+    # divided out on the way
+    rng = random.Random(139)
+    divided = took_row = 0
+    for _ in range(150):
+        dim = rng.randint(2, 8)
+        basis, reference = CongruenceBasis(dim), RefBasis(dim)
+        zero = (_ZERO,) * dim
+        for _ in range(dim):
+            d = {j: x for j in range(dim) if rng.random() < 0.6 and (x := rng.randint(-9, 9))}
+            if not d:
+                continue
+            num, den = rng.choice((1, -1)) * rng.randint(1, 6), rng.randint(1, 6)
+            divided += basis._reduce(d)[2] > 1
+            result = basis.add(d, num, den)
+            vector = from_ints((d, 1), dim)
+            assert (result is None) == reference.contains(vector, zero)
+            if result is None:
+                continue
+            r, r_num, r_den = result
+            took_row += r is not d
+            c = F(r_num, r_den) / F(num, den)
+            assert reference.contains(from_ints((r, 1), dim), tuple(c * x for x in vector))
+            reference.insert(vector, zero)
+    assert divided >= 20 and took_row >= 100
 
 
 def test_split_copies_grow_the_basis():

@@ -355,7 +355,8 @@ def _count_steps(monkeypatch):
 
 
 def test_hkc_steps_one_difference_per_recorded_pair(monkeypatch):
-    # stepping both configurations of every recorded pair takes twice this
+    # stepping both configurations of every recorded pair takes twice this;
+    # a counterexample's values add one walk of the witness
     calls = _count_steps(monkeypatch)
     equivalent = split_copy_pts(random.Random(9), max_base=10, max_letters=2)
     perturbed = split_copy_pts(random.Random(50), max_base=20, max_letters=2, perturb=True)
@@ -371,10 +372,68 @@ def test_hkc_steps_one_difference_per_recorded_pair(monkeypatch):
                 assert calls[0] == steps
             else:
                 assert len(result.witness) >= 5
-                assert calls[0] <= steps + 2 * len(result.witness)
+                assert calls[0] <= steps + len(result.witness)
 
 
-def test_witness_values_are_measures_of_deep_witnesses():
+def test_pair_searches_read_counterexample_values_from_the_pair(monkeypatch):
+    # naive and hk step both configurations of every recorded pair, and
+    # nothing more: the separating pair's outputs are the values
+    calls = _count_steps(monkeypatch)
+    rng = random.Random(83)
+    found = 0
+    for _ in range(4):
+        pts = split_copy_pts(rng, max_base=20, max_letters=2, perturb=True)
+        rep = build_rep(pts)
+        for k in range(len(pts.states) // 3):
+            for decide in (naive, hk):
+                calls[0] = 0
+                result = decide(rep, f"a{k}", f"b{k}p", 600)
+                if isinstance(result, NotEquivalent):
+                    found += len(result.witness) >= 3
+                    assert calls[0] == 2 * len(rep.alphabet) * result.relation_size
+    assert found >= 10
+
+
+class _RowVector(dict):
+    """A stepped vector on whose path the run stepped an echelon row."""
+
+
+def _mark_row_paths(monkeypatch):
+    # marks the vectors record returns as rows, and every successor of a
+    # marked vector; returns the list of witness items' marks
+    marks = []
+    record, successor, values = (CongruenceBasis.record, CongruenceBasis.successor,
+                                 CongruenceBasis.values)
+
+    def marking_record(self, d, *scale):
+        result = record(self, d, *scale)
+        if result is not None and result[0] is not d:
+            return (_RowVector(result[0]),) + result[1:]
+        return result
+
+    def marking_successor(rep, item, letter):
+        result = successor(rep, item, letter)
+        if isinstance(item[0], _RowVector):
+            return (_RowVector(result[0]),) + result[1:]
+        return result
+
+    def marking_values(rep, x, word, item, kind):
+        marks.append(isinstance(item[0], _RowVector))
+        return values(rep, x, word, item, kind)
+
+    monkeypatch.setattr(CongruenceBasis, "record", marking_record)
+    monkeypatch.setattr(CongruenceBasis, "successor", staticmethod(marking_successor))
+    monkeypatch.setattr(CongruenceBasis, "values", staticmethod(marking_values))
+    return marks
+
+
+def _letters_exactly(rng, k, **kwargs):
+    while len((pts := split_copy_pts(rng, max_letters=k, **kwargs)).alphabet) != k:
+        pass
+    return pts
+
+
+def test_witness_values_are_measures_of_deep_witnesses(monkeypatch):
     rng = random.Random(83)
     depths = {algorithm: [] for algorithm in ("hkc_inf", "hkc_finite", "naive", "hk")}
     for _ in range(12):
@@ -397,17 +456,46 @@ def test_witness_values_are_measures_of_deep_witnesses():
         assert len(found) >= 40
         assert sum(depth >= 4 for depth in found) >= 10
 
+    # one and three letters: hkc's right-hand value is the left one minus
+    # the witness item's output over its scale, which a path through an
+    # echelon row takes from record
+    marks = _mark_row_paths(monkeypatch)
+    for letters in (1, 3):
+        marked = brute = 0
+        for _ in range(10):
+            pts = _letters_exactly(rng, letters, max_base=20, perturb=True)
+            rep = build_rep(pts)
+            for k in range(len(pts.states) // 3):
+                x, y = f"a{k}", f"b{k}p"
+                for decide in (hkc_inf, hkc_finite):
+                    marks.clear()
+                    result = decide(rep, x, y)
+                    if not isinstance(result, NotEquivalent):
+                        assert not marks
+                        continue
+                    marked += marks == [True]
+                    target = (Cone(result.witness) if result.output == OutputKind.TOTAL_MASS
+                              else FiniteWord(result.witness))
+                    assert result.lhs == measure(rep, dirac(rep, x), target)
+                    assert result.rhs == measure(rep, dirac(rep, y), target)
+                    assert result.lhs != result.rhs
+                    if rep.dim <= 30:
+                        brute += 1
+                        assert (result.lhs, result.rhs) == \
+                            (brute_measure(pts, x, target), brute_measure(pts, y, target))
+        assert marked >= 40 and brute >= 20
+
 
 def test_loop_invariant_check_raises_on_an_unhandled_successor(worked_rep):
     basis = CongruenceBasis(worked_rep.dim)
-    d = basis.item(*(to_ints(dirac(worked_rep, s)) for s in ("x", "z")))
-    successor = basis.successor(worked_rep, d, "a")
-    assert any(successor)
-    _check_loop_invariant(worked_rep, basis, [d], [(("a",), successor)])
+    item = basis.item(*(to_ints(dirac(worked_rep, s)) for s in ("x", "z")))
+    successor = basis.successor(worked_rep, item, "a")
+    assert any(successor[0])
+    _check_loop_invariant(worked_rep, basis, [item], [(("a",), successor)])
     with pytest.raises(InvariantError):
-        _check_loop_invariant(worked_rep, basis, [d], [])
-    basis.add(successor)
-    _check_loop_invariant(worked_rep, basis, [d], [])
+        _check_loop_invariant(worked_rep, basis, [item], [])
+    basis.add(*successor)
+    _check_loop_invariant(worked_rep, basis, [item], [])
 
 
 def test_guards_survive_optimized_mode():
