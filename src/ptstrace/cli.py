@@ -75,9 +75,12 @@ def _cmd_rep(args) -> int:
     for letter, columns in rep.columns.items():
         denominator = rep.denominators[letter]
         rows = [["0"] * rep.dim for _ in range(rep.dim)]
+        texts: dict[int, str] = {}  # one per letter: denominators differ
         for k, column in enumerate(columns):
             for j, p in column:
-                rows[j][k] = format_rational(Fraction(p, denominator))
+                if (text := texts.get(p)) is None:
+                    text = texts[p] = format_rational(Fraction(p, denominator))
+                rows[j][k] = text
         mats[letter] = rows
     _emit({
         "l_one": [format_rational(c) for c in rep.l_one],

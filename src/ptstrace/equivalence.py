@@ -333,7 +333,7 @@ def _check_loop_invariant(rep: LinearRep, basis: CongruenceBasis, recorded,
                           todo) -> None:
     # every letter-successor of a recorded difference is in the span or
     # still pending
-    pending = {frozenset(item[0].items()) for _, item in todo}
+    pending = {frozenset(item[0].items()) for *_, item in todo}
     for item in recorded:
         for letter in rep.alphabet:
             successor = basis.successor(rep, item, letter)[0]
@@ -351,13 +351,13 @@ def _separating_output(rep: LinearRep, d, check_total_mass: bool) -> OutputKind 
     return None
 
 
-def _pair_at(rep: LinearRep, configs: dict, word: Word) -> tuple[IntConfig, IntConfig]:
-    # the configurations reached along a traced word, stepped from its
-    # parent's: breadth-first order extracts and records the parent first
-    if not word:
-        return configs[word]
-    u, v = configs[word[:-1]]
-    return int_step(rep, u, word[-1]), int_step(rep, v, word[-1])
+def _spell(links: list[tuple[int, str]], node: int) -> Word:
+    # node k is reached from node links[k][0] by the letter links[k][1]
+    word = []
+    while node:
+        node, letter = links[node]
+        word.append(letter)
+    return tuple(reversed(word))
 
 
 def _decide(rep, x, y, store, *, check_total_mass, max_steps=None,
@@ -366,35 +366,43 @@ def _decide(rep, x, y, store, *, check_total_mass, max_steps=None,
     # equal keys in the naive and hk stores; the store makes its worklist
     # items out of them
     start = ({rep.state_index(x): 1}, 1), ({rep.state_index(y): 1}, 1)
-    todo = deque([((), store.item(*start))])
+    # an entry is (parent node, letter, item), the k-th extraction is node k:
+    # words are spelled from the links only for a witness or a trace
+    todo = deque([(0, None, store.item(*start))])
+    links: list[tuple[int, str]] = []
     # the vectors stepped for the items whose outputs agreed: the relation
     # built so far (an item the store took whose outputs differ ends the run)
     recorded = []
-    # with a trace, the configuration pair of each extracted word
-    configs = {(): start}
+    # with a trace, each node's configuration pair, stepped from its parent's
+    configs = [start]
     iterations = 0
     while todo:
         if max_steps is not None and iterations >= max_steps:
             return Inconclusive(steps_exhausted=max_steps, relation_size=len(recorded))
         if debug:
             _check_loop_invariant(rep, store, recorded, todo)
-        word, item = todo.popleft()
-        iterations += 1
+        parent, letter, item = todo.popleft()
+        node, iterations = iterations, iterations + 1
+        links.append((parent, letter))
         # membership before the outputs: a skipped item costs the store's test only
         stepped = store.record(*item)
         if trace is not None:
-            u, v = configs[word] = _pair_at(rep, configs, word)
-            trace.append(Extraction(word, from_ints(u, rep.dim), from_ints(v, rep.dim),
-                                    stepped is None))
+            if node:
+                u, v = configs[parent]
+                configs.append((int_step(rep, u, letter), int_step(rep, v, letter)))
+            u, v = configs[node]
+            trace.append(Extraction(_spell(links, node), from_ints(u, rep.dim),
+                                    from_ints(v, rep.dim), stepped is None))
         if stepped is None:
             continue
         output = _separating_output(rep, store.difference(stepped), check_total_mass)
         if output is not None:
             kind = Cone if output is OutputKind.TOTAL_MASS else FiniteWord
+            word = _spell(links, node)
             lhs, rhs = store.values(rep, start[0], word, stepped, kind)
             return NotEquivalent(word, output, lhs, rhs, iterations, len(recorded))
         for letter in rep.alphabet:
-            todo.append((word + (letter,), store.successor(rep, stepped, letter)))
+            todo.append((node, letter, store.successor(rep, stepped, letter)))
         recorded.append(stepped)
     return Equivalent(iterations=iterations, relation_size=len(recorded))
 

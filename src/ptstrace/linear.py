@@ -158,9 +158,9 @@ def build_rep(pts: Pts) -> LinearRep:
     moves: dict[str, list[list[tuple[int, int, int]]]] = {
         letter: [[] for _ in pts.states] for letter in pts.alphabet}
     for (source, letter, target), p in pts.moves.items():
-        numerator = p.numerator
+        numerator, denominator = p.as_integer_ratio()
         if numerator:
-            moves[letter][index[source]].append((index[target], numerator, p.denominator))
+            moves[letter][index[source]].append((index[target], numerator, denominator))
     columns, denominators = {}, {}
     for letter, per_source in moves.items():
         denominator = lcm(*[d for column in per_source for _, _, d in column])

@@ -214,11 +214,11 @@ def pts_from_dict(doc: object, check: bool = True) -> Pts:
         if not isinstance(move_items, list):
             raise PtsFormatError(f'"moves" for state {state!r} must be a list')
         for item in move_items:
-            if not (isinstance(item, dict) and "letter" in item and "to" in item
-                    and "p" in item):
+            try:
+                letter, target, text = item["letter"], item["to"], item["p"]
+            except (KeyError, TypeError):  # a field is missing, or not an object
                 raise PtsFormatError(
-                    f"move entries for state {state!r} need letter/to/p fields")
-            letter, target = item["letter"], item["to"]
+                    f"move entries for state {state!r} need letter/to/p fields") from None
             # a JSON list or object is unhashable: test the type first
             if not isinstance(letter, str) or letter not in letter_set:
                 raise UnknownIdentifier(f"state {state!r} moves on undeclared letter {letter!r}")
@@ -228,7 +228,9 @@ def pts_from_dict(doc: object, check: bool = True) -> Pts:
             if key in moves:
                 raise DuplicateIdentifier(
                     f"duplicate move {letter!r} -> {target!r} for state {state!r}")
-            moves[key] = _parse_once(item["p"], parsed)
+            # only a string can be in the memo; anything else is parsed to fail
+            value = parsed.get(text) if isinstance(text, str) else None
+            moves[key] = value if value is not None else _parse_once(text, parsed)
 
     pts = Pts(tuple(alphabet), tuple(states), term, moves)
     if check:
@@ -297,38 +299,55 @@ def _in_unit_range(p: Fraction) -> bool:
     return 0 <= p.numerator <= p.denominator
 
 
-def _mass(stop: Fraction, moves: list[_Move]) -> tuple[int, int]:
-    """A state's stop mass plus move masses as an integer numerator over the
-    lcm of their denominators, not reduced: the sum is 1 iff the two are equal."""
-    denominator = lcm(stop.denominator, *[p.denominator for _, _, _, p in moves])
-    numerator = stop.numerator * (denominator // stop.denominator)
-    for _, _, _, p in moves:
-        numerator += p.numerator * (denominator // p.denominator)
-    return numerator, denominator
+def _ratios(pts: Pts) -> dict[str, list[tuple[int, int]]]:
+    # each declared state's stop mass, then its moves on declared letters and
+    # states, as (numerator, denominator) pairs
+    letters = set(pts.alphabet)
+    ratios = {state: [pts.stop(state).as_integer_ratio()] for state in pts.states}
+    for (source, letter, target), p in pts.moves.items():
+        pairs = ratios.get(source)
+        if pairs is not None and letter in letters and target in ratios:
+            pairs.append(p.as_integer_ratio())
+    return ratios
+
+
+def _mass(pairs: list[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of (numerator, denominator) pairs as a numerator over the lcm
+    of the denominators, not reduced: the sum is 1 iff the two are equal."""
+    denominator = lcm(*[d for _, d in pairs])
+    return sum([n * (denominator // d) for n, d in pairs]), denominator
 
 
 def _state_mass(pts: Pts, state: str) -> Fraction:
-    return Fraction(*_mass(pts.stop(state), _moves_by_source(pts).get(state, [])))
+    return Fraction(*_mass(_ratios(pts)[state]))
 
 
 def validate(pts: Pts) -> list[Violation]:
-    """Check every model invariant; the list is empty iff all of them hold."""
-    violations = []
-    by_source = _moves_by_source(pts)
+    """Check every model invariant; the list is empty iff all of them hold.
+
+    One integer pass: a state passes when its masses (``_ratios``) lie in
+    [0, 1] and sum to 1 (``_mass``).  Messages are built only for the
+    states that fail, their moves in alphabet order, then target order.
+    """
+    ratios, by_source, violations = _ratios(pts), None, []
     for state in pts.states:
+        numerator, denominator = _mass(ratios[state])
+        # masses summing to 1 lie in [0, 1] iff the least numerator is >= 0
+        if numerator == denominator and min(ratios[state])[0] >= 0:
+            continue
+        if by_source is None:
+            by_source = _moves_by_source(pts)
         stop = pts.stop(state)
-        moves = by_source.get(state, [])
         if not _in_unit_range(stop):
             violations.append(Violation(
                 PROBABILITY_OUT_OF_RANGE, state,
                 f"stop probability {format_rational(stop)} outside [0, 1]"))
-        # reported in alphabet order, then target order
-        for _, letter, target, p in sorted(m for m in moves if not _in_unit_range(m[3])):
+        for _, letter, target, p in sorted(
+                m for m in by_source.get(state, ()) if not _in_unit_range(m[3])):
             violations.append(Violation(
                 PROBABILITY_OUT_OF_RANGE, state,
                 f"move {letter!r} -> {target!r} has probability "
                 f"{format_rational(p)} outside [0, 1]"))
-        numerator, denominator = _mass(stop, moves)
         if numerator != denominator:
             total = format_rational(Fraction(numerator, denominator))
             violations.append(Violation(

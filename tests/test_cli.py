@@ -107,6 +107,40 @@ def test_rep_output_equals_the_dense_view(doc_path, capsys):
         assert run(capsys, "rep", path) == (0, _dense_rep_output(doc), "")
 
 
+def test_rep_formats_shared_numerators_over_each_letters_denominator(doc_path, capsys):
+    # a's denominator is 12 and b's is 6: numerator 3 is 1/4 under a and
+    # 1/2 under b, numerator 4 is 1/3 under a and 2/3 under b
+    doc = {"alphabet": ["a", "b"], "states": ["x", "y"],
+           "transitions": {
+               "x": {"stop": "1/4", "moves": [{"letter": "a", "to": "y", "p": "1/4"},
+                                              {"letter": "b", "to": "x", "p": "1/2"}]},
+               "y": {"stop": "0", "moves": [{"letter": "a", "to": "x", "p": "1/3"},
+                                            {"letter": "a", "to": "y", "p": "1/3"},
+                                            {"letter": "b", "to": "y", "p": "1/3"}]}}}
+    rep = build_rep(parse_pts(json.dumps(doc)))
+    assert rep.denominators == {"a": 12, "b": 6}
+    numerators = [{p for column in rep.columns[a] for _, p in column} for a in "ab"]
+    assert numerators[0] & numerators[1] == {3}
+    code, out, err = run(capsys, "rep", doc_path(doc))
+    assert (code, out, err) == (0, _dense_rep_output(doc), "")
+    assert json.loads(out)["mats"] == {"a": [["0", "1/3"], ["1/4", "1/3"]],
+                                       "b": [["1/2", "0"], ["0", "1/3"]]}
+
+
+@pytest.mark.parametrize("entry", [
+    ["a", "x", "1"], "a", 1, None, {"to": "x", "p": "1"}, {"letter": "a", "p": "1"},
+    {"letter": "a", "to": "x"},
+], ids=["list", "string", "number", "null", "no-letter", "no-to", "no-p"])
+def test_a_malformed_move_entry_exit_2(doc_path, capsys, entry):
+    path = doc_path({"alphabet": ["a"], "states": ["x"],
+                     "transitions": {"x": {"stop": "0", "moves": [entry]}}})
+    for argv in (("validate", path), ("validate", path, "--json"), ("rep", path),
+                 ("eval", path, "--state", "x", "--query", "all"),
+                 ("equiv", path, "x", "x")):
+        assert run(capsys, *argv) == (
+            2, "", "error: move entries for state 'x' need letter/to/p fields\n")
+
+
 @pytest.mark.parametrize("digits", ["\u0661/\u0663", "\uff11/\uff13", "\U0001d7d9/\U0001d7db"])
 def test_non_ascii_digits_exit_2(doc_path, capsys, digits):
     doc = {"alphabet": ["a"], "states": ["x"],

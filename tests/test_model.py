@@ -323,6 +323,31 @@ def _perturbed(rng, pts, deltas):
     return Pts(pts.alphabet, pts.states, term, moves)
 
 
+def _failing_everywhere(rng, n=60):
+    """A system in which every state has moves and breaks, by turns, the
+    range rule (sum 1), the sum rule (all in range) or both."""
+    letters, states = ("a", "b"), tuple(f"s{i}" for i in range(n))
+    term, moves = {}, []
+    for i, state in enumerate(states):
+        keys = rng.sample([(a, t) for a in letters for t in states], 3)
+        weights = [F(rng.randint(1, 9), rng.choice((1, 6, 7, 10))) for _ in keys]
+        total = sum(weights) + 1
+        row = {key: w / total for key, w in zip(keys, weights)}
+        stop = 1 / total
+        if i % 3 == 0:
+            row[keys[0]] -= 1
+            row[keys[1]] += 1
+        elif i % 3 == 1:
+            stop += (1 - stop) / rng.choice((3, 5, 7))
+        else:
+            row[keys[2]] = -row[keys[2]]
+        term[state] = stop
+        moves += [((state, a, t), p) for (a, t), p in row.items()]
+    # document order is not the order of the messages
+    rng.shuffle(moves)
+    return Pts(letters, states, term, dict(moves))
+
+
 def test_integer_validation_matches_the_fraction_sums():
     rng = random.Random(23)
     deltas = [F(1, 7), F(-1, 7), F(2, 3), F(-3, 5), F(5, 2), F(-2), F(1, 10**30),
@@ -331,6 +356,62 @@ def test_integer_validation_matches_the_fraction_sums():
         pts = random_pts(rng) if rng.random() < 0.6 else split_copy_pts(rng, max_base=4)
         _assert_validate_matches_reference(pts)
         _assert_validate_matches_reference(_perturbed(rng, pts, deltas))
+    for n in (50, 60, 75):
+        _assert_validate_matches_reference(_failing_everywhere(rng, n))
+
+
+def _called(*args):
+    raise AssertionError("called while validating a valid document")
+
+
+def test_validating_a_valid_document_builds_no_message(monkeypatch):
+    rng = random.Random(43)
+    documents = [load(doc) for doc in ALL_DOCS.values()]
+    documents += [random_pts(rng) for _ in range(20)]
+    documents += [split_copy_pts(rng, max_base=30) for _ in range(20)]
+    assert max(len(pts.states) for pts in documents) > 60
+    monkeypatch.setattr(model, "_moves_by_source", _called)
+    monkeypatch.setattr(model, "format_rational", _called)
+    for pts in documents:
+        assert validate(pts) == []
+
+
+def test_many_failing_states_group_their_moves_once(monkeypatch):
+    rng = random.Random(47)
+    real, calls = model._moves_by_source, []
+
+    def counted(pts):
+        calls.append(pts)
+        return real(pts)
+
+    monkeypatch.setattr(model, "_moves_by_source", counted)
+    for n in (50, 60, 90):
+        pts = _failing_everywhere(rng, n)
+        calls.clear()
+        violations = validate(pts)
+        assert calls == [pts]
+        assert violations == _reference_validate(pts)
+        assert {v.state for v in violations} == set(pts.states)
+        kinds = {state: {v.kind for v in violations if v.state == state}
+                 for state in pts.states}
+        assert {frozenset(k) for k in kinds.values()} == {
+            frozenset({PROBABILITY_OUT_OF_RANGE}), frozenset({DISTRIBUTION_SUM}),
+            frozenset({PROBABILITY_OUT_OF_RANGE, DISTRIBUTION_SUM})}
+
+
+@pytest.mark.parametrize("entry", [
+    ["a", "x", "1"], "a", "", 1, 2.5, None, True, {},
+    {"to": "x", "p": "1"}, {"letter": "a", "p": "1"}, {"letter": "a", "to": "x"},
+], ids=["list", "string", "empty-string", "int", "float", "null", "bool", "empty-object",
+        "no-letter", "no-to", "no-p"])
+def test_a_malformed_move_entry_names_the_fields(entry):
+    doc = {"alphabet": ["a"], "states": ["x"],
+           "transitions": {"x": {"stop": "0", "moves": [entry]}}}
+    for check in (True, False):
+        with pytest.raises(PtsFormatError) as excinfo:
+            parse_pts(json.dumps(doc), check=check)
+        assert type(excinfo.value) is PtsFormatError
+        assert str(excinfo.value) == "move entries for state 'x' need letter/to/p fields"
 
 
 def test_integer_validation_matches_on_states_without_moves_or_entries():
