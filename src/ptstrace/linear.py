@@ -17,18 +17,21 @@ nonzero integer, which never stores a zero.  A configuration is such a
 vector over one positive common denominator, kept in lowest terms
 (``to_ints``/``from_ints`` convert), so a step is integer multiply-adds over
 the nonzero entries only, entries that cancel to zero are dropped, and one
-gcd normalization follows.  Where only the direction of a vector counts, as
-for the differences the equivalence checker carries, it is a bare sparse
-vector divided by its content, and ``scaled_step`` steps it without any
-denominator, reporting the factor it scaled the true step by.
+gcd normalization follows; ``int_walk`` walks a whole word in one call,
+one such step per letter, and ``int_step`` is its one-letter case.  Where
+only the direction of a vector counts, as for the differences the
+equivalence checker carries, it is a bare sparse vector divided by its
+content, and ``scaled_step`` steps it without any denominator, reporting
+the factor it scaled the true step by.
 
 The mass on finite words, the least nonnegative fixed point of
 ``s = l_star + (sum_a M_a)^T s``, is cached on the representation, each
 state solved once: a query solves the unsolved states its vector reaches,
 as one block with the solved states they reach as constants, by sparse
 fraction-free elimination in Markowitz order (fewest rows per cleared
-column first, which keeps fill-in low).  Only this module reads the cache
-entries (``int_out_finite``, ``finite_mass_vector``).
+column first, which keeps fill-in low), each elimination updating its
+target row in place.  Only this module reads the cache entries
+(``int_out_finite``, ``finite_mass_vector``).
 
 Matrix convention: ``mats[a][j][k]`` is the probability of moving from the
 k-th state to the j-th state on letter ``a``.  Columns are source states,
@@ -179,10 +182,11 @@ def build_rep(pts: Pts) -> LinearRep:
 
 
 def to_ints(u: Config) -> IntConfig:
-    """A Fraction configuration as sparse integers over their least common denominator."""
-    denominator = lcm(*(x.denominator for x in u if x))
-    return {k: x.numerator * (denominator // x.denominator)
-            for k, x in enumerate(u) if x}, denominator
+    """A Fraction configuration as sparse integers over their least common
+    denominator; the shared ``_ZERO`` entries of ``dirac`` are skipped by identity."""
+    nonzero = [(k, x) for k, x in enumerate(u) if x is not _ZERO and x]
+    denominator = lcm(*(x.denominator for _, x in nonzero))
+    return {k: x.numerator * (denominator // x.denominator) for k, x in nonzero}, denominator
 
 
 def from_ints(u: IntConfig, dim: int) -> Config:
@@ -202,16 +206,23 @@ def _product(columns: Columns, nums: Sparse) -> Sparse:
     return acc if all(acc.values()) else {j: x for j, x in acc.items() if x}
 
 
+def int_walk(rep: LinearRep, u: IntConfig, word: Iterable[str]) -> IntConfig:
+    """``M_w . u`` on the integer kernel: one product per letter of ``w``,
+    left to right, in lowest terms after each."""
+    nums, den = u
+    for letter in word:
+        columns, denominator = rep.letter_columns(letter)
+        nums = _product(columns, nums)
+        den *= denominator
+        g = gcd(den, *nums.values())
+        if g > 1:
+            nums, den = {j: x // g for j, x in nums.items()}, den // g
+    return nums, den
+
+
 def int_step(rep: LinearRep, u: IntConfig, letter: str) -> IntConfig:
     """``M_letter . u`` on the integer kernel, in lowest terms."""
-    columns, denominator = rep.letter_columns(letter)
-    nums, den = u
-    acc = _product(columns, nums)
-    den *= denominator
-    g = gcd(den, *acc.values())
-    if g > 1:
-        return {j: x // g for j, x in acc.items()}, den // g
-    return acc, den
+    return int_walk(rep, u, (letter,))
 
 
 def scaled_step(rep: LinearRep, scaled: tuple[Sparse, int, int],
@@ -289,18 +300,36 @@ def primitive(row: Sparse) -> Sparse:
     return {j: x // content for j, x in row.items()} if content > 1 else row
 
 
-def eliminate(row: Sparse, pivot_row: Sparse, col: int) -> Sparse:
-    """Clear entry ``col`` of a sparse row, fraction-free.
+def eliminate(row: Sparse, pivot_row: Sparse, col: int, holders: list[set[int]],
+              i: int) -> Sparse:
+    """Clear entry ``col`` of row ``i`` of a sparse system, fraction-free, in place.
 
-    Returns ``(p/g) row - (c/g) pivot_row`` divided by its content, where
-    ``p = pivot_row[col]``, ``c = row[col]`` and ``g = gcd(p, c)``: a
-    nonzero multiple of row minus a multiple of pivot_row, positive when
-    ``p`` is.
+    The row becomes ``(p/g) row - (c/g) pivot_row``, where ``p =
+    pivot_row[col]``, ``c = row[col]`` and ``g = gcd(p, c)``: a nonzero
+    multiple of row minus a multiple of pivot_row, positive when ``p`` is.
+    It is scaled only when ``p/g`` is not 1, and divided by its content
+    only after such a scaling.  ``holders[j]``, the rows holding column
+    ``j``, gains or loses ``i`` as an entry appears or cancels.
     """
     p, c = pivot_row[col], row[col]
     g = gcd(p, c)
-    a, c = p // g, c // g
-    return primitive(axpy({j: a * x for j, x in row.items()}, -c, pivot_row))
+    a, c = p // g, -(c // g)
+    if a != 1:
+        for j, x in row.items():
+            row[j] = a * x
+    for j, y in pivot_row.items():
+        if j not in row:
+            row[j] = c * y
+            holders[j].add(i)
+        elif x := row[j] + c * y:
+            row[j] = x
+        else:
+            del row[j]
+            holders[j].discard(i)
+    if a != 1 and (content := gcd(*row.values())) > 1:
+        for j, x in row.items():
+            row[j] = x // content
+    return row
 
 
 def _solve_sparse(rows: list[Sparse], m: int) -> tuple[IntVector, int]:
@@ -308,20 +337,21 @@ def _solve_sparse(rows: list[Sparse], m: int) -> tuple[IntVector, int]:
     over one common denominator in lowest terms.
 
     Row i is a dict of column -> coefficient, with the right-hand side under
-    key m.  Fraction-free forward elimination in Markowitz order: each step
-    clears the column held by the fewest remaining rows, pivoting on its
-    shortest row (ties to the smaller index), which keeps fill-in low on
-    the sparse systems built here.  A column -> rows index and a heap with
-    lazily dropped stale counts find that column without scanning.  Back
-    substitution stays in integers over one common denominator.
+    key m; the rows are reduced in place.  Fraction-free forward
+    elimination in Markowitz order: each step clears the column held by
+    the fewest remaining rows, pivoting on its shortest row (ties to the
+    smaller index), which keeps fill-in low on the sparse systems built
+    here.  A column -> rows index, kept current by ``eliminate``, and a
+    heap with lazily dropped stale counts find that column without
+    scanning.  Back substitution stays in integers over one common
+    denominator.
     """
     rows = [primitive(row) for row in rows]
-    holders: list[set[int]] = [set() for _ in range(m)]
+    holders: list[set[int]] = [set() for _ in range(m + 1)]  # holders[m] is unread
     for i, row in enumerate(rows):
         for j in row:
-            if j != m:
-                holders[j].add(i)
-    heap = [(len(held), j) for j, held in enumerate(holders)]
+            holders[j].add(i)
+    heap = [(len(held), j) for j, held in enumerate(holders[:m])]
     heapify(heap)
     cleared = [False] * m
     eliminated: list[tuple[int, dict[int, int]]] = []
@@ -334,27 +364,16 @@ def _solve_sparse(rows: list[Sparse], m: int) -> tuple[IntVector, int]:
         cleared[col] = True
         pivot = min(holders[col], key=lambda i: (len(rows[i]), i))
         pivot_row = rows[pivot]
-        changed = set()
         for j in pivot_row:
-            if j != m:
-                holders[j].discard(pivot)
-                changed.add(j)
+            holders[j].discard(pivot)
         # every other row holding col is reduced by the pivot row; none of
         # them holds col afterwards, so its index entry starts empty
         targets, holders[col] = holders[col], set()
         for i in targets:
-            old = rows[i]
-            rows[i] = new = eliminate(old, pivot_row, col)
-            for j in old.keys() - new.keys():
-                if j != m:
-                    holders[j].discard(i)
-                    changed.add(j)
-            for j in new.keys() - old.keys():
-                if j != m:
-                    holders[j].add(i)
-                    changed.add(j)
-        for j in changed:
-            if not cleared[j]:
+            eliminate(rows[i], pivot_row, col, holders, i)
+        # a target gains or loses only columns of the pivot row
+        for j in pivot_row:
+            if j != m and not cleared[j]:
                 heappush(heap, (len(holders[j]), j))
         eliminated.append((col, pivot_row))
     # x_j = nums[j] / den; a pivot row involves its own column, columns

@@ -5,8 +5,9 @@ the sigma-algebra over finite-and-infinite words -- the empty set, single
 finite words, and cones (all words with a given finite prefix) -- plus the
 derived sets of all finite words, all infinite words, and infinite-only
 cones.  ``measure`` (``int_measure`` on the kernel) is the one reader of
-trace-measure values: it applies ``M_w`` for a target's word and reads an
-output row of the walked vector, the total mass for a cone, the termination
+trace-measure values: it applies ``M_w`` for a target's word, in one
+``int_walk`` call on the sparse integer kernel, and reads an output row of
+the walked vector, the total mass for a cone, the termination
 mass for a word, and the finite-word mass, which the linear representation
 solves exactly for the states a query reaches and caches, for the finite
 and infinite sets.  No query involves limits or approximation.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linear import (Config, IntConfig, LinearRep, checked_ints,
-                     int_out_finite, int_out_term, int_step)
+                     int_out_finite, int_out_term, int_walk)
 from .model import PtsFormatError, UnknownIdentifier, Word
 
 _ZERO = Fraction(0)
@@ -86,8 +87,7 @@ def int_measure(rep: LinearRep, v: IntConfig, target: GenSet) -> Fraction:
     if isinstance(target, Empty):
         return _ZERO
     if isinstance(target, (FiniteWord, Cone, InfCone)):
-        for letter in target.word:
-            v = int_step(rep, v, letter)
+        v = int_walk(rep, v, target.word)
         if isinstance(target, FiniteWord):
             return int_out_term(rep, v)
     nums, den = v

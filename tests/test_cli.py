@@ -1,20 +1,22 @@
 """Command-line interface: subcommands, exit codes, output contracts."""
 
 import json
+import os
 import random
 import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ptstrace import Pts, build_rep, parse_pts, pts_to_dict
+from ptstrace import Pts, build_rep, parse_pts, pts_to_dict, serialize_pts
 from ptstrace.cli import main
 from ptstrace.model import format_rational
 
 from systems import (ALL_DOCS, CANTOR, CONGRUENCE_XZ, HALF_LOOP_XY,
-                     TWO_LETTER_YZ, random_pts, split_copy_pts)
+                     TWO_LETTER_YZ, random_pts, sink_split_pts, split_copy_pts)
 
 
 @pytest.fixture
@@ -332,6 +334,57 @@ def test_identical_invocations_identical_bytes(doc_path, capsys):
     fourth = run(capsys, "rep", path)
     assert third == fourth
 
+
+# several states breaking the sum and range rules, over string-named letters
+# and states, so an order taken from a string set would show in the output
+_FAILING = {
+    "alphabet": ["a", "b", "c"],
+    "states": ["x", "y", "z", "w", "v"],
+    "transitions": {
+        "x": {"stop": "9/10"},
+        "y": {"moves": [{"letter": "b", "to": "z", "p": "-1/2"},
+                        {"letter": "c", "to": "w", "p": "3/2"}]},
+        "z": {"stop": "1/2", "moves": [{"letter": "c", "to": "x", "p": "1/3"},
+                                       {"letter": "a", "to": "v", "p": "1/3"}]},
+        "w": {"stop": "1"},
+        "v": {"stop": "2", "moves": [{"letter": "b", "to": "v", "p": "-1"}]},
+    },
+}
+
+
+def test_invocations_under_different_hash_seeds_print_identical_bytes(tmp_path):
+    # string hashing is salted per process: two processes with different
+    # seeds must print the same bytes and exit with the same codes
+    paths = {}
+    for name, text in [
+            ("failing", json.dumps(_FAILING)),
+            ("sink", serialize_pts(sink_split_pts(random.Random(3), 6, 2))),
+            ("split", serialize_pts(split_copy_pts(random.Random(5), max_base=6))),
+            ("perturbed", serialize_pts(split_copy_pts(random.Random(20), max_base=6,
+                                                       perturb=True)))]:
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text, encoding="utf-8")
+    calls = [["validate", paths["failing"]], ["validate", paths["failing"], "--json"],
+             ["rep", paths["sink"]],
+             ["eval", paths["sink"], "--state", "a0", "--query", "finite"]]
+    for algo in ("hkc-inf", "hkc-finite", "hk", "naive"):
+        budget = ["--max-steps", "40"] if algo in ("hk", "naive") else []
+        calls += [["equiv", paths[doc], "a0", "b0p", "--algo", algo, *budget]
+                  for doc in ("split", "perturbed")]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    codes = []
+    for argv in calls:
+        runs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-m", "ptstrace", *map(str, argv)],
+                                  capture_output=True, env=env, timeout=120)
+            runs.append((proc.returncode, proc.stdout, proc.stderr))
+        assert runs[0] == runs[1], argv
+        codes.append(runs[0][0])
+    # validate fails twice, then rep and eval succeed, and every algorithm
+    # finds the split copy equivalent and the perturbed one not
+    assert codes == [2, 2, 0, 0] + [0, 1] * 4
 
 def test_module_entry_point(doc_path):
     path = doc_path(CANTOR)

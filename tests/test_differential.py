@@ -15,25 +15,32 @@ self-loops and certain stops exercise the pivot order of the sparse
 finite-mass solve; small ones are also checked against ``brute_measure``.
 Queries from every state in random orders on one representation check the
 on-demand solve, where each query solves only the states it reaches.
+The in-place elimination of that solve is checked block for block against
+the copying one it replaced, kept below, and a word walk against the chain
+of one-letter steps; start vectors built with fresh zero objects, negative
+entries or no mass at all check the Fraction-to-kernel conversion.
 """
 
 import random
 from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ptstrace import (AllFinite, AllInfinite, Cone, CongruenceBasis,
-                      Equivalent, Extraction, FiniteWord, Inconclusive,
-                      InfCone, NotEquivalent, OutputKind, Pts, brute_measure,
-                      build_rep, dirac, finite_mass_vector, hk, hkc_finite,
-                      hkc_inf, measure, naive, step)
-from ptstrace.linear import (axpy, from_ints, int_step, primitive,
-                             scaled_step, to_ints)
+from ptstrace import (All, AllFinite, AllInfinite, Cone, CongruenceBasis,
+                      Empty, Equivalent, Extraction, FiniteWord, Inconclusive,
+                      InfCone, NotEquivalent, OutputKind, Pts,
+                      SingularRestrictedSystem, brute_measure, build_rep,
+                      dirac, finite_mass_vector, hk, hkc_finite, hkc_inf,
+                      measure, naive, step)
+from ptstrace import linear
+from ptstrace.linear import (axpy, checked_ints, from_ints, int_step,
+                             int_walk, primitive, scaled_step, to_ints)
 
 from systems import (all_words, components_pts, random_pts, sink_split_pts,
                      split_copy_pts)
@@ -770,3 +777,226 @@ def test_finite_mass_of_a_vector_spanning_solved_blocks():
                       else _ZERO for _ in range(n))
             assert measure(rep, u, AllFinite()) == \
                 sum((a * b for a, b in zip(expected, u)), _ZERO)
+
+
+def ref_eliminate(row, pivot_row, col):
+    # a scaled copy of row minus a multiple of pivot_row, then its content out
+    p, c = pivot_row[col], row[col]
+    g = gcd(p, c)
+    a, c = p // g, c // g
+    return primitive(axpy({j: a * x for j, x in row.items()}, -c, pivot_row))
+
+
+def ref_solve_sparse(rows, m):
+    """The copying Markowitz elimination: each target row is rebuilt, and
+    the column index is patched from the key sets before and after."""
+    rows = [primitive(row) for row in rows]
+    holders = [set() for _ in range(m)]
+    for i, row in enumerate(rows):
+        for j in row:
+            if j != m:
+                holders[j].add(i)
+    heap = [(len(held), j) for j, held in enumerate(holders)]
+    heapify(heap)
+    cleared = [False] * m
+    eliminated = []
+    while heap:
+        count, col = heappop(heap)
+        if cleared[col] or count != len(holders[col]):
+            continue
+        if not count:
+            raise SingularRestrictedSystem("restricted system has no unique solution")
+        cleared[col] = True
+        pivot = min(holders[col], key=lambda i: (len(rows[i]), i))
+        pivot_row = rows[pivot]
+        changed = set()
+        for j in pivot_row:
+            if j != m:
+                holders[j].discard(pivot)
+                changed.add(j)
+        targets, holders[col] = holders[col], set()
+        for i in targets:
+            old = rows[i]
+            rows[i] = new = ref_eliminate(old, pivot_row, col)
+            for j in old.keys() - new.keys():
+                if j != m:
+                    holders[j].discard(i)
+                    changed.add(j)
+            for j in new.keys() - old.keys():
+                if j != m:
+                    holders[j].add(i)
+                    changed.add(j)
+        for j in changed:
+            if not cleared[j]:
+                heappush(heap, (len(holders[j]), j))
+        eliminated.append((col, pivot_row))
+    nums, den = [0] * m, 1
+    for col, row in reversed(eliminated):
+        acc = row.get(m, 0) * den
+        for j, x in row.items():
+            if j != col and j != m:
+                acc -= x * nums[j]
+        p = row[col]
+        g = gcd(acc, p)
+        scale = p // g
+        if scale < 0:
+            scale, g = -scale, -g
+        if scale != 1:
+            den *= scale
+            nums = [x * scale for x in nums]
+        nums[col] = acc // g
+    g = gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
+
+
+def _copied(rows):
+    return [dict(row) for row in rows]
+
+
+@pytest.mark.parametrize("index", range(len(ON_DEMAND_SYSTEMS)))
+def test_in_place_solve_matches_the_copying_reference(index, monkeypatch):
+    # every block a query solves, first from two states, then the rest:
+    # the kernel's (nums, den) equals the reference's on the same rows
+    pts = ON_DEMAND_SYSTEMS[index]
+    solve, blocks = linear._solve_sparse, []
+
+    def checked(rows, m):
+        expected = ref_solve_sparse(_copied(rows), m)
+        got = solve(rows, m)
+        assert got == expected
+        blocks.append(m)
+        return got
+
+    monkeypatch.setattr(linear, "_solve_sparse", checked)
+    rep = build_rep(pts)
+    rng = random.Random(index)
+    for state in rng.sample(pts.states, min(2, len(pts.states))):
+        measure(rep, dirac(rep, state), AllFinite())
+    assert finite_mass_vector(rep) == ref_finite_mass(pts)
+    assert blocks and sum(blocks) == rep.dim
+
+
+def test_in_place_solve_with_negative_pivots_and_singular_systems():
+    # negative pivots force a scaling with a sign change; the reference and
+    # the kernel agree, and both find a singular system singular
+    cases = [
+        ([{0: -3, 2: 1}, {1: 6, 2: -1}], 2),
+        ([{0: -2, 1: 3, 2: 1}, {0: 3, 1: -5, 2: -2}], 2),
+        ([{0: -4, 1: 6, 3: 2}, {0: 6, 1: -3, 2: 9}, {1: -2, 2: -4, 3: 7}], 3),
+        ([{0: 2, 1: -1}, {0: -1, 1: 2, 2: -1}, {1: -1, 2: 2, 3: 1}], 3),
+    ]
+    for rows, m in cases:
+        expected = ref_solve_sparse(_copied(rows), m)
+        assert linear._solve_sparse(_copied(rows), m) == expected
+    for rows, m in [([{0: 1, 1: 1, 2: 1}, {0: 2, 1: 2, 2: 3}], 2),
+                    ([{0: 1, 2: 1}, {0: 2, 2: 2}], 2),
+                    ([{0: -2, 1: 4}, {0: 3, 1: -6, 2: 1}], 2),
+                    ([{0: 1, 1: 2, 3: 1}, {1: 1, 2: -1}, {0: 1, 1: 3, 2: -1, 3: 5}], 3),
+                    ([{2: 1}, {0: 1, 1: 1}], 2)]:
+        with pytest.raises(SingularRestrictedSystem):
+            ref_solve_sparse(_copied(rows), m)
+        with pytest.raises(SingularRestrictedSystem):
+            linear._solve_sparse(_copied(rows), m)
+
+
+@st.composite
+def _small_systems(draw):
+    m = draw(st.integers(1, 5))
+    entry = st.integers(-6, 6).filter(bool)
+    rows = [draw(st.dictionaries(st.integers(0, m), entry, max_size=m + 1))
+            for _ in range(m)]
+    return rows, m
+
+
+@given(case=_small_systems())
+def test_in_place_solve_matches_the_copying_reference_on_small_systems(case):
+    rows, m = case
+    try:
+        expected = ref_solve_sparse(_copied(rows), m)
+    except SingularRestrictedSystem:
+        with pytest.raises(SingularRestrictedSystem):
+            linear._solve_sparse(_copied(rows), m)
+    else:
+        assert linear._solve_sparse(_copied(rows), m) == expected
+
+
+# the random systems and split copies of the on-demand solve's cases
+WALK_CASES = ON_DEMAND_SYSTEMS[:18]
+
+
+def _random_config(rng, n, density=0.4):
+    # fresh zero objects, never the shared one dirac uses
+    return tuple(F(rng.randint(-5, 5), rng.randint(1, 7)) if rng.random() < density
+                 else F(0) for _ in range(n))
+
+
+@pytest.mark.parametrize("index", range(len(WALK_CASES)))
+def test_walk_equals_the_chain_of_steps(index):
+    pts = WALK_CASES[index]
+    rep = build_rep(pts)
+    rng = random.Random(index)
+    starts = [to_ints(dirac(rep, state)) for state in pts.states]
+    starts += [to_ints(_random_config(rng, rep.dim)) for _ in range(3)]
+    for u in starts:
+        word = tuple(rng.choice(pts.alphabet) for _ in range(rng.randint(0, 8)))
+        before = dict(u[0]), u[1]
+        chained = u
+        for length in range(len(word) + 1):
+            if length:
+                chained = int_step(rep, chained, word[length - 1])
+            assert int_walk(rep, u, word[:length]) == chained
+        assert u == before
+
+
+def ref_to_ints(u):
+    den = lcm(*(x.denominator for x in u if x))
+    return {k: int(x * den) for k, x in enumerate(u) if x}, den
+
+
+def ref_measure(pts, mats, mass, u, target):
+    if isinstance(target, Empty):
+        return _ZERO
+    for letter in getattr(target, "word", ()):
+        u = ref_step(mats, u, letter)
+    total = sum(u, _ZERO)
+    finite = sum((a * b for a, b in zip(mass, u)), _ZERO)
+    if isinstance(target, FiniteWord):
+        return sum((pts.stop(s) * x for s, x in zip(pts.states, u)), _ZERO)
+    if isinstance(target, (Cone, All)):
+        return total
+    return finite if isinstance(target, AllFinite) else total - finite
+
+
+@pytest.mark.parametrize("index", range(len(WALK_CASES)))
+def test_start_vectors_match_the_fraction_reference(index):
+    # fresh zeros, negative entries, all-zero vectors and a unit vector
+    # with one extra entry: checked_ints, step and measure agree with the
+    # Fraction reference
+    pts = WALK_CASES[index]
+    rep, mats, mass = build_rep(pts), ref_mats(pts), ref_finite_mass(pts)
+    n = rep.dim
+    rng = random.Random(index)
+    mixed = list(dirac(rep, pts.states[0]))
+    mixed[-1] = F(-2, 3) if n > 1 else F(5, 4)
+    configs = [_random_config(rng, n) for _ in range(4)]
+    configs += [tuple(F(0) for _ in range(n)), (linear._ZERO,) * n, tuple(mixed)]
+    assert not any(x is linear._ZERO for u in configs[:5] for x in u)
+    word = tuple(rng.choice(pts.alphabet) for _ in range(3))
+    targets = [Empty(), FiniteWord(word), Cone(word), InfCone(word), AllFinite(),
+               AllInfinite(), All(), FiniteWord(()), InfCone(())]
+    for u in configs:
+        assert checked_ints(n, u) == ref_to_ints(u)
+        for letter in pts.alphabet:
+            assert step(rep, u, letter) == ref_step(mats, u, letter)
+        for target in targets:
+            assert measure(rep, u, target) == ref_measure(pts, mats, mass, u, target)
+    assert checked_ints(n, configs[-3]) == ({}, 1) == checked_ints(n, configs[-2])
+
+
+def test_step_and_checked_ints_refuse_a_configuration_of_the_wrong_length(worked_rep):
+    u = dirac(worked_rep, "x")
+    for wrong in (u[:-1], u + (F(0),), ()):
+        with pytest.raises(ValueError, match=f"length {len(wrong)}, expected 4"):
+            checked_ints(worked_rep.dim, wrong)
+        with pytest.raises(ValueError, match=f"length {len(wrong)}, expected 4"):
+            step(worked_rep, wrong, "a")

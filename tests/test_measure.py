@@ -194,6 +194,9 @@ def test_measure_rejects_wrong_length_for_every_target(worked_rep):
                    AllFinite(), AllInfinite(), All()):
         with pytest.raises(ValueError, match="length 2, expected 4"):
             measure(worked_rep, short, target)
+        for wrong in ((), short * 3):
+            with pytest.raises(ValueError, match=f"length {len(wrong)}, expected 4"):
+                measure(worked_rep, wrong, target)
 
 
 @pytest.mark.parametrize("target", [object(), _WordSet(("a",))], ids=["object", "_WordSet"])
