@@ -170,7 +170,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("rep", help="dump the determinized linear view as JSON")
     p.add_argument("input")
-    p.add_argument("--json", action="store_true", help="accepted; output is always JSON")
     p.set_defaults(func=_cmd_rep)
 
     p = commands.add_parser("eval", help="evaluate a measure query from a state")
@@ -182,14 +181,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_eval)
 
-    p = commands.add_parser("equiv", help="decide trace equivalence of two states")
+    p = commands.add_parser("equiv", help="decide trace equivalence of two states; prints JSON")
     p.add_argument("input")
     p.add_argument("left", help="first state")
     p.add_argument("right", help="second state")
     p.add_argument("--algo", choices=sorted(_ALGORITHMS), default="hkc-inf")
     p.add_argument("--max-steps", type=int, default=None,
                    help="step budget, required for naive and hk")
-    p.add_argument("--json", action="store_true", help="accepted; output is always JSON")
     p.set_defaults(func=_cmd_equiv)
 
     return parser

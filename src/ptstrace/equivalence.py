@@ -32,7 +32,10 @@ Checking both output rows (total mass and termination) decides equality of
 the full measures on finite and infinite words; dropping the total-mass
 comparison (hkc_finite) decides finite-trace equivalence only.  The
 breadth-first worklist and the declared alphabet order make runs
-deterministic and counterexample words shortest possible.
+deterministic and counterexample words shortest possible.  With ``debug``
+an hkc verdict is checked once, after the run: an ``Equivalent`` by its
+certificate, the final rows, whose span is a bisimulation up to congruence,
+and a ``NotEquivalent`` by walking both states along the witness again.
 """
 
 from __future__ import annotations
@@ -329,19 +332,6 @@ class _EquivalenceStore(_PairItems):
         return u, v
 
 
-def _check_loop_invariant(rep: LinearRep, basis: CongruenceBasis, recorded,
-                          todo) -> None:
-    # every letter-successor of a recorded difference is in the span or
-    # still pending
-    pending = {frozenset(item[0].items()) for *_, item in todo}
-    for item in recorded:
-        for letter in rep.alphabet:
-            successor = basis.successor(rep, item, letter)[0]
-            if not (basis.related(successor) or frozenset(successor.items()) in pending):
-                raise InvariantError(
-                    "loop invariant violated: recorded pair has an unhandled successor")
-
-
 def _separating_output(rep: LinearRep, d, check_total_mass: bool) -> OutputKind | None:
     # each output is linear, so it separates u and v iff it is nonzero on u - v
     if check_total_mass and sum(d.values()):
@@ -360,8 +350,7 @@ def _spell(links: list[tuple[int, str]], node: int) -> Word:
     return tuple(reversed(word))
 
 
-def _decide(rep, x, y, store, *, check_total_mass, max_steps=None,
-            trace=None, debug=False) -> EquivResult:
+def _decide(rep, x, y, store, check_total_mass, *, max_steps=None, trace=None) -> EquivResult:
     # configurations are lowest-terms IntConfigs, so equal vectors have
     # equal keys in the naive and hk stores; the store makes its worklist
     # items out of them
@@ -370,17 +359,14 @@ def _decide(rep, x, y, store, *, check_total_mass, max_steps=None,
     # words are spelled from the links only for a witness or a trace
     todo = deque([(0, None, store.item(*start))])
     links: list[tuple[int, str]] = []
-    # the vectors stepped for the items whose outputs agreed: the relation
-    # built so far (an item the store took whose outputs differ ends the run)
-    recorded = []
+    # the items recorded with agreeing outputs: the relation built so far
+    relation_size = 0
     # with a trace, each node's configuration pair, stepped from its parent's
     configs = [start]
     iterations = 0
     while todo:
         if max_steps is not None and iterations >= max_steps:
-            return Inconclusive(steps_exhausted=max_steps, relation_size=len(recorded))
-        if debug:
-            _check_loop_invariant(rep, store, recorded, todo)
+            return Inconclusive(steps_exhausted=max_steps, relation_size=relation_size)
         parent, letter, item = todo.popleft()
         node, iterations = iterations, iterations + 1
         links.append((parent, letter))
@@ -400,11 +386,11 @@ def _decide(rep, x, y, store, *, check_total_mass, max_steps=None,
             kind = Cone if output is OutputKind.TOTAL_MASS else FiniteWord
             word = _spell(links, node)
             lhs, rhs = store.values(rep, start[0], word, stepped, kind)
-            return NotEquivalent(word, output, lhs, rhs, iterations, len(recorded))
+            return NotEquivalent(word, output, lhs, rhs, iterations, relation_size)
         for letter in rep.alphabet:
             todo.append((node, letter, store.successor(rep, stepped, letter)))
-        recorded.append(stepped)
-    return Equivalent(iterations=iterations, relation_size=len(recorded))
+        relation_size += 1
+    return Equivalent(iterations=iterations, relation_size=relation_size)
 
 
 def _checked_bound(rep: LinearRep, result: EquivResult) -> EquivResult:
@@ -416,25 +402,46 @@ def _checked_bound(rep: LinearRep, result: EquivResult) -> EquivResult:
     return result
 
 
+def _check_certificate(rep: LinearRep, x: str, y: str, basis: CongruenceBasis,
+                       result: EquivResult, check_total_mass: bool) -> None:
+    start = [({rep.state_index(s): 1}, 1) for s in (x, y)]
+    if isinstance(result, NotEquivalent):
+        kind = Cone if result.output is OutputKind.TOTAL_MASS else FiniteWord
+        values = [int_measure(rep, u, kind(result.witness)) for u in start]
+        proved = values == [result.lhs, result.rhs] and result.lhs != result.rhs
+    else:
+        rows = basis._rows.values()
+        proved = (basis.related(int_difference(*start))
+                  and all(_separating_output(rep, row, check_total_mass) is None for row in rows)
+                  and all(basis.related(scaled_step(rep, (row, 1, 1), letter)[0])
+                          for row in rows for letter in rep.alphabet))
+    if not proved:
+        raise InvariantError(f"the hkc verdict fails its check: {result}")
+
+
+def _hkc(rep, x, y, check_total_mass, debug, trace) -> EquivResult:
+    basis = CongruenceBasis(rep.dim)
+    result = _checked_bound(rep, _decide(rep, x, y, basis, check_total_mass, trace=trace))
+    if debug:
+        _check_certificate(rep, x, y, basis, result, check_total_mass)
+    return result
+
+
 def hkc_inf(rep: LinearRep, x: str, y: str, *, debug: bool = False,
             trace: list | None = None) -> EquivResult:
     """Decide equality of the full trace measures of two states.
 
     Always terminates.  ``trace`` (a list, appended in place) records every
-    extraction; ``debug`` checks the worklist loop invariant at each head
-    and raises ``InvariantError`` if it fails.
+    extraction; ``debug`` checks the verdict's proof once, after the run
+    (see the module docstring), and raises ``InvariantError`` if it fails.
     """
-    result = _decide(rep, x, y, CongruenceBasis(rep.dim), check_total_mass=True,
-                     trace=trace, debug=debug)
-    return _checked_bound(rep, result)
+    return _hkc(rep, x, y, True, debug, trace)
 
 
 def hkc_finite(rep: LinearRep, x: str, y: str, *, debug: bool = False,
                trace: list | None = None) -> EquivResult:
     """Decide equality on finite words only: the total-mass comparison is dropped."""
-    result = _decide(rep, x, y, CongruenceBasis(rep.dim), check_total_mass=False,
-                     trace=trace, debug=debug)
-    return _checked_bound(rep, result)
+    return _hkc(rep, x, y, False, debug, trace)
 
 
 def naive(rep: LinearRep, x: str, y: str, max_steps: int, *,

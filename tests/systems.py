@@ -174,23 +174,29 @@ def split_copy_pts(rng, max_base=10, max_letters=3, perturb=False):
                     moves[(source, letter, f"b{target[1:]}p")] = p * r
                     moves[(source, letter, f"b{target[1:]}q")] = p * (1 - r)
     if perturb:
-        reachable, frontier = {"b0p"}, ["b0p"]
-        while frontier:
-            state = frontier.pop()
-            for s, _, target in moves:
-                if s == state and target not in reachable:
-                    reachable.add(target)
-                    frontier.append(target)
-        outgoing = sorted(key for key in moves if key[0] in reachable)
-        if outgoing:
-            key = rng.choice(outgoing)
-            source = key[0]
-            shift = moves[key] / rng.randint(2, 4)
-            moves[key] -= shift
-            term[source] += shift
+        _perturb(rng, term, moves)
     pts = Pts(tuple(letters), base + copies, term, moves)
     assert validate(pts) == []
     return pts
+
+
+def _perturb(rng, term, moves):
+    """Move part of one move's mass to stopping, in place, at a state
+    reachable from b0p: this usually breaks the equivalence of a0 and b0p."""
+    reachable, frontier = {"b0p"}, ["b0p"]
+    while frontier:
+        state = frontier.pop()
+        for s, _, target in moves:
+            if s == state and target not in reachable:
+                reachable.add(target)
+                frontier.append(target)
+    outgoing = sorted(key for key in moves if key[0] in reachable)
+    if outgoing:
+        key = rng.choice(outgoing)
+        source = key[0]
+        shift = moves[key] / rng.randint(2, 4)
+        moves[key] -= shift
+        term[source] += shift
 
 
 def _units(rng, outcomes, units=12):
@@ -215,9 +221,10 @@ def _system(letters, states, outcomes_by_state):
     return pts
 
 
-def sink_split_pts(rng, m, n_letters=2, sinks=2):
+def sink_split_pts(rng, m, n_letters=2, sinks=2, perturb=False):
     """A chain-like system with non-terminating sink components, and its
-    split copy (states a<i> and b<i>p / b<i>q, 3 (m + sinks) in all).
+    split copy (states a<i> and b<i>p / b<i>q, 3 (m + sinks) in all),
+    perturbed as in ``split_copy_pts`` with ``perturb``.
 
     Chain state i stops, moves on to i + 1, back to i // 2 and to a
     pseudo-random earlier state, and every third one leaks into a sink;
@@ -253,7 +260,13 @@ def sink_split_pts(rng, m, n_letters=2, sinks=2):
                     split[(letter, f"b{target[1:]}q")] = p * (1 - r)
             outcomes[f"b{i}{c}"] = split
             states.append(f"b{i}{c}")
-    return _system(letters, states, outcomes)
+    pts = _system(letters, states, outcomes)
+    if perturb:
+        term, moves = dict(pts.term), dict(pts.moves)
+        _perturb(rng, term, moves)
+        pts = Pts(pts.alphabet, pts.states, term, moves)
+        assert validate(pts) == []
+    return pts
 
 
 def components_pts(rng, components=4, size=4, transient=6, n_letters=2):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output contracts."""
 
+import argparse
 import json
 import os
 import random
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from ptstrace import Pts, build_rep, parse_pts, pts_to_dict, serialize_pts
-from ptstrace.cli import main
+from ptstrace.cli import _parser, main
 from ptstrace.model import format_rational
 
 from systems import (ALL_DOCS, CANTOR, CONGRUENCE_XZ, HALF_LOOP_XY,
@@ -323,6 +324,41 @@ def test_usage_errors_exit_4(capsys):
         main(["equiv", "x.json", "a", "b", "--algo", "bogus"])
     assert excinfo.value.code == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [["rep"], ["equiv", "x", "z"]])
+def test_json_flag_of_an_always_json_command_is_a_usage_error(doc_path, capsys, command):
+    # rep and equiv always print JSON, so the flag could only be ignored
+    name, *rest = command
+    with pytest.raises(SystemExit) as excinfo:
+        main([name, doc_path(CONGRUENCE_XZ), *rest, "--json"])
+    assert excinfo.value.code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ptstrace ")
+    assert captured.err.endswith("error: unrecognized arguments: --json\n")
+
+
+def test_every_store_true_flag_changes_stdout(doc_path, capsys):
+    # a flag that is accepted and changes nothing only misleads
+    path = doc_path(CONGRUENCE_XZ)
+    valid = {"validate": [path], "rep": [path],
+             "eval": [path, "--state", "x", "--query", "cone:a"],
+             "equiv": [path, "x", "z"]}
+    (commands,) = [action for action in _parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert sorted(commands.choices) == sorted(valid)
+    flags = []
+    for name, command in commands.choices.items():
+        for action in command._actions:
+            if isinstance(action, argparse._StoreTrueAction):
+                flag = action.option_strings[0]
+                flags.append(flag)
+                plain = run(capsys, name, *valid[name])
+                flagged = run(capsys, name, *valid[name], flag)
+                assert plain[0] == flagged[0] == 0
+                assert plain[1] != flagged[1], f"{name} {flag} does not change stdout"
+    assert flags
 
 
 def test_identical_invocations_identical_bytes(doc_path, capsys):

@@ -386,13 +386,23 @@ def test_hkc_matches_dense_reference_on_wide_and_sink_split_copies(index):
         assert basis.pivots == store.basis.pivots
 
 
-@pytest.mark.parametrize("index", range(len(UNARY_CHAINS + WIDE_CASES)))
+# the same documents, each with one move of a state reachable from b0p
+# shifted to stopping: every one of them separates a0 and b0p
+PERTURBED_CASES = ([split_copy_pts(random.Random(seed), max_base=20, max_letters=1,
+                                   perturb=True) for seed in (48, 147)]
+                   + [split_copy_pts(random.Random(0), max_base=14, max_letters=4,
+                                     perturb=True),
+                      sink_split_pts(random.Random(3), 28, 2, perturb=True)])
+
+
+@pytest.mark.parametrize("index", range(len(UNARY_CHAINS + WIDE_CASES + PERTURBED_CASES)))
 def test_debug_runs_keep_the_loop_invariant(index):
-    pts = (UNARY_CHAINS + WIDE_CASES)[index]
+    equivalent = UNARY_CHAINS + WIDE_CASES
+    pts = (equivalent + PERTURBED_CASES)[index]
     rep = build_rep(pts)
     for algorithm in (hkc_inf, hkc_finite):
         result = algorithm(rep, "a0", "b0p", debug=True)
-        assert isinstance(result, Equivalent)
+        assert isinstance(result, Equivalent if index < len(equivalent) else NotEquivalent)
         assert result == algorithm(rep, "a0", "b0p")
 
 

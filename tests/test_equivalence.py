@@ -15,10 +15,10 @@ from ptstrace import (Cone, CongruenceBasis, Equivalent, FiniteWord,
                       brute_measure, build_rep, dirac, hk, hkc_finite,
                       hkc_inf, measure, naive, parse_pts, step,
                       word_oracle_equiv)
-from ptstrace.equivalence import _check_loop_invariant, _checked_bound
+from ptstrace.equivalence import _check_certificate, _checked_bound
 from ptstrace.linear import LinearRep, to_ints
 
-from systems import random_pts, split_copy_pts
+from systems import random_pts, sink_split_pts, split_copy_pts
 
 F = Fraction
 
@@ -486,16 +486,93 @@ def test_witness_values_are_measures_of_deep_witnesses(monkeypatch):
         assert marked >= 40 and brute >= 20
 
 
-def test_loop_invariant_check_raises_on_an_unhandled_successor(worked_rep):
+def test_certificate_check_raises_on_an_unhandled_successor(worked_rep):
+    # rows holding the (x, z) item but not its a-successor are not closed
+    # under M_a, so they do not prove an Equivalent
     basis = CongruenceBasis(worked_rep.dim)
     item = basis.item(*(to_ints(dirac(worked_rep, s)) for s in ("x", "z")))
     successor = basis.successor(worked_rep, item, "a")
     assert any(successor[0])
-    _check_loop_invariant(worked_rep, basis, [item], [(("a",), successor)])
+    basis.add(*item)
+    verdict = Equivalent(iterations=3, relation_size=2)
     with pytest.raises(InvariantError):
-        _check_loop_invariant(worked_rep, basis, [item], [])
+        _check_certificate(worked_rep, "x", "z", basis, verdict, True)
     basis.add(*successor)
-    _check_loop_invariant(worked_rep, basis, [item], [])
+    _check_certificate(worked_rep, "x", "z", basis, verdict, True)
+
+
+
+def test_certificate_check_requires_the_checked_outputs_to_vanish(yz_rep):
+    # the whole space holds e_y - e_z and is closed under every M_a; only
+    # the total mass, which finite-trace equivalence drops, is nonzero on it
+    basis = CongruenceBasis(yz_rep.dim)
+    for state in ("y", "z"):
+        basis.add({yz_rep.state_index(state): 1})
+    verdict = Equivalent(iterations=1, relation_size=2)
+    _check_certificate(yz_rep, "y", "z", basis, verdict, False)
+    with pytest.raises(InvariantError):
+        _check_certificate(yz_rep, "y", "z", basis, verdict, True)
+
+
+def test_certificate_check_requires_the_witness_to_separate(worked_rep):
+    # x and z agree on every word: their true values on a word prove nothing
+    values = [measure(worked_rep, dirac(worked_rep, s), FiniteWord(("a",))) for s in "xz"]
+    assert values[0] == values[1]
+    verdict = NotEquivalent(("a",), OutputKind.TERMINATION, *values, 2, 1)
+    with pytest.raises(InvariantError):
+        _check_certificate(worked_rep, "x", "z", CongruenceBasis(worked_rep.dim), verdict, True)
+
+def _skipping_record(k):
+    """A wrong store: from the k-th novel item on, it takes every item for
+    one already related, so the run never sees that difference."""
+    record = CongruenceBasis.record
+
+    def skipping(self, d, num, den):
+        return None if self.rank >= k - 1 else record(self, d, num, den)
+    return skipping
+
+
+def test_debug_catches_every_equivalent_of_a_store_that_skips_novel_items(monkeypatch):
+    # the witnesses are 2-13 letters long, after recording 4-25 pairs
+    reps = [build_rep(sink_split_pts(random.Random(seed), 15, 2, perturb=True))
+            for seed in range(6)]
+    wrong = caught = 0
+    for rep in reps:
+        for algorithm in (hkc_inf, hkc_finite):
+            assert isinstance(algorithm(rep, "a0", "b0p"), NotEquivalent)
+            for k in range(1, 40, 2):
+                with monkeypatch.context() as patched:
+                    patched.setattr(CongruenceBasis, "record", _skipping_record(k))
+                    result = algorithm(rep, "a0", "b0p")
+                    if not isinstance(result, Equivalent):
+                        # an earlier difference is still a true witness
+                        assert algorithm(rep, "a0", "b0p", debug=True) == result
+                        continue
+                    wrong += 1
+                    # k = 1 records nothing: the run ends after its first item
+                    assert k > 1 or result.relation_size == 0
+                    with pytest.raises(InvariantError):
+                        algorithm(rep, "a0", "b0p", debug=True)
+                    caught += 1
+    assert caught == wrong >= 100
+
+
+def test_debug_catches_a_shifted_rhs(monkeypatch):
+    pts = split_copy_pts(random.Random(0), max_base=14, max_letters=4, perturb=True)
+    rep = build_rep(pts)
+    values = CongruenceBasis.values
+
+    def shifted(*args):
+        lhs, rhs = values(*args)
+        return lhs, rhs + F(1, 7)
+
+    for algorithm in (hkc_inf, hkc_finite):
+        result = algorithm(rep, "a0", "b0p", debug=True)
+        with monkeypatch.context() as patched:
+            patched.setattr(CongruenceBasis, "values", staticmethod(shifted))
+            assert algorithm(rep, "a0", "b0p").rhs == result.rhs + F(1, 7)
+            with pytest.raises(InvariantError):
+                algorithm(rep, "a0", "b0p", debug=True)
 
 
 def test_guards_survive_optimized_mode():
@@ -505,7 +582,7 @@ import json
 from ptstrace import (AllFinite, CongruenceBasis, Equivalent, InvariantError,
                       SingularRestrictedSystem, build_rep, dirac, measure, parse_pts)
 from ptstrace import linear
-from ptstrace.equivalence import _check_loop_invariant, _checked_bound
+from ptstrace.equivalence import _check_certificate, _checked_bound
 from ptstrace.linear import _solve_sparse, to_ints
 import sys
 sys.path.insert(0, "tests")
@@ -513,10 +590,11 @@ from systems import CONGRUENCE_XZ
 assert False, "asserts are stripped"
 rep = build_rep(parse_pts(json.dumps(CONGRUENCE_XZ)))
 basis = CongruenceBasis(rep.dim)
-d = basis.item(to_ints(dirac(rep, "x")), to_ints(dirac(rep, "z")))
+basis.add(*basis.item(to_ints(dirac(rep, "x")), to_ints(dirac(rep, "z"))))
 # a finite-mass block solved as all zeros breaks the fixed point at x
 linear._solve_sparse = lambda rows, m: ((0,) * m, 1)
-for guard in (lambda: _check_loop_invariant(rep, basis, [d], []),
+# one row, not closed under M_a: no proof of an Equivalent
+for guard in (lambda: _check_certificate(rep, "x", "z", basis, Equivalent(3, 2), True),
               lambda: _checked_bound(rep, Equivalent(iterations=rep.dim * 9,
                                                      relation_size=1)),
               lambda: _solve_sparse([{0: 1, 1: 1, 2: 1}, {0: 2, 1: 2, 2: 3}], 2),
