@@ -70,18 +70,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_rep(args) -> int:
     rep = build_rep(parse_pts(_read(args.input)))
-    # mats[a][j][k], printed from the sparse columns: most entries are "0"
-    mats = {}
-    for letter, columns in rep.columns.items():
-        denominator = rep.denominators[letter]
-        rows = [["0"] * rep.dim for _ in range(rep.dim)]
-        texts: dict[int, str] = {}  # one per letter: denominators differ
-        for k, column in enumerate(columns):
-            for j, p in column:
-                if (text := texts.get(p)) is None:
-                    text = texts[p] = format_rational(Fraction(p, denominator))
-                rows[j][k] = text
-        mats[letter] = rows
+    # mats[a][j][k] from the sparse columns: most entries are "0"
+    mats = {letter: rep.dense(letter, lambda p, d=d: format_rational(Fraction(p, d)), "0")
+            for letter, d in rep.denominators.items()}
     _emit({
         "l_one": [format_rational(c) for c in rep.l_one],
         "l_star": [format_rational(c) for c in rep.l_star],

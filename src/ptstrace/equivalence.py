@@ -48,8 +48,8 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .linear import (Config, IntConfig, LinearRep, Sparse, checked_ints,
-                     from_ints, int_difference, int_step, scaled_out_term,
-                     scaled_step)
+                     eliminate, from_ints, int_difference, int_step,
+                     scaled_out_term, scaled_step)
 from .measure import Cone, FiniteWord, int_measure
 from .model import Word
 
@@ -119,11 +119,11 @@ class CongruenceBasis:
     pivot entry) that is zero below its pivot, its smallest column, and is
     never rewritten.  By pivot the rows are in echelon form, so a reduction
     reads only the rows whose pivots its vector holds; it is fraction-free,
-    ``w := (r[p]/g) w - (w[p]/g) r`` with ``g = gcd(r[p], w[p])`` clearing
-    pivot p of w by its row r.  ``pivots`` and ``rows`` are views derived on
-    demand: the sorted pivot columns and the unique reduced row-echelon form
-    of the span (Fraction rows, pivot entries 1), which membership never
-    needs.
+    the package's one pivot step ``linear.eliminate``: ``w := (r[p]/g) w -
+    (w[p]/g) r`` with ``g = gcd(r[p], w[p])`` clears pivot p of w by its
+    row r.  ``rows`` is a view derived on demand: the unique reduced
+    row-echelon form of the span (Fraction rows, pivot entries 1), which
+    membership never needs.
 
     It is the hkc variants' pair store.  A worklist item (``item``) is
     ``(d, num, den)``: a primitive sparse difference vector that is
@@ -145,10 +145,6 @@ class CongruenceBasis:
         return len(self._rows)
 
     @property
-    def pivots(self) -> list[int]:
-        return sorted(self._rows)
-
-    @property
     def rows(self) -> list[list[Fraction]]:
         # back-substitution, newest row first, by the rows already reduced
         reduced = {}
@@ -163,9 +159,9 @@ class CongruenceBasis:
     def _reduce(self, d: Sparse) -> tuple[Sparse, int, int]:
         """``(w, num, den)``: w is ``num / den`` times d minus its component
         in the span, as a new dict.  Clearing a pivot changes only larger
-        columns, so w's pivots are cleared smallest first, from a heap.  A
-        step that scales w divides out w's content, or w would grow by a
-        pivot entry's bits at every step."""
+        columns, so w's pivots are cleared smallest first, from a heap.  Each
+        step is ``eliminate``, which divides out w's content after a
+        scaling, or w would grow by a pivot entry's bits at every step."""
         rows, w, num, den = self._rows, dict(d), 1, 1
         heap = [j for j in w if j in rows]
         heapify(heap)
@@ -173,26 +169,12 @@ class CongruenceBasis:
             pivot = heappop(heap)
             if pivot not in w:  # cancelled after it was pushed
                 continue
-            row = rows[pivot]
-            r, c = row[pivot], w[pivot]
-            g = gcd(r, c)
-            r, c = r // g, -(c // g)
-            if r != 1:
-                w = {j: r * x for j, x in w.items()}
-            for j, y in row.items():
-                if j not in w:
-                    w[j] = c * y
-                    if j in rows:
-                        heappush(heap, j)
-                elif x := w[j] + c * y:
-                    w[j] = x
-                else:
-                    del w[j]
-            if r != 1:
-                num *= r
-                if (g := gcd(*w.values())) > 1:
-                    w = {j: x // g for j, x in w.items()}
-                    den *= g
+            factor, content, appeared = eliminate(w, rows[pivot], pivot)
+            num *= factor
+            den *= content
+            for j in appeared:
+                if j in rows:
+                    heappush(heap, j)
         return w, num, den
 
     def record(self, d: Sparse, num: int, den: int) -> tuple[Sparse, int, int] | None:

@@ -29,9 +29,15 @@ The mass on finite words, the least nonnegative fixed point of
 state solved once: a query solves the unsolved states its vector reaches,
 as one block with the solved states they reach as constants, by sparse
 fraction-free elimination in Markowitz order (fewest rows per cleared
-column first, which keeps fill-in low), each elimination updating its
-target row in place.  Only this module reads the cache entries
-(``int_out_finite``, ``finite_mass_vector``).
+column first, which keeps fill-in low).  Each cache entry is the state's
+own value as a ``(numerator, denominator)`` pair; only this module reads
+them (``int_out_finite``, ``finite_mass_vector``).
+
+That elimination and the congruence basis of ``equivalence`` share one
+pivot step, ``eliminate`` (Bareiss's fraction-free step, in place), which
+reports its factor, content and new columns so each caller keeps its own
+scale or index; its ``w += c * row`` loop, ``axpy``, also serves
+``int_difference``.
 
 Matrix convention: ``mats[a][j][k]`` is the probability of moving from the
 k-th state to the j-th state on letter ``a``.  Columns are source states,
@@ -39,8 +45,9 @@ so one step of a column vector u is the product ``M_a . u`` and the column
 of ``M_a`` at a state equals the step image of that state's unit vector.
 The transpose convention is equally common elsewhere; everything here
 assumes columns-are-sources.  ``mats`` is a dense Fraction view derived
-from the sparse columns on first use; neither the kernel nor ``ptstrace
-rep``, which prints the matrices from the columns, reads it.
+from the sparse columns on first use, which the kernel never reads; it
+and ``ptstrace rep``, which prints formatted entries, share the one dense
+layout ``LinearRep.dense``.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .model import Pts, UnknownIdentifier
 
@@ -86,9 +93,9 @@ class LinearRep:
     ``l_one`` is always the all-ones row because every state's masses sum
     to 1; keeping it explicit makes the two output functionals symmetric.
     Immutable after construction apart from caches of derived values;
-    safe to share between threads, as the caches only grow: a solved
-    finite-mass block is stored before its states point to it, and an
-    exact value, once cached, never changes.
+    safe to share between threads, as the caches only grow: a state's
+    finite mass is stored in one assignment, and an exact value, once
+    cached, never changes.
     """
 
     states: tuple[str, ...]
@@ -124,16 +131,20 @@ class LinearRep:
     def mats(self) -> dict[str, Matrix]:
         """Dense Fraction matrices, ``mats[a][j][k]``, derived from the columns:
         a view for callers, which the package itself never reads."""
-        n = self.dim
-        dense = {}
-        for letter, columns in self.columns.items():
-            denominator = self.denominators[letter]
-            rows = [[_ZERO] * n for _ in range(n)]
-            for k, column in enumerate(columns):
-                for j, p in column:
-                    rows[j][k] = Fraction(p, denominator)
-            dense[letter] = tuple(tuple(row) for row in rows)
-        return dense
+        return {letter: self.dense(letter, lambda p, d=d: Fraction(p, d), _ZERO)
+                for letter, d in self.denominators.items()}
+
+    def dense(self, letter: str, cell: Callable[[int], object], zero: object) -> tuple:
+        """A letter's matrix laid out densely, ``[j][k]``: ``cell(p)`` for each
+        move ``(j, p)`` of the k-th state's column, ``zero`` elsewhere;
+        ``cell`` is called once per distinct numerator."""
+        rows, cells = [[zero] * self.dim for _ in range(self.dim)], {}
+        for k, column in enumerate(self.columns[letter]):
+            for j, p in column:
+                if (x := cells.get(p)) is None:
+                    x = cells[p] = cell(p)
+                rows[j][k] = x
+        return tuple(map(tuple, rows))
 
     @cached_property
     def _mass_cache(self) -> tuple[list[Sparse], int, Sparse, int, list]:
@@ -141,8 +152,8 @@ class LinearRep:
 
         ``combined[k][j] / common`` is the one-step probability from the
         k-th to the j-th state over all letters, ``star / star_den`` is
-        ``l_star``, and ``solved[k]`` is ``(block, position)`` once the k-th
-        state is solved, ``block`` a dense ``(numerators, denominator)`` pair.
+        ``l_star``, and ``solved[k]`` is the k-th state's finite mass as a
+        ``(numerator, denominator)`` pair once it is solved.
         """
         common = lcm(*self.denominators.values())
         combined: list[Sparse] = [{} for _ in self.states]
@@ -257,11 +268,11 @@ def int_out_finite(rep: LinearRep, u: IntConfig) -> Fraction:
     """Mass on all finite words: ``finite_mass . u``, solving what ``u`` reaches."""
     nums, den = u
     solved = solve_finite_mass(rep, nums)
-    by_block: dict[int, int] = {}
+    by_den: dict[int, int] = {}
     for k, x in nums.items():
-        (block, block_den), position = solved[k]
-        by_block[block_den] = by_block.get(block_den, 0) + block[position] * x
-    return sum([Fraction(acc, block_den * den) for block_den, acc in by_block.items()], _ZERO)
+        value, value_den = solved[k]
+        by_den[value_den] = by_den.get(value_den, 0) + value * x
+    return sum([Fraction(acc, value_den * den) for value_den, acc in by_den.items()], _ZERO)
 
 
 def finite_mass_vector(rep: LinearRep) -> Config:
@@ -272,26 +283,31 @@ def finite_mass_vector(rep: LinearRep) -> Config:
     and cached on the representation (``solve_finite_mass``).
     """
     solved = solve_finite_mass(rep, range(rep.dim))
-    return tuple(Fraction(block[position], den) for (block, den), position in solved)
+    return tuple(Fraction(value, den) for value, den in solved)
 
 
 def int_difference(u: IntConfig, v: IntConfig) -> Sparse:
     """A sparse integer vector with the direction of u - v (a positive multiple of it)."""
     (a, d), (b, e) = u, v
     g = gcd(d, e)
-    return axpy({k: x * (e // g) for k, x in a.items()}, -(d // g), b)
+    w = {k: x * (e // g) for k, x in a.items()}
+    axpy(w, -(d // g), b)
+    return w
 
 
-def axpy(w: Sparse, c: int, row: Sparse) -> Sparse:
-    """``w + c * row``, computed in place in ``w``, with cancelled entries dropped."""
+def axpy(w: Sparse, c: int, row: Sparse) -> list[int]:
+    """``w += c * row`` in place, with cancelled entries dropped; returns
+    the columns that entered ``w``."""
+    appeared = []
     for j, y in row.items():
         if j not in w:
             w[j] = c * y
+            appeared.append(j)
         elif x := w[j] + c * y:
             w[j] = x
         else:
             del w[j]
-    return w
+    return appeared
 
 
 def primitive(row: Sparse) -> Sparse:
@@ -300,36 +316,28 @@ def primitive(row: Sparse) -> Sparse:
     return {j: x // content for j, x in row.items()} if content > 1 else row
 
 
-def eliminate(row: Sparse, pivot_row: Sparse, col: int, holders: list[set[int]],
-              i: int) -> Sparse:
-    """Clear entry ``col`` of row ``i`` of a sparse system, fraction-free, in place.
+def eliminate(w: Sparse, row: Sparse, col: int) -> tuple[int, int, list[int]]:
+    """Clear ``w[col]`` by ``row``, fraction-free, in place: the one pivot step.
 
-    The row becomes ``(p/g) row - (c/g) pivot_row``, where ``p =
-    pivot_row[col]``, ``c = row[col]`` and ``g = gcd(p, c)``: a nonzero
-    multiple of row minus a multiple of pivot_row, positive when ``p`` is.
-    It is scaled only when ``p/g`` is not 1, and divided by its content
-    only after such a scaling.  ``holders[j]``, the rows holding column
-    ``j``, gains or loses ``i`` as an entry appears or cancels.
+    w becomes ``((p/g) w - (c/g) row) / content``, where ``p = row[col]``,
+    ``c = w[col]`` and ``g = gcd(p, c)``: a nonzero multiple of w minus a
+    multiple of row, positive when ``p`` is.  It is scaled only when the
+    factor ``p/g`` is not 1, and divided by its content only after such a
+    scaling (the content is 1 otherwise).  Returns ``(p/g, content,
+    appeared)``, ``appeared`` the columns of row that entered w.
     """
-    p, c = pivot_row[col], row[col]
+    p, c = row[col], w[col]
     g = gcd(p, c)
-    a, c = p // g, -(c // g)
-    if a != 1:
-        for j, x in row.items():
-            row[j] = a * x
-    for j, y in pivot_row.items():
-        if j not in row:
-            row[j] = c * y
-            holders[j].add(i)
-        elif x := row[j] + c * y:
-            row[j] = x
-        else:
-            del row[j]
-            holders[j].discard(i)
-    if a != 1 and (content := gcd(*row.values())) > 1:
-        for j, x in row.items():
-            row[j] = x // content
-    return row
+    factor = p // g
+    if factor != 1:
+        for j, x in w.items():
+            w[j] = factor * x
+    appeared = axpy(w, -(c // g), row)
+    if factor != 1 and (content := gcd(*w.values())) > 1:
+        for j, x in w.items():
+            w[j] = x // content
+        return factor, content, appeared
+    return factor, 1, appeared
 
 
 def _solve_sparse(rows: list[Sparse], m: int) -> tuple[IntVector, int]:
@@ -341,10 +349,10 @@ def _solve_sparse(rows: list[Sparse], m: int) -> tuple[IntVector, int]:
     elimination in Markowitz order: each step clears the column held by
     the fewest remaining rows, pivoting on its shortest row (ties to the
     smaller index), which keeps fill-in low on the sparse systems built
-    here.  A column -> rows index, kept current by ``eliminate``, and a
-    heap with lazily dropped stale counts find that column without
-    scanning.  Back substitution stays in integers over one common
-    denominator.
+    here.  A column -> rows index and a heap with lazily dropped stale
+    counts find that column without scanning; the index follows the
+    columns each elimination adds to or cancels in its target.  Back
+    substitution stays in integers over one common denominator.
     """
     rows = [primitive(row) for row in rows]
     holders: list[set[int]] = [set() for _ in range(m + 1)]  # holders[m] is unread
@@ -370,7 +378,12 @@ def _solve_sparse(rows: list[Sparse], m: int) -> tuple[IntVector, int]:
         # them holds col afterwards, so its index entry starts empty
         targets, holders[col] = holders[col], set()
         for i in targets:
-            eliminate(rows[i], pivot_row, col, holders, i)
+            row = rows[i]
+            for j in eliminate(row, pivot_row, col)[2]:
+                holders[j].add(i)
+            for j in pivot_row:
+                if j not in row:
+                    holders[j].discard(i)
         # a target gains or loses only columns of the pivot row
         for j in pivot_row:
             if j != m and not cleared[j]:
@@ -399,7 +412,7 @@ def _solve_sparse(rows: list[Sparse], m: int) -> tuple[IntVector, int]:
 
 def solve_finite_mass(rep: LinearRep, support: Iterable[int]) -> list:
     """Solve, once, the finite mass of every unsolved state reachable from
-    ``support``; returns the per-state ``(block, position)`` cache.
+    ``support``; returns the per-state ``(numerator, denominator)`` cache.
 
     The unsolved states reached form one block, solved by one sparse
     elimination with the solved states they reach as constants.
@@ -428,12 +441,11 @@ def solve_finite_mass(rep: LinearRep, support: Iterable[int]) -> list:
             if j in local:
                 sources[j].append(k)
             else:
-                (block, block_den), position = solved[j]
-                masses[j] = block[position], block_den
-                if block[position]:
+                masses[j] = solved[j]
+                if solved[j][0]:
                     live.add(k)
-    const = lcm(*(block_den for _, block_den in masses.values()))
-    fixed = {j: x * (const // block_den) for j, (x, block_den) in masses.items()}
+    const = lcm(*(value_den for _, value_den in masses.values()))
+    fixed = {j: x * (const // value_den) for j, (x, value_den) in masses.items()}
     stack = list(live)
     while stack:
         for source in sources[stack.pop()]:
@@ -470,9 +482,8 @@ def solve_finite_mass(rep: LinearRep, support: Iterable[int]) -> list:
         if nums[i] * common * star_den * const != \
                 star.get(k, 0) * den * common * const + inflow * star_den:
             raise SingularRestrictedSystem("fixed-point equation violated")
-    block = nums, den
     for i, k in enumerate(states):
-        solved[k] = block, i
+        solved[k] = nums[i], den
     return solved
 
 

@@ -51,7 +51,7 @@ def test_basis_insert_single_reduction():
     basis = CongruenceBasis(4)
     changed = basis.insert((F(1), F(0), F(0), F(0)), (F(0), F(0), F(1), F(0)))
     assert changed
-    assert basis.pivots == [0]
+    assert sorted(basis._rows) == [0]
     assert basis.rows == [[F(1), F(0), F(-1), F(0)]]
 
 
@@ -68,26 +68,26 @@ def test_basis_rejects_configurations_of_the_wrong_length():
     basis = CongruenceBasis(3)
     e0, e1 = (F(1), F(0), F(0)), (F(0), F(1), F(0))
     basis.insert(e0, e1)
-    rows, pivots = basis.rows, list(basis.pivots)
+    rows, pivots = basis.rows, sorted(basis._rows)
     for u, v in [((F(1), F(0)), (F(0), F(1))),
                  ((F(1), F(0), F(0), F(7)), e1),
                  ((F(1), F(0), F(0), F(0), F(1)), (F(0),) * 5)]:
         for method in (basis.contains, basis.insert):
             with pytest.raises(ValueError, match=r"has length \d, expected 3"):
                 method(u, v)
-    assert basis.rows == rows and basis.pivots == pivots
+    assert basis.rows == rows and sorted(basis._rows) == pivots
 
 
 def test_basis_rejects_difference_vectors_with_an_index_out_of_range():
     basis = CongruenceBasis(3)
     basis.add({0: 1, 1: -1})
-    rows, pivots = basis.rows, basis.pivots
+    rows, pivots = basis.rows, sorted(basis._rows)
     for d in [{0: 1, 4: 1}, {3: 2}, {-1: 1, 1: -1}, {0: 1, 7: 0}, {0: 1, 2: 0}, {1: 0}]:
         for method in (basis.add, basis.related):
             with pytest.raises(ValueError, match=r"outside range\(3\) or a zero entry"):
                 method(d)
     assert basis.rank == 1
-    assert basis.rows == rows and basis.pivots == pivots
+    assert basis.rows == rows and sorted(basis._rows) == pivots
 
 
 def test_basis_views_cannot_corrupt_the_basis():
@@ -96,12 +96,11 @@ def test_basis_views_cannot_corrupt_the_basis():
     # the second pair brings the smaller pivot
     assert basis.insert(e2, e1)
     assert basis.insert(e0, e1)
-    assert basis.pivots == [0, 1]
+    assert sorted(basis._rows) == [0, 1]
     assert basis.rows == [[F(1), F(0), F(-1)], [F(0), F(1), F(-1)]]
-    basis.pivots.reverse()
     basis.rows.reverse()
     assert basis.contains(e0, e2)
-    assert basis.pivots == [0, 1]
+    assert sorted(basis._rows) == [0, 1]
     assert basis.rows == [[F(1), F(0), F(-1)], [F(0), F(1), F(-1)]]
 
 
@@ -113,7 +112,7 @@ def test_basis_add_never_rewrites_a_stored_row():
     # rows are written once in echelon form; only the rows view is reduced
     assert basis._rows[0] == {0: 1, 1: -1}
     assert basis.rows == [[F(1), F(0), F(-1)], [F(0), F(1), F(-1)]]
-    assert basis.pivots == [0, 1]
+    assert sorted(basis._rows) == [0, 1]
 
 
 def test_basis_two_rows_from_worked_loops():
@@ -132,11 +131,12 @@ def test_basis_stays_in_reduced_row_echelon_form():
             u = tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim))
             v = tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim))
             basis.insert(u, v)
-            assert basis.pivots == sorted(set(basis.pivots))
-            for row, pivot in zip(basis.rows, basis.pivots):
+            pivots = sorted(basis._rows)
+            assert pivots == sorted(set(pivots))
+            for row, pivot in zip(basis.rows, pivots):
                 assert row[pivot] == 1
                 assert all(row[j] == 0 for j in range(pivot))
-                for other, other_pivot in zip(basis.rows, basis.pivots):
+                for other, other_pivot in zip(basis.rows, pivots):
                     if other_pivot != pivot:
                         assert other[pivot] == 0
             if basis.rank == dim:
