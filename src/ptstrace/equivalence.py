@@ -8,8 +8,8 @@ the configuration pair, or membership of the difference vector in the
 linear span of previously recorded differences (the hkc variants).  Span
 membership, both output tests and the successors of a pair
 (``M_a u - M_a v = M_a (u - v)``) are linear in u - v, so the hkc variants
-carry one primitive sparse difference vector per pair instead of two
-configurations; traces rebuild the configurations from the word.  Each
+carry one sparse difference vector per pair instead of two configurations,
+stepped with no gcd; traces rebuild the configurations from the word.  Each
 store has one operation, ``record``, which records an item and returns
 the item whose successors the run enqueues, or None for an item already
 related.  For the hkc variants one reduction of the difference against the
@@ -126,8 +126,8 @@ class CongruenceBasis:
     membership never needs.
 
     It is the hkc variants' pair store.  A worklist item (``item``) is
-    ``(d, num, den)``: a primitive sparse difference vector that is
-    ``num / den`` times its pair's u - v plus a vector of the span, stepped
+    ``(d, num, den)``: a sparse difference vector, not always primitive, that
+    is ``num / den`` times its pair's u - v plus a vector of the span, stepped
     with ``scaled_step``.  ``record`` returns the item to step in d's place
     (the new row when its entries are no larger), or None when d was
     already in the span.  ``add`` and ``related`` take vectors from outside

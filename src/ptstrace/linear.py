@@ -14,15 +14,15 @@ stored as sparse columns, one per source state, listing ``(target, p)``
 pairs with integer ``p`` over one common denominator for the letter.  A
 vector inside the kernel is sparse (``Sparse``): a dict from index to a
 nonzero integer, which never stores a zero.  A configuration is such a
-vector over one positive common denominator, kept in lowest terms
-(``to_ints``/``from_ints`` convert), so a step is integer multiply-adds over
-the nonzero entries only, entries that cancel to zero are dropped, and one
-gcd normalization follows; ``int_walk`` walks a whole word in one call,
-one such step per letter, and ``int_step`` is its one-letter case.  Where
-only the direction of a vector counts, as for the differences the
-equivalence checker carries, it is a bare sparse vector divided by its
-content, and ``scaled_step`` steps it without any denominator, reporting
-the factor it scaled the true step by.
+vector over one positive common denominator, in lowest terms wherever one
+is returned or kept (``to_ints``/``from_ints`` convert).  A step is integer
+multiply-adds over the nonzero entries only, dropping entries that cancel
+to zero; ``int_walk`` walks a whole word, one step per letter, reducing the
+terms at the end and between letters only once the denominator has doubled
+its bits, and ``int_step`` is its one-letter case.  Where only the direction
+of a vector counts, as for the differences the equivalence checker carries,
+it is a bare sparse vector, and ``scaled_step`` steps it with no denominator
+or gcd, reporting the factor it scaled the true step by.
 
 The mass on finite words, the least nonnegative fixed point of
 ``s = l_star + (sum_a M_a)^T s``, is cached on the representation, each
@@ -218,17 +218,25 @@ def _product(columns: Columns, nums: Sparse) -> Sparse:
 
 
 def int_walk(rep: LinearRep, u: IntConfig, word: Iterable[str]) -> IntConfig:
-    """``M_w . u`` on the integer kernel: one product per letter of ``w``,
-    left to right, in lowest terms after each."""
+    """``M_w . u`` on the integer kernel, in lowest terms: one product per
+    letter of ``w``, left to right.  The terms are reduced at the end, and
+    before a letter only once the denominator has over twice the bits it had
+    after the last reduction (at first, the start's)."""
     nums, den = u
+    bound = 2 * den.bit_length()
     for letter in word:
+        if den.bit_length() > bound:
+            nums, den = _lowest(nums, den)
+            bound = 2 * den.bit_length()
         columns, denominator = rep.letter_columns(letter)
         nums = _product(columns, nums)
         den *= denominator
-        g = gcd(den, *nums.values())
-        if g > 1:
-            nums, den = {j: x // g for j, x in nums.items()}, den // g
-    return nums, den
+    return _lowest(nums, den)
+
+
+def _lowest(nums: Sparse, den: int) -> IntConfig:
+    g = gcd(den, *nums.values())
+    return ({j: x // g for j, x in nums.items()}, den // g) if g > 1 else (nums, den)
 
 
 def int_step(rep: LinearRep, u: IntConfig, letter: str) -> IntConfig:
@@ -239,15 +247,11 @@ def int_step(rep: LinearRep, u: IntConfig, letter: str) -> IntConfig:
 def scaled_step(rep: LinearRep, scaled: tuple[Sparse, int, int],
                 letter: str) -> tuple[Sparse, int, int]:
     """A step of a direction and its scale: ``(d, num, den)`` steps to
-    ``(p, num * a, den * g)``, ``p = (a / g) M_letter . d`` primitive, for
-    ``a`` the letter's denominator and ``g`` the content divided out."""
+    ``(a M_letter . d, num * a, den)``, ``a`` the letter's denominator, with
+    no content divided out (``record`` makes the rows it keeps primitive)."""
     d, num, den = scaled
     columns, denominator = rep.letter_columns(letter)
-    acc = _product(columns, d)
-    g = gcd(*acc.values())
-    if g > 1:
-        return {j: x // g for j, x in acc.items()}, num * denominator, den * g
-    return acc, num * denominator, den
+    return _product(columns, d), num * denominator, den
 
 
 def scaled_out_term(rep: LinearRep, nums: Sparse) -> int:

@@ -17,8 +17,12 @@ Queries from every state in random orders on one representation check the
 on-demand solve, where each query solves only the states it reaches.
 The in-place elimination of that solve is checked block for block against
 the copying one it replaced, kept below, and a word walk against the chain
-of one-letter steps; start vectors built with fresh zero objects, negative
-entries or no mass at all check the Fraction-to-kernel conversion.
+of one-letter steps, on words of over 200 letters too, with the entries
+its products read bounded on 1,000-letter walks; start vectors built with
+fresh zero objects, negative entries or no mass at all check the
+Fraction-to-kernel conversion.  hkc runs, which step difference vectors
+without dividing out their content, are checked against runs stepping
+the content-divided successor they used before.
 """
 
 import random
@@ -110,12 +114,12 @@ def test_sparse_steps_match_dense_reference(case, den):
     nums, out_den = int_step(STEP_REP, (d, den), letter)
     assert from_ints((nums, out_den), n) == expected
     assert to_ints(expected) == (nums, out_den)
-    direction, a, g = scaled_step(STEP_REP, (d, 1, 1), letter)
-    assert direction == primitive(to_ints(expected)[0])
-    # direction = (a / g) M_a d, where d = den * u
-    assert a == STEP_REP.denominators[letter]
-    assert from_ints((direction, a), n) == tuple(x * den / g for x in expected)
-    assert scaled_step(STEP_REP, (d, 3, -5), letter) == (direction, 3 * a, -5 * g)
+    direction, a, one = scaled_step(STEP_REP, (d, 1, 1), letter)
+    # direction = a M_a d, where d = den * u, not divided by its content
+    assert a == STEP_REP.denominators[letter] and one == 1
+    assert from_ints((direction, a), n) == tuple(x * den for x in expected)
+    assert primitive(direction) == primitive(to_ints(expected)[0])
+    assert scaled_step(STEP_REP, (d, 3, -5), letter) == (direction, 3 * a, -5)
     # entries that cancel to zero are dropped, never stored
     assert 0 not in nums.values() and 0 not in direction.values()
     if cancelled is not None:
@@ -439,6 +443,67 @@ def test_runs_step_the_smaller_of_row_and_item(monkeypatch):
                 took_item += r is d
                 took_row += r != d
     assert took_row >= 20 and took_item >= 20
+
+
+def ref_scaled_step(rep, scaled, letter):
+    """The successor the hkc runs used to step: ``(d, num, den)`` steps to
+    ``(p, num * a, den * g)``, ``p = (a / g) M_letter . d`` divided by its
+    content ``g``, for ``a`` the letter's denominator."""
+    d, num, den = scaled
+    columns, denominator = rep.letter_columns(letter)
+    acc = linear._product(columns, d)
+    g = gcd(*acc.values())
+    if g > 1:
+        return {j: x // g for j, x in acc.items()}, num * denominator, den * g
+    return acc, num * denominator, den
+
+
+def _successor_cases():
+    rng = random.Random(191)
+    cases = []
+    for _ in range(16):
+        pts = random_pts(rng, max_states=6, max_letters=3)
+        cases.append((pts, rng.choice(pts.states), rng.choice(pts.states)))
+    cases += [(split_copy_pts(random.Random(seed), max_base=10, max_letters=3,
+                              perturb=seed % 2 == 1), "a0", "b0p") for seed in range(6)]
+    # unary split copies of n = 24, 45 and 60, and a perturbed one of n = 60
+    cases += [(split_copy_pts(random.Random(seed), max_base=20, max_letters=1,
+                              perturb=seed == 37), "a0", "b0p") for seed in (3, 9, 5, 37)]
+    cases += [(sink_split_pts(random.Random(seed), 30, 2, perturb=seed == 2), "a0", "b0p")
+              for seed in (1, 2)]
+    return cases
+
+
+SUCCESSOR_CASES = _successor_cases()
+
+
+@pytest.mark.parametrize("index", range(0, len(SUCCESSOR_CASES), 4))
+def test_hkc_runs_match_the_primitive_successor_runs(index, monkeypatch):
+    # stepping without dividing out the content changes neither a run nor
+    # its answer: the same extractions, skips, witness, output and values
+    contents = []
+
+    def recording_step(rep, item, letter):
+        stepped = scaled_step(rep, item, letter)
+        contents.append(gcd(*stepped[0].values()))
+        return stepped
+
+    for pts, x, y in SUCCESSOR_CASES[index:index + 4]:
+        rep = build_rep(pts)
+        for algorithm in (hkc_inf, hkc_finite):
+            with monkeypatch.context() as patched:
+                patched.setattr(CongruenceBasis, "successor", staticmethod(ref_scaled_step))
+                expected_trace = []
+                expected = algorithm(rep, x, y, trace=expected_trace)
+            with monkeypatch.context() as patched:
+                patched.setattr(CongruenceBasis, "successor", staticmethod(recording_step))
+                trace = []
+                result = algorithm(rep, x, y, trace=trace)
+            assert result == expected
+            assert trace == expected_trace
+            assert algorithm(rep, x, y, debug=True) == result
+    # the runs did step vectors that the old successor divided
+    assert any(g > 1 for g in contents)
 
 
 def insertion_order_reduce(basis, d):
@@ -975,7 +1040,7 @@ def _random_config(rng, n, density=0.4):
 
 
 @pytest.mark.parametrize("index", range(len(WALK_CASES)))
-def test_walk_equals_the_chain_of_steps(index):
+def test_walk_equals_the_chain_of_steps(index, monkeypatch):
     pts = WALK_CASES[index]
     rep = build_rep(pts)
     rng = random.Random(index)
@@ -990,6 +1055,63 @@ def test_walk_equals_the_chain_of_steps(index):
                 chained = int_step(rep, chained, word[length - 1])
             assert int_walk(rep, u, word[:length]) == chained
         assert u == before
+    # words of 200 letters or more, read at a few lengths: a walk reduces
+    # its terms between some letters and not between others
+    reductions, lowest = [0], linear._lowest
+
+    def counting_lowest(nums, den):
+        reductions[0] += 1
+        return lowest(nums, den)
+
+    monkeypatch.setattr(linear, "_lowest", counting_lowest)
+    between = []
+    for u in starts:
+        word = tuple(rng.choice(pts.alphabet) for _ in range(rng.randint(200, 240)))
+        checked = {1, 2, 100, 199, len(word)} | set(rng.sample(range(len(word)), 3))
+        chained = u
+        for length in range(1, len(word) + 1):
+            chained = int_step(rep, chained, word[length - 1])
+            if length in checked:
+                reductions[0] = 0
+                assert int_walk(rep, u, word[:length]) == chained
+        # the last count is the whole word's, one of them at its end, and
+        # len(word) - 1 the number of places between its letters
+        between.append((reductions[0] - 1, len(word) - 1))
+    assert any(done < places for done, places in between)
+    # with every move probability an integer no denominator ever grows
+    assert any(done for done, _ in between) or max(rep.denominators.values()) == 1
+
+
+# x loops with probability 1 on the one letter, whose moves from y have
+# denominator 6: walking x's unit vector without ever reducing ends at
+# 6^1000 / 6^1000, 2,585 bits on each side
+LOOP_PTS = Pts(("a",), ("x", "y"), {"x": F(0), "y": F(1, 6)},
+               {("x", "a", "x"): F(1), ("y", "a", "x"): F(1, 2), ("y", "a", "y"): F(1, 3)})
+
+
+@pytest.mark.parametrize("pts, state", [(LOOP_PTS, "x"), (UNARY_CHAINS[0], "b0p")],
+                         ids=["loop", "unary"])
+def test_long_walks_keep_their_entries_bounded(pts, state, monkeypatch):
+    # every product reads entries of at most twice the bits of the widest
+    # lowest-terms denominator along the walk, plus the letter's, plus one
+    rep = build_rep(pts)
+    u, word = to_ints(dirac(rep, state)), ("a",) * 1000
+    chained, widest = u, 1
+    for letter in word:
+        chained = int_step(rep, chained, letter)
+        widest = max(widest, chained[1].bit_length())
+    largest, product = [0], linear._product
+
+    def recording_product(columns, nums):
+        largest[0] = max(largest[0], *map(abs, nums.values()), 0)
+        return product(columns, nums)
+
+    monkeypatch.setattr(linear, "_product", recording_product)
+    assert int_walk(rep, u, word) == chained
+    bound = 2 * widest + rep.denominators["a"].bit_length() + 1
+    assert largest[0].bit_length() <= bound
+    if pts is LOOP_PTS:
+        assert chained == ({0: 1}, 1) and bound == 6
 
 
 def ref_to_ints(u):
