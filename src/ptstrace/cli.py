@@ -70,14 +70,17 @@ def _cmd_validate(args) -> int:
 
 def _cmd_rep(args) -> int:
     rep = build_rep(parse_pts(_read(args.input)))
-    # mats[a][j][k] from the sparse columns: most entries are "0"
-    mats = {letter: rep.dense(letter, lambda p, d=d: format_rational(Fraction(p, d)), "0")
-            for letter, d in rep.denominators.items()}
-    _emit({
-        "l_one": [format_rational(c) for c in rep.l_one],
-        "l_star": [format_rational(c) for c in rep.l_star],
-        "mats": mats,
-    })
+    # json.dumps's bytes, one row of mats[a][j][k] at a time; rationals need no escaping
+    write = sys.stdout.write
+    write(f'{{"l_one": {json.dumps([format_rational(c) for c in rep.l_one])}, '
+          f'"l_star": {json.dumps([format_rational(c) for c in rep.l_star])}, "mats": {{')
+    for i, (letter, d) in enumerate(rep.denominators.items()):
+        rows = rep.dense(letter, lambda p, d=d: f'"{format_rational(Fraction(p, d))}"', '"0"')
+        write(f'{", " if i else ""}{json.dumps(letter)}: [')
+        for j, row in enumerate(rows):
+            write(f'{", " if j else ""}[{", ".join(row)}]')
+        write("]")
+    write("}}\n")
     return EXIT_OK
 
 

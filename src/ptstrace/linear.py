@@ -47,7 +47,7 @@ The transpose convention is equally common elsewhere; everything here
 assumes columns-are-sources.  ``mats`` is a dense Fraction view derived
 from the sparse columns on first use, which the kernel never reads; it
 and ``ptstrace rep``, which prints formatted entries, share the one dense
-layout ``LinearRep.dense``.
+layout ``LinearRep.dense``, made one row at a time.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .model import Pts, UnknownIdentifier
 
@@ -131,20 +131,24 @@ class LinearRep:
     def mats(self) -> dict[str, Matrix]:
         """Dense Fraction matrices, ``mats[a][j][k]``, derived from the columns:
         a view for callers, which the package itself never reads."""
-        return {letter: self.dense(letter, lambda p, d=d: Fraction(p, d), _ZERO)
+        return {letter: tuple(map(tuple, self.dense(letter, lambda p, d=d: Fraction(p, d), _ZERO)))
                 for letter, d in self.denominators.items()}
 
-    def dense(self, letter: str, cell: Callable[[int], object], zero: object) -> tuple:
-        """A letter's matrix laid out densely, ``[j][k]``: ``cell(p)`` for each
-        move ``(j, p)`` of the k-th state's column, ``zero`` elsewhere;
-        ``cell`` is called once per distinct numerator."""
-        rows, cells = [[zero] * self.dim for _ in range(self.dim)], {}
+    def dense(self, letter: str, cell: Callable[[int], object], zero: object) -> Iterator[list]:
+        """A letter's matrix laid out densely, one row ``[j]`` at a time:
+        ``cell(p)`` at k for each move ``(j, p)`` of the k-th state's column,
+        ``zero`` elsewhere; ``cell`` is called once per distinct numerator."""
+        by_row, cells = [[] for _ in range(self.dim)], {}
         for k, column in enumerate(self.columns[letter]):
             for j, p in column:
                 if (x := cells.get(p)) is None:
                     x = cells[p] = cell(p)
-                rows[j][k] = x
-        return tuple(map(tuple, rows))
+                by_row[j].append((k, x))
+        for entries in by_row:
+            row = [zero] * self.dim
+            for k, x in entries:
+                row[k] = x
+            yield row
 
     @cached_property
     def _mass_cache(self) -> tuple[list[Sparse], int, Sparse, int, list]:
@@ -166,27 +170,26 @@ class LinearRep:
 
 
 def build_rep(pts: Pts) -> LinearRep:
-    """Determinize a valid Pts into its linear representation."""
-    index = {state: k for k, state in enumerate(pts.states)}
+    """Determinize a valid Pts into its linear representation, from ``Pts._ints``."""
+    stops, pairs = pts._ints
     # per letter and source state: (target index, numerator, denominator)
-    moves: dict[str, list[list[tuple[int, int, int]]]] = {
-        letter: [[] for _ in pts.states] for letter in pts.alphabet}
-    for (source, letter, target), p in pts.moves.items():
-        numerator, denominator = p.as_integer_ratio()
+    moves = [[[] for _ in pts.states] for _ in pts.alphabet]
+    for (k, a, j), (numerator, denominator) in pairs.items():
         if numerator:
-            moves[letter][index[source]].append((index[target], numerator, denominator))
+            moves[a][k].append((j, numerator, denominator))
     columns, denominators = {}, {}
-    for letter, per_source in moves.items():
+    for letter, per_source in zip(pts.alphabet, moves):
         denominator = lcm(*[d for column in per_source for _, _, d in column])
         denominators[letter] = denominator
         columns[letter] = tuple(
             tuple([(j, p * (denominator // d)) for j, p, d in column])
             for column in per_source)
+    fraction = {stop: Fraction(*stop) for stop in set(stops)}
     return LinearRep(
         states=pts.states,
         alphabet=pts.alphabet,
         l_one=tuple(_ONE for _ in pts.states),
-        l_star=tuple(pts.stop(state) for state in pts.states),
+        l_star=tuple([fraction[stop] for stop in stops]),
         columns=columns,
         denominators=denominators,
     )

@@ -3,8 +3,8 @@
 A system consists of a finite alphabet and a finite set of states.  Every
 state carries one probability distribution split between *stopping* and
 letter-labelled *moves* to successor states; the masses of a state must sum
-to exactly 1.  All probabilities are `fractions.Fraction` values and every
-computation in this package is exact -- nothing ever rounds.
+to exactly 1.  Probabilities are exact: integer (numerator, denominator)
+pairs inside, `fractions.Fraction` values to callers; nothing ever rounds.
 
 The input format is a JSON document::
 
@@ -93,13 +93,35 @@ class Pts:
     declaration and is canonical: all vectors and matrices built downstream
     index states in this order, so outputs are reproducible.
 
-    Instances are treated as immutable values after construction.
+    Immutable.  ``validate`` and ``build_rep`` read only ``_ints``: each
+    state's stop probability and ``{(k, a, j): p}`` for the moves, indexed,
+    as lowest-terms (numerator, denominator) pairs.  A parsed Pts holds only
+    these and derives ``term`` and ``moves`` on first read, one Fraction per
+    value; one built from them derives ``_ints``, skipping undeclared names.
     """
 
     alphabet: tuple[str, ...]
     states: tuple[str, ...]
     term: dict[str, Fraction]
     moves: dict[tuple[str, str, str], Fraction]
+
+    def __getattr__(self, name: str) -> object:
+        # called only for an attribute not stored yet
+        if name == "_ints":
+            letter_index = {letter: i for i, letter in enumerate(self.alphabet)}
+            index = {state: k for k, state in enumerate(self.states)}
+            vars(self)[name] = [self.stop(state).as_integer_ratio() for state in self.states], {
+                (index[source], letter_index[letter], index[target]): p.as_integer_ratio()
+                for (source, letter, target), p in self.moves.items()
+                if source in index and letter in letter_index and target in index}
+        elif name in ("term", "moves"):
+            (stops, pairs), states, alphabet = self._ints, self.states, self.alphabet
+            fraction = {pair: Fraction(*pair) for pair in {*stops, *pairs.values()}}
+            vars(self).update(term={s: fraction[p] for s, p in zip(states, stops)}, moves={
+                (states[k], alphabet[a], states[j]): fraction[p] for (k, a, j), p in pairs.items()})
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return vars(self)[name]
 
     def stop(self, state: str) -> Fraction:
         return self.term.get(state, _ZERO)
@@ -171,19 +193,19 @@ def _identifier_list(doc: dict, key: str) -> list[str]:
     return items
 
 
-def _parse_once(text: object, parsed: dict[str, Fraction]) -> Fraction:
-    """``parse_rational(text)``, looked up in ``parsed`` first and stored there."""
-    if not isinstance(text, str):
-        # a JSON list or object is unhashable; parse_rational rejects it
-        return parse_rational(text)
-    value = parsed.get(text)
-    if value is None:
-        value = parsed[text] = parse_rational(text)
-    return value
+def _parse_once(text: object, parsed: dict[str, tuple[int, int]]) -> tuple[int, int]:
+    """``parse_rational(text)`` as a lowest-terms pair, memoized in ``parsed``."""
+    try:
+        return parsed[text]
+    except (KeyError, TypeError):  # parsed first here, or not a string
+        pass
+    pair = parsed[text] = parse_rational(text).as_integer_ratio()
+    return pair
 
 
 def pts_from_dict(doc: object, check: bool = True) -> Pts:
-    """Build a Pts from a decoded document, raising on the first problem.
+    """Build a Pts, in its integer form alone, from a decoded document,
+    raising on the first problem.
 
     With ``check=False`` only structural errors raise; numeric invariants
     (range, sums-to-1) are left for validate() to report in full.
@@ -195,21 +217,21 @@ def pts_from_dict(doc: object, check: bool = True) -> Pts:
     transitions = doc.get("transitions")
     if not isinstance(transitions, dict):
         raise PtsFormatError('"transitions" must be an object')
-    state_set = set(states)
-    letter_set = set(alphabet)
+    state_index = {state: k for k, state in enumerate(states)}
+    letter_index = {letter: i for i, letter in enumerate(alphabet)}
     for name in transitions:
-        if name not in state_set:
+        if name not in state_index:
             raise UnknownIdentifier(f"transitions entry for undeclared state {name!r}")
 
-    term: dict[str, Fraction] = {}
-    moves: dict[tuple[str, str, str], Fraction] = {}
+    stops: list[tuple[int, int]] = []
+    pairs: dict[tuple[int, int, int], tuple[int, int]] = {}
     # probability strings repeat within a document: each is parsed once
-    parsed: dict[str, Fraction] = {}
-    for state in states:
+    parsed: dict[str, tuple[int, int]] = {}
+    for k, state in enumerate(states):
         entry = transitions.get(state, {})
         if not isinstance(entry, dict):
             raise PtsFormatError(f"transitions for state {state!r} must be an object")
-        term[state] = _parse_once(entry.get("stop", "0"), parsed)
+        stops.append(_parse_once(entry.get("stop", "0"), parsed))
         move_items = entry.get("moves", [])
         if not isinstance(move_items, list):
             raise PtsFormatError(f'"moves" for state {state!r} must be a list')
@@ -219,20 +241,21 @@ def pts_from_dict(doc: object, check: bool = True) -> Pts:
             except (KeyError, TypeError):  # a field is missing, or not an object
                 raise PtsFormatError(
                     f"move entries for state {state!r} need letter/to/p fields") from None
-            # a JSON list or object is unhashable: test the type first
-            if not isinstance(letter, str) or letter not in letter_set:
-                raise UnknownIdentifier(f"state {state!r} moves on undeclared letter {letter!r}")
-            if not isinstance(target, str) or target not in state_set:
-                raise UnknownIdentifier(f"state {state!r} moves to undeclared state {target!r}")
-            key = (state, letter, target)
-            if key in moves:
+            try:
+                key = (k, letter_index[letter], state_index[target])
+            except (KeyError, TypeError):  # undeclared, or a JSON list or object
+                if not isinstance(letter, str) or letter not in letter_index:
+                    raise UnknownIdentifier(
+                        f"state {state!r} moves on undeclared letter {letter!r}") from None
+                raise UnknownIdentifier(
+                    f"state {state!r} moves to undeclared state {target!r}") from None
+            if key in pairs:
                 raise DuplicateIdentifier(
                     f"duplicate move {letter!r} -> {target!r} for state {state!r}")
-            # only a string can be in the memo; anything else is parsed to fail
-            value = parsed.get(text) if isinstance(text, str) else None
-            moves[key] = value if value is not None else _parse_once(text, parsed)
+            pairs[key] = _parse_once(text, parsed)
 
-    pts = Pts(tuple(alphabet), tuple(states), term, moves)
+    pts = Pts.__new__(Pts)
+    vars(pts).update(alphabet=tuple(alphabet), states=tuple(states), _ints=(stops, pairs))
     if check:
         problems = validate(pts)
         if problems:
@@ -278,36 +301,28 @@ def parse_pts(text: str, check: bool = True) -> Pts:
 
 
 # one move of a state: ((letter index, target index), letter, target, p)
-_Move = tuple[tuple[int, int], str, str, Fraction]
+_Move = tuple[tuple[int, int], str, str, tuple[int, int]]
 
 
-def _moves_by_source(pts: Pts) -> dict[str, list[_Move]]:
-    """Each state's moves in document order; sorted, they are in alphabet
-    order, then target order.  Moves on undeclared letters or states are
-    left out."""
-    letter_index = {letter: i for i, letter in enumerate(pts.alphabet)}
-    state_index = {state: i for i, state in enumerate(pts.states)}
-    grouped: dict[str, list[_Move]] = {}
-    for (source, letter, target), p in pts.moves.items():
-        if letter in letter_index and target in state_index:
-            grouped.setdefault(source, []).append(
-                ((letter_index[letter], state_index[target]), letter, target, p))
+def _moves_by_source(pts: Pts) -> list[list[_Move]]:
+    """Each state's moves in document order, by state index; sorted, they
+    are in alphabet order, then target order."""
+    grouped: list[list[_Move]] = [[] for _ in pts.states]
+    for (k, a, j), pair in pts._ints[1].items():
+        grouped[k].append(((a, j), pts.alphabet[a], pts.states[j], pair))
     return grouped
 
 
-def _in_unit_range(p: Fraction) -> bool:
-    return 0 <= p.numerator <= p.denominator
+def _in_unit_range(pair: tuple[int, int]) -> bool:
+    return 0 <= pair[0] <= pair[1]
 
 
-def _ratios(pts: Pts) -> dict[str, list[tuple[int, int]]]:
-    # each declared state's stop mass, then its moves on declared letters and
-    # states, as (numerator, denominator) pairs
-    letters = set(pts.alphabet)
-    ratios = {state: [pts.stop(state).as_integer_ratio()] for state in pts.states}
-    for (source, letter, target), p in pts.moves.items():
-        pairs = ratios.get(source)
-        if pairs is not None and letter in letters and target in ratios:
-            pairs.append(p.as_integer_ratio())
+def _ratios(pts: Pts) -> list[list[tuple[int, int]]]:
+    # each state's stop mass, then its moves, as (numerator, denominator) pairs
+    stops, pairs = pts._ints
+    ratios = [[stop] for stop in stops]
+    for key, pair in pairs.items():
+        ratios[key[0]].append(pair)
     return ratios
 
 
@@ -319,35 +334,35 @@ def _mass(pairs: list[tuple[int, int]]) -> tuple[int, int]:
 
 
 def _state_mass(pts: Pts, state: str) -> Fraction:
-    return Fraction(*_mass(_ratios(pts)[state]))
+    return Fraction(*_mass(_ratios(pts)[pts.states.index(state)]))
 
 
 def validate(pts: Pts) -> list[Violation]:
     """Check every model invariant; the list is empty iff all of them hold.
 
-    One integer pass: a state passes when its masses (``_ratios``) lie in
-    [0, 1] and sum to 1 (``_mass``).  Messages are built only for the
-    states that fail, their moves in alphabet order, then target order.
+    One pass over ``Pts._ints``: a state passes when its masses (``_ratios``)
+    lie in [0, 1] and sum to 1 (``_mass``).  Messages are built only for
+    the states that fail, their moves in alphabet order, then target order.
     """
     ratios, by_source, violations = _ratios(pts), None, []
-    for state in pts.states:
-        numerator, denominator = _mass(ratios[state])
+    for k, state in enumerate(pts.states):
+        numerator, denominator = _mass(ratios[k])
         # masses summing to 1 lie in [0, 1] iff the least numerator is >= 0
-        if numerator == denominator and min(ratios[state])[0] >= 0:
+        if numerator == denominator and min(ratios[k])[0] >= 0:
             continue
         if by_source is None:
             by_source = _moves_by_source(pts)
-        stop = pts.stop(state)
+        stop = ratios[k][0]
         if not _in_unit_range(stop):
             violations.append(Violation(
                 PROBABILITY_OUT_OF_RANGE, state,
-                f"stop probability {format_rational(stop)} outside [0, 1]"))
+                f"stop probability {format_rational(Fraction(*stop))} outside [0, 1]"))
         for _, letter, target, p in sorted(
-                m for m in by_source.get(state, ()) if not _in_unit_range(m[3])):
+                m for m in by_source[k] if not _in_unit_range(m[3])):
             violations.append(Violation(
                 PROBABILITY_OUT_OF_RANGE, state,
                 f"move {letter!r} -> {target!r} has probability "
-                f"{format_rational(p)} outside [0, 1]"))
+                f"{format_rational(Fraction(*p))} outside [0, 1]"))
         if numerator != denominator:
             total = format_rational(Fraction(numerator, denominator))
             violations.append(Violation(
@@ -358,11 +373,10 @@ def validate(pts: Pts) -> list[Violation]:
 def pts_to_dict(pts: Pts) -> dict:
     """Canonical document form: moves listed in alphabet order, then target order."""
     transitions = {}
-    by_source = _moves_by_source(pts)
-    for state in pts.states:
-        entry: dict = {"stop": format_rational(pts.stop(state))}
-        move_items = [{"letter": letter, "to": target, "p": format_rational(p)}
-                      for _, letter, target, p in sorted(by_source.get(state, ()))]
+    for state, stop, moves in zip(pts.states, pts._ints[0], _moves_by_source(pts)):
+        entry: dict = {"stop": format_rational(Fraction(*stop))}
+        move_items = [{"letter": letter, "to": target, "p": format_rational(Fraction(*p))}
+                      for _, letter, target, p in sorted(moves)]
         if move_items:
             entry["moves"] = move_items
         transitions[state] = entry

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -102,12 +103,36 @@ def test_rep_output_equals_the_dense_view(doc_path, capsys):
         # non-reduced input strings print in lowest terms
         {"alphabet": ["a"], "states": ["x"],
          "transitions": {"x": {"stop": "3/6", "moves": [{"letter": "a", "to": "x", "p": "02/4"}]}}},
+        # letters that JSON must escape
+        {"alphabet": ['q"t', "b\\s", "\u00e9\n", "\u2028"], "states": ["x", "y"],
+         "transitions": {"x": {"stop": "0", "moves": [
+             {"letter": 'q"t', "to": "y", "p": "1/2"}, {"letter": "\u2028", "to": "x", "p": "1/4"},
+             {"letter": "\u00e9\n", "to": "x", "p": "1/4"}]}, "y": {"stop": "1"}}},
+        # no states at all
+        {"alphabet": ["a"], "states": [], "transitions": {}},
     ]
     path = doc_path({})
     for doc in docs:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
         assert run(capsys, "rep", path) == (0, _dense_rep_output(doc), "")
+
+
+def test_rep_memory_stays_linear_in_the_states(doc_path, monkeypatch):
+    # the dense output has n^2 entries per letter; rep writes it a row at a
+    # time, so its peak stays near validate's, which prints one line
+    path = doc_path(pts_to_dict(sink_split_pts(random.Random(3), 100)))
+    peaks = {}
+    with open(os.devnull, "w", encoding="utf-8") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        for command in ("validate", "rep"):
+            tracemalloc.start()
+            try:
+                assert main([command, path]) == 0
+                peaks[command] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peaks["rep"] < 1.5 * peaks["validate"]
 
 
 def test_rep_formats_shared_numerators_over_each_letters_denominator(doc_path, capsys):

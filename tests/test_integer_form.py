@@ -1,0 +1,232 @@
+"""The integer form of a document against the Fraction readings it replaced.
+
+A parsed ``Pts`` holds each move as a lowest-terms (numerator, denominator)
+pair under its (state, letter, target) indices, and ``validate`` and
+``build_rep`` read only that.  The reference below is the earlier code,
+which read the name-keyed Fraction dicts ``term`` and ``moves``:
+``_ratios`` took each probability's ``as_integer_ratio`` and filtered moves
+by name, and ``build_rep`` took it again and looked both names up in an
+index.
+"""
+
+import json
+import random
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from ptstrace import (DistributionSumViolation, Equivalent, ProbabilityOutOfRange, Pts,
+                      build_rep, dirac, hkc_finite, hkc_inf, measure, parse_pts,
+                      parse_query, pts_to_dict, serialize_pts, validate)
+from ptstrace.cli import main
+from ptstrace.model import (DISTRIBUTION_SUM, PROBABILITY_OUT_OF_RANGE, Violation,
+                            format_rational)
+
+from systems import random_pts, sink_split_pts, split_copy_pts
+
+F = Fraction
+
+
+def _reference_ratios(pts):
+    # each declared state's stop mass, then its moves on declared letters and
+    # states, as (numerator, denominator) pairs
+    letters = set(pts.alphabet)
+    ratios = {state: [pts.stop(state).as_integer_ratio()] for state in pts.states}
+    for (source, letter, target), p in pts.moves.items():
+        pairs = ratios.get(source)
+        if pairs is not None and letter in letters and target in ratios:
+            pairs.append(p.as_integer_ratio())
+    return ratios
+
+
+def _reference_mass(pairs):
+    denominator = lcm(*[d for _, d in pairs])
+    return sum([n * (denominator // d) for n, d in pairs]), denominator
+
+
+def _reference_moves_by_source(pts):
+    letter_index = {letter: i for i, letter in enumerate(pts.alphabet)}
+    state_index = {state: i for i, state in enumerate(pts.states)}
+    grouped = {}
+    for (source, letter, target), p in pts.moves.items():
+        if letter in letter_index and target in state_index:
+            grouped.setdefault(source, []).append(
+                ((letter_index[letter], state_index[target]), letter, target, p))
+    return grouped
+
+
+def _reference_validate(pts):
+    ratios, by_source, violations = _reference_ratios(pts), _reference_moves_by_source(pts), []
+    for state in pts.states:
+        numerator, denominator = _reference_mass(ratios[state])
+        if numerator == denominator and min(ratios[state])[0] >= 0:
+            continue
+        stop = pts.stop(state)
+        if not 0 <= stop <= 1:
+            violations.append(Violation(
+                PROBABILITY_OUT_OF_RANGE, state,
+                f"stop probability {format_rational(stop)} outside [0, 1]"))
+        for _, letter, target, p in sorted(
+                m for m in by_source.get(state, ()) if not 0 <= m[3] <= 1):
+            violations.append(Violation(
+                PROBABILITY_OUT_OF_RANGE, state,
+                f"move {letter!r} -> {target!r} has probability "
+                f"{format_rational(p)} outside [0, 1]"))
+        if numerator != denominator:
+            total = format_rational(Fraction(numerator, denominator))
+            violations.append(Violation(
+                DISTRIBUTION_SUM, state, f"masses sum to {total}, expected 1"))
+    return violations
+
+
+def _reference_rep(pts):
+    """``(columns, denominators, l_star, l_one)`` as the name-keyed builder
+    made them.  It raised KeyError on a move on an undeclared letter or
+    state; those moves are left out here, as the integer form leaves them."""
+    index = {state: k for k, state in enumerate(pts.states)}
+    moves = {letter: [[] for _ in pts.states] for letter in pts.alphabet}
+    for (source, letter, target), p in pts.moves.items():
+        if source not in index or letter not in moves or target not in index:
+            continue
+        numerator, denominator = p.as_integer_ratio()
+        if numerator:
+            moves[letter][index[source]].append((index[target], numerator, denominator))
+    columns, denominators = {}, {}
+    for letter, per_source in moves.items():
+        denominator = lcm(*[d for column in per_source for _, _, d in column])
+        denominators[letter] = denominator
+        columns[letter] = tuple(
+            tuple([(j, p * (denominator // d)) for j, p, d in column])
+            for column in per_source)
+    return (columns, denominators, tuple(pts.stop(state) for state in pts.states),
+            tuple(F(1) for _ in pts.states))
+
+
+def _eager(text):
+    """The document as name-keyed Fraction dicts in document order, as
+    parsing built them before the integer form."""
+    doc = json.loads(text)
+    term, moves = {}, {}
+    for state in doc["states"]:
+        entry = doc["transitions"].get(state, {})
+        term[state] = F(entry.get("stop", "0"))
+        for move in entry.get("moves", []):
+            moves[(state, move["letter"], move["to"])] = F(move["p"])
+    return Pts(tuple(doc["alphabet"]), tuple(doc["states"]), term, moves)
+
+
+def _rep_fields(rep):
+    return rep.columns, rep.denominators, rep.l_star, rep.l_one
+
+
+def _reference_error(violations):
+    first = violations[0]
+    if first.kind == DISTRIBUTION_SUM:
+        return DistributionSumViolation, f"state {first.state!r}: {first.message}"
+    return ProbabilityOutOfRange, f"state {first.state!r}: {first.message}"
+
+
+def _broken(rng, pts, how):
+    """A copy of pts that breaks the sum rule (``"sum"``: one mass moved by
+    a delta) or the range rule (``"range"``: 1 taken from one entry and
+    given to another, so the masses still sum to 1)."""
+    term, moves = dict(pts.term), dict(pts.moves)
+    keys = [("term", s) for s in pts.states] + [("move", k) for k in moves]
+    picked = rng.sample(keys, 2) if len(keys) > 1 else keys * 2
+    deltas = ([rng.choice([F(1, 7), F(-2, 3), F(5, 2), F(1, 10**30)])] if how == "sum"
+              else [F(-1), F(1)])
+    for (kind, key), delta in zip(picked, deltas):
+        if kind == "term":
+            term[key] = term.get(key, F(0)) + delta
+        else:
+            moves[key] += delta
+    return Pts(pts.alphabet, pts.states, term, moves)
+
+
+def _with_undeclared_names(pts):
+    # moves from, to and on names the system never declared, and a stop
+    # mass of an undeclared state: all left out of the integer form
+    state, letter = pts.states[0], pts.alphabet[0]
+    moves = dict(pts.moves)
+    moves.update({("ghost", letter, state): F(1, 2), (state, "zz", state): F(1, 3),
+                  (state, letter, "ghost"): F(-1, 5)})
+    return Pts(pts.alphabet, pts.states, dict(pts.term, ghost=F(7)), moves)
+
+
+def _documents():
+    rng = random.Random(53)
+    systems = [random_pts(rng) for _ in range(40)]
+    systems += [split_copy_pts(rng, max_base=6, perturb=i % 2 == 1) for i in range(30)]
+    systems += [sink_split_pts(rng, m, n_letters=k, perturb=m % 2 == 0)
+                for m in (3, 6, 10) for k in (1, 2, 3)]
+    documents = list(systems)
+    for pts in systems:
+        documents += [_broken(rng, pts, "sum"), _broken(rng, pts, "range")]
+    documents += [_with_undeclared_names(pts) for pts in documents[::5]]
+    return documents
+
+
+DOCUMENTS = _documents()
+
+
+def test_documents_cover_valid_sum_and_range_failures_and_undeclared_names():
+    kinds = {frozenset(v.kind for v in _reference_validate(pts)) for pts in DOCUMENTS}
+    assert kinds >= {frozenset(), frozenset({DISTRIBUTION_SUM}),
+                     frozenset({PROBABILITY_OUT_OF_RANGE})}
+    assert sum(("ghost", "a", "s0") in pts.moves or ("ghost", "a", "a0") in pts.moves
+               for pts in DOCUMENTS) > 10
+
+
+@pytest.mark.parametrize("index", range(len(DOCUMENTS)))
+def test_integer_form_matches_the_name_keyed_readings(index):
+    constructed = DOCUMENTS[index]
+    text = serialize_pts(constructed)
+    parsed, eager = parse_pts(text, check=False), _eager(text)
+    expected = _reference_validate(constructed)
+    assert _reference_validate(eager) == expected
+    for pts, reference in ((constructed, constructed), (parsed, eager)):
+        assert validate(pts) == expected
+        # columns list moves in the order of the document or of the dicts
+        assert _rep_fields(build_rep(pts)) == _reference_rep(reference)
+    # the reference, read from the parsed document's derived views
+    assert _reference_validate(parsed) == expected
+    assert _reference_rep(parsed) == _reference_rep(eager)
+    if expected:
+        error, message = _reference_error(expected)
+        with pytest.raises(error) as excinfo:
+            parse_pts(text)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
+    else:
+        assert parse_pts(text) == parsed
+
+
+def _no_view(self):
+    raise AssertionError("a Fraction view of the document was read")
+
+
+def test_the_front_end_and_every_query_read_only_the_integer_form(monkeypatch, tmp_path,
+                                                                   capsys):
+    text = json.dumps(pts_to_dict(sink_split_pts(random.Random(59), 8)))
+    path = tmp_path / "system.json"
+    path.write_text(text, encoding="utf-8")
+    pts = parse_pts(text)
+    # from here on, reading term or moves of any Pts raises; the CLI calls
+    # below parse their documents under this patch too
+    monkeypatch.setattr(Pts, "term", property(_no_view), raising=False)
+    monkeypatch.setattr(Pts, "moves", property(_no_view), raising=False)
+    assert validate(pts) == []
+    rep = build_rep(pts)
+    queries = ["empty", "word:a.b.a", "cone:a.b.a", "infcone:b.a", "finite", "infinite",
+               "all"]
+    for query in queries:
+        measure(rep, dirac(rep, "a0"), parse_query(query, pts.alphabet))
+    assert isinstance(hkc_inf(rep, "a0", "b0p"), Equivalent)
+    assert isinstance(hkc_finite(rep, "a0", "b0p"), Equivalent)
+    for argv in (["validate", str(path)], ["rep", str(path)],
+                 ["equiv", str(path), "a0", "b0p"],
+                 *(["eval", str(path), "--state", "b0p", "--query", q] for q in queries)):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out and not captured.err

@@ -462,10 +462,25 @@ def _counting_parse(monkeypatch):
     return calls
 
 
+def _shuffled_document(rng, pts):
+    # moves out of canonical order, and probability strings not in lowest
+    # terms, so equal values come from different strings
+    doc = pts_to_dict(pts)
+    for entry in doc["transitions"].values():
+        rng.shuffle(entry.get("moves", []))
+        for move in entry.get("moves", []):
+            if rng.random() < 0.3:
+                p = F(move["p"])
+                move["p"] = f"{2 * p.numerator}/{2 * p.denominator}"
+    return json.dumps(doc)
+
+
 def test_each_distinct_probability_string_is_parsed_once_per_document(monkeypatch):
     rng = random.Random(37)
-    texts = [serialize_pts(split_copy_pts(rng, max_base=5)) for _ in range(5)]
-    calls = _counting_parse(monkeypatch)
+    systems = [split_copy_pts(rng, max_base=5) for _ in range(5)]
+    texts = [serialize_pts(pts) for pts in systems]
+    texts += [_shuffled_document(rng, pts) for pts in systems]
+    calls, shared = _counting_parse(monkeypatch), 0
     # a second pass over the same documents parses every string again: what
     # one document parsed is not reused by the next
     for text in texts + texts:
@@ -476,6 +491,41 @@ def test_each_distinct_probability_string_is_parsed_once_per_document(monkeypatc
         pts = parse_pts(text)
         assert sorted(calls) == sorted(distinct)
         assert len(pts.moves) + len(pts.states) > len(distinct)
+        # term and moves, derived on first read, equal the dicts that parsing
+        # once built: the same keys in document order and equal values, with
+        # one Fraction object per distinct value and so per distinct string
+        term = {s: doc["transitions"][s].get("stop", "0") for s in doc["states"]}
+        moves = {(s, m["letter"], m["to"]): m["p"]
+                 for s in doc["states"] for m in doc["transitions"][s].get("moves", [])}
+        assert list(pts.term) == list(term) and list(pts.moves) == list(moves)
+        assert pts.term == {s: F(p) for s, p in term.items()}
+        assert pts.moves == {key: F(p) for key, p in moves.items()}
+        strings, values = [*term.values(), *moves.values()], [*pts.term.values(),
+                                                              *pts.moves.values()]
+        first = dict(zip(strings, values))
+        assert all(first[p] is value for p, value in zip(strings, values))
+        assert len({id(value) for value in values}) == len(set(values)) <= len(distinct)
+        shared += len(set(values)) < len(distinct)
+        # deriving the views parsed no string again
+        assert sorted(calls) == sorted(distinct)
+        assert parse_pts(serialize_pts(pts)) == pts
+    assert shared
+    for pts in systems:
+        assert parse_pts(serialize_pts(pts)) == pts
+
+
+def test_a_pts_is_immutable():
+    rng = random.Random(41)
+    constructed = split_copy_pts(rng, max_base=4)
+    parsed, read = parse_pts(serialize_pts(constructed)), parse_pts(serialize_pts(constructed))
+    assert read.term and read.moves
+    for pts in (constructed, parsed, read):
+        for name in ("alphabet", "states", "term", "moves", "_ints", "stop", "other"):
+            with pytest.raises(AttributeError):
+                setattr(pts, name, None)
+            with pytest.raises(AttributeError):
+                delattr(pts, name)
+        assert pts == constructed
 
 
 @pytest.mark.parametrize("bad, error", [
