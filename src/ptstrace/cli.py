@@ -18,8 +18,7 @@ from .equivalence import (Equivalent, Inconclusive, InvariantError,
                           NotEquivalent, hk, hkc_finite, hkc_inf, naive)
 from .linear import build_rep, dirac
 from .measure import measure, parse_query
-from .model import (PtsFormatError, Word, format_rational, parse_pts,
-                    validate)
+from .model import PtsFormatError, format_rational, parse_pts, validate
 
 EXIT_OK = 0
 EXIT_NOT_EQUIVALENT = 1
@@ -34,10 +33,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def format_word(word: Word) -> str:
-    return ".".join(word)
 
 
 def _read(path: str) -> str:
@@ -103,47 +98,37 @@ _ALGORITHMS = {
 }
 
 
+# each result type's name in the payload and the exit code it gives
+_RESULTS = {
+    Equivalent: ("equivalent", EXIT_OK),
+    NotEquivalent: ("not_equivalent", EXIT_NOT_EQUIVALENT),
+    Inconclusive: ("inconclusive", EXIT_INCONCLUSIVE),
+}
+
+
 def _cmd_equiv(args) -> int:
     budgeted = args.algo in ("naive", "hk")
-    if budgeted and args.max_steps is None:
-        print(f"error: --max-steps is required for --algo {args.algo}", file=sys.stderr)
-        return EXIT_USAGE
-    if not budgeted and args.max_steps is not None:
-        print(f"error: --max-steps is not accepted for --algo {args.algo}", file=sys.stderr)
+    if budgeted != (args.max_steps is not None):
+        need = "required" if budgeted else "not accepted"
+        print(f"error: --max-steps is {need} for --algo {args.algo}", file=sys.stderr)
         return EXIT_USAGE
     if budgeted and args.max_steps < 1:
         print("error: --max-steps must be at least 1", file=sys.stderr)
         return EXIT_USAGE
 
     rep = build_rep(parse_pts(_read(args.input)))
-    algorithm = _ALGORITHMS[args.algo]
-    if budgeted:
-        result = algorithm(rep, args.left, args.right, args.max_steps)
-    else:
-        result = algorithm(rep, args.left, args.right)
-
-    payload = {"result": None, "algorithm": args.algo}
-    if isinstance(result, Equivalent):
-        payload["result"] = "equivalent"
-        payload["iterations"] = result.iterations
-        payload["relation_size"] = result.relation_size
-        status = EXIT_OK
-    elif isinstance(result, NotEquivalent):
-        payload["result"] = "not_equivalent"
-        payload["iterations"] = result.iterations
-        payload["relation_size"] = result.relation_size
-        payload["witness"] = format_word(result.witness)
-        payload["output"] = result.output.value
-        payload["lhs"] = format_rational(result.lhs)
-        payload["rhs"] = format_rational(result.rhs)
-        status = EXIT_NOT_EQUIVALENT
-    elif isinstance(result, Inconclusive):
-        payload["result"] = "inconclusive"
-        payload["iterations"] = result.steps_exhausted
-        payload["relation_size"] = result.relation_size
-        status = EXIT_INCONCLUSIVE
-    else:
+    budget = (args.max_steps,) if budgeted else ()
+    result = _ALGORITHMS[args.algo](rep, args.left, args.right, *budget)
+    if type(result) not in _RESULTS:
         raise InvariantError(f"{args.algo} returned {result!r}")
+    name, status = _RESULTS[type(result)]
+    payload = {"result": name, "algorithm": args.algo,
+               "iterations": (result.steps_exhausted if isinstance(result, Inconclusive)
+                              else result.iterations),
+               "relation_size": result.relation_size}
+    if isinstance(result, NotEquivalent):
+        payload.update(witness=".".join(result.witness), output=result.output.value,
+                       lhs=format_rational(result.lhs), rhs=format_rational(result.rhs))
     _emit(payload)
     return status
 
@@ -191,10 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except PtsFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (PtsFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -48,7 +48,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .linear import (Config, IntConfig, LinearRep, Sparse, checked_ints,
-                     eliminate, from_ints, int_difference, int_step,
+                     eliminate, from_ints, int_difference, int_walk,
                      scaled_out_term, scaled_step)
 from .measure import Cone, FiniteWord, int_measure
 from .model import Word
@@ -130,10 +130,9 @@ class CongruenceBasis:
     is ``num / den`` times its pair's u - v plus a vector of the span, stepped
     with ``scaled_step``.  ``record`` returns the item to step in d's place
     (the new row when its entries are no larger), or None when d was
-    already in the span.  ``add`` and ``related`` take vectors from outside
-    a run and raise ``ValueError`` on an index outside ``range(dim)`` or a
-    stored zero; ``insert``/``contains`` take Fraction configurations and
-    raise ``ValueError`` on a wrong length.
+    already in the span.  ``insert``/``contains`` take Fraction
+    configurations from outside a run and raise ``ValueError`` on a wrong
+    length.
     """
 
     def __init__(self, dim: int):
@@ -200,29 +199,16 @@ class CongruenceBasis:
             return dict(row), num * multiple, den * divisor * content
         return d, num, den
 
-    def add(self, d: Sparse, num: int = 1, den: int = 1) -> tuple[Sparse, int, int] | None:
-        """``record`` for a vector from outside a run, checked first."""
-        return self.record(self._checked(d), num, den)
-
-    def related(self, d: Sparse) -> bool:
-        """True iff d lies in the span; the basis is left unchanged."""
-        return not self._reduce(self._checked(d))[0]
-
-    def _checked(self, d: Sparse) -> Sparse:
-        if d and (min(d) < 0 or max(d) >= self.dim or 0 in d.values()):
-            raise ValueError(f"vector has an index outside range({self.dim}) or a zero entry")
-        return d
-
     def _pair_difference(self, u: Config, v: Config) -> Sparse:
         return int_difference(checked_ints(self.dim, u), checked_ints(self.dim, v))
 
     def contains(self, u: Config, v: Config) -> bool:
         """True iff u - v lies in the span of the recorded differences."""
-        return self.related(self._pair_difference(u, v))
+        return not self._reduce(self._pair_difference(u, v))[0]
 
     def insert(self, u: Config, v: Config) -> bool:
         """Add u - v to the span; returns False when it was already inside."""
-        return self.add(self._pair_difference(u, v)) is not None
+        return self.record(self._pair_difference(u, v), 1, 1) is not None
 
     # the worklist item of a pair is its difference with the scale of u - v
 
@@ -253,7 +239,7 @@ class _PairItems:
     @staticmethod
     def successor(rep: LinearRep, pair, letter: str) -> tuple[IntConfig, IntConfig]:
         u, v = pair
-        return int_step(rep, u, letter), int_step(rep, v, letter)
+        return int_walk(rep, u, (letter,)), int_walk(rep, v, (letter,))
 
     @staticmethod
     def difference(pair) -> Sparse:
@@ -333,6 +319,8 @@ def _spell(links: list[tuple[int, str]], node: int) -> Word:
 
 
 def _decide(rep, x, y, store, check_total_mass, *, max_steps=None, trace=None) -> EquivResult:
+    if max_steps is not None and max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
     # configurations are lowest-terms IntConfigs, so equal vectors have
     # equal keys in the naive and hk stores; the store makes its worklist
     # items out of them
@@ -357,7 +345,7 @@ def _decide(rep, x, y, store, check_total_mass, *, max_steps=None, trace=None) -
         if trace is not None:
             if node:
                 u, v = configs[parent]
-                configs.append((int_step(rep, u, letter), int_step(rep, v, letter)))
+                configs.append((int_walk(rep, u, (letter,)), int_walk(rep, v, (letter,))))
             u, v = configs[node]
             trace.append(Extraction(_spell(links, node), from_ints(u, rep.dim),
                                     from_ints(v, rep.dim), stepped is None))
@@ -393,9 +381,9 @@ def _check_certificate(rep: LinearRep, x: str, y: str, basis: CongruenceBasis,
         proved = values == [result.lhs, result.rhs] and result.lhs != result.rhs
     else:
         rows = basis._rows.values()
-        proved = (basis.related(int_difference(*start))
+        proved = (not basis._reduce(int_difference(*start))[0]
                   and all(_separating_output(rep, row, check_total_mass) is None for row in rows)
-                  and all(basis.related(scaled_step(rep, (row, 1, 1), letter)[0])
+                  and all(not basis._reduce(scaled_step(rep, (row, 1, 1), letter)[0])[0]
                           for row in rows for letter in rep.alphabet))
     if not proved:
         raise InvariantError(f"the hkc verdict fails its check: {result}")
@@ -429,8 +417,6 @@ def hkc_finite(rep: LinearRep, x: str, y: str, *, debug: bool = False,
 def naive(rep: LinearRep, x: str, y: str, max_steps: int, *,
           trace: list | None = None) -> EquivResult:
     """The plain bisimulation search; may exhaust its budget on weighted systems."""
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
     return _decide(rep, x, y, _PairStore(), check_total_mass=True,
                    max_steps=max_steps, trace=trace)
 
@@ -438,7 +424,5 @@ def naive(rep: LinearRep, x: str, y: str, max_steps: int, *,
 def hk(rep: LinearRep, x: str, y: str, max_steps: int, *,
        trace: list | None = None) -> EquivResult:
     """Bisimulation up to equivalence; still budget-bound on weighted systems."""
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
     return _decide(rep, x, y, _EquivalenceStore(), check_total_mass=True,
                    max_steps=max_steps, trace=trace)

@@ -6,8 +6,9 @@ all-ones total-mass row and the termination row.  Configurations are plain
 tuples of Fractions; entries may be negative or exceed 1, since the
 equivalence checker works with differences and scalings of distributions.
 Output values are read by ``measure`` alone, through the kernel readers
-here (``int_out_term``, ``int_out_finite``); the equivalence checker tests
-an output of a difference for zero (``scaled_out_term``).
+here (``scaled_out_term`` over the stop row's denominator,
+``int_out_finite``); the equivalence checker tests an output of a
+difference for zero (``scaled_out_term``).
 
 Internally everything runs on one sparse integer kernel.  Each letter is
 stored as sparse columns, one per source state, listing ``(target, p)``
@@ -19,10 +20,10 @@ is returned or kept (``to_ints``/``from_ints`` convert).  A step is integer
 multiply-adds over the nonzero entries only, dropping entries that cancel
 to zero; ``int_walk`` walks a whole word, one step per letter, reducing the
 terms at the end and between letters only once the denominator has doubled
-its bits, and ``int_step`` is its one-letter case.  Where only the direction
-of a vector counts, as for the differences the equivalence checker carries,
-it is a bare sparse vector, and ``scaled_step`` steps it with no denominator
-or gcd, reporting the factor it scaled the true step by.
+its bits.  Where only the direction of a vector counts, as for the
+differences the equivalence checker carries, it is a bare sparse vector,
+and ``scaled_step`` steps it with no denominator or gcd, reporting the
+factor it scaled the true step by.
 
 The mass on finite words, the least nonnegative fixed point of
 ``s = l_star + (sum_a M_a)^T s``, is cached on the representation, each
@@ -36,8 +37,7 @@ them (``int_out_finite``, ``finite_mass_vector``).
 That elimination and the congruence basis of ``equivalence`` share one
 pivot step, ``eliminate`` (Bareiss's fraction-free step, in place), which
 reports its factor, content and new columns so each caller keeps its own
-scale or index; its ``w += c * row`` loop, ``axpy``, also serves
-``int_difference``.
+scale or index.
 
 Matrix convention: ``mats[a][j][k]`` is the probability of moving from the
 k-th state to the j-th state on letter ``a``.  Columns are source states,
@@ -242,11 +242,6 @@ def _lowest(nums: Sparse, den: int) -> IntConfig:
     return ({j: x // g for j, x in nums.items()}, den // g) if g > 1 else (nums, den)
 
 
-def int_step(rep: LinearRep, u: IntConfig, letter: str) -> IntConfig:
-    """``M_letter . u`` on the integer kernel, in lowest terms."""
-    return int_walk(rep, u, (letter,))
-
-
 def scaled_step(rep: LinearRep, scaled: tuple[Sparse, int, int],
                 letter: str) -> tuple[Sparse, int, int]:
     """A step of a direction and its scale: ``(d, num, den)`` steps to
@@ -264,11 +259,6 @@ def scaled_out_term(rep: LinearRep, nums: Sparse) -> int:
     """
     star = rep._stop_terms[0]
     return sum([star[k] * x for k, x in nums.items() if k in star])
-
-
-def int_out_term(rep: LinearRep, u: IntConfig) -> Fraction:
-    nums, den = u
-    return Fraction(scaled_out_term(rep, nums), rep._stop_terms[1] * den)
 
 
 def int_out_finite(rep: LinearRep, u: IntConfig) -> Fraction:
@@ -297,24 +287,8 @@ def int_difference(u: IntConfig, v: IntConfig) -> Sparse:
     """A sparse integer vector with the direction of u - v (a positive multiple of it)."""
     (a, d), (b, e) = u, v
     g = gcd(d, e)
-    w = {k: x * (e // g) for k, x in a.items()}
-    axpy(w, -(d // g), b)
-    return w
-
-
-def axpy(w: Sparse, c: int, row: Sparse) -> list[int]:
-    """``w += c * row`` in place, with cancelled entries dropped; returns
-    the columns that entered ``w``."""
-    appeared = []
-    for j, y in row.items():
-        if j not in w:
-            w[j] = c * y
-            appeared.append(j)
-        elif x := w[j] + c * y:
-            w[j] = x
-        else:
-            del w[j]
-    return appeared
+    s, t = e // g, d // g
+    return {k: x for k in a.keys() | b.keys() if (x := a.get(k, 0) * s - b.get(k, 0) * t)}
 
 
 def primitive(row: Sparse) -> Sparse:
@@ -335,11 +309,20 @@ def eliminate(w: Sparse, row: Sparse, col: int) -> tuple[int, int, list[int]]:
     """
     p, c = row[col], w[col]
     g = gcd(p, c)
-    factor = p // g
+    factor, c = p // g, -(c // g)
     if factor != 1:
         for j, x in w.items():
             w[j] = factor * x
-    appeared = axpy(w, -(c // g), row)
+    # w += c * row, now c = -w[col]/g, dropping the entries that cancel
+    appeared = []
+    for j, y in row.items():
+        if j not in w:
+            w[j] = c * y
+            appeared.append(j)
+        elif x := w[j] + c * y:
+            w[j] = x
+        else:
+            del w[j]
     if factor != 1 and (content := gcd(*w.values())) > 1:
         for j, x in w.items():
             w[j] = x // content
@@ -508,4 +491,4 @@ def dirac(rep: LinearRep, state: str) -> Config:
 
 def step(rep: LinearRep, u: Config, letter: str) -> Config:
     """One transition: the exact matrix-vector product ``M_letter . u``."""
-    return from_ints(int_step(rep, checked_ints(rep.dim, u), letter), rep.dim)
+    return from_ints(int_walk(rep, checked_ints(rep.dim, u), (letter,)), rep.dim)

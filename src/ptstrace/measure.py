@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linear import (Config, IntConfig, LinearRep, checked_ints,
-                     int_out_finite, int_out_term, int_walk)
+                     int_out_finite, int_walk, scaled_out_term)
 from .model import PtsFormatError, UnknownIdentifier, Word
 
 _ZERO = Fraction(0)
@@ -88,9 +88,9 @@ def int_measure(rep: LinearRep, v: IntConfig, target: GenSet) -> Fraction:
         return _ZERO
     if isinstance(target, (FiniteWord, Cone, InfCone)):
         v = int_walk(rep, v, target.word)
-        if isinstance(target, FiniteWord):
-            return int_out_term(rep, v)
     nums, den = v
+    if isinstance(target, FiniteWord):
+        return Fraction(scaled_out_term(rep, nums), rep._stop_terms[1] * den)
     if isinstance(target, (Cone, All)):
         return Fraction(sum(nums.values()), den)
     if isinstance(target, AllFinite):

@@ -336,6 +336,22 @@ def test_max_steps_flag_pairing(doc_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--algo", "naive"], "--max-steps is required for --algo naive"),
+    (["--algo", "hk"], "--max-steps is required for --algo hk"),
+    (["--algo", "hkc-inf", "--max-steps", "5"], "--max-steps is not accepted for --algo hkc-inf"),
+    (["--algo", "hkc-finite", "--max-steps", "1"],
+     "--max-steps is not accepted for --algo hkc-finite"),
+    (["--max-steps", "5"], "--max-steps is not accepted for --algo hkc-inf"),
+    (["--algo", "naive", "--max-steps", "0"], "--max-steps must be at least 1"),
+    (["--algo", "hk", "--max-steps", "-1"], "--max-steps must be at least 1"),
+], ids=["naive-without", "hk-without", "hkc-inf-with", "hkc-finite-with", "default-with",
+        "naive-zero", "hk-negative"])
+def test_max_steps_usage_errors_print_one_exact_line(doc_path, capsys, flags, message):
+    code, out, err = run(capsys, "equiv", doc_path(HALF_LOOP_XY), "x", "y", *flags)
+    assert (code, out, err) == (4, "", f"error: {message}\n")
+
+
 def test_usage_errors_exit_4(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["equiv"])

@@ -43,9 +43,8 @@ from ptstrace import (All, AllFinite, AllInfinite, Cone, CongruenceBasis,
                       dirac, finite_mass_vector, hk, hkc_finite, hkc_inf,
                       measure, naive, step)
 from ptstrace import linear
-from ptstrace.linear import (axpy, checked_ints, eliminate, from_ints,
-                             int_step, int_walk, primitive, scaled_step,
-                             to_ints)
+from ptstrace.linear import (checked_ints, eliminate, from_ints, int_walk,
+                             primitive, scaled_step, to_ints)
 
 from systems import (all_words, components_pts, random_pts, sink_split_pts,
                      split_copy_pts)
@@ -111,7 +110,7 @@ def test_sparse_steps_match_dense_reference(case, den):
     d, letter, cancelled = case
     n = STEP_REP.dim
     expected = ref_step(STEP_MATS, from_ints((d, den), n), letter)
-    nums, out_den = int_step(STEP_REP, (d, den), letter)
+    nums, out_den = int_walk(STEP_REP, (d, den), (letter,))
     assert from_ints((nums, out_den), n) == expected
     assert to_ints(expected) == (nums, out_den)
     direction, a, one = scaled_step(STEP_REP, (d, 1, 1), letter)
@@ -518,7 +517,11 @@ def insertion_order_reduce(basis, d):
             if r != 1:
                 w = {j: r * x for j, x in w.items()}
                 num *= r
-            axpy(w, -c, row)
+            for j, y in row.items():
+                if x := w.get(j, 0) - c * y:
+                    w[j] = x
+                else:
+                    del w[j]
             if r != 1 and (g := gcd(*w.values())) > 1:
                 w = {j: x // g for j, x in w.items()}
                 den *= g
@@ -621,7 +624,7 @@ def test_reduce_looks_up_only_rows_whose_pivot_the_vector_holds(monkeypatch):
     assert sum(lookups) * 10 < sum(ranks)
 
 
-def test_add_returns_the_scale_of_the_vector_it_steps():
+def test_record_returns_the_scale_of_the_vector_it_steps():
     # d is num / den times a difference plus a vector of the span; the
     # returned vector is the returned scale times that difference plus a
     # vector of the span before d, whatever the reduction multiplied and
@@ -638,7 +641,7 @@ def test_add_returns_the_scale_of_the_vector_it_steps():
                 continue
             num, den = rng.choice((1, -1)) * rng.randint(1, 6), rng.randint(1, 6)
             divided += basis._reduce(d)[2] > 1
-            result = basis.add(d, num, den)
+            result = basis.record(d, num, den)
             vector = from_ints((d, 1), dim)
             assert (result is None) == reference.contains(vector, zero)
             if result is None:
@@ -1052,7 +1055,7 @@ def test_walk_equals_the_chain_of_steps(index, monkeypatch):
         chained = u
         for length in range(len(word) + 1):
             if length:
-                chained = int_step(rep, chained, word[length - 1])
+                chained = int_walk(rep, chained, (word[length - 1],))
             assert int_walk(rep, u, word[:length]) == chained
         assert u == before
     # words of 200 letters or more, read at a few lengths: a walk reduces
@@ -1070,7 +1073,7 @@ def test_walk_equals_the_chain_of_steps(index, monkeypatch):
         checked = {1, 2, 100, 199, len(word)} | set(rng.sample(range(len(word)), 3))
         chained = u
         for length in range(1, len(word) + 1):
-            chained = int_step(rep, chained, word[length - 1])
+            chained = int_walk(rep, chained, (word[length - 1],))
             if length in checked:
                 reductions[0] = 0
                 assert int_walk(rep, u, word[:length]) == chained
@@ -1098,7 +1101,7 @@ def test_long_walks_keep_their_entries_bounded(pts, state, monkeypatch):
     u, word = to_ints(dirac(rep, state)), ("a",) * 1000
     chained, widest = u, 1
     for letter in word:
-        chained = int_step(rep, chained, letter)
+        chained = int_walk(rep, chained, (letter,))
         widest = max(widest, chained[1].bit_length())
     largest, product = [0], linear._product
 

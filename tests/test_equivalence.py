@@ -78,18 +78,6 @@ def test_basis_rejects_configurations_of_the_wrong_length():
     assert basis.rows == rows and sorted(basis._rows) == pivots
 
 
-def test_basis_rejects_difference_vectors_with_an_index_out_of_range():
-    basis = CongruenceBasis(3)
-    basis.add({0: 1, 1: -1})
-    rows, pivots = basis.rows, sorted(basis._rows)
-    for d in [{0: 1, 4: 1}, {3: 2}, {-1: 1, 1: -1}, {0: 1, 7: 0}, {0: 1, 2: 0}, {1: 0}]:
-        for method in (basis.add, basis.related):
-            with pytest.raises(ValueError, match=r"outside range\(3\) or a zero entry"):
-                method(d)
-    assert basis.rank == 1
-    assert basis.rows == rows and sorted(basis._rows) == pivots
-
-
 def test_basis_views_cannot_corrupt_the_basis():
     basis = CongruenceBasis(3)
     e0, e1, e2 = (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))
@@ -320,6 +308,15 @@ def test_add_refuses_a_related_pair(worked_rep):
     assert basis.rank == 1
 
 
+@pytest.mark.parametrize("algorithm", [naive, hk])
+@pytest.mark.parametrize("max_steps", [0, -1])
+def test_budgeted_runs_refuse_a_budget_below_one(worked_rep, algorithm, max_steps):
+    trace = []
+    with pytest.raises(ValueError, match=r"^max_steps must be >= 1$"):
+        algorithm(worked_rep, "x", "z", max_steps, trace=trace)
+    assert trace == []
+
+
 def test_one_reduction_per_extraction(monkeypatch):
     calls = 0
     reduce = CongruenceBasis._reduce
@@ -493,11 +490,11 @@ def test_certificate_check_raises_on_an_unhandled_successor(worked_rep):
     item = basis.item(*(to_ints(dirac(worked_rep, s)) for s in ("x", "z")))
     successor = basis.successor(worked_rep, item, "a")
     assert any(successor[0])
-    basis.add(*item)
+    basis.record(*item)
     verdict = Equivalent(iterations=3, relation_size=2)
     with pytest.raises(InvariantError):
         _check_certificate(worked_rep, "x", "z", basis, verdict, True)
-    basis.add(*successor)
+    basis.record(*successor)
     _check_certificate(worked_rep, "x", "z", basis, verdict, True)
 
 
@@ -507,7 +504,7 @@ def test_certificate_check_requires_the_checked_outputs_to_vanish(yz_rep):
     # the total mass, which finite-trace equivalence drops, is nonzero on it
     basis = CongruenceBasis(yz_rep.dim)
     for state in ("y", "z"):
-        basis.add({yz_rep.state_index(state): 1})
+        basis.record({yz_rep.state_index(state): 1}, 1, 1)
     verdict = Equivalent(iterations=1, relation_size=2)
     _check_certificate(yz_rep, "y", "z", basis, verdict, False)
     with pytest.raises(InvariantError):
@@ -590,7 +587,7 @@ from systems import CONGRUENCE_XZ
 assert False, "asserts are stripped"
 rep = build_rep(parse_pts(json.dumps(CONGRUENCE_XZ)))
 basis = CongruenceBasis(rep.dim)
-basis.add(*basis.item(to_ints(dirac(rep, "x")), to_ints(dirac(rep, "z"))))
+basis.record(*basis.item(to_ints(dirac(rep, "x")), to_ints(dirac(rep, "z"))))
 # a finite-mass block solved as all zeros breaks the fixed point at x
 linear._solve_sparse = lambda rows, m: ((0,) * m, 1)
 # one row, not closed under M_a: no proof of an Equivalent

@@ -1,8 +1,9 @@
 """Every name a module imports is used in that module.
 
 A stdlib stand-in for a linter's unused-import rule, run over the package,
-the tests and the demos.  The package's ``__init__.py`` is left out: its
-imports are the re-exports listed in ``__all__``.
+the tests, the demos and the benchmark's scripts (``perfbench/``).  The
+package's ``__init__.py`` is left out: its imports are the re-exports
+listed in ``__all__``.
 """
 
 import ast
@@ -13,7 +14,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ptstrace"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
+SCRIPTS = sorted(path for folder in ("tests", "demos", "perfbench")
+                 for path in (ROOT / folder).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,7 +32,7 @@ def unused_imports(source: str) -> list[str]:
 
 def test_modules_are_found():
     assert {"equivalence.py", "linear.py", "cli.py"} <= {p.name for p in MODULES}
-    assert {"test_imports.py", "systems.py", "02_cantor_space.py"} <= \
+    assert {"test_imports.py", "systems.py", "02_cantor_space.py", "spans.py"} <= \
         {p.name for p in SCRIPTS}
 
 
