@@ -47,9 +47,9 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .linear import (Config, IntConfig, LinearRep, Sparse, checked_ints,
-                     eliminate, from_ints, int_difference, int_walk,
-                     scaled_out_term, scaled_step)
+from .linear import (Config, IntConfig, LinearRep, Sparse, eliminate,
+                     from_ints, int_difference, int_walk, scaled_out_term,
+                     scaled_step, to_ints)
 from .measure import Cone, FiniteWord, int_measure
 from .model import Word
 
@@ -200,7 +200,7 @@ class CongruenceBasis:
         return d, num, den
 
     def _pair_difference(self, u: Config, v: Config) -> Sparse:
-        return int_difference(checked_ints(self.dim, u), checked_ints(self.dim, v))
+        return int_difference(to_ints(u, self.dim), to_ints(v, self.dim))
 
     def contains(self, u: Config, v: Config) -> bool:
         """True iff u - v lies in the span of the recorded differences."""

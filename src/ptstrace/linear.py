@@ -6,7 +6,7 @@ all-ones total-mass row and the termination row.  Configurations are plain
 tuples of Fractions; entries may be negative or exceed 1, since the
 equivalence checker works with differences and scalings of distributions.
 Output values are read by ``measure`` alone, through the kernel readers
-here (``scaled_out_term`` over the stop row's denominator,
+here (``scaled_out_term`` over the denominator of ``LinearRep.stop_row``,
 ``int_out_finite``); the equivalence checker tests an output of a
 difference for zero (``scaled_out_term``).
 
@@ -16,11 +16,13 @@ pairs with integer ``p`` over one common denominator for the letter.  A
 vector inside the kernel is sparse (``Sparse``): a dict from index to a
 nonzero integer, which never stores a zero.  A configuration is such a
 vector over one positive common denominator, in lowest terms wherever one
-is returned or kept (``to_ints``/``from_ints`` convert).  A step is integer
-multiply-adds over the nonzero entries only, dropping entries that cancel
-to zero; ``int_walk`` walks a whole word, one step per letter, reducing the
-terms at the end and between letters only once the denominator has doubled
-its bits.  Where only the direction of a vector counts, as for the
+is returned or kept (``to_ints``, which checks the length, and
+``from_ints`` convert); the termination row, kept as each state's stop
+pair, is read as one, ``stop_row``.  A step is integer multiply-adds over
+the nonzero entries only, dropping entries that cancel to zero;
+``int_walk`` walks a whole word, one step per letter, reducing the terms
+at the end and between letters only once the denominator has doubled its
+bits.  Where only the direction of a vector counts, as for the
 differences the equivalence checker carries, it is a bare sparse vector,
 and ``scaled_step`` steps it with no denominator or gcd, reporting the
 factor it scaled the true step by.
@@ -28,9 +30,9 @@ factor it scaled the true step by.
 The mass on finite words, the least nonnegative fixed point of
 ``s = l_star + (sum_a M_a)^T s``, is cached on the representation, each
 state solved once: a query solves the unsolved states its vector reaches,
-as one block with the solved states they reach as constants, by sparse
-fraction-free elimination in Markowitz order (fewest rows per cleared
-column first, which keeps fill-in low).  Each cache entry is the state's
+found in one walk, as one block with the solved states they reach as
+constants, by sparse fraction-free elimination in Markowitz order (fewest
+rows per cleared column first, which keeps fill-in low).  Each cache entry is the state's
 own value as a ``(numerator, denominator)`` pair; only this module reads
 them (``int_out_finite``, ``finite_mass_vector``).
 
@@ -44,8 +46,8 @@ k-th state to the j-th state on letter ``a``.  Columns are source states,
 so one step of a column vector u is the product ``M_a . u`` and the column
 of ``M_a`` at a state equals the step image of that state's unit vector.
 The transpose convention is equally common elsewhere; everything here
-assumes columns-are-sources.  ``mats`` is a dense Fraction view derived
-from the sparse columns on first use, which the kernel never reads; it
+assumes columns-are-sources.  ``mats``, like ``l_star`` and ``l_one``, is
+a Fraction view derived on first use, which the kernel never reads; it
 and ``ptstrace rep``, which prints formatted entries, share the one dense
 layout ``LinearRep.dense``, made one row at a time.
 """
@@ -85,13 +87,15 @@ class SingularRestrictedSystem(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearRep:
-    """Linear representation of a system: outputs ``l_one``/``l_star`` and
+    """Linear representation of a system: each state's stop probability and
     one sparse transition operator per letter, indexed in declared state order.
 
-    ``columns[a][k]`` lists the ``(j, p)`` pairs with ``p / denominators[a]``
-    the probability of moving from the k-th to the j-th state on ``a``.
-    ``l_one`` is always the all-ones row because every state's masses sum
-    to 1; keeping it explicit makes the two output functionals symmetric.
+    ``stops[k]`` is the k-th state's stop probability, a lowest-terms
+    ``(numerator, denominator)`` pair; ``columns[a][k]`` lists the ``(j, p)``
+    pairs with ``p / denominators[a]`` the probability of moving from the
+    k-th to the j-th state on ``a``.  The kernel reads the stops as
+    ``stop_row``, made on first read; the output rows ``l_star`` and
+    ``l_one`` (all ones: each state's masses sum to 1) are views, like ``mats``.
     Immutable after construction apart from caches of derived values;
     safe to share between threads, as the caches only grow: a state's
     finite mass is stored in one assignment, and an exact value, once
@@ -100,8 +104,7 @@ class LinearRep:
 
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
-    l_one: Config
-    l_star: Config
+    stops: tuple[tuple[int, int], ...]
     columns: dict[str, Columns]
     denominators: dict[str, int]
 
@@ -123,9 +126,18 @@ class LinearRep:
             raise UnknownIdentifier(f"undeclared letter {letter!r}") from None
 
     @cached_property
-    def _stop_terms(self) -> IntConfig:
-        # l_star over its common denominator
-        return to_ints(self.l_star)
+    def stop_row(self) -> IntConfig:
+        """``l_star`` on the kernel: sparse integers over their least common denominator."""
+        den = lcm(*[d for _, d in self.stops])
+        return {k: n * (den // d) for k, (n, d) in enumerate(self.stops) if n}, den
+
+    @cached_property
+    def l_star(self) -> Config:
+        return tuple([Fraction(*stop) for stop in self.stops])
+
+    @cached_property
+    def l_one(self) -> Config:
+        return (_ONE,) * self.dim
 
     @cached_property
     def mats(self) -> dict[str, Matrix]:
@@ -166,17 +178,18 @@ class LinearRep:
             for out, column in zip(combined, columns):
                 for j, p in column:
                     out[j] = out.get(j, 0) + p * scale
-        return combined, common, *self._stop_terms, [None] * self.dim
+        return combined, common, *self.stop_row, [None] * self.dim
 
 
 def build_rep(pts: Pts) -> LinearRep:
     """Determinize a valid Pts into its linear representation, from ``Pts._ints``."""
-    stops, pairs = pts._ints
+    stops, rows = pts._ints
     # per letter and source state: (target index, numerator, denominator)
     moves = [[[] for _ in pts.states] for _ in pts.alphabet]
-    for (k, a, j), (numerator, denominator) in pairs.items():
-        if numerator:
-            moves[a][k].append((j, numerator, denominator))
+    for k, row in enumerate(rows):
+        for (a, j), (numerator, denominator) in row.items():
+            if numerator:
+                moves[a][k].append((j, numerator, denominator))
     columns, denominators = {}, {}
     for letter, per_source in zip(pts.alphabet, moves):
         denominator = lcm(*[d for column in per_source for _, _, d in column])
@@ -184,20 +197,16 @@ def build_rep(pts: Pts) -> LinearRep:
         columns[letter] = tuple(
             tuple([(j, p * (denominator // d)) for j, p, d in column])
             for column in per_source)
-    fraction = {stop: Fraction(*stop) for stop in set(stops)}
-    return LinearRep(
-        states=pts.states,
-        alphabet=pts.alphabet,
-        l_one=tuple(_ONE for _ in pts.states),
-        l_star=tuple([fraction[stop] for stop in stops]),
-        columns=columns,
-        denominators=denominators,
-    )
+    return LinearRep(states=pts.states, alphabet=pts.alphabet, stops=tuple(stops),
+                     columns=columns, denominators=denominators)
 
 
-def to_ints(u: Config) -> IntConfig:
-    """A Fraction configuration as sparse integers over their least common
-    denominator; the shared ``_ZERO`` entries of ``dirac`` are skipped by identity."""
+def to_ints(u: Config, dim: int) -> IntConfig:
+    """A Fraction configuration of length ``dim`` as sparse integers over
+    their least common denominator; the shared ``_ZERO`` entries of
+    ``dirac`` are skipped by identity."""
+    if len(u) != dim:
+        raise ValueError(f"configuration has length {len(u)}, expected {dim}")
     nonzero = [(k, x) for k, x in enumerate(u) if x is not _ZERO and x]
     denominator = lcm(*(x.denominator for _, x in nonzero))
     return {k: x.numerator * (denominator // x.denominator) for k, x in nonzero}, denominator
@@ -257,7 +266,7 @@ def scaled_out_term(rep: LinearRep, nums: Sparse) -> int:
 
     An integer that is zero exactly when the termination output is.
     """
-    star = rep._stop_terms[0]
+    star = rep.stop_row[0]
     return sum([star[k] * x for k, x in nums.items() if k in star])
 
 
@@ -405,35 +414,34 @@ def solve_finite_mass(rep: LinearRep, support: Iterable[int]) -> list:
     ``support``; returns the per-state ``(numerator, denominator)`` cache.
 
     The unsolved states reached form one block, solved by one sparse
-    elimination with the solved states they reach as constants.
+    elimination with the solved states they reach as constants.  One walk
+    finds the block, each block state's sources inside it, the solved
+    states it reaches and the live seeds, which stop or reach a solved
+    state of positive mass; the block states that reach no seed are dead.
     """
     combined, common, star, star_den, solved = rep._mass_cache
-    stack = [k for k in support if solved[k] is None]
-    reached = set(stack)
+    sources: dict[int, list[int]] = {k: [] for k in support if solved[k] is None}
+    stack, masses, live = list(sources), {}, set()
     while stack:
-        for j in combined[stack.pop()]:
-            if j not in reached and solved[j] is None:
-                reached.add(j)
-                stack.append(j)
-    if not reached:
-        return solved
-    states = sorted(reached)
-    local = {k: i for i, k in enumerate(states)}
-    m = len(states)
-
-    # live: stops, or reaches a live state of the block or a solved state of
-    # positive mass; fixed[j] is the mass of a solved neighbour times const
-    sources: dict[int, list[int]] = {k: [] for k in states}
-    masses: dict[int, tuple[int, int]] = {}
-    live = {k for k in states if k in star}
-    for k in states:
+        k = stack.pop()
+        if k in star:
+            live.add(k)
         for j in combined[k]:
-            if j in local:
+            if (value := solved[j]) is not None:
+                masses[j] = value
+                if value[0]:
+                    live.add(k)
+            elif j in sources:
                 sources[j].append(k)
             else:
-                masses[j] = solved[j]
-                if solved[j][0]:
-                    live.add(k)
+                sources[j] = [k]
+                stack.append(j)
+    if not sources:
+        return solved
+    states = sorted(sources)
+    local = {k: i for i, k in enumerate(states)}
+    m = len(states)
+    # fixed[j] is the mass of a solved neighbour times const
     const = lcm(*(value_den for _, value_den in masses.values()))
     fixed = {j: x * (const // value_den) for j, (x, value_den) in masses.items()}
     stack = list(live)
@@ -477,12 +485,6 @@ def solve_finite_mass(rep: LinearRep, support: Iterable[int]) -> list:
     return solved
 
 
-def checked_ints(dim: int, u: Config) -> IntConfig:
-    if len(u) != dim:
-        raise ValueError(f"configuration has length {len(u)}, expected {dim}")
-    return to_ints(u)
-
-
 def dirac(rep: LinearRep, state: str) -> Config:
     """Unit basis vector of a state."""
     index = rep.state_index(state)
@@ -491,4 +493,4 @@ def dirac(rep: LinearRep, state: str) -> Config:
 
 def step(rep: LinearRep, u: Config, letter: str) -> Config:
     """One transition: the exact matrix-vector product ``M_letter . u``."""
-    return from_ints(int_walk(rep, checked_ints(rep.dim, u), (letter,)), rep.dim)
+    return from_ints(int_walk(rep, to_ints(u, rep.dim), (letter,)), rep.dim)

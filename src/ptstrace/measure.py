@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linear import (Config, IntConfig, LinearRep, checked_ints,
-                     int_out_finite, int_walk, scaled_out_term)
+from .linear import (Config, IntConfig, LinearRep, int_out_finite, int_walk,
+                     scaled_out_term, to_ints)
 from .model import PtsFormatError, UnknownIdentifier, Word
 
 _ZERO = Fraction(0)
@@ -79,7 +79,7 @@ def measure(rep: LinearRep, u: Config, target: GenSet) -> Fraction:
     The formulas are linear in ``u``, so any configuration is accepted;
     the result is a probability only when ``u`` is a subdistribution.
     """
-    return int_measure(rep, checked_ints(rep.dim, u), target)
+    return int_measure(rep, to_ints(u, rep.dim), target)
 
 
 def int_measure(rep: LinearRep, v: IntConfig, target: GenSet) -> Fraction:
@@ -90,7 +90,7 @@ def int_measure(rep: LinearRep, v: IntConfig, target: GenSet) -> Fraction:
         v = int_walk(rep, v, target.word)
     nums, den = v
     if isinstance(target, FiniteWord):
-        return Fraction(scaled_out_term(rep, nums), rep._stop_terms[1] * den)
+        return Fraction(scaled_out_term(rep, nums), rep.stop_row[1] * den)
     if isinstance(target, (Cone, All)):
         return Fraction(sum(nums.values()), den)
     if isinstance(target, AllFinite):

@@ -93,9 +93,10 @@ class Pts:
     declaration and is canonical: all vectors and matrices built downstream
     index states in this order, so outputs are reproducible.
 
-    Immutable.  ``validate`` and ``build_rep`` read only ``_ints``: each
-    state's stop probability and ``{(k, a, j): p}`` for the moves, indexed,
-    as lowest-terms (numerator, denominator) pairs.  A parsed Pts holds only
+    Immutable.  ``validate``, ``pts_to_dict`` and ``build_rep`` read only
+    ``_ints``: each state's stop probability, and each state's moves as
+    ``{(letter index, target index): p}`` in document order, all as
+    lowest-terms (numerator, denominator) pairs.  A parsed Pts holds only
     these and derives ``term`` and ``moves`` on first read, one Fraction per
     value; one built from them derives ``_ints``, skipping undeclared names.
     """
@@ -110,15 +111,18 @@ class Pts:
         if name == "_ints":
             letter_index = {letter: i for i, letter in enumerate(self.alphabet)}
             index = {state: k for k, state in enumerate(self.states)}
-            vars(self)[name] = [self.stop(state).as_integer_ratio() for state in self.states], {
-                (index[source], letter_index[letter], index[target]): p.as_integer_ratio()
-                for (source, letter, target), p in self.moves.items()
-                if source in index and letter in letter_index and target in index}
+            rows: list[dict] = [{} for _ in self.states]
+            for (source, letter, target), p in self.moves.items():
+                if source in index and letter in letter_index and target in index:
+                    rows[index[source]][letter_index[letter], index[target]] = p.as_integer_ratio()
+            vars(self)[name] = [self.stop(state).as_integer_ratio() for state in self.states], rows
         elif name in ("term", "moves"):
-            (stops, pairs), states, alphabet = self._ints, self.states, self.alphabet
-            fraction = {pair: Fraction(*pair) for pair in {*stops, *pairs.values()}}
+            (stops, rows), states, alphabet = self._ints, self.states, self.alphabet
+            fraction = {pair: Fraction(*pair)
+                        for pair in {*stops, *(p for row in rows for p in row.values())}}
             vars(self).update(term={s: fraction[p] for s, p in zip(states, stops)}, moves={
-                (states[k], alphabet[a], states[j]): fraction[p] for (k, a, j), p in pairs.items()})
+                (state, alphabet[a], states[j]): fraction[p]
+                for state, row in zip(states, rows) for (a, j), p in row.items()})
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         return vars(self)[name]
@@ -224,10 +228,10 @@ def pts_from_dict(doc: object, check: bool = True) -> Pts:
             raise UnknownIdentifier(f"transitions entry for undeclared state {name!r}")
 
     stops: list[tuple[int, int]] = []
-    pairs: dict[tuple[int, int, int], tuple[int, int]] = {}
+    rows: list[dict[tuple[int, int], tuple[int, int]]] = []
     # probability strings repeat within a document: each is parsed once
     parsed: dict[str, tuple[int, int]] = {}
-    for k, state in enumerate(states):
+    for state in states:
         entry = transitions.get(state, {})
         if not isinstance(entry, dict):
             raise PtsFormatError(f"transitions for state {state!r} must be an object")
@@ -235,6 +239,7 @@ def pts_from_dict(doc: object, check: bool = True) -> Pts:
         move_items = entry.get("moves", [])
         if not isinstance(move_items, list):
             raise PtsFormatError(f'"moves" for state {state!r} must be a list')
+        rows.append(row := {})
         for item in move_items:
             try:
                 letter, target, text = item["letter"], item["to"], item["p"]
@@ -242,20 +247,20 @@ def pts_from_dict(doc: object, check: bool = True) -> Pts:
                 raise PtsFormatError(
                     f"move entries for state {state!r} need letter/to/p fields") from None
             try:
-                key = (k, letter_index[letter], state_index[target])
+                key = letter_index[letter], state_index[target]
             except (KeyError, TypeError):  # undeclared, or a JSON list or object
                 if not isinstance(letter, str) or letter not in letter_index:
                     raise UnknownIdentifier(
                         f"state {state!r} moves on undeclared letter {letter!r}") from None
                 raise UnknownIdentifier(
                     f"state {state!r} moves to undeclared state {target!r}") from None
-            if key in pairs:
+            if key in row:
                 raise DuplicateIdentifier(
                     f"duplicate move {letter!r} -> {target!r} for state {state!r}")
-            pairs[key] = _parse_once(text, parsed)
+            row[key] = _parse_once(text, parsed)
 
     pts = Pts.__new__(Pts)
-    vars(pts).update(alphabet=tuple(alphabet), states=tuple(states), _ints=(stops, pairs))
+    vars(pts).update(alphabet=tuple(alphabet), states=tuple(states), _ints=(stops, rows))
     if check:
         problems = validate(pts)
         if problems:
@@ -300,30 +305,8 @@ def parse_pts(text: str, check: bool = True) -> Pts:
     return pts_from_dict(doc, check=check)
 
 
-# one move of a state: ((letter index, target index), letter, target, p)
-_Move = tuple[tuple[int, int], str, str, tuple[int, int]]
-
-
-def _moves_by_source(pts: Pts) -> list[list[_Move]]:
-    """Each state's moves in document order, by state index; sorted, they
-    are in alphabet order, then target order."""
-    grouped: list[list[_Move]] = [[] for _ in pts.states]
-    for (k, a, j), pair in pts._ints[1].items():
-        grouped[k].append(((a, j), pts.alphabet[a], pts.states[j], pair))
-    return grouped
-
-
 def _in_unit_range(pair: tuple[int, int]) -> bool:
     return 0 <= pair[0] <= pair[1]
-
-
-def _ratios(pts: Pts) -> list[list[tuple[int, int]]]:
-    # each state's stop mass, then its moves, as (numerator, denominator) pairs
-    stops, pairs = pts._ints
-    ratios = [[stop] for stop in stops]
-    for key, pair in pairs.items():
-        ratios[key[0]].append(pair)
-    return ratios
 
 
 def _mass(pairs: list[tuple[int, int]]) -> tuple[int, int]:
@@ -334,35 +317,34 @@ def _mass(pairs: list[tuple[int, int]]) -> tuple[int, int]:
 
 
 def _state_mass(pts: Pts, state: str) -> Fraction:
-    return Fraction(*_mass(_ratios(pts)[pts.states.index(state)]))
+    k, (stops, rows) = pts.states.index(state), pts._ints
+    return Fraction(*_mass([stops[k], *rows[k].values()]))
 
 
 def validate(pts: Pts) -> list[Violation]:
     """Check every model invariant; the list is empty iff all of them hold.
 
-    One pass over ``Pts._ints``: a state passes when its masses (``_ratios``)
-    lie in [0, 1] and sum to 1 (``_mass``).  Messages are built only for
-    the states that fail, their moves in alphabet order, then target order.
+    One pass over ``Pts._ints``: a state passes when its masses lie in
+    [0, 1] and sum to 1 (``_mass``).  Messages are built only for the
+    states that fail, their moves in alphabet order, then target order.
     """
-    ratios, by_source, violations = _ratios(pts), None, []
-    for k, state in enumerate(pts.states):
-        numerator, denominator = _mass(ratios[k])
+    (stops, rows), violations = pts._ints, []
+    for state, stop, row in zip(pts.states, stops, rows):
+        masses = [stop, *row.values()]
+        numerator, denominator = _mass(masses)
         # masses summing to 1 lie in [0, 1] iff the least numerator is >= 0
-        if numerator == denominator and min(ratios[k])[0] >= 0:
+        if numerator == denominator and min(masses)[0] >= 0:
             continue
-        if by_source is None:
-            by_source = _moves_by_source(pts)
-        stop = ratios[k][0]
         if not _in_unit_range(stop):
             violations.append(Violation(
                 PROBABILITY_OUT_OF_RANGE, state,
                 f"stop probability {format_rational(Fraction(*stop))} outside [0, 1]"))
-        for _, letter, target, p in sorted(
-                m for m in by_source[k] if not _in_unit_range(m[3])):
-            violations.append(Violation(
-                PROBABILITY_OUT_OF_RANGE, state,
-                f"move {letter!r} -> {target!r} has probability "
-                f"{format_rational(Fraction(*p))} outside [0, 1]"))
+        for (a, j), p in sorted(row.items()):
+            if not _in_unit_range(p):
+                violations.append(Violation(
+                    PROBABILITY_OUT_OF_RANGE, state,
+                    f"move {pts.alphabet[a]!r} -> {pts.states[j]!r} has probability "
+                    f"{format_rational(Fraction(*p))} outside [0, 1]"))
         if numerator != denominator:
             total = format_rational(Fraction(numerator, denominator))
             violations.append(Violation(
@@ -372,11 +354,11 @@ def validate(pts: Pts) -> list[Violation]:
 
 def pts_to_dict(pts: Pts) -> dict:
     """Canonical document form: moves listed in alphabet order, then target order."""
-    transitions = {}
-    for state, stop, moves in zip(pts.states, pts._ints[0], _moves_by_source(pts)):
+    transitions, (stops, rows) = {}, pts._ints
+    for state, stop, row in zip(pts.states, stops, rows):
         entry: dict = {"stop": format_rational(Fraction(*stop))}
-        move_items = [{"letter": letter, "to": target, "p": format_rational(Fraction(*p))}
-                      for _, letter, target, p in sorted(moves)]
+        move_items = [{"letter": pts.alphabet[a], "to": pts.states[j],
+                       "p": format_rational(Fraction(*p))} for (a, j), p in sorted(row.items())]
         if move_items:
             entry["moves"] = move_items
         transitions[state] = entry

@@ -16,7 +16,8 @@ finite-mass solve; small ones are also checked against ``brute_measure``.
 Queries from every state in random orders on one representation check the
 on-demand solve, where each query solves only the states it reaches.
 The in-place elimination of that solve is checked block for block against
-the copying one it replaced, kept below, and a word walk against the chain
+the copying one it replaced, kept below, the rows of each block against
+the two-pass block builder it replaced, and a word walk against the chain
 of one-letter steps, on words of over 200 letters too, with the entries
 its products read bounded on 1,000-letter walks; start vectors built with
 fresh zero objects, negative entries or no mass at all check the
@@ -43,8 +44,8 @@ from ptstrace import (All, AllFinite, AllInfinite, Cone, CongruenceBasis,
                       dirac, finite_mass_vector, hk, hkc_finite, hkc_inf,
                       measure, naive, step)
 from ptstrace import linear
-from ptstrace.linear import (checked_ints, eliminate, from_ints, int_walk,
-                             primitive, scaled_step, to_ints)
+from ptstrace.linear import (eliminate, from_ints, int_walk, primitive, scaled_step,
+                             to_ints)
 
 from systems import (all_words, components_pts, random_pts, sink_split_pts,
                      split_copy_pts)
@@ -112,12 +113,12 @@ def test_sparse_steps_match_dense_reference(case, den):
     expected = ref_step(STEP_MATS, from_ints((d, den), n), letter)
     nums, out_den = int_walk(STEP_REP, (d, den), (letter,))
     assert from_ints((nums, out_den), n) == expected
-    assert to_ints(expected) == (nums, out_den)
+    assert to_ints(expected, n) == (nums, out_den)
     direction, a, one = scaled_step(STEP_REP, (d, 1, 1), letter)
     # direction = a M_a d, where d = den * u, not divided by its content
     assert a == STEP_REP.denominators[letter] and one == 1
     assert from_ints((direction, a), n) == tuple(x * den for x in expected)
-    assert primitive(direction) == primitive(to_ints(expected)[0])
+    assert primitive(direction) == primitive(to_ints(expected, n)[0])
     assert scaled_step(STEP_REP, (d, 3, -5), letter) == (direction, 3 * a, -5)
     # entries that cancel to zero are dropped, never stored
     assert 0 not in nums.values() and 0 not in direction.values()
@@ -988,6 +989,120 @@ def test_in_place_solve_matches_the_copying_reference(index, monkeypatch):
     assert blocks and sum(blocks) == rep.dim
 
 
+def ref_block(rep, support):
+    """The block of a finite-mass query as the two-pass builder made it: a
+    reach walk, then a second pass over the block's edges for the sources,
+    the solved neighbours and the live seeds.  Returns ``(rows, m, facts)``,
+    or None when nothing is left to solve; ``facts`` tells the coverage
+    test which shapes the query had."""
+    combined, common, star, star_den, solved = rep._mass_cache
+    stack = [k for k in support if solved[k] is None]
+    reached = set(stack)
+    while stack:
+        for j in combined[stack.pop()]:
+            if j not in reached and solved[j] is None:
+                reached.add(j)
+                stack.append(j)
+    if not reached:
+        return None
+    states = sorted(reached)
+    local = {k: i for i, k in enumerate(states)}
+    m = len(states)
+    sources = {k: [] for k in states}
+    masses = {}
+    live = {k for k in states if k in star}
+    for k in states:
+        for j in combined[k]:
+            if j in local:
+                sources[j].append(k)
+            else:
+                masses[j] = solved[j]
+                if solved[j][0]:
+                    live.add(k)
+    const = lcm(*(value_den for _, value_den in masses.values()))
+    fixed = {j: x * (const // value_den) for j, (x, value_den) in masses.items()}
+    stack = list(live)
+    while stack:
+        for source in sources[stack.pop()]:
+            if source not in live:
+                live.add(source)
+                stack.append(source)
+    rows = [{i: 1} for i in range(m)]
+    for k in live:
+        row = rows[local[k]] = {local[k]: common * star_den * const}
+        rhs = common * star.get(k, 0) * const
+        for j, q in combined[k].items():
+            if j in live:
+                x = row.get(local[j], 0) - q * star_den * const
+                if x:
+                    row[local[j]] = x
+                else:
+                    del row[local[j]]
+            elif j in fixed:
+                rhs += q * star_den * fixed[j]
+        if rhs:
+            row[m] = rhs
+    support = list(support)
+    facts = {"repeated": len(set(support)) < len(support),
+             "solved_in_support": any(solved[k] is not None for k in support),
+             "solved_neighbours": bool(masses),
+             "dead": len(live) < m}
+    return rows, m, facts
+
+
+@pytest.mark.parametrize("index", range(0, len(ON_DEMAND_SYSTEMS), 4))
+def test_finite_mass_blocks_match_the_two_pass_builder(index, monkeypatch):
+    # every block that a sequence of queries solves gets exactly the rows
+    # the two-pass builder makes from the same cache: queries through
+    # measure, and direct solves of supports with repeated and solved states
+    solve_block, solve = linear.solve_finite_mass, linear._solve_sparse
+    captured, expected, seen = [], [], []
+
+    def capture(rows, m):
+        captured.append((_copied(rows), m))
+        return solve(rows, m)
+
+    def checked(rep, support):
+        support = list(support)
+        block = ref_block(rep, support)
+        captured.clear()
+        solved = solve_block(rep, support)
+        assert captured == ([] if block is None else [block[:2]])
+        if block is not None:
+            seen.append(block[2])
+        expected.append(block)
+        return solved
+
+    monkeypatch.setattr(linear, "_solve_sparse", capture)
+    monkeypatch.setattr(linear, "solve_finite_mass", checked)
+    for pts in ON_DEMAND_SYSTEMS[index:index + 4]:
+        rng = random.Random(index)
+        rep, n = build_rep(pts), len(pts.states)
+        reference = ref_finite_mass(pts)
+        # the last state solved first, then a support holding it, repeated
+        measure(rep, dirac(rep, pts.states[-1]), AllFinite())
+        checked(rep, [n - 1, 0, 0, n - 1])
+        for _ in range(4):
+            state = rng.choice(pts.states)
+            u = dirac(rep, state)
+            kind = rng.choice(("finite", "infcone", "mixed", "direct"))
+            if kind == "finite":
+                assert measure(rep, u, AllFinite()) == reference[pts.states.index(state)]
+            elif kind == "infcone":
+                word, _ = _walk(rng, pts, state, rng.randint(1, 4))
+                measure(rep, u, InfCone(word))
+            elif kind == "mixed":
+                measure(rep, _random_config(rng, n), AllFinite())
+            else:
+                support = [rng.randrange(n) for _ in range(rng.randint(1, 4))]
+                checked(rep, support + support[:2])
+        checked(rep, list(range(n)) * 2)
+        assert finite_mass_vector(rep) == reference
+    assert any(block is None for block in expected)
+    for fact in ("repeated", "solved_in_support", "solved_neighbours", "dead"):
+        assert any(facts[fact] for facts in seen), fact
+
+
 def test_in_place_solve_with_negative_pivots_and_singular_systems():
     # negative pivots force a scaling with a sign change; the reference and
     # the kernel agree, and both find a singular system singular
@@ -1047,8 +1162,8 @@ def test_walk_equals_the_chain_of_steps(index, monkeypatch):
     pts = WALK_CASES[index]
     rep = build_rep(pts)
     rng = random.Random(index)
-    starts = [to_ints(dirac(rep, state)) for state in pts.states]
-    starts += [to_ints(_random_config(rng, rep.dim)) for _ in range(3)]
+    starts = [to_ints(dirac(rep, state), rep.dim) for state in pts.states]
+    starts += [to_ints(_random_config(rng, rep.dim), rep.dim) for _ in range(3)]
     for u in starts:
         word = tuple(rng.choice(pts.alphabet) for _ in range(rng.randint(0, 8)))
         before = dict(u[0]), u[1]
@@ -1098,7 +1213,7 @@ def test_long_walks_keep_their_entries_bounded(pts, state, monkeypatch):
     # every product reads entries of at most twice the bits of the widest
     # lowest-terms denominator along the walk, plus the letter's, plus one
     rep = build_rep(pts)
-    u, word = to_ints(dirac(rep, state)), ("a",) * 1000
+    u, word = to_ints(dirac(rep, state), rep.dim), ("a",) * 1000
     chained, widest = u, 1
     for letter in word:
         chained = int_walk(rep, chained, (letter,))
@@ -1139,7 +1254,7 @@ def ref_measure(pts, mats, mass, u, target):
 @pytest.mark.parametrize("index", range(len(WALK_CASES)))
 def test_start_vectors_match_the_fraction_reference(index):
     # fresh zeros, negative entries, all-zero vectors and a unit vector
-    # with one extra entry: checked_ints, step and measure agree with the
+    # with one extra entry: to_ints, step and measure agree with the
     # Fraction reference
     pts = WALK_CASES[index]
     rep, mats, mass = build_rep(pts), ref_mats(pts), ref_finite_mass(pts)
@@ -1154,18 +1269,18 @@ def test_start_vectors_match_the_fraction_reference(index):
     targets = [Empty(), FiniteWord(word), Cone(word), InfCone(word), AllFinite(),
                AllInfinite(), All(), FiniteWord(()), InfCone(())]
     for u in configs:
-        assert checked_ints(n, u) == ref_to_ints(u)
+        assert to_ints(u, n) == ref_to_ints(u)
         for letter in pts.alphabet:
             assert step(rep, u, letter) == ref_step(mats, u, letter)
         for target in targets:
             assert measure(rep, u, target) == ref_measure(pts, mats, mass, u, target)
-    assert checked_ints(n, configs[-3]) == ({}, 1) == checked_ints(n, configs[-2])
+    assert to_ints(configs[-3], n) == ({}, 1) == to_ints(configs[-2], n)
 
 
-def test_step_and_checked_ints_refuse_a_configuration_of_the_wrong_length(worked_rep):
+def test_step_and_to_ints_refuse_a_configuration_of_the_wrong_length(worked_rep):
     u = dirac(worked_rep, "x")
     for wrong in (u[:-1], u + (F(0),), ()):
         with pytest.raises(ValueError, match=f"length {len(wrong)}, expected 4"):
-            checked_ints(worked_rep.dim, wrong)
+            to_ints(wrong, worked_rep.dim)
         with pytest.raises(ValueError, match=f"length {len(wrong)}, expected 4"):
             step(worked_rep, wrong, "a")

@@ -487,7 +487,7 @@ def test_certificate_check_raises_on_an_unhandled_successor(worked_rep):
     # rows holding the (x, z) item but not its a-successor are not closed
     # under M_a, so they do not prove an Equivalent
     basis = CongruenceBasis(worked_rep.dim)
-    item = basis.item(*(to_ints(dirac(worked_rep, s)) for s in ("x", "z")))
+    item = basis.item(*(to_ints(dirac(worked_rep, s), worked_rep.dim) for s in ("x", "z")))
     successor = basis.successor(worked_rep, item, "a")
     assert any(successor[0])
     basis.record(*item)
@@ -587,7 +587,8 @@ from systems import CONGRUENCE_XZ
 assert False, "asserts are stripped"
 rep = build_rep(parse_pts(json.dumps(CONGRUENCE_XZ)))
 basis = CongruenceBasis(rep.dim)
-basis.record(*basis.item(to_ints(dirac(rep, "x")), to_ints(dirac(rep, "z"))))
+x, z = (to_ints(dirac(rep, s), rep.dim) for s in ("x", "z"))
+basis.record(*basis.item(x, z))
 # a finite-mass block solved as all zeros breaks the fixed point at x
 linear._solve_sparse = lambda rows, m: ((0,) * m, 1)
 # one row, not closed under M_a: no proof of an Equivalent

@@ -1,12 +1,13 @@
 """The integer form of a document against the Fraction readings it replaced.
 
 A parsed ``Pts`` holds each move as a lowest-terms (numerator, denominator)
-pair under its (state, letter, target) indices, and ``validate`` and
-``build_rep`` read only that.  The reference below is the earlier code,
+pair in its state's own dict, under its (letter, target) indices, and
+``validate`` and ``build_rep`` read only that.  The reference below is the earlier code,
 which read the name-keyed Fraction dicts ``term`` and ``moves``:
 ``_ratios`` took each probability's ``as_integer_ratio`` and filtered moves
 by name, and ``build_rep`` took it again and looked both names up in an
-index.
+index.  A guard stubs out ``linear``'s Fraction: representations,
+untraced decision runs and word queries run on the integer form alone.
 """
 
 import json
@@ -16,14 +17,15 @@ from math import lcm
 
 import pytest
 
-from ptstrace import (DistributionSumViolation, Equivalent, ProbabilityOutOfRange, Pts,
-                      build_rep, dirac, hkc_finite, hkc_inf, measure, parse_pts,
-                      parse_query, pts_to_dict, serialize_pts, validate)
+from ptstrace import (Cone, DistributionSumViolation, Equivalent, FiniteWord,
+                      ProbabilityOutOfRange, Pts, build_rep, dirac, hkc_finite, hkc_inf,
+                      linear, measure, parse_pts, parse_query, pts_to_dict, serialize_pts,
+                      validate)
 from ptstrace.cli import main
 from ptstrace.model import (DISTRIBUTION_SUM, PROBABILITY_OUT_OF_RANGE, Violation,
                             format_rational)
 
-from systems import random_pts, sink_split_pts, split_copy_pts
+from systems import ALL_DOCS, load, random_pts, sink_split_pts, split_copy_pts
 
 F = Fraction
 
@@ -230,3 +232,30 @@ def test_the_front_end_and_every_query_read_only_the_integer_form(monkeypatch, t
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert captured.out and not captured.err
+
+
+class _NoFraction:
+    def __init__(self, *args):
+        raise AssertionError("the kernel built a Fraction")
+
+
+def test_the_kernel_builds_no_fraction_for_reps_runs_and_word_queries(monkeypatch):
+    # the representation, untraced decision runs and word and cone queries
+    # run on integers alone: any Fraction that linear builds raises
+    valid = [pts for pts in DOCUMENTS[:100] if not _reference_validate(pts)]
+    assert len(valid) >= 40
+    monkeypatch.setattr(linear, "Fraction", _NoFraction)
+    reps = [build_rep(pts) for pts in DOCUMENTS]
+    reps += [build_rep(load(doc)) for doc in ALL_DOCS.values()]
+    rng = random.Random(61)
+    for pts in valid:
+        rep = build_rep(pts)
+        x, y = pts.states[0], pts.states[-1]
+        for decide in (hkc_inf, hkc_finite):
+            decide(rep, x, y)
+        for _ in range(3):
+            word = tuple(rng.choice(pts.alphabet) for _ in range(rng.randint(0, 5)))
+            state = rng.choice(pts.states)
+            measure(rep, dirac(rep, state), FiniteWord(word))
+            measure(rep, dirac(rep, state), Cone(word))
+    assert len(reps) > len(DOCUMENTS)

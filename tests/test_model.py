@@ -224,6 +224,44 @@ def test_canonical_document_orders_moves():
     assert [(m["letter"], m["to"]) for m in moves] == [("a", "x"), ("a", "y"), ("b", "x")]
 
 
+def _listed(moves):
+    return [{"letter": letter, "to": target, "p": p} for letter, target, p in moves]
+
+
+def test_a_parsed_document_listed_in_reverse_order_reads_canonically():
+    # every state lists its moves in reverse alphabet and target order:
+    # messages and serialized bytes come out canonical, the moves view keeps
+    # the document's order
+    doc = {"alphabet": ["a", "b", "c"], "states": ["x", "y", "z"], "transitions": {
+        "x": {"stop": "1/4", "moves": _listed([
+            ("c", "z", "3/2"), ("c", "x", "1/8"), ("b", "y", "1/4"), ("a", "z", "-1/8"),
+            ("a", "x", "-9/8")])},
+        "y": {"moves": _listed([("c", "y", "1/2"), ("b", "z", "1/3"), ("b", "x", "1/4")])},
+        "z": {"stop": "1/2", "moves": _listed([("b", "z", "4/3"), ("a", "y", "-5/6")])}}}
+    pts = parse_pts(json.dumps(doc), check=False)
+    assert list(pts.moves) == [
+        ("x", "c", "z"), ("x", "c", "x"), ("x", "b", "y"), ("x", "a", "z"), ("x", "a", "x"),
+        ("y", "c", "y"), ("y", "b", "z"), ("y", "b", "x"), ("z", "b", "z"), ("z", "a", "y")]
+    assert [(v.kind, v.state, v.message) for v in validate(pts)] == [
+        (PROBABILITY_OUT_OF_RANGE, "x", "move 'a' -> 'x' has probability -9/8 outside [0, 1]"),
+        (PROBABILITY_OUT_OF_RANGE, "x", "move 'a' -> 'z' has probability -1/8 outside [0, 1]"),
+        (PROBABILITY_OUT_OF_RANGE, "x", "move 'c' -> 'z' has probability 3/2 outside [0, 1]"),
+        (DISTRIBUTION_SUM, "x", "masses sum to 7/8, expected 1"),
+        (DISTRIBUTION_SUM, "y", "masses sum to 13/12, expected 1"),
+        (PROBABILITY_OUT_OF_RANGE, "z", "move 'a' -> 'y' has probability -5/6 outside [0, 1]"),
+        (PROBABILITY_OUT_OF_RANGE, "z", "move 'b' -> 'z' has probability 4/3 outside [0, 1]"),
+    ]
+    canonical = {"alphabet": ["a", "b", "c"], "states": ["x", "y", "z"], "transitions": {
+        "x": {"stop": "1/4", "moves": _listed([
+            ("a", "x", "-9/8"), ("a", "z", "-1/8"), ("b", "y", "1/4"), ("c", "x", "1/8"),
+            ("c", "z", "3/2")])},
+        "y": {"stop": "0", "moves": _listed([
+            ("b", "x", "1/4"), ("b", "z", "1/3"), ("c", "y", "1/2")])},
+        "z": {"stop": "1/2", "moves": _listed([("a", "y", "-5/6"), ("b", "z", "4/3")])}}}
+    assert serialize_pts(pts) == json.dumps(canonical, indent=2) + "\n"
+    assert parse_pts(serialize_pts(pts), check=False) == pts
+
+
 @pytest.mark.parametrize("name", sorted(ALL_DOCS))
 def test_roundtrip_canonical_documents(name):
     pts = load(ALL_DOCS[name])
@@ -370,26 +408,16 @@ def test_validating_a_valid_document_builds_no_message(monkeypatch):
     documents += [random_pts(rng) for _ in range(20)]
     documents += [split_copy_pts(rng, max_base=30) for _ in range(20)]
     assert max(len(pts.states) for pts in documents) > 60
-    monkeypatch.setattr(model, "_moves_by_source", _called)
     monkeypatch.setattr(model, "format_rational", _called)
     for pts in documents:
         assert validate(pts) == []
 
 
-def test_many_failing_states_group_their_moves_once(monkeypatch):
+def test_many_failing_states_report_every_violation():
     rng = random.Random(47)
-    real, calls = model._moves_by_source, []
-
-    def counted(pts):
-        calls.append(pts)
-        return real(pts)
-
-    monkeypatch.setattr(model, "_moves_by_source", counted)
     for n in (50, 60, 90):
         pts = _failing_everywhere(rng, n)
-        calls.clear()
         violations = validate(pts)
-        assert calls == [pts]
         assert violations == _reference_validate(pts)
         assert {v.state for v in violations} == set(pts.states)
         kinds = {state: {v.kind for v in violations if v.state == state}
