@@ -182,11 +182,10 @@ class LinearRep:
 
 
 def build_rep(pts: Pts) -> LinearRep:
-    """Determinize a valid Pts into its linear representation, from ``Pts._ints``."""
-    stops, rows = pts._ints
+    """Determinize a valid Pts into its linear representation, from its stops and rows."""
     # per letter and source state: (target index, numerator, denominator)
     moves = [[[] for _ in pts.states] for _ in pts.alphabet]
-    for k, row in enumerate(rows):
+    for k, row in enumerate(pts.rows):
         for (a, j), (numerator, denominator) in row.items():
             if numerator:
                 moves[a][k].append((j, numerator, denominator))
@@ -197,7 +196,7 @@ def build_rep(pts: Pts) -> LinearRep:
         columns[letter] = tuple(
             tuple([(j, p * (denominator // d)) for j, p, d in column])
             for column in per_source)
-    return LinearRep(states=pts.states, alphabet=pts.alphabet, stops=tuple(stops),
+    return LinearRep(states=pts.states, alphabet=pts.alphabet, stops=pts.stops,
                      columns=columns, denominators=denominators)
 
 

@@ -29,6 +29,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 Word = tuple[str, ...]
@@ -85,47 +86,39 @@ class Violation:
 
 @dataclass(frozen=True)
 class Pts:
-    """A probabilistic transition system.
+    """A probabilistic transition system, as ``pts_from_dict`` parses it.
 
-    ``term`` maps each state to its stop probability; ``moves`` maps
-    (source, letter, target) triples to probabilities, where an absent
-    triple means probability 0.  State and letter order is taken from the
-    declaration and is canonical: all vectors and matrices built downstream
-    index states in this order, so outputs are reproducible.
+    ``stops[k]`` is the k-th state's stop probability and ``rows[k]`` its
+    moves as ``{(letter index, target index): p}`` in document order, all
+    lowest-terms (numerator, denominator) pairs.  Declaration order of
+    states and letters is canonical: everything built downstream indexes
+    states in it, so outputs are reproducible.
 
-    Immutable.  ``validate``, ``pts_to_dict`` and ``build_rep`` read only
-    ``_ints``: each state's stop probability, and each state's moves as
-    ``{(letter index, target index): p}`` in document order, all as
-    lowest-terms (numerator, denominator) pairs.  A parsed Pts holds only
-    these and derives ``term`` and ``moves`` on first read, one Fraction per
-    value; one built from them derives ``_ints``, skipping undeclared names.
+    Immutable.  ``term`` (state to stop probability) and ``moves``
+    ((source, letter, target) to probability) are Fraction views made on
+    first read, one Fraction per distinct value; of the package, only
+    ``oracle`` reads them.
     """
 
     alphabet: tuple[str, ...]
     states: tuple[str, ...]
-    term: dict[str, Fraction]
-    moves: dict[tuple[str, str, str], Fraction]
+    stops: tuple[tuple[int, int], ...]
+    rows: tuple[dict[tuple[int, int], tuple[int, int]], ...]
 
-    def __getattr__(self, name: str) -> object:
-        # called only for an attribute not stored yet
-        if name == "_ints":
-            letter_index = {letter: i for i, letter in enumerate(self.alphabet)}
-            index = {state: k for k, state in enumerate(self.states)}
-            rows: list[dict] = [{} for _ in self.states]
-            for (source, letter, target), p in self.moves.items():
-                if source in index and letter in letter_index and target in index:
-                    rows[index[source]][letter_index[letter], index[target]] = p.as_integer_ratio()
-            vars(self)[name] = [self.stop(state).as_integer_ratio() for state in self.states], rows
-        elif name in ("term", "moves"):
-            (stops, rows), states, alphabet = self._ints, self.states, self.alphabet
-            fraction = {pair: Fraction(*pair)
-                        for pair in {*stops, *(p for row in rows for p in row.values())}}
-            vars(self).update(term={s: fraction[p] for s, p in zip(states, stops)}, moves={
-                (state, alphabet[a], states[j]): fraction[p]
-                for state, row in zip(states, rows) for (a, j), p in row.items()})
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return vars(self)[name]
+    @cached_property
+    def _fractions(self) -> dict[tuple[int, int], Fraction]:
+        return {pair: Fraction(*pair)
+                for pair in {*self.stops, *(p for row in self.rows for p in row.values())}}
+
+    @cached_property
+    def term(self) -> dict[str, Fraction]:
+        return {state: self._fractions[p] for state, p in zip(self.states, self.stops)}
+
+    @cached_property
+    def moves(self) -> dict[tuple[str, str, str], Fraction]:
+        alphabet, states, fraction = self.alphabet, self.states, self._fractions
+        return {(state, alphabet[a], states[j]): fraction[p]
+                for state, row in zip(states, self.rows) for (a, j), p in row.items()}
 
     def stop(self, state: str) -> Fraction:
         return self.term.get(state, _ZERO)
@@ -208,8 +201,7 @@ def _parse_once(text: object, parsed: dict[str, tuple[int, int]]) -> tuple[int, 
 
 
 def pts_from_dict(doc: object, check: bool = True) -> Pts:
-    """Build a Pts, in its integer form alone, from a decoded document,
-    raising on the first problem.
+    """Build a Pts from a decoded document, raising on the first problem.
 
     With ``check=False`` only structural errors raise; numeric invariants
     (range, sums-to-1) are left for validate() to report in full.
@@ -259,8 +251,7 @@ def pts_from_dict(doc: object, check: bool = True) -> Pts:
                     f"duplicate move {letter!r} -> {target!r} for state {state!r}")
             row[key] = _parse_once(text, parsed)
 
-    pts = Pts.__new__(Pts)
-    vars(pts).update(alphabet=tuple(alphabet), states=tuple(states), _ints=(stops, rows))
+    pts = Pts(tuple(alphabet), tuple(states), tuple(stops), tuple(rows))
     if check:
         problems = validate(pts)
         if problems:
@@ -317,19 +308,19 @@ def _mass(pairs: list[tuple[int, int]]) -> tuple[int, int]:
 
 
 def _state_mass(pts: Pts, state: str) -> Fraction:
-    k, (stops, rows) = pts.states.index(state), pts._ints
-    return Fraction(*_mass([stops[k], *rows[k].values()]))
+    k = pts.states.index(state)
+    return Fraction(*_mass([pts.stops[k], *pts.rows[k].values()]))
 
 
 def validate(pts: Pts) -> list[Violation]:
     """Check every model invariant; the list is empty iff all of them hold.
 
-    One pass over ``Pts._ints``: a state passes when its masses lie in
-    [0, 1] and sum to 1 (``_mass``).  Messages are built only for the
-    states that fail, their moves in alphabet order, then target order.
+    One pass over ``stops`` and ``rows``: a state passes when its masses
+    lie in [0, 1] and sum to 1 (``_mass``).  Messages are built only for
+    the states that fail, their moves in alphabet order, then target order.
     """
-    (stops, rows), violations = pts._ints, []
-    for state, stop, row in zip(pts.states, stops, rows):
+    violations = []
+    for state, stop, row in zip(pts.states, pts.stops, pts.rows):
         masses = [stop, *row.values()]
         numerator, denominator = _mass(masses)
         # masses summing to 1 lie in [0, 1] iff the least numerator is >= 0
@@ -354,8 +345,8 @@ def validate(pts: Pts) -> list[Violation]:
 
 def pts_to_dict(pts: Pts) -> dict:
     """Canonical document form: moves listed in alphabet order, then target order."""
-    transitions, (stops, rows) = {}, pts._ints
-    for state, stop, row in zip(pts.states, stops, rows):
+    transitions = {}
+    for state, stop, row in zip(pts.states, pts.stops, pts.rows):
         entry: dict = {"stop": format_rational(Fraction(*stop))}
         move_items = [{"letter": pts.alphabet[a], "to": pts.states[j],
                        "p": format_rational(Fraction(*p))} for (a, j), p in sorted(row.items())]

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 from ptstrace import Pts, parse_pts, validate
+from ptstrace.model import format_rational, pts_from_dict
 
 # Single-letter chain: x loops forever on a; y stops with 1/3, moves to x or
 # stays with 1/3 each.  From y, a^n has measure 1/3^(n+1) and the cone of
@@ -88,6 +89,23 @@ def load(doc: dict) -> Pts:
     return parse_pts(json.dumps(doc))
 
 
+def document(alphabet, states, term, moves) -> dict:
+    """The document with the name-keyed Fraction masses ``term`` (state to
+    stop mass; a state left out stops with 0) and ``moves`` ((source,
+    letter, target) to mass), listed in the order of the dicts."""
+    transitions = {state: {"stop": format_rational(p)} for state, p in term.items()}
+    for (source, letter, target), p in moves.items():
+        transitions.setdefault(source, {}).setdefault("moves", []).append(
+            {"letter": letter, "to": target, "p": format_rational(p)})
+    return {"alphabet": list(alphabet), "states": list(states), "transitions": transitions}
+
+
+def pts_of(alphabet, states, term, moves) -> Pts:
+    """The system of ``document(alphabet, states, term, moves)``, parsed
+    unchecked: its masses may break the model, its names must be declared."""
+    return pts_from_dict(document(alphabet, states, term, moves), check=False)
+
+
 def all_words(alphabet, max_len):
     """Every word over the alphabet up to the given length, shortest first."""
     words = [()]
@@ -133,7 +151,7 @@ def random_pts(rng, max_states=5, max_letters=2, clone_prob=0.3):
         for (source, letter, target), p in list(moves.items()):
             if source == original:
                 moves[(clone, letter, target)] = p
-    pts = Pts(tuple(letters), states, term, moves)
+    pts = pts_of(tuple(letters), states, term, moves)
     assert validate(pts) == []
     return pts
 
@@ -175,7 +193,7 @@ def split_copy_pts(rng, max_base=10, max_letters=3, perturb=False):
                     moves[(source, letter, f"b{target[1:]}q")] = p * (1 - r)
     if perturb:
         _perturb(rng, term, moves)
-    pts = Pts(tuple(letters), base + copies, term, moves)
+    pts = pts_of(tuple(letters), base + copies, term, moves)
     assert validate(pts) == []
     return pts
 
@@ -216,7 +234,7 @@ def _system(letters, states, outcomes_by_state):
         for key, p in masses.items():
             if key != "stop":
                 moves[(state,) + key] = moves.get((state,) + key, Fraction(0)) + p
-    pts = Pts(tuple(letters), tuple(states), term, moves)
+    pts = pts_of(tuple(letters), tuple(states), term, moves)
     assert validate(pts) == []
     return pts
 
@@ -264,7 +282,7 @@ def sink_split_pts(rng, m, n_letters=2, sinks=2, perturb=False):
     if perturb:
         term, moves = dict(pts.term), dict(pts.moves)
         _perturb(rng, term, moves)
-        pts = Pts(pts.alphabet, pts.states, term, moves)
+        pts = pts_of(pts.alphabet, pts.states, term, moves)
         assert validate(pts) == []
     return pts
 

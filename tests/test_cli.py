@@ -13,12 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from ptstrace import Pts, build_rep, parse_pts, pts_to_dict, serialize_pts
+from ptstrace import build_rep, parse_pts, pts_to_dict, serialize_pts
 from ptstrace.cli import _parser, main
 from ptstrace.model import format_rational
 
 from systems import (ALL_DOCS, CANTOR, CONGRUENCE_XZ, HALF_LOOP_XY,
-                     TWO_LETTER_YZ, random_pts, sink_split_pts, split_copy_pts)
+                     TWO_LETTER_YZ, pts_of, random_pts, sink_split_pts, split_copy_pts)
 
 
 @pytest.fixture
@@ -251,8 +251,8 @@ def test_witness_round_trips_through_eval_on_multi_character_letters(doc_path, c
     witnesses = set()
     for _ in range(60):
         pts = random_pts(rng, max_states=4, max_letters=3)
-        pts = Pts(tuple(rename[a] for a in pts.alphabet), pts.states, pts.term,
-                  {(s, rename[a], t): p for (s, a, t), p in pts.moves.items()})
+        pts = pts_of(tuple(rename[a] for a in pts.alphabet), pts.states, pts.term,
+                     {(s, rename[a], t): p for (s, a, t), p in pts.moves.items()})
         path = doc_path(pts_to_dict(pts))
         for x in pts.states:
             for y in pts.states:

@@ -39,15 +39,14 @@ from hypothesis import strategies as st
 
 from ptstrace import (All, AllFinite, AllInfinite, Cone, CongruenceBasis,
                       Empty, Equivalent, Extraction, FiniteWord, Inconclusive,
-                      InfCone, NotEquivalent, OutputKind, Pts,
-                      SingularRestrictedSystem, brute_measure, build_rep,
-                      dirac, finite_mass_vector, hk, hkc_finite, hkc_inf,
-                      measure, naive, step)
+                      InfCone, NotEquivalent, OutputKind, SingularRestrictedSystem,
+                      brute_measure, build_rep, dirac, finite_mass_vector, hk,
+                      hkc_finite, hkc_inf, measure, naive, step)
 from ptstrace import linear
 from ptstrace.linear import (eliminate, from_ints, int_walk, primitive, scaled_step,
                              to_ints)
 
-from systems import (all_words, components_pts, random_pts, sink_split_pts,
+from systems import (all_words, components_pts, pts_of, random_pts, sink_split_pts,
                      split_copy_pts)
 
 F = Fraction
@@ -737,7 +736,7 @@ def test_sparse_solve_matches_dense_reference(index):
 def _with_stop(pts, term):
     # the same moves, stopping with the given masses (not a valid system);
     # brute_measure of a word then weighs where the word ends by ``term``
-    return Pts(pts.alphabet, pts.states, dict(zip(pts.states, term)), pts.moves)
+    return pts_of(pts.alphabet, pts.states, dict(zip(pts.states, term)), pts.moves)
 
 
 @pytest.mark.parametrize("index", [i for i, pts in enumerate(SOLVE_SYSTEMS)
@@ -1203,8 +1202,8 @@ def test_walk_equals_the_chain_of_steps(index, monkeypatch):
 # x loops with probability 1 on the one letter, whose moves from y have
 # denominator 6: walking x's unit vector without ever reducing ends at
 # 6^1000 / 6^1000, 2,585 bits on each side
-LOOP_PTS = Pts(("a",), ("x", "y"), {"x": F(0), "y": F(1, 6)},
-               {("x", "a", "x"): F(1), ("y", "a", "x"): F(1, 2), ("y", "a", "y"): F(1, 3)})
+LOOP_PTS = pts_of(("a",), ("x", "y"), {"x": F(0), "y": F(1, 6)},
+                  {("x", "a", "x"): F(1), ("y", "a", "x"): F(1, 2), ("y", "a", "y"): F(1, 3)})
 
 
 @pytest.mark.parametrize("pts, state", [(LOOP_PTS, "x"), (UNARY_CHAINS[0], "b0p")],

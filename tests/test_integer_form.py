@@ -2,43 +2,43 @@
 
 A parsed ``Pts`` holds each move as a lowest-terms (numerator, denominator)
 pair in its state's own dict, under its (letter, target) indices, and
-``validate`` and ``build_rep`` read only that.  The reference below is the earlier code,
-which read the name-keyed Fraction dicts ``term`` and ``moves``:
-``_ratios`` took each probability's ``as_integer_ratio`` and filtered moves
-by name, and ``build_rep`` took it again and looked both names up in an
-index.  A guard stubs out ``linear``'s Fraction: representations,
-untraced decision runs and word queries run on the integer form alone.
+``validate`` and ``build_rep`` read only that.  The reference below is the
+earlier code, which read name-keyed Fraction dicts: ``_ratios`` took each
+probability's ``as_integer_ratio``, and ``build_rep`` took it again and
+looked both names up in an index.  It reads them from ``_eager``'s record
+of the document, made without the parser.  A guard stubs out ``linear``'s
+Fraction: representations, untraced decision runs and word queries run on
+the integer form alone.
 """
 
 import json
 import random
+from dataclasses import fields
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 import pytest
 
 from ptstrace import (Cone, DistributionSumViolation, Equivalent, FiniteWord,
-                      ProbabilityOutOfRange, Pts, build_rep, dirac, hkc_finite, hkc_inf,
-                      linear, measure, parse_pts, parse_query, pts_to_dict, serialize_pts,
-                      validate)
+                      ProbabilityOutOfRange, Pts, UnknownIdentifier, build_rep, dirac,
+                      hkc_finite, hkc_inf, linear, measure, parse_pts, parse_query,
+                      pts_to_dict, serialize_pts, validate)
 from ptstrace.cli import main
 from ptstrace.model import (DISTRIBUTION_SUM, PROBABILITY_OUT_OF_RANGE, Violation,
                             format_rational)
 
-from systems import ALL_DOCS, load, random_pts, sink_split_pts, split_copy_pts
+from systems import (ALL_DOCS, document, load, pts_of, random_pts, sink_split_pts,
+                     split_copy_pts)
 
 F = Fraction
 
 
 def _reference_ratios(pts):
-    # each declared state's stop mass, then its moves on declared letters and
-    # states, as (numerator, denominator) pairs
-    letters = set(pts.alphabet)
+    # each state's stop mass, then its moves, as (numerator, denominator) pairs
     ratios = {state: [pts.stop(state).as_integer_ratio()] for state in pts.states}
-    for (source, letter, target), p in pts.moves.items():
-        pairs = ratios.get(source)
-        if pairs is not None and letter in letters and target in ratios:
-            pairs.append(p.as_integer_ratio())
+    for (source, _, _), p in pts.moves.items():
+        ratios[source].append(p.as_integer_ratio())
     return ratios
 
 
@@ -52,9 +52,8 @@ def _reference_moves_by_source(pts):
     state_index = {state: i for i, state in enumerate(pts.states)}
     grouped = {}
     for (source, letter, target), p in pts.moves.items():
-        if letter in letter_index and target in state_index:
-            grouped.setdefault(source, []).append(
-                ((letter_index[letter], state_index[target]), letter, target, p))
+        grouped.setdefault(source, []).append(
+            ((letter_index[letter], state_index[target]), letter, target, p))
     return grouped
 
 
@@ -84,13 +83,10 @@ def _reference_validate(pts):
 
 def _reference_rep(pts):
     """``(columns, denominators, l_star, l_one)`` as the name-keyed builder
-    made them.  It raised KeyError on a move on an undeclared letter or
-    state; those moves are left out here, as the integer form leaves them."""
+    made them."""
     index = {state: k for k, state in enumerate(pts.states)}
     moves = {letter: [[] for _ in pts.states] for letter in pts.alphabet}
     for (source, letter, target), p in pts.moves.items():
-        if source not in index or letter not in moves or target not in index:
-            continue
         numerator, denominator = p.as_integer_ratio()
         if numerator:
             moves[letter][index[source]].append((index[target], numerator, denominator))
@@ -105,6 +101,18 @@ def _reference_rep(pts):
             tuple(F(1) for _ in pts.states))
 
 
+class _Named(NamedTuple):
+    """A document as name-keyed Fraction dicts, the record the references read."""
+
+    alphabet: tuple[str, ...]
+    states: tuple[str, ...]
+    term: dict[str, Fraction]
+    moves: dict[tuple[str, str, str], Fraction]
+
+    def stop(self, state):
+        return self.term[state]
+
+
 def _eager(text):
     """The document as name-keyed Fraction dicts in document order, as
     parsing built them before the integer form."""
@@ -115,7 +123,7 @@ def _eager(text):
         term[state] = F(entry.get("stop", "0"))
         for move in entry.get("moves", []):
             moves[(state, move["letter"], move["to"])] = F(move["p"])
-    return Pts(tuple(doc["alphabet"]), tuple(doc["states"]), term, moves)
+    return _Named(tuple(doc["alphabet"]), tuple(doc["states"]), term, moves)
 
 
 def _rep_fields(rep):
@@ -143,20 +151,30 @@ def _broken(rng, pts, how):
             term[key] = term.get(key, F(0)) + delta
         else:
             moves[key] += delta
-    return Pts(pts.alphabet, pts.states, term, moves)
+    return pts_of(pts.alphabet, pts.states, term, moves)
 
 
-def _with_undeclared_names(pts):
-    # moves from, to and on names the system never declared, and a stop
-    # mass of an undeclared state: all left out of the integer form
+def _with_undeclared_name(pts, kind):
+    """The document of pts with a stop mass of a state it never declares
+    (``kind`` 0), or a move from, on or to such a name (1 to 3), and the
+    message that rejects it."""
     state, letter = pts.states[0], pts.alphabet[0]
-    moves = dict(pts.moves)
-    moves.update({("ghost", letter, state): F(1, 2), (state, "zz", state): F(1, 3),
-                  (state, letter, "ghost"): F(-1, 5)})
-    return Pts(pts.alphabet, pts.states, dict(pts.term, ghost=F(7)), moves)
+    term, moves, message = [
+        ({"ghost": F(7)}, {}, "transitions entry for undeclared state 'ghost'"),
+        ({}, {("ghost", letter, state): F(1, 2)},
+         "transitions entry for undeclared state 'ghost'"),
+        ({}, {(state, "zz", state): F(1, 3)},
+         f"state {state!r} moves on undeclared letter 'zz'"),
+        ({}, {(state, letter, "ghost"): F(-1, 5)},
+         f"state {state!r} moves to undeclared state 'ghost'"),
+    ][kind]
+    doc = document(pts.alphabet, pts.states, pts.term | term, pts.moves | moves)
+    return json.dumps(doc), message
 
 
 def _documents():
+    """``(text, message)`` per case: a document that parses, with message
+    None, or one naming something undeclared, with its rejection message."""
     rng = random.Random(53)
     systems = [random_pts(rng) for _ in range(40)]
     systems += [split_copy_pts(rng, max_base=6, perturb=i % 2 == 1) for i in range(30)]
@@ -165,32 +183,39 @@ def _documents():
     documents = list(systems)
     for pts in systems:
         documents += [_broken(rng, pts, "sum"), _broken(rng, pts, "range")]
-    documents += [_with_undeclared_names(pts) for pts in documents[::5]]
-    return documents
+    return [(serialize_pts(pts), None) for pts in documents] + [
+        _with_undeclared_name(pts, i % 4) for i, pts in enumerate(documents[::5])]
 
 
 DOCUMENTS = _documents()
 
 
 def test_documents_cover_valid_sum_and_range_failures_and_undeclared_names():
-    kinds = {frozenset(v.kind for v in _reference_validate(pts)) for pts in DOCUMENTS}
+    kinds = {frozenset(v.kind for v in _reference_validate(_eager(text)))
+             for text, message in DOCUMENTS if message is None}
     assert kinds >= {frozenset(), frozenset({DISTRIBUTION_SUM}),
                      frozenset({PROBABILITY_OUT_OF_RANGE})}
-    assert sum(("ghost", "a", "s0") in pts.moves or ("ghost", "a", "a0") in pts.moves
-               for pts in DOCUMENTS) > 10
+    messages = [message for _, message in DOCUMENTS if message is not None]
+    for phrase in ("transitions entry for undeclared state", "moves on undeclared letter",
+                   "moves to undeclared state"):
+        assert sum(phrase in message for message in messages) > 10
 
 
 @pytest.mark.parametrize("index", range(len(DOCUMENTS)))
 def test_integer_form_matches_the_name_keyed_readings(index):
-    constructed = DOCUMENTS[index]
-    text = serialize_pts(constructed)
+    text, undeclared = DOCUMENTS[index]
+    if undeclared is not None:
+        for check in (True, False):
+            with pytest.raises(UnknownIdentifier) as excinfo:
+                parse_pts(text, check=check)
+            assert type(excinfo.value) is UnknownIdentifier
+            assert str(excinfo.value) == undeclared
+        return
     parsed, eager = parse_pts(text, check=False), _eager(text)
-    expected = _reference_validate(constructed)
-    assert _reference_validate(eager) == expected
-    for pts, reference in ((constructed, constructed), (parsed, eager)):
-        assert validate(pts) == expected
-        # columns list moves in the order of the document or of the dicts
-        assert _rep_fields(build_rep(pts)) == _reference_rep(reference)
+    expected = _reference_validate(eager)
+    assert validate(parsed) == expected
+    # columns list moves in the order of the document
+    assert _rep_fields(build_rep(parsed)) == _reference_rep(eager)
     # the reference, read from the parsed document's derived views
     assert _reference_validate(parsed) == expected
     assert _reference_rep(parsed) == _reference_rep(eager)
@@ -202,6 +227,20 @@ def test_integer_form_matches_the_name_keyed_readings(index):
         assert str(excinfo.value) == message
     else:
         assert parse_pts(text) == parsed
+
+
+def test_a_pts_is_the_record_of_its_four_parsed_fields():
+    assert [field.name for field in fields(Pts)] == ["alphabet", "states", "stops", "rows"]
+    texts = [json.dumps(doc) for doc in ALL_DOCS.values()]
+    texts += [text for text, message in DOCUMENTS if message is None]
+    for text in texts:
+        parsed = parse_pts(text, check=False)
+        rebuilt = Pts(parsed.alphabet, parsed.states, parsed.stops, parsed.rows)
+        assert rebuilt == parsed
+        assert validate(rebuilt) == validate(parsed)
+        assert serialize_pts(rebuilt) == serialize_pts(parsed)
+        assert build_rep(rebuilt) == build_rep(parsed)
+        assert rebuilt.term == parsed.term and list(rebuilt.moves) == list(parsed.moves)
 
 
 def _no_view(self):
@@ -242,10 +281,11 @@ class _NoFraction:
 def test_the_kernel_builds_no_fraction_for_reps_runs_and_word_queries(monkeypatch):
     # the representation, untraced decision runs and word and cone queries
     # run on integers alone: any Fraction that linear builds raises
-    valid = [pts for pts in DOCUMENTS[:100] if not _reference_validate(pts)]
+    systems = [parse_pts(text, check=False) for text, message in DOCUMENTS if message is None]
+    valid = [pts for pts in systems[:100] if not validate(pts)]
     assert len(valid) >= 40
     monkeypatch.setattr(linear, "Fraction", _NoFraction)
-    reps = [build_rep(pts) for pts in DOCUMENTS]
+    reps = [build_rep(pts) for pts in systems]
     reps += [build_rep(load(doc)) for doc in ALL_DOCS.values()]
     rng = random.Random(61)
     for pts in valid:
@@ -258,4 +298,4 @@ def test_the_kernel_builds_no_fraction_for_reps_runs_and_word_queries(monkeypatc
             state = rng.choice(pts.states)
             measure(rep, dirac(rep, state), FiniteWord(word))
             measure(rep, dirac(rep, state), Cone(word))
-    assert len(reps) > len(DOCUMENTS)
+    assert len(reps) == len(systems) + len(ALL_DOCS)

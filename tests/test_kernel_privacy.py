@@ -1,10 +1,11 @@
-"""No package module but ``linear`` reads a private name of ``linear``.
+"""No package module reads a private name that another module defines.
 
 A stdlib AST check: every other module reaches the kernel through its
 public functions and ``LinearRep``'s public fields and views, never through
-a ``_``-prefixed function, cache or field that ``linear.py`` defines.  A
+a ``_``-prefixed function, cache or field that ``linear.py`` defines; and
+each module reads only the ``_``-prefixed attributes it defines itself.  A
 read is an attribute access (``rep._name``), a ``getattr`` with the name as
-a literal, or a ``from .linear import _name``.
+a literal, or a ``from .module import _name``.
 """
 
 import ast
@@ -14,7 +15,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ptstrace"
 KERNEL = PACKAGE / "linear.py"
-READERS = sorted(p for p in PACKAGE.glob("*.py") if p != KERNEL)
+MODULES = sorted(PACKAGE.glob("*.py"))
+READERS = [p for p in MODULES if p != KERNEL]
 
 
 def _private(name: str) -> bool:
@@ -43,19 +45,35 @@ def private_names(source: str) -> set[str]:
     return {name for name in names if _private(name)}
 
 
-def private_reads(source: str, names: set[str]) -> list[tuple[int, str]]:
-    """``(line, name)`` of each read of one of ``names`` in a module."""
+def _reads(source: str) -> list[tuple[int, str, str | None]]:
+    """``(line, name, module)`` of each attribute access, ``getattr`` with a
+    literal name and from-import in a module; ``module`` names the module
+    a name is imported from, and is None for the other two."""
     reads = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr in names:
-            reads.append((node.lineno, node.attr))
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "linear":
-            reads += [(node.lineno, a.name) for a in node.names if a.name in names]
+        if isinstance(node, ast.Attribute):
+            reads.append((node.lineno, node.attr, None))
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            reads += [(node.lineno, a.name, module) for a in node.names]
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and \
                 node.func.id == "getattr" and len(node.args) >= 2 and \
-                isinstance(node.args[1], ast.Constant) and node.args[1].value in names:
-            reads.append((node.lineno, node.args[1].value))
-    return sorted(reads)
+                isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str):
+            reads.append((node.lineno, node.args[1].value, None))
+    return reads
+
+
+def private_reads(source: str, names: set[str]) -> list[tuple[int, str]]:
+    """``(line, name)`` of each read of one of ``names`` in a module."""
+    return sorted((line, name) for line, name, module in _reads(source)
+                  if name in names and module in (None, "linear"))
+
+
+def foreign_reads(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` of each read of a private name the module does not define."""
+    own = private_names(source)
+    return sorted((line, name) for line, name, _ in _reads(source)
+                  if _private(name) and name not in own)
 
 
 KERNEL_NAMES = private_names(KERNEL.read_text(encoding="utf-8"))
@@ -69,6 +87,11 @@ def test_the_kernel_defines_private_names():
 @pytest.mark.parametrize("path", READERS, ids=lambda p: p.name)
 def test_module_reads_no_private_name_of_the_kernel(path):
     assert private_reads(path.read_text(encoding="utf-8"), KERNEL_NAMES) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_only_the_private_names_it_defines(path):
+    assert foreign_reads(path.read_text(encoding="utf-8")) == []
 
 
 def test_a_private_read_is_reported():
@@ -98,3 +121,8 @@ def test_a_private_read_is_reported():
         "    return rep._cache, getattr(rep, '_seen'), linear._LIMIT, own._mine\n")
     assert private_reads(reader, names) == [
         (1, "_helper"), (6, "_LIMIT"), (6, "_cache"), (6, "_seen")]
+    # the reader defines _local, by assigning it, and reads _mine, which no
+    # module defines; the kernel reads only what it defines
+    assert foreign_reads(reader) == [
+        (1, "_helper"), (6, "_LIMIT"), (6, "_cache"), (6, "_mine"), (6, "_seen")]
+    assert foreign_reads(kernel) == []

@@ -7,13 +7,13 @@ from fractions import Fraction
 import pytest
 
 from ptstrace import (DistributionSumViolation, DuplicateIdentifier,
-                      MalformedRational, ProbabilityOutOfRange, Pts,
-                      PtsFormatError, UnknownIdentifier, model, parse_pts,
-                      parse_rational, pts_to_dict, serialize_pts, validate)
+                      MalformedRational, ProbabilityOutOfRange, PtsFormatError,
+                      UnknownIdentifier, model, parse_pts, parse_rational,
+                      pts_to_dict, serialize_pts, validate)
 from ptstrace.model import (DISTRIBUTION_SUM, PROBABILITY_OUT_OF_RANGE,
                             Violation, format_rational)
 
-from systems import ALL_DOCS, SINGLE_LETTER_CHAIN, load, random_pts, split_copy_pts
+from systems import ALL_DOCS, SINGLE_LETTER_CHAIN, load, pts_of, random_pts, split_copy_pts
 
 F = Fraction
 
@@ -178,7 +178,7 @@ def test_validate_cantor_is_clean(cantor_pts):
 
 
 def test_validate_reports_missing_mass():
-    pts = Pts(("a",), ("x",), {"x": F(1, 2)}, {})
+    pts = pts_of(("a",), ("x",), {"x": F(1, 2)}, {})
     violations = validate(pts)
     assert len(violations) == 1
     assert violations[0].kind == DISTRIBUTION_SUM
@@ -187,9 +187,9 @@ def test_validate_reports_missing_mass():
 
 def test_validate_reports_negative_move():
     # masses still sum to 1, so the range check is the only complaint
-    pts = Pts(("a",), ("x", "y"),
-              {"x": F(1, 2), "y": F(1)},
-              {("x", "a", "y"): F(-1, 4), ("x", "a", "x"): F(3, 4)})
+    pts = pts_of(("a",), ("x", "y"),
+                 {"x": F(1, 2), "y": F(1)},
+                 {("x", "a", "y"): F(-1, 4), ("x", "a", "x"): F(3, 4)})
     violations = validate(pts)
     assert len(violations) == 1
     assert violations[0].kind == PROBABILITY_OUT_OF_RANGE
@@ -198,12 +198,12 @@ def test_validate_reports_negative_move():
 
 def test_validate_reports_every_violation_in_canonical_order():
     # moves are checked in alphabet order, then target order, whatever the
-    # order of the document; moves on undeclared letters are not looked at
-    pts = Pts(("a", "b"), ("x", "y"),
-              {"x": F(5, 4), "y": F(0)},
-              {("x", "b", "x"): F(3, 2), ("x", "a", "y"): F(-1, 3),
-               ("x", "a", "x"): F(7, 6), ("x", "c", "x"): F(9),
-               ("y", "b", "y"): F(1, 2), ("y", "a", "y"): F(1, 2)})
+    # order of the document
+    pts = pts_of(("a", "b"), ("x", "y"),
+                 {"x": F(5, 4), "y": F(0)},
+                 {("x", "b", "x"): F(3, 2), ("x", "a", "y"): F(-1, 3),
+                  ("x", "a", "x"): F(7, 6), ("y", "b", "y"): F(1, 2),
+                  ("y", "a", "y"): F(1, 2)})
     assert [(v.kind, v.state, v.message) for v in validate(pts)] == [
         (PROBABILITY_OUT_OF_RANGE, "x", "stop probability 5/4 outside [0, 1]"),
         (PROBABILITY_OUT_OF_RANGE, "x", "move 'a' -> 'x' has probability 7/6 outside [0, 1]"),
@@ -289,7 +289,7 @@ def test_perturbing_any_probability_breaks_validation():
             term[key] = term.get(key, F(0)) + delta
         else:
             moves[key] = moves[key] + delta
-        mutated = Pts(pts.alphabet, pts.states, term, moves)
+        mutated = pts_of(pts.alphabet, pts.states, term, moves)
         assert validate(mutated) != []
 
 
@@ -358,7 +358,7 @@ def _perturbed(rng, pts, deltas):
             term[key] = term.get(key, F(0)) + delta
         else:
             moves[key] = moves[key] + delta
-    return Pts(pts.alphabet, pts.states, term, moves)
+    return pts_of(pts.alphabet, pts.states, term, moves)
 
 
 def _failing_everywhere(rng, n=60):
@@ -383,7 +383,7 @@ def _failing_everywhere(rng, n=60):
         moves += [((state, a, t), p) for (a, t), p in row.items()]
     # document order is not the order of the messages
     rng.shuffle(moves)
-    return Pts(letters, states, term, dict(moves))
+    return pts_of(letters, states, term, dict(moves))
 
 
 def test_integer_validation_matches_the_fraction_sums():
@@ -448,10 +448,10 @@ def test_integer_validation_matches_on_states_without_moves_or_entries():
         pts = random_pts(rng)
         dropped = rng.choice(pts.states)
         # a state with no moves keeps its stop mass; a missing one has none
-        no_moves = Pts(pts.alphabet, pts.states, pts.term,
-                       {k: p for k, p in pts.moves.items() if k[0] != dropped})
+        no_moves = pts_of(pts.alphabet, pts.states, pts.term,
+                          {k: p for k, p in pts.moves.items() if k[0] != dropped})
         term = {s: p for s, p in pts.term.items() if s != dropped}
-        missing = Pts(pts.alphabet, pts.states, term, no_moves.moves)
+        missing = pts_of(pts.alphabet, pts.states, term, no_moves.moves)
         for mutated in (no_moves, missing):
             _assert_validate_matches_reference(mutated)
         doc = pts_to_dict(missing)
@@ -474,7 +474,7 @@ def test_integer_validation_matches_on_many_large_distinct_denominators():
             rest -= p
         term = {"x": rest + rng.choice([F(0), F(0), F(1, 2**200 + 1), F(-1, 3)])}
         term.update({t: F(1) for t in targets})
-        pts = Pts(("a",), ("x", *targets), term, moves)
+        pts = pts_of(("a",), ("x", *targets), term, moves)
         _assert_validate_matches_reference(pts)
 
 
@@ -548,7 +548,8 @@ def test_a_pts_is_immutable():
     parsed, read = parse_pts(serialize_pts(constructed)), parse_pts(serialize_pts(constructed))
     assert read.term and read.moves
     for pts in (constructed, parsed, read):
-        for name in ("alphabet", "states", "term", "moves", "_ints", "stop", "other"):
+        for name in ("alphabet", "states", "stops", "rows", "term", "moves", "stop",
+                     "other"):
             with pytest.raises(AttributeError):
                 setattr(pts, name, None)
             with pytest.raises(AttributeError):
