@@ -44,17 +44,13 @@ def _read(path: str) -> str:
                                  f"at byte {exc.start})") from None
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload))
-
-
 def _cmd_validate(args) -> int:
     pts = parse_pts(_read(args.input), check=False)
     problems = validate(pts)
     if args.json:
-        _emit({"ok": not problems,
-               "violations": [{"kind": v.kind, "state": v.state, "message": v.message}
-                              for v in problems]})
+        print(json.dumps({"ok": not problems,
+                          "violations": [{"kind": v.kind, "state": v.state, "message": v.message}
+                                         for v in problems]}))
     elif problems:
         for v in problems:
             print(f"{v.state}: {v.message}")
@@ -84,7 +80,7 @@ def _cmd_eval(args) -> int:
     rep = build_rep(pts)
     value = measure(rep, dirac(rep, args.state), parse_query(args.query, pts.alphabet))
     if args.json:
-        _emit({"value": format_rational(value)})
+        print(json.dumps({"value": format_rational(value)}))
     else:
         print(format_rational(value))
     return EXIT_OK
@@ -129,7 +125,7 @@ def _cmd_equiv(args) -> int:
     if isinstance(result, NotEquivalent):
         payload.update(witness=".".join(result.witness), output=result.output.value,
                        lhs=format_rational(result.lhs), rhs=format_rational(result.rhs))
-    _emit(payload)
+    print(json.dumps(payload))
     return status
 
 

@@ -271,29 +271,19 @@ class _PairStore(_PairItems):
 
 
 class _EquivalenceStore(_PairItems):
-    """Reflexive-symmetric-transitive closure via union-find over interned vectors."""
+    """Reflexive-symmetric-transitive closure via union-find on configuration keys."""
 
     def __init__(self):
-        self._ids: dict[tuple, int] = {}
-        self._parent: list[int] = []
+        self._parent: dict[tuple, tuple] = {}
 
-    def _intern(self, u: IntConfig) -> int:
-        key = _key(u)
-        node = self._ids.get(key)
-        if node is None:
-            node = len(self._parent)
-            self._ids[key] = node
-            self._parent.append(node)
-        return node
-
-    def _find(self, node: int) -> int:
-        while self._parent[node] != node:
-            self._parent[node] = self._parent[self._parent[node]]
-            node = self._parent[node]
-        return node
+    def _find(self, key: tuple) -> tuple:
+        # path halving, a new key its own root; parent[key] is set before key is rebound
+        while (up := self._parent.setdefault(key, key)) != key:
+            self._parent[key] = key = self._parent.setdefault(up, up)
+        return key
 
     def record(self, u: IntConfig, v: IntConfig) -> tuple[IntConfig, IntConfig] | None:
-        root_u, root_v = self._find(self._intern(u)), self._find(self._intern(v))
+        root_u, root_v = self._find(_key(u)), self._find(_key(v))
         if root_u == root_v:
             return None
         self._parent[root_u] = root_v
@@ -325,27 +315,26 @@ def _decide(rep, x, y, store, check_total_mass, *, max_steps=None, trace=None) -
     # equal keys in the naive and hk stores; the store makes its worklist
     # items out of them
     start = ({rep.state_index(x): 1}, 1), ({rep.state_index(y): 1}, 1)
-    # an entry is (parent node, letter, item), the k-th extraction is node k:
-    # words are spelled from the links only for a witness or a trace
+    # an entry is (parent node, letter, item), the k-th extraction is node k
+    # and appends links[k], so len(links) counts the extractions: words are
+    # spelled from the links only for a witness or a trace
     todo = deque([(0, None, store.item(*start))])
     links: list[tuple[int, str]] = []
     # the items recorded with agreeing outputs: the relation built so far
     relation_size = 0
     # with a trace, each node's configuration pair, stepped from its parent's
     configs = [start]
-    iterations = 0
     while todo:
-        if max_steps is not None and iterations >= max_steps:
+        if max_steps is not None and len(links) >= max_steps:
             return Inconclusive(steps_exhausted=max_steps, relation_size=relation_size)
         parent, letter, item = todo.popleft()
-        node, iterations = iterations, iterations + 1
+        node = len(links)
         links.append((parent, letter))
         # membership before the outputs: a skipped item costs the store's test only
         stepped = store.record(*item)
         if trace is not None:
             if node:
-                u, v = configs[parent]
-                configs.append((int_walk(rep, u, (letter,)), int_walk(rep, v, (letter,))))
+                configs.append(_PairItems.successor(rep, configs[parent], letter))
             u, v = configs[node]
             trace.append(Extraction(_spell(links, node), from_ints(u, rep.dim),
                                     from_ints(v, rep.dim), stepped is None))
@@ -356,11 +345,11 @@ def _decide(rep, x, y, store, check_total_mass, *, max_steps=None, trace=None) -
             kind = Cone if output is OutputKind.TOTAL_MASS else FiniteWord
             word = _spell(links, node)
             lhs, rhs = store.values(rep, start[0], word, stepped, kind)
-            return NotEquivalent(word, output, lhs, rhs, iterations, relation_size)
+            return NotEquivalent(word, output, lhs, rhs, len(links), relation_size)
         for letter in rep.alphabet:
             todo.append((node, letter, store.successor(rep, stepped, letter)))
         relation_size += 1
-    return Equivalent(iterations=iterations, relation_size=relation_size)
+    return Equivalent(iterations=len(links), relation_size=relation_size)
 
 
 def _checked_bound(rep: LinearRep, result: EquivResult) -> EquivResult:

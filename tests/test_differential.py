@@ -346,6 +346,22 @@ def test_budgeted_searches_match_dense_reference(index):
             assert trace == expected_trace
 
 
+@pytest.mark.parametrize("seed", [1, 19])
+def test_deep_budgeted_searches_match_dense_reference(seed):
+    # at budget 100 hk's union-find forms chains long enough for path
+    # halving to matter: a halving step that detaches a grandparent from its
+    # root changes the run on the 7th document of seed 1 and the 12th of seed 19
+    rng = random.Random(seed)
+    for _ in range(20):
+        pts = split_copy_pts(rng, max_base=8, max_letters=2)
+        rep = build_rep(pts)
+        for algorithm, store in ((naive, RefPairs()), (hk, RefClosure())):
+            expected, expected_trace = ref_decide(pts, "a0", "b0p", store, True, max_steps=100)
+            trace = []
+            assert algorithm(rep, "a0", "b0p", 100, trace=trace) == expected
+            assert trace == expected_trace
+
+
 @pytest.mark.parametrize("seed", [48, 147])
 def test_hkc_matches_dense_reference_on_unary_chains(seed):
     # one letter and up to 20 base states: the basis reaches rank 30 or more
