@@ -63,8 +63,8 @@ def _cmd_rep(args) -> int:
     rep = build_rep(parse_pts(_read(args.input)))
     # json.dumps's bytes, one row of mats[a][j][k] at a time; rationals need no escaping
     write = sys.stdout.write
-    write(f'{{"l_one": {json.dumps([format_rational(c) for c in rep.l_one])}, '
-          f'"l_star": {json.dumps([format_rational(c) for c in rep.l_star])}, "mats": {{')
+    write(f'{{"l_one": {json.dumps(["1"] * rep.dim)}, "l_star": '
+          f'{json.dumps([format_rational(Fraction(*stop)) for stop in rep.stops])}, "mats": {{')
     for i, (letter, d) in enumerate(rep.denominators.items()):
         rows = rep.dense(letter, lambda p, d=d: f'"{format_rational(Fraction(p, d))}"', '"0"')
         write(f'{", " if i else ""}{json.dumps(letter)}: [')

@@ -46,10 +46,10 @@ k-th state to the j-th state on letter ``a``.  Columns are source states,
 so one step of a column vector u is the product ``M_a . u`` and the column
 of ``M_a`` at a state equals the step image of that state's unit vector.
 The transpose convention is equally common elsewhere; everything here
-assumes columns-are-sources.  ``mats``, like ``l_star`` and ``l_one``, is
-a Fraction view derived on first use, which the kernel never reads; it
-and ``ptstrace rep``, which prints formatted entries, share the one dense
-layout ``LinearRep.dense``, made one row at a time.
+assumes columns-are-sources.  ``mats`` is a Fraction view derived on
+first use, which the kernel never reads; it and ``ptstrace rep``, which
+prints formatted entries, share the one dense layout ``LinearRep.dense``,
+made one row at a time.
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ class LinearRep:
     ``stops[k]`` is the k-th state's stop probability, a lowest-terms
     ``(numerator, denominator)`` pair; ``columns[a][k]`` lists the ``(j, p)``
     pairs with ``p / denominators[a]`` the probability of moving from the
-    k-th to the j-th state on ``a``.  The kernel reads the stops as
-    ``stop_row``, made on first read; the output rows ``l_star`` and
-    ``l_one`` (all ones: each state's masses sum to 1) are views, like ``mats``.
+    k-th to the j-th state on ``a``.  The stops are the termination row
+    ``l_star``, read by the kernel as ``stop_row``, made on first read; the
+    total-mass row ``l_one`` is all ones, as each state's masses sum to 1.
     Immutable after construction apart from caches of derived values;
     safe to share between threads, as the caches only grow: a state's
     finite mass is stored in one assignment, and an exact value, once
@@ -130,14 +130,6 @@ class LinearRep:
         """``l_star`` on the kernel: sparse integers over their least common denominator."""
         den = lcm(*[d for _, d in self.stops])
         return {k: n * (den // d) for k, (n, d) in enumerate(self.stops) if n}, den
-
-    @cached_property
-    def l_star(self) -> Config:
-        return tuple([Fraction(*stop) for stop in self.stops])
-
-    @cached_property
-    def l_one(self) -> Config:
-        return (_ONE,) * self.dim
 
     @cached_property
     def mats(self) -> dict[str, Matrix]:

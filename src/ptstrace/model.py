@@ -4,7 +4,7 @@ A system consists of a finite alphabet and a finite set of states.  Every
 state carries one probability distribution split between *stopping* and
 letter-labelled *moves* to successor states; the masses of a state must sum
 to exactly 1.  Probabilities are exact: integer (numerator, denominator)
-pairs inside, `fractions.Fraction` values to callers; nothing ever rounds.
+pairs inside, a `fractions.Fraction` only where a caller gets one; no rounding.
 
 The input format is a JSON document::
 
@@ -29,12 +29,9 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 Word = tuple[str, ...]
-
-_ZERO = Fraction(0)
 
 # [0-9], not \d: \d matches every Unicode digit, and int() converts them all
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
@@ -94,34 +91,14 @@ class Pts:
     states and letters is canonical: everything built downstream indexes
     states in it, so outputs are reproducible.
 
-    Immutable.  ``term`` (state to stop probability) and ``moves``
-    ((source, letter, target) to probability) are Fraction views made on
-    first read, one Fraction per distinct value; of the package, only
-    ``oracle`` reads them.
+    Immutable, and nothing is derived from the four fields: readers,
+    ``oracle`` among them, read the pairs in place.
     """
 
     alphabet: tuple[str, ...]
     states: tuple[str, ...]
     stops: tuple[tuple[int, int], ...]
     rows: tuple[dict[tuple[int, int], tuple[int, int]], ...]
-
-    @cached_property
-    def _fractions(self) -> dict[tuple[int, int], Fraction]:
-        return {pair: Fraction(*pair)
-                for pair in {*self.stops, *(p for row in self.rows for p in row.values())}}
-
-    @cached_property
-    def term(self) -> dict[str, Fraction]:
-        return {state: self._fractions[p] for state, p in zip(self.states, self.stops)}
-
-    @cached_property
-    def moves(self) -> dict[tuple[str, str, str], Fraction]:
-        alphabet, states, fraction = self.alphabet, self.states, self._fractions
-        return {(state, alphabet[a], states[j]): fraction[p]
-                for state, row in zip(states, self.rows) for (a, j), p in row.items()}
-
-    def stop(self, state: str) -> Fraction:
-        return self.term.get(state, _ZERO)
 
 
 def parse_rational(text: str) -> Fraction:

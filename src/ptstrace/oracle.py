@@ -1,11 +1,11 @@
 """Brute-force reference computations for cross-checking the main code paths.
 
-brute_measure walks the raw transition maps directly and never touches the
-matrix representation, so a shared bug cannot hide; word_oracle_equiv
-settles equivalence by exhaustively comparing both outputs, read with
-``measure`` as the total mass and the empty-word mass, on all words up to
-a depth, with depth = dimension decisive because difference spans
-stabilize within that many steps.
+brute_measure walks a system's parsed stop and move pairs directly, by
+state index, and never touches the matrix representation, so a shared bug
+cannot hide; word_oracle_equiv settles equivalence by exhaustively comparing
+both outputs, read with ``measure`` as the total mass and the empty-word
+mass, on all words up to a depth, with depth = dimension decisive because
+difference spans stabilize within that many steps.
 """
 
 from __future__ import annotations
@@ -23,32 +23,29 @@ _ONE = Fraction(1)
 def brute_measure(pts: Pts, state: str, target: FiniteWord | Cone) -> Fraction:
     """Measure of a single word or a cone by explicit path enumeration.
 
-    The frontier maps each state to the probability of reaching it while
-    emitting the prefix consumed so far.
+    The frontier maps each state index to the probability of reaching it while
+    emitting the prefix read so far; a pair becomes a Fraction where it multiplies.
     """
     if not isinstance(target, (FiniteWord, Cone)):
         raise TypeError(f"brute_measure handles words and cones only, got {target!r}")
     if state not in pts.states:
         raise UnknownIdentifier(f"undeclared state {state!r}")
 
-    successors: dict[tuple[str, str], list[tuple[str, Fraction]]] = {}
-    for (source, letter, destination), p in pts.moves.items():
-        if p:
-            successors.setdefault((source, letter), []).append((destination, p))
-
-    frontier = {state: _ONE}
+    frontier = {pts.states.index(state): _ONE}
     for letter in target.word:
         if letter not in pts.alphabet:
             raise UnknownIdentifier(f"undeclared letter {letter!r}")
-        spread: dict[str, Fraction] = {}
+        a = pts.alphabet.index(letter)
+        spread: dict[int, Fraction] = {}
         for source, mass in frontier.items():
-            for destination, p in successors.get((source, letter), ()):
-                spread[destination] = spread.get(destination, _ZERO) + mass * p
+            for (b, j), p in pts.rows[source].items():
+                if b == a and p[0]:
+                    spread[j] = spread.get(j, _ZERO) + mass * Fraction(*p)
         frontier = spread
 
     if isinstance(target, Cone):
         return sum(frontier.values(), _ZERO)
-    return sum((mass * pts.stop(source) for source, mass in frontier.items()), _ZERO)
+    return sum((mass * Fraction(*pts.stops[k]) for k, mass in frontier.items()), _ZERO)
 
 
 def word_oracle_equiv(rep: LinearRep, u: Config, v: Config, depth: int) -> bool:

@@ -1,6 +1,7 @@
 """Canonical example systems and randomized system generation for the tests."""
 
 import json
+from collections import namedtuple
 from fractions import Fraction
 
 from ptstrace import Pts, parse_pts, validate
@@ -83,6 +84,25 @@ ALL_DOCS = {
     "two_letter_yz": TWO_LETTER_YZ,
     "half_loop_xy": HALF_LOOP_XY,
 }
+
+
+# the tests' one reference record of a system: ``term`` (state to stop mass)
+# and ``moves`` ((source, letter, target) to mass), Fraction dicts in document order
+Named = namedtuple("Named", "alphabet states term moves")
+
+
+def l_star(rep) -> tuple[Fraction, ...]:
+    """The termination row of a representation, or of a system, read from
+    its stop pairs: one Fraction per state."""
+    return tuple(Fraction(*p) for p in rep.stops)
+
+
+def named(pts: Pts) -> Named:
+    """The ``Named`` record of a parsed system, read from its stop and move pairs."""
+    alphabet, states = pts.alphabet, pts.states
+    return Named(alphabet, states, dict(zip(states, l_star(pts))),
+                 {(state, alphabet[a], states[j]): Fraction(*p)
+                  for state, row in zip(states, pts.rows) for (a, j), p in row.items()})
 
 
 def load(doc: dict) -> Pts:
@@ -280,7 +300,7 @@ def sink_split_pts(rng, m, n_letters=2, sinks=2, perturb=False):
             states.append(f"b{i}{c}")
     pts = _system(letters, states, outcomes)
     if perturb:
-        term, moves = dict(pts.term), dict(pts.moves)
+        _, _, term, moves = named(pts)
         _perturb(rng, term, moves)
         pts = pts_of(pts.alphabet, pts.states, term, moves)
         assert validate(pts) == []

@@ -17,8 +17,8 @@ from ptstrace import build_rep, parse_pts, pts_to_dict, serialize_pts
 from ptstrace.cli import _parser, main
 from ptstrace.model import format_rational
 
-from systems import (ALL_DOCS, CANTOR, CONGRUENCE_XZ, HALF_LOOP_XY,
-                     TWO_LETTER_YZ, pts_of, random_pts, sink_split_pts, split_copy_pts)
+from systems import (ALL_DOCS, CANTOR, CONGRUENCE_XZ, HALF_LOOP_XY, TWO_LETTER_YZ, l_star,
+                     named, pts_of, random_pts, sink_split_pts, split_copy_pts)
 
 
 @pytest.fixture
@@ -77,8 +77,8 @@ def _dense_rep_output(doc):
     # the rep output read from the dense Fraction view, LinearRep.mats
     rep = build_rep(parse_pts(json.dumps(doc)))
     return json.dumps({
-        "l_one": [format_rational(c) for c in rep.l_one],
-        "l_star": [format_rational(c) for c in rep.l_star],
+        "l_one": ["1"] * rep.dim,
+        "l_star": [format_rational(c) for c in l_star(rep)],
         "mats": {letter: [[format_rational(c) for c in row] for row in matrix]
                  for letter, matrix in rep.mats.items()},
     }) + "\n"
@@ -251,8 +251,9 @@ def test_witness_round_trips_through_eval_on_multi_character_letters(doc_path, c
     witnesses = set()
     for _ in range(60):
         pts = random_pts(rng, max_states=4, max_letters=3)
-        pts = pts_of(tuple(rename[a] for a in pts.alphabet), pts.states, pts.term,
-                     {(s, rename[a], t): p for (s, a, t), p in pts.moves.items()})
+        _, _, term, moves = named(pts)
+        pts = pts_of(tuple(rename[a] for a in pts.alphabet), pts.states, term,
+                     {(s, rename[a], t): p for (s, a, t), p in moves.items()})
         path = doc_path(pts_to_dict(pts))
         for x in pts.states:
             for y in pts.states:

@@ -1,15 +1,14 @@
 """A parsed system and its representation survive pickle and deepcopy.
 
-Both are frozen dataclasses that keep their derived views and caches on
-the instance once read.  A copy, taken before or after those are filled,
-must equal the original and give the same answers.
+Both are frozen dataclasses.  A system is a plain record of its parsed
+pairs; a representation keeps its derived views and caches on the
+instance once read.  A copy, of a system or of a representation whose
+caches are filled, must equal the original and give the same answers.
 """
 
 import copy
 import pickle
 import random
-
-import pytest
 
 from ptstrace import (AllFinite, AllInfinite, Cone, FiniteWord, InfCone, build_rep, dirac,
                       hkc_finite, hkc_inf, measure, parse_pts, serialize_pts, validate)
@@ -25,19 +24,14 @@ def _copies(value):
     return [pickle.loads(pickle.dumps(value)), copy.deepcopy(value)]
 
 
-@pytest.mark.parametrize("views_read", [False, True], ids=["fresh", "views-read"])
-def test_a_parsed_system_survives_pickle_and_deepcopy(views_read):
+def test_a_parsed_system_survives_pickle_and_deepcopy():
     for system in SYSTEMS:
         pts = parse_pts(serialize_pts(system))
-        if views_read:
-            assert pts.term and pts.moves
         for copied in _copies(pts):
             assert copied == pts
             assert validate(copied) == validate(pts) == []
             assert serialize_pts(copied) == serialize_pts(pts)
             assert build_rep(copied) == build_rep(pts)
-            assert copied.term == pts.term and copied.moves == pts.moves
-            assert list(copied.moves) == list(pts.moves)
 
 
 def test_a_representation_survives_pickle_and_deepcopy_with_its_caches_filled():

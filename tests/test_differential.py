@@ -46,8 +46,8 @@ from ptstrace import linear
 from ptstrace.linear import (eliminate, from_ints, int_walk, primitive, scaled_step,
                              to_ints)
 
-from systems import (all_words, components_pts, pts_of, random_pts, sink_split_pts,
-                     split_copy_pts)
+from systems import (all_words, components_pts, l_star, named, pts_of, random_pts,
+                     sink_split_pts, split_copy_pts)
 
 F = Fraction
 _ZERO = F(0)
@@ -55,7 +55,8 @@ _ONE = F(1)
 
 
 def ref_mats(pts):
-    return {letter: tuple(tuple(pts.moves.get((source, letter, target), _ZERO)
+    moves = named(pts).moves
+    return {letter: tuple(tuple(moves.get((source, letter, target), _ZERO)
                                 for source in pts.states)
                           for target in pts.states)
             for letter in pts.alphabet}
@@ -214,8 +215,7 @@ class RefSpan:
 
 def ref_decide(pts, x, y, store, check_total_mass, max_steps=None):
     """The worklist loop of the earlier implementation; returns (result, trace)."""
-    mats = ref_mats(pts)
-    l_star = tuple(pts.stop(s) for s in pts.states)
+    mats, star = ref_mats(pts), l_star(pts)
     n = len(pts.states)
 
     def unit(state):
@@ -232,7 +232,7 @@ def ref_decide(pts, x, y, store, check_total_mass, max_steps=None):
             trace.append(Extraction(word, u, v, True))
             continue
         trace.append(Extraction(word, u, v, False))
-        outputs = [(OutputKind.TERMINATION, l_star)]
+        outputs = [(OutputKind.TERMINATION, star)]
         if check_total_mass:
             outputs.insert(0, (OutputKind.TOTAL_MASS, (_ONE,) * n))
         for kind, row in outputs:
@@ -253,8 +253,8 @@ def ref_finite_mass(pts):
     mats = ref_mats(pts)
     combined = [[sum((m[j][k] for m in mats.values()), _ZERO) for k in range(n)]
                 for j in range(n)]
-    l_star = [pts.stop(s) for s in pts.states]
-    live = {k for k in range(n) if l_star[k]}
+    star = l_star(pts)
+    live = {k for k in range(n) if star[k]}
     stack = list(live)
     while stack:
         target = stack.pop()
@@ -266,7 +266,7 @@ def ref_finite_mass(pts):
     m = len(order)
     a = [[(_ONE if i == j else _ZERO) - combined[order[j]][order[i]] for j in range(m)]
          for i in range(m)]
-    b = [l_star[k] for k in order]
+    b = [star[k] for k in order]
     for col in range(m):
         pivot = next(r for r in range(col, m) if a[r][col])
         a[col], a[pivot] = a[pivot], a[col]
@@ -729,8 +729,8 @@ def test_solve_systems_cover_the_hard_shapes():
     assert all(F(0) in m for m in masses)
     assert sum(F(1) in m for m in masses) >= 10
     assert sum(any(0 < x < 1 for x in m) for m in masses) >= 15
-    assert any(pts.moves.get((s, a, s)) for pts in SOLVE_SYSTEMS for s in pts.states
-               for a in pts.alphabet)
+    assert any(j == k and p[0] for pts in SOLVE_SYSTEMS for k, row in enumerate(pts.rows)
+               for (_, j), p in row.items())
 
 
 @pytest.mark.parametrize("index", range(len(SOLVE_SYSTEMS)))
@@ -752,7 +752,7 @@ def test_sparse_solve_matches_dense_reference(index):
 def _with_stop(pts, term):
     # the same moves, stopping with the given masses (not a valid system);
     # brute_measure of a word then weighs where the word ends by ``term``
-    return pts_of(pts.alphabet, pts.states, dict(zip(pts.states, term)), pts.moves)
+    return pts_of(pts.alphabet, pts.states, dict(zip(pts.states, term)), named(pts).moves)
 
 
 @pytest.mark.parametrize("index", [i for i, pts in enumerate(SOLVE_SYSTEMS)
@@ -761,13 +761,13 @@ def test_finite_mass_queries_match_brute_measure(index):
     pts = SOLVE_SYSTEMS[index]
     rep = build_rep(pts)
     mass = finite_mass_vector(rep)
-    by_mass = _with_stop(pts, mass)
+    by_mass, star = _with_stop(pts, mass), l_star(pts)
     words = all_words(pts.alphabet, 2)
     for k, state in enumerate(pts.states):
         u = dirac(rep, state)
         finite = measure(rep, u, AllFinite())
         # the fixed point, one letter at a time, and the partial sums below it
-        assert finite == mass[k] == pts.stop(state) + sum(
+        assert finite == mass[k] == star[k] + sum(
             (brute_measure(by_mass, state, FiniteWord((a,))) for a in pts.alphabet), _ZERO)
         assert sum((brute_measure(pts, state, FiniteWord(w)) for w in words), _ZERO) \
             <= finite
@@ -788,15 +788,15 @@ def _on_demand_systems():
 ON_DEMAND_SYSTEMS = _on_demand_systems()
 
 
-def _walk(rng, pts, state, length):
-    # a random word along the moves of one run; it may end in a sink
+def _walk(rng, moves, state, length):
+    # a random word along the Named moves of one run; it may end in a sink
     word = []
     for _ in range(length):
-        moves = [(letter, target) for (source, letter, target), p in pts.moves.items()
-                 if source == state and p]
-        if not moves:
+        out = [(letter, target) for (source, letter, target), p in moves.items()
+               if source == state and p]
+        if not out:
             break
-        letter, state = rng.choice(sorted(moves))
+        letter, state = rng.choice(sorted(out))
         word.append(letter)
     return tuple(word), state
 
@@ -809,7 +809,7 @@ def test_on_demand_finite_mass_matches_whole_solve(index):
     for pts in ON_DEMAND_SYSTEMS[index:index + 4]:
         expected = ref_finite_mass(pts)
         assert finite_mass_vector(build_rep(pts)) == expected
-        small = len(pts.states) <= 12
+        small, moves = len(pts.states) <= 12, named(pts).moves
         by_mass = _with_stop(pts, expected)
         for seed in range(2):
             rng = random.Random(seed)
@@ -824,7 +824,7 @@ def test_on_demand_finite_mass_matches_whole_solve(index):
                 elif kind == "infinite":
                     assert measure(rep, u, AllInfinite()) == 1 - expected[k]
                 else:
-                    word, end = _walk(rng, pts, state, rng.randint(0, 6))
+                    word, end = _walk(rng, moves, state, rng.randint(0, 6))
                     v = _transform(rep, u, word)
                     value = measure(rep, u, InfCone(word))
                     assert value == sum(v, _ZERO) - sum(
@@ -842,11 +842,11 @@ def test_on_demand_infcone_from_walks_ending_inside_sinks():
     into_sinks = 0
     for pts in SOLVE_SYSTEMS:
         expected = ref_finite_mass(pts)
-        rep = build_rep(pts)
+        rep, moves = build_rep(pts), named(pts).moves
         states = list(pts.states)
         rng.shuffle(states)
         for state in states:
-            word, end = _walk(rng, pts, state, 8)
+            word, end = _walk(rng, moves, state, 8)
             if expected[pts.states.index(end)] or not word:
                 continue
             into_sinks += 1
@@ -1092,7 +1092,7 @@ def test_finite_mass_blocks_match_the_two_pass_builder(index, monkeypatch):
     monkeypatch.setattr(linear, "solve_finite_mass", checked)
     for pts in ON_DEMAND_SYSTEMS[index:index + 4]:
         rng = random.Random(index)
-        rep, n = build_rep(pts), len(pts.states)
+        rep, n, moves = build_rep(pts), len(pts.states), named(pts).moves
         reference = ref_finite_mass(pts)
         # the last state solved first, then a support holding it, repeated
         measure(rep, dirac(rep, pts.states[-1]), AllFinite())
@@ -1104,7 +1104,7 @@ def test_finite_mass_blocks_match_the_two_pass_builder(index, monkeypatch):
             if kind == "finite":
                 assert measure(rep, u, AllFinite()) == reference[pts.states.index(state)]
             elif kind == "infcone":
-                word, _ = _walk(rng, pts, state, rng.randint(1, 4))
+                word, _ = _walk(rng, moves, state, rng.randint(1, 4))
                 measure(rep, u, InfCone(word))
             elif kind == "mixed":
                 measure(rep, _random_config(rng, n), AllFinite())
@@ -1252,7 +1252,7 @@ def ref_to_ints(u):
     return {k: int(x * den) for k, x in enumerate(u) if x}, den
 
 
-def ref_measure(pts, mats, mass, u, target):
+def ref_measure(star, mats, mass, u, target):
     if isinstance(target, Empty):
         return _ZERO
     for letter in getattr(target, "word", ()):
@@ -1260,7 +1260,7 @@ def ref_measure(pts, mats, mass, u, target):
     total = sum(u, _ZERO)
     finite = sum((a * b for a, b in zip(mass, u)), _ZERO)
     if isinstance(target, FiniteWord):
-        return sum((pts.stop(s) * x for s, x in zip(pts.states, u)), _ZERO)
+        return sum((s * x for s, x in zip(star, u)), _ZERO)
     if isinstance(target, (Cone, All)):
         return total
     return finite if isinstance(target, AllFinite) else total - finite
@@ -1273,7 +1273,7 @@ def test_start_vectors_match_the_fraction_reference(index):
     # Fraction reference
     pts = WALK_CASES[index]
     rep, mats, mass = build_rep(pts), ref_mats(pts), ref_finite_mass(pts)
-    n = rep.dim
+    n, star = rep.dim, l_star(pts)
     rng = random.Random(index)
     mixed = list(dirac(rep, pts.states[0]))
     mixed[-1] = F(-2, 3) if n > 1 else F(5, 4)
@@ -1288,7 +1288,7 @@ def test_start_vectors_match_the_fraction_reference(index):
         for letter in pts.alphabet:
             assert step(rep, u, letter) == ref_step(mats, u, letter)
         for target in targets:
-            assert measure(rep, u, target) == ref_measure(pts, mats, mass, u, target)
+            assert measure(rep, u, target) == ref_measure(star, mats, mass, u, target)
     assert to_ints(configs[-3], n) == ({}, 1) == to_ints(configs[-2], n)
 
 

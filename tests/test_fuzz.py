@@ -156,7 +156,8 @@ def test_a_value_repeated_across_moves_parses_as_it_does_alone(case):
             raise AssertionError(f"{p!r} parsed inside a document")
     else:
         pts = parse_pts(text, check=False)
-        assert set(pts.term.values()) | set(pts.moves.values()) == {expected}
+        pairs = {*pts.stops, *(p for row in pts.rows for p in row.values())}
+        assert pairs == {expected.as_integer_ratio()}
     _check_cli(text.encode(), states=tuple(doc["states"][:2]))
 
 

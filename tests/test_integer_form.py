@@ -5,10 +5,10 @@ pair in its state's own dict, under its (letter, target) indices, and
 ``validate`` and ``build_rep`` read only that.  The reference below is the
 earlier code, which read name-keyed Fraction dicts: ``_ratios`` took each
 probability's ``as_integer_ratio``, and ``build_rep`` took it again and
-looked both names up in an index.  It reads them from ``_eager``'s record
-of the document, made without the parser.  A guard stubs out ``linear``'s
-Fraction: representations, untraced decision runs and word queries run on
-the integer form alone.
+looked both names up in an index.  It reads a ``Named`` record: ``_eager``'s,
+made without the parser, or ``named``'s, of the parsed pairs.  A guard stubs
+out ``linear``'s Fraction: representations, untraced decision runs and word
+queries run on the integer form alone.
 """
 
 import json
@@ -16,7 +16,6 @@ import random
 from dataclasses import fields
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple
 
 import pytest
 
@@ -28,15 +27,15 @@ from ptstrace.cli import main
 from ptstrace.model import (DISTRIBUTION_SUM, PROBABILITY_OUT_OF_RANGE, Violation,
                             format_rational)
 
-from systems import (ALL_DOCS, document, load, pts_of, random_pts, sink_split_pts,
-                     split_copy_pts)
+from systems import (ALL_DOCS, Named, document, l_star, load, named, pts_of, random_pts,
+                     sink_split_pts, split_copy_pts)
 
 F = Fraction
 
 
 def _reference_ratios(pts):
     # each state's stop mass, then its moves, as (numerator, denominator) pairs
-    ratios = {state: [pts.stop(state).as_integer_ratio()] for state in pts.states}
+    ratios = {state: [pts.term[state].as_integer_ratio()] for state in pts.states}
     for (source, _, _), p in pts.moves.items():
         ratios[source].append(p.as_integer_ratio())
     return ratios
@@ -63,7 +62,7 @@ def _reference_validate(pts):
         numerator, denominator = _reference_mass(ratios[state])
         if numerator == denominator and min(ratios[state])[0] >= 0:
             continue
-        stop = pts.stop(state)
+        stop = pts.term[state]
         if not 0 <= stop <= 1:
             violations.append(Violation(
                 PROBABILITY_OUT_OF_RANGE, state,
@@ -82,8 +81,7 @@ def _reference_validate(pts):
 
 
 def _reference_rep(pts):
-    """``(columns, denominators, l_star, l_one)`` as the name-keyed builder
-    made them."""
+    """``(columns, denominators, l_star)`` as the name-keyed builder made them."""
     index = {state: k for k, state in enumerate(pts.states)}
     moves = {letter: [[] for _ in pts.states] for letter in pts.alphabet}
     for (source, letter, target), p in pts.moves.items():
@@ -97,20 +95,7 @@ def _reference_rep(pts):
         columns[letter] = tuple(
             tuple([(j, p * (denominator // d)) for j, p, d in column])
             for column in per_source)
-    return (columns, denominators, tuple(pts.stop(state) for state in pts.states),
-            tuple(F(1) for _ in pts.states))
-
-
-class _Named(NamedTuple):
-    """A document as name-keyed Fraction dicts, the record the references read."""
-
-    alphabet: tuple[str, ...]
-    states: tuple[str, ...]
-    term: dict[str, Fraction]
-    moves: dict[tuple[str, str, str], Fraction]
-
-    def stop(self, state):
-        return self.term[state]
+    return columns, denominators, tuple(pts.term[state] for state in pts.states)
 
 
 def _eager(text):
@@ -123,11 +108,11 @@ def _eager(text):
         term[state] = F(entry.get("stop", "0"))
         for move in entry.get("moves", []):
             moves[(state, move["letter"], move["to"])] = F(move["p"])
-    return _Named(tuple(doc["alphabet"]), tuple(doc["states"]), term, moves)
+    return Named(tuple(doc["alphabet"]), tuple(doc["states"]), term, moves)
 
 
 def _rep_fields(rep):
-    return rep.columns, rep.denominators, rep.l_star, rep.l_one
+    return rep.columns, rep.denominators, l_star(rep)
 
 
 def _reference_error(violations):
@@ -141,7 +126,7 @@ def _broken(rng, pts, how):
     """A copy of pts that breaks the sum rule (``"sum"``: one mass moved by
     a delta) or the range rule (``"range"``: 1 taken from one entry and
     given to another, so the masses still sum to 1)."""
-    term, moves = dict(pts.term), dict(pts.moves)
+    _, _, term, moves = named(pts)
     keys = [("term", s) for s in pts.states] + [("move", k) for k in moves]
     picked = rng.sample(keys, 2) if len(keys) > 1 else keys * 2
     deltas = ([rng.choice([F(1, 7), F(-2, 3), F(5, 2), F(1, 10**30)])] if how == "sum"
@@ -158,7 +143,7 @@ def _with_undeclared_name(pts, kind):
     """The document of pts with a stop mass of a state it never declares
     (``kind`` 0), or a move from, on or to such a name (1 to 3), and the
     message that rejects it."""
-    state, letter = pts.states[0], pts.alphabet[0]
+    state, letter, reference = pts.states[0], pts.alphabet[0], named(pts)
     term, moves, message = [
         ({"ghost": F(7)}, {}, "transitions entry for undeclared state 'ghost'"),
         ({}, {("ghost", letter, state): F(1, 2)},
@@ -168,7 +153,7 @@ def _with_undeclared_name(pts, kind):
         ({}, {(state, letter, "ghost"): F(-1, 5)},
          f"state {state!r} moves to undeclared state 'ghost'"),
     ][kind]
-    doc = document(pts.alphabet, pts.states, pts.term | term, pts.moves | moves)
+    doc = document(pts.alphabet, pts.states, reference.term | term, reference.moves | moves)
     return json.dumps(doc), message
 
 
@@ -216,9 +201,9 @@ def test_integer_form_matches_the_name_keyed_readings(index):
     assert validate(parsed) == expected
     # columns list moves in the order of the document
     assert _rep_fields(build_rep(parsed)) == _reference_rep(eager)
-    # the reference, read from the parsed document's derived views
-    assert _reference_validate(parsed) == expected
-    assert _reference_rep(parsed) == _reference_rep(eager)
+    # the reference, read from the parsed document's pairs
+    assert _reference_validate(named(parsed)) == expected
+    assert _reference_rep(named(parsed)) == _reference_rep(eager)
     if expected:
         error, message = _reference_error(expected)
         with pytest.raises(error) as excinfo:
@@ -240,23 +225,23 @@ def test_a_pts_is_the_record_of_its_four_parsed_fields():
         assert validate(rebuilt) == validate(parsed)
         assert serialize_pts(rebuilt) == serialize_pts(parsed)
         assert build_rep(rebuilt) == build_rep(parsed)
-        assert rebuilt.term == parsed.term and list(rebuilt.moves) == list(parsed.moves)
 
 
-def _no_view(self):
-    raise AssertionError("a Fraction view of the document was read")
+def test_a_pts_has_no_member_but_its_fields_and_a_rep_no_output_view():
+    # Violation, a frozen dataclass of bare fields, has the members of the
+    # dataclass machinery; copyreg adds __slotnames__ to a class it copies
+    assert set(vars(Pts)) - {"__slotnames__"} == set(vars(Violation)) - {"__slotnames__"}
+    rep = build_rep(load(ALL_DOCS["congruence_xz"]))
+    for name in ("l_star", "l_one"):
+        assert not hasattr(linear.LinearRep, name) and not hasattr(rep, name)
 
 
-def test_the_front_end_and_every_query_read_only_the_integer_form(monkeypatch, tmp_path,
-                                                                   capsys):
+def test_the_front_end_and_every_query_read_only_the_integer_form(tmp_path, capsys):
     text = json.dumps(pts_to_dict(sink_split_pts(random.Random(59), 8)))
     path = tmp_path / "system.json"
     path.write_text(text, encoding="utf-8")
     pts = parse_pts(text)
-    # from here on, reading term or moves of any Pts raises; the CLI calls
-    # below parse their documents under this patch too
-    monkeypatch.setattr(Pts, "term", property(_no_view), raising=False)
-    monkeypatch.setattr(Pts, "moves", property(_no_view), raising=False)
+    # a Pts has no view to read: every call below reads the parsed pairs
     assert validate(pts) == []
     rep = build_rep(pts)
     queries = ["empty", "word:a.b.a", "cone:a.b.a", "infcone:b.a", "finite", "infinite",

@@ -5,7 +5,8 @@ public functions and ``LinearRep``'s public fields and views, never through
 a ``_``-prefixed function, cache or field that ``linear.py`` defines; and
 each module reads only the ``_``-prefixed attributes it defines itself.  A
 read is an attribute access (``rep._name``), a ``getattr`` with the name as
-a literal, or a ``from .module import _name``.
+a literal, or a ``from .module import _name``.  And ``brute_measure``
+reads only the four fields of its ``Pts`` and no name imported from ``linear``.
 """
 
 import ast
@@ -17,6 +18,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ptstrace"
 KERNEL = PACKAGE / "linear.py"
 MODULES = sorted(PACKAGE.glob("*.py"))
 READERS = [p for p in MODULES if p != KERNEL]
+FIELDS = {"alphabet", "states", "stops", "rows"}
 
 
 def _private(name: str) -> bool:
@@ -76,6 +78,20 @@ def foreign_reads(source: str) -> list[tuple[int, str]]:
                   if _private(name) and name not in own)
 
 
+def oracle_reads(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` of each attribute of ``pts`` but its fields, and each
+    name bound to ``linear`` or imported from it, that ``brute_measure`` reads."""
+    tree = ast.parse(source)
+    kernel = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+              for a in node.names if "linear" in (node.module, a.name)}
+    function = next(node for node in tree.body if getattr(node, "name", "") == "brute_measure")
+    return sorted((node.lineno, getattr(node, "attr", getattr(node, "id", None)))
+                  for node in ast.walk(function)
+                  if (isinstance(node, ast.Attribute) and node.attr not in FIELDS
+                      and getattr(node.value, "id", "") == "pts")
+                  or (isinstance(node, ast.Name) and node.id in kernel))
+
+
 KERNEL_NAMES = private_names(KERNEL.read_text(encoding="utf-8"))
 
 
@@ -126,3 +142,15 @@ def test_a_private_read_is_reported():
     assert foreign_reads(reader) == [
         (1, "_helper"), (6, "_LIMIT"), (6, "_cache"), (6, "_mine"), (6, "_seen")]
     assert foreign_reads(kernel) == []
+
+
+def test_brute_measure_reads_only_the_fields_of_a_pts_and_nothing_of_the_kernel():
+    assert oracle_reads((PACKAGE / "oracle.py").read_text(encoding="utf-8")) == []
+
+
+def test_an_oracle_reading_a_view_or_the_kernel_is_reported():
+    source = ("from .linear import build_rep as rep_of, step\nfrom . import linear\n"
+              "def brute_measure(pts, state, target):\n"
+              "    moves, rows = pts.moves, pts.rows\n"
+              "    return rep_of(pts), linear.dirac(pts, state), pts.stops\n")
+    assert oracle_reads(source) == [(4, "moves"), (5, "linear"), (5, "rep_of")]

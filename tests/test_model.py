@@ -13,7 +13,7 @@ from ptstrace import (DistributionSumViolation, DuplicateIdentifier,
 from ptstrace.model import (DISTRIBUTION_SUM, PROBABILITY_OUT_OF_RANGE,
                             Violation, format_rational)
 
-from systems import ALL_DOCS, SINGLE_LETTER_CHAIN, load, pts_of, random_pts, split_copy_pts
+from systems import ALL_DOCS, SINGLE_LETTER_CHAIN, load, named, pts_of, random_pts, split_copy_pts
 
 F = Fraction
 
@@ -41,14 +41,14 @@ def test_parse_rational_rejects_non_ascii_digits(bad):
 
 
 def test_parse_single_letter_chain_document():
-    pts = load(SINGLE_LETTER_CHAIN)
+    pts = named(load(SINGLE_LETTER_CHAIN))
     assert pts.states == ("x", "y")
     assert pts.alphabet == ("a",)
-    assert pts.stop("y") == F(1, 3)
+    assert pts.term["y"] == F(1, 3)
     assert pts.moves[("y", "a", "x")] == F(1, 3)
     assert pts.moves[("y", "a", "y")] == F(1, 3)
     assert pts.moves[("x", "a", "x")] == F(1)
-    assert pts.stop("x") == F(0)
+    assert pts.term["x"] == F(0)
 
 
 def test_parse_terminating_point_automaton():
@@ -58,8 +58,8 @@ def test_parse_terminating_point_automaton():
         "transitions": {"s": {"stop": "1"}},
     }))
     assert pts.states == ("s",)
-    assert pts.stop("s") == F(1)
-    assert pts.moves == {}
+    assert named(pts).term["s"] == F(1)
+    assert named(pts).moves == {}
 
 
 def test_parse_rejects_bad_sum():
@@ -239,7 +239,7 @@ def test_a_parsed_document_listed_in_reverse_order_reads_canonically():
         "y": {"moves": _listed([("c", "y", "1/2"), ("b", "z", "1/3"), ("b", "x", "1/4")])},
         "z": {"stop": "1/2", "moves": _listed([("b", "z", "4/3"), ("a", "y", "-5/6")])}}}
     pts = parse_pts(json.dumps(doc), check=False)
-    assert list(pts.moves) == [
+    assert list(named(pts).moves) == [
         ("x", "c", "z"), ("x", "c", "x"), ("x", "b", "y"), ("x", "a", "z"), ("x", "a", "x"),
         ("y", "c", "y"), ("y", "b", "z"), ("y", "b", "x"), ("z", "b", "z"), ("z", "a", "y")]
     assert [(v.kind, v.state, v.message) for v in validate(pts)] == [
@@ -280,8 +280,7 @@ def test_perturbing_any_probability_breaks_validation():
     deltas = [F(1, 7), F(-1, 7), F(2, 3), F(-3, 5), F(5, 2)]
     for _ in range(60):
         pts = random_pts(rng)
-        term = dict(pts.term)
-        moves = dict(pts.moves)
+        _, _, term, moves = named(pts)
         entries = [("term", s) for s in pts.states] + [("move", k) for k in moves]
         kind, key = entries[rng.randrange(len(entries))]
         delta = deltas[rng.randrange(len(deltas))]
@@ -304,13 +303,13 @@ def _reference_moves(pts, state):
 # validate() as it summed masses with Fractions, kept as the reference for
 # the integer sums
 def _reference_mass(pts, state):
-    return sum((p for _, _, p in _reference_moves(pts, state)), pts.stop(state))
+    return sum((p for _, _, p in _reference_moves(pts, state)), pts.term[state])
 
 
 def _reference_validate(pts):
     violations = []
     for state in pts.states:
-        stop = pts.stop(state)
+        stop = pts.term[state]
         if not 0 <= stop <= 1:
             violations.append(Violation(
                 PROBABILITY_OUT_OF_RANGE, state,
@@ -331,16 +330,17 @@ def _reference_validate(pts):
 
 
 def _assert_validate_matches_reference(pts):
-    expected = _reference_validate(pts)
+    reference = named(pts)
+    expected = _reference_validate(reference)
     assert validate(pts) == expected
     for state in pts.states:
-        assert model._state_mass(pts, state) == _reference_mass(pts, state)
+        assert model._state_mass(pts, state) == _reference_mass(reference, state)
     # parse_pts raises on the first violation, with the state's total
     try:
         parse_pts(serialize_pts(pts))
     except DistributionSumViolation as exc:
         assert (expected[0].kind, expected[0].state) == (DISTRIBUTION_SUM, exc.state)
-        assert exc.total == _reference_mass(pts, exc.state)
+        assert exc.total == _reference_mass(reference, exc.state)
     except ProbabilityOutOfRange as exc:
         assert expected[0].kind == PROBABILITY_OUT_OF_RANGE
         assert str(exc) == f"state {expected[0].state!r}: {expected[0].message}"
@@ -349,7 +349,7 @@ def _assert_validate_matches_reference(pts):
 
 
 def _perturbed(rng, pts, deltas):
-    term, moves = dict(pts.term), dict(pts.moves)
+    _, _, term, moves = named(pts)
     entries = [("term", s) for s in pts.states] + [("move", k) for k in moves]
     for _ in range(rng.randint(1, 3)):
         kind, key = rng.choice(entries)
@@ -418,7 +418,7 @@ def test_many_failing_states_report_every_violation():
     for n in (50, 60, 90):
         pts = _failing_everywhere(rng, n)
         violations = validate(pts)
-        assert violations == _reference_validate(pts)
+        assert violations == _reference_validate(named(pts))
         assert {v.state for v in violations} == set(pts.states)
         kinds = {state: {v.kind for v in violations if v.state == state}
                  for state in pts.states}
@@ -448,10 +448,11 @@ def test_integer_validation_matches_on_states_without_moves_or_entries():
         pts = random_pts(rng)
         dropped = rng.choice(pts.states)
         # a state with no moves keeps its stop mass; a missing one has none
-        no_moves = pts_of(pts.alphabet, pts.states, pts.term,
-                          {k: p for k, p in pts.moves.items() if k[0] != dropped})
-        term = {s: p for s, p in pts.term.items() if s != dropped}
-        missing = pts_of(pts.alphabet, pts.states, term, no_moves.moves)
+        _, _, term, moves = named(pts)
+        moves = {k: p for k, p in moves.items() if k[0] != dropped}
+        no_moves = pts_of(pts.alphabet, pts.states, term, moves)
+        del term[dropped]
+        missing = pts_of(pts.alphabet, pts.states, term, moves)
         for mutated in (no_moves, missing):
             _assert_validate_matches_reference(mutated)
         doc = pts_to_dict(missing)
@@ -459,7 +460,7 @@ def test_integer_validation_matches_on_states_without_moves_or_entries():
         with pytest.raises(DistributionSumViolation) as excinfo:
             parse_pts(json.dumps(doc))
         assert excinfo.value.total == _reference_mass(
-            parse_pts(json.dumps(doc), check=False), excinfo.value.state)
+            named(parse_pts(json.dumps(doc), check=False)), excinfo.value.state)
 
 
 def test_integer_validation_matches_on_many_large_distinct_denominators():
@@ -518,23 +519,22 @@ def test_each_distinct_probability_string_is_parsed_once_per_document(monkeypatc
         calls.clear()
         pts = parse_pts(text)
         assert sorted(calls) == sorted(distinct)
-        assert len(pts.moves) + len(pts.states) > len(distinct)
-        # term and moves, derived on first read, equal the dicts that parsing
-        # once built: the same keys in document order and equal values, with
-        # one Fraction object per distinct value and so per distinct string
+        # the stops, then the moves of each state, in document order: each
+        # string's own pair, one pair object per distinct string, so equal
+        # values from different strings ("2/6", "1/3") are distinct objects
         term = {s: doc["transitions"][s].get("stop", "0") for s in doc["states"]}
         moves = {(s, m["letter"], m["to"]): m["p"]
                  for s in doc["states"] for m in doc["transitions"][s].get("moves", [])}
-        assert list(pts.term) == list(term) and list(pts.moves) == list(moves)
-        assert pts.term == {s: F(p) for s, p in term.items()}
-        assert pts.moves == {key: F(p) for key, p in moves.items()}
-        strings, values = [*term.values(), *moves.values()], [*pts.term.values(),
-                                                              *pts.moves.values()]
-        first = dict(zip(strings, values))
-        assert all(first[p] is value for p, value in zip(strings, values))
-        assert len({id(value) for value in values}) == len(set(values)) <= len(distinct)
-        shared += len(set(values)) < len(distinct)
-        # deriving the views parsed no string again
+        assert list(named(pts).moves) == list(moves)
+        strings = [*term.values(), *moves.values()]
+        pairs = [*pts.stops, *(p for row in pts.rows for p in row.values())]
+        assert len(pairs) > len(distinct)
+        assert pairs == [F(p).as_integer_ratio() for p in strings]
+        first = dict(zip(strings, pairs))
+        assert all(first[p] is pair for p, pair in zip(strings, pairs))
+        assert len({id(pair) for pair in pairs}) == len(distinct) >= len(set(pairs))
+        shared += len(set(pairs)) < len(distinct)
+        # reading the pairs parsed no string again
         assert sorted(calls) == sorted(distinct)
         assert parse_pts(serialize_pts(pts)) == pts
     assert shared
@@ -545,9 +545,10 @@ def test_each_distinct_probability_string_is_parsed_once_per_document(monkeypatc
 def test_a_pts_is_immutable():
     rng = random.Random(41)
     constructed = split_copy_pts(rng, max_base=4)
-    parsed, read = parse_pts(serialize_pts(constructed)), parse_pts(serialize_pts(constructed))
-    assert read.term and read.moves
-    for pts in (constructed, parsed, read):
+    parsed = parse_pts(serialize_pts(constructed))
+    for pts in (constructed, parsed):
+        # a Pts keeps no view of its pairs: reading one raises AttributeError
+        assert not any(hasattr(pts, name) for name in ("term", "moves", "stop"))
         for name in ("alphabet", "states", "stops", "rows", "term", "moves", "stop",
                      "other"):
             with pytest.raises(AttributeError):

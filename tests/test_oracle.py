@@ -9,7 +9,7 @@ from ptstrace import (Cone, FiniteWord, NotEquivalent, UnknownIdentifier,
                       brute_measure, build_rep, dirac, hkc_inf, measure,
                       word_oracle_equiv)
 
-from systems import all_words, random_pts
+from systems import all_words, named, random_pts
 
 F = Fraction
 
@@ -19,10 +19,10 @@ def test_brute_chain_double_step(chain_pts):
 
 
 def test_brute_empty_word_is_stop_mass(chain_pts, worked_pts):
-    assert brute_measure(chain_pts, "y", FiniteWord(())) == chain_pts.stop("y")
+    assert brute_measure(chain_pts, "y", FiniteWord(())) == named(chain_pts).term["y"]
+    reference = named(worked_pts)
     for state in worked_pts.states:
-        assert brute_measure(worked_pts, state, FiniteWord(())) == \
-            worked_pts.stop(state)
+        assert brute_measure(worked_pts, state, FiniteWord(())) == reference.term[state]
 
 
 def test_brute_cantor_cone(cantor_pts):
