@@ -9,7 +9,8 @@ linear span of previously recorded differences (the hkc variants).  Span
 membership, both output tests and the successors of a pair
 (``M_a u - M_a v = M_a (u - v)``) are linear in u - v, so the hkc variants
 carry one sparse difference vector per pair instead of two configurations,
-stepped with no gcd; traces rebuild the configurations from the word.  Each
+stepped with no gcd.  A run keeps one link per extraction, (parent,
+letter, skipped), and a trace is read off the links after the run.  Each
 store has one operation, ``record``, which records an item and returns
 the item whose successors the run enqueues, or None for an item already
 related.  For the hkc variants one reduction of the difference against the
@@ -95,10 +96,10 @@ EquivResult = Equivalent | NotEquivalent | Inconclusive
 
 @dataclass(frozen=True)
 class Extraction:
-    """One pair taken off the worklist, recorded for run inspection.
+    """One pair taken off the worklist, read off the run's links after the run.
 
     ``left`` and ``right`` are the configurations reached from the two
-    states along ``word``, rebuilt from the word: the hkc variants carry
+    states along ``word``, stepped from its parent's: the hkc variants carry
     only their difference.
     """
 
@@ -299,13 +300,22 @@ def _separating_output(rep: LinearRep, d, check_total_mass: bool) -> OutputKind 
     return None
 
 
-def _spell(links: list[tuple[int, str]], node: int) -> Word:
+def _spell(links: list[tuple[int, str, bool]], node: int) -> Word:
     # node k is reached from node links[k][0] by the letter links[k][1]
     word = []
     while node:
-        node, letter = links[node]
+        node, letter, _ = links[node]
         word.append(letter)
     return tuple(reversed(word))
+
+
+def _extractions(rep: LinearRep, start, links: list[tuple[int, str, bool]]) -> list[Extraction]:
+    # each node's configuration pair, stepped from its parent's by its letter
+    configs = [start]
+    for parent, letter, _ in links[1:]:
+        configs.append(_PairItems.successor(rep, configs[parent], letter))
+    return [Extraction(_spell(links, node), from_ints(u, rep.dim), from_ints(v, rep.dim), link[2])
+            for node, ((u, v), link) in enumerate(zip(configs, links))]
 
 
 def _decide(rep, x, y, store, check_total_mass, *, max_steps=None, trace=None) -> EquivResult:
@@ -316,40 +326,37 @@ def _decide(rep, x, y, store, check_total_mass, *, max_steps=None, trace=None) -
     # items out of them
     start = ({rep.state_index(x): 1}, 1), ({rep.state_index(y): 1}, 1)
     # an entry is (parent node, letter, item), the k-th extraction is node k
-    # and appends links[k], so len(links) counts the extractions: words are
-    # spelled from the links only for a witness or a trace
+    # and appends links[k] = (parent, letter, skipped), so len(links) counts
+    # the extractions: words are spelled from the links only for a witness,
+    # and a trace is read off them once the run has ended
     todo = deque([(0, None, store.item(*start))])
-    links: list[tuple[int, str]] = []
+    links: list[tuple[int, str, bool]] = []
     # the items recorded with agreeing outputs: the relation built so far
     relation_size = 0
-    # with a trace, each node's configuration pair, stepped from its parent's
-    configs = [start]
-    while todo:
-        if max_steps is not None and len(links) >= max_steps:
-            return Inconclusive(steps_exhausted=max_steps, relation_size=relation_size)
-        parent, letter, item = todo.popleft()
-        node = len(links)
-        links.append((parent, letter))
-        # membership before the outputs: a skipped item costs the store's test only
-        stepped = store.record(*item)
+    try:
+        while todo:
+            if max_steps is not None and len(links) >= max_steps:
+                return Inconclusive(steps_exhausted=max_steps, relation_size=relation_size)
+            parent, letter, item = todo.popleft()
+            node = len(links)
+            # membership before the outputs: a skipped item costs the store's test only
+            stepped = store.record(*item)
+            links.append((parent, letter, stepped is None))
+            if stepped is None:
+                continue
+            output = _separating_output(rep, store.difference(stepped), check_total_mass)
+            if output is not None:
+                kind = Cone if output is OutputKind.TOTAL_MASS else FiniteWord
+                word = _spell(links, node)
+                lhs, rhs = store.values(rep, start[0], word, stepped, kind)
+                return NotEquivalent(word, output, lhs, rhs, len(links), relation_size)
+            for letter in rep.alphabet:
+                todo.append((node, letter, store.successor(rep, stepped, letter)))
+            relation_size += 1
+        return Equivalent(iterations=len(links), relation_size=relation_size)
+    finally:  # on every exit, so a trace holds a witness's extraction too
         if trace is not None:
-            if node:
-                configs.append(_PairItems.successor(rep, configs[parent], letter))
-            u, v = configs[node]
-            trace.append(Extraction(_spell(links, node), from_ints(u, rep.dim),
-                                    from_ints(v, rep.dim), stepped is None))
-        if stepped is None:
-            continue
-        output = _separating_output(rep, store.difference(stepped), check_total_mass)
-        if output is not None:
-            kind = Cone if output is OutputKind.TOTAL_MASS else FiniteWord
-            word = _spell(links, node)
-            lhs, rhs = store.values(rep, start[0], word, stepped, kind)
-            return NotEquivalent(word, output, lhs, rhs, len(links), relation_size)
-        for letter in rep.alphabet:
-            todo.append((node, letter, store.successor(rep, stepped, letter)))
-        relation_size += 1
-    return Equivalent(iterations=len(links), relation_size=relation_size)
+            trace.extend(_extractions(rep, start, links))
 
 
 def _checked_bound(rep: LinearRep, result: EquivResult) -> EquivResult:
@@ -390,9 +397,9 @@ def hkc_inf(rep: LinearRep, x: str, y: str, *, debug: bool = False,
             trace: list | None = None) -> EquivResult:
     """Decide equality of the full trace measures of two states.
 
-    Always terminates.  ``trace`` (a list, appended in place) records every
-    extraction; ``debug`` checks the verdict's proof once, after the run
-    (see the module docstring), and raises ``InvariantError`` if it fails.
+    Always terminates.  ``trace``, a list, gets every extraction after the
+    run; ``debug`` checks the verdict's proof once, after the run (see the
+    module docstring), and raises ``InvariantError`` if it fails.
     """
     return _hkc(rep, x, y, True, debug, trace)
 

@@ -155,13 +155,13 @@ class LinearRep:
             yield row
 
     @cached_property
-    def _mass_cache(self) -> tuple[list[Sparse], int, Sparse, int, list]:
-        """The finite-mass cache, ``(combined, common, star, star_den, solved)``.
+    def _mass_cache(self) -> tuple[list[Sparse], int, list]:
+        """The finite-mass cache, ``(combined, common, solved)``.
 
         ``combined[k][j] / common`` is the one-step probability from the
-        k-th to the j-th state over all letters, ``star / star_den`` is
-        ``l_star``, and ``solved[k]`` is the k-th state's finite mass as a
-        ``(numerator, denominator)`` pair once it is solved.
+        k-th to the j-th state over all letters, and ``solved[k]`` is the
+        k-th state's finite mass as a ``(numerator, denominator)`` pair once
+        it is solved; the stops are read from ``stop_row``.
         """
         common = lcm(*self.denominators.values())
         combined: list[Sparse] = [{} for _ in self.states]
@@ -170,7 +170,7 @@ class LinearRep:
             for out, column in zip(combined, columns):
                 for j, p in column:
                     out[j] = out.get(j, 0) + p * scale
-        return combined, common, *self.stop_row, [None] * self.dim
+        return combined, common, [None] * self.dim
 
 
 def build_rep(pts: Pts) -> LinearRep:
@@ -410,7 +410,8 @@ def solve_finite_mass(rep: LinearRep, support: Iterable[int]) -> list:
     states it reaches and the live seeds, which stop or reach a solved
     state of positive mass; the block states that reach no seed are dead.
     """
-    combined, common, star, star_den, solved = rep._mass_cache
+    combined, common, solved = rep._mass_cache
+    star, star_den = rep.stop_row
     sources: dict[int, list[int]] = {k: [] for k in support if solved[k] is None}
     stack, masses, live = list(sources), {}, set()
     while stack:

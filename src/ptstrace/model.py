@@ -159,6 +159,11 @@ def _identifier_list(doc: dict, key: str) -> list[str]:
     for item in items:
         if not isinstance(item, str) or not item:
             raise PtsFormatError(f'"{key}" entries must be non-empty strings, got {item!r}')
+        try:
+            item.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, valid in JSON
+            raise PtsFormatError(f'"{key}" entries must be encodable as UTF-8, '
+                                 f'got {item!r}') from None
         if key == "alphabet" and "." in item:
             raise PtsFormatError(f'"alphabet" entries must not contain ".", got {item!r}')
         if item in seen:

@@ -554,6 +554,24 @@ def test_non_utf8_input_exit_2(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key", ["states", "alphabet"])
+def test_identifier_with_a_lone_surrogate_exit_2(tmp_path, capsys, key):
+    # "\ud800" is valid JSON but not UTF-8 text; no state's masses sum to
+    # 1, so validate would print each state's name if the names were read
+    names = {"states": ["x", "\ud800"], "alphabet": ["a", "\udc00"]}
+    doc = {"alphabet": ["a"], "states": ["x"],
+           "transitions": {"x": {"stop": "1/2"}}, key: names[key]}
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    name = repr(names[key][1])
+    for argv in (["validate", str(path)], ["rep", str(path)],
+                 ["eval", str(path), "--state", "x", "--query", "all"],
+                 ["equiv", str(path), "x", "x"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f'error: "{key}" entries must be encodable as UTF-8, got {name}\n'
+
+
 def test_utf8_bom_input_exit_2(tmp_path, capsys):
     path = tmp_path / "bom.json"
     path.write_bytes(b"\xef\xbb\xbf" + json.dumps(HALF_LOOP_XY).encode("utf-8"))

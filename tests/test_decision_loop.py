@@ -1,0 +1,76 @@
+"""The decision loop knows nothing of traces.
+
+A stdlib AST check on ``equivalence.py``: inside the ``while`` loop of
+``_decide`` no name ``trace``, ``Extraction`` or ``from_ints`` is read, so
+traced and untraced runs take one path; a trace is read off the run's
+links after the loop.  And exactly one function of the module constructs
+an ``Extraction``.
+"""
+
+import ast
+from pathlib import Path
+
+MODULE = Path(__file__).resolve().parents[1] / "src" / "ptstrace" / "equivalence.py"
+TRACE_NAMES = {"trace", "Extraction", "from_ints"}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def loop_reads(source: str, function: str = "_decide") -> list[tuple[int, str]]:
+    """``(line, name)`` of each read of a trace name inside a ``while`` loop
+    of ``function``, as a bare name or an attribute."""
+    tree = ast.parse(source)
+    body = next(node for node in tree.body if getattr(node, "name", "") == function)
+    reads = set()
+    for loop in ast.walk(body):
+        if isinstance(loop, ast.While):
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.add((node.lineno, node.id))
+                elif isinstance(node, ast.Attribute):
+                    reads.add((node.lineno, node.attr))
+    return sorted(read for read in reads if read[1] in TRACE_NAMES)
+
+
+def constructors(source: str, name: str = "Extraction") -> list[str]:
+    """The functions, at module level or in a class body, that call ``name``."""
+    tree = ast.parse(source)
+    functions = [node for node in tree.body if isinstance(node, FUNCTIONS)]
+    functions += [node for c in tree.body if isinstance(c, ast.ClassDef)
+                  for node in c.body if isinstance(node, FUNCTIONS)]
+    return sorted(f.name for f in functions
+                  if any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+                         for node in ast.walk(f)))
+
+
+SOURCE = MODULE.read_text(encoding="utf-8")
+
+
+def test_the_decision_loop_reads_no_trace_name():
+    assert loop_reads(SOURCE) == []
+
+
+def test_one_function_constructs_extractions():
+    assert len(constructors(SOURCE)) == 1
+
+
+def test_a_trace_branch_in_the_loop_is_reported():
+    source = (
+        "def _decide(rep, store, trace=None):\n"
+        "    configs = []\n"
+        "    if trace is not None:\n"
+        "        pass\n"
+        "    while store.todo:\n"
+        "        item = store.pop()\n"
+        "        if trace is not None:\n"
+        "            trace.append(Extraction(item, linear.from_ints(item)))\n"
+        "        trace = None\n"
+        "    return Extraction(configs)\n"
+        "class Store:\n"
+        "    def dump(self):\n"
+        "        return [Extraction(x) for x in self.items]\n"
+        "def _extractions(links):\n"
+        "    return [Extraction(link) for link in links]\n")
+    # the read before the loop, the store to trace and the return are not in it
+    assert loop_reads(source) == [(7, "trace"), (8, "Extraction"), (8, "from_ints"),
+                                  (8, "trace")]
+    assert constructors(source) == ["_decide", "_extractions", "dump"]

@@ -23,12 +23,14 @@ its products read bounded on 1,000-letter walks; start vectors built with
 fresh zero objects, negative entries or no mass at all check the
 Fraction-to-kernel conversion.  hkc runs, which step difference vectors
 without dividing out their content, are checked against runs stepping
-the content-divided successor they used before.
+the content-divided successor they used before.  A traced run hands its
+stores the same items as the untraced run and returns the same result.
 """
 
 import random
 from bisect import bisect_left
 from collections import deque
+from copy import deepcopy
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -42,7 +44,7 @@ from ptstrace import (All, AllFinite, AllInfinite, Cone, CongruenceBasis,
                       InfCone, NotEquivalent, OutputKind, SingularRestrictedSystem,
                       brute_measure, build_rep, dirac, finite_mass_vector, hk,
                       hkc_finite, hkc_inf, measure, naive, step)
-from ptstrace import linear
+from ptstrace import equivalence, linear
 from ptstrace.linear import (eliminate, from_ints, int_walk, primitive, scaled_step,
                              to_ints)
 
@@ -404,6 +406,34 @@ def test_hkc_matches_dense_reference_on_wide_and_sink_split_copies(index):
         basis = _replayed_basis(rep, result, trace)
         assert basis.rows == store.basis.rows
         assert sorted(basis._rows) == store.basis.pivots
+
+
+# the differential systems and one sink split copy, each run by every
+# algorithm, naive and hk at budget 100
+TRACE_CASES = SYSTEMS + [(WIDE_CASES[1], "a0", "b0p")]
+
+
+@pytest.mark.parametrize("index", range(0, len(TRACE_CASES), 8))
+def test_a_trace_does_not_change_the_run(index, monkeypatch):
+    # traced or not, a run hands its stores equal items in the same order,
+    # one per extraction, and returns an equal result
+    calls = []
+    for store in (CongruenceBasis, equivalence._PairStore, equivalence._EquivalenceStore):
+        def record(self, *item, _record=store.record):
+            calls.append(deepcopy(item))
+            return _record(self, *item)
+        monkeypatch.setattr(store, "record", record)
+    for pts, x, y in TRACE_CASES[index:index + 8]:
+        rep = build_rep(pts)
+        for algorithm, budget in ((hkc_inf, ()), (hkc_finite, ()), (naive, (100,)), (hk, (100,))):
+            calls.clear()
+            untraced = algorithm(rep, x, y, *budget)
+            untraced_calls = calls[:]
+            calls.clear()
+            trace = []
+            assert algorithm(rep, x, y, *budget, trace=trace) == untraced
+            assert calls == untraced_calls
+            assert len(trace) == len(calls)
 
 
 # the same documents, each with one move of a state reachable from b0p
@@ -1010,7 +1040,8 @@ def ref_block(rep, support):
     the solved neighbours and the live seeds.  Returns ``(rows, m, facts)``,
     or None when nothing is left to solve; ``facts`` tells the coverage
     test which shapes the query had."""
-    combined, common, star, star_den, solved = rep._mass_cache
+    combined, common, solved = rep._mass_cache
+    star, star_den = rep.stop_row
     stack = [k for k in support if solved[k] is None]
     reached = set(stack)
     while stack:

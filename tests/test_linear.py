@@ -96,26 +96,15 @@ def test_output_examples(worked_rep):
 
 
 def test_factorization_identity_on_random_systems():
-    rng = random.Random(23)
-    for _ in range(100):
-        rep = build_rep(random_pts(rng))
-        n, star = rep.dim, l_star(rep)
-        for k in range(n):
-            outflow = sum(m[j][k] for m in rep.mats.values() for j in range(n))
-            assert star[k] + outflow == 1
-
-
-def test_column_sums_reconstruct_all_ones():
-    rng = random.Random(29)
-    for _ in range(50):
-        rep = build_rep(random_pts(rng))
-        n, star = rep.dim, l_star(rep)
-        for k in range(n):
-            total = star[k]
-            for m in rep.mats.values():
-                for j in range(n):
-                    total += m[j][k]
-            assert total == F(1)
+    # each state's stop mass plus its column sums is 1, on two seeded samples
+    for seed, count in ((23, 100), (29, 50)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            rep = build_rep(random_pts(rng))
+            n, star = rep.dim, l_star(rep)
+            for k in range(n):
+                outflow = sum(m[j][k] for m in rep.mats.values() for j in range(n))
+                assert star[k] + outflow == 1
 
 
 def test_step_of_dirac_is_matrix_column():
