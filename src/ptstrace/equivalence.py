@@ -24,10 +24,11 @@ c != 0 and a z in the span, on which every checked output vanishes.  So
 every test answers as for the true difference, and with c carried exactly
 a counterexample costs one walk: ``lhs`` is read from x's unit vector along
 the witness and ``rhs = lhs - o(d) / c`` for the separating output o (naive
-and hk read both from their pair).  Each recorded pair strictly increases
-the rank of the difference basis, which is bounded by the dimension, so the
-hkc variants terminate on every finite system; naive and hk can run forever
-on the weighted state space and therefore require a step budget.
+and hk read both from their pair).  Every run has a step budget.  Each
+recorded pair strictly increases the rank of the difference basis, at most
+the dimension, so an hkc run's budget is that proven bound, 1 + |alphabet| *
+dim extractions, and a run that spends it raises ``InvariantError``; naive
+and hk can run forever on the weighted state space and take the caller's.
 
 Checking both output rows (total mass and termination) decides equality of
 the full measures on finite and infinite words; dropping the total-mass
@@ -318,13 +319,12 @@ def _extractions(rep: LinearRep, start, links: list[tuple[int, str, bool]]) -> l
             for node, ((u, v), link) in enumerate(zip(configs, links))]
 
 
-def _decide(rep, x, y, store, check_total_mass, *, max_steps=None, trace=None) -> EquivResult:
-    if max_steps is not None and max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    # configurations are lowest-terms IntConfigs, so equal vectors have
-    # equal keys in the naive and hk stores; the store makes its worklist
-    # items out of them
-    start = ({rep.state_index(x): 1}, 1), ({rep.state_index(y): 1}, 1)
+def _start(rep: LinearRep, x: str, y: str) -> tuple[IntConfig, IntConfig]:
+    # unit IntConfigs in lowest terms, as the naive and hk stores key them
+    return ({rep.state_index(x): 1}, 1), ({rep.state_index(y): 1}, 1)
+
+
+def _decide(rep, start, store, check_total_mass, max_steps, trace=None) -> EquivResult:
     # an entry is (parent node, letter, item), the k-th extraction is node k
     # and appends links[k] = (parent, letter, skipped), so len(links) counts
     # the extractions: words are spelled from the links only for a witness,
@@ -335,10 +335,10 @@ def _decide(rep, x, y, store, check_total_mass, *, max_steps=None, trace=None) -
     relation_size = 0
     try:
         while todo:
-            if max_steps is not None and len(links) >= max_steps:
+            node = len(links)
+            if node == max_steps:
                 return Inconclusive(steps_exhausted=max_steps, relation_size=relation_size)
             parent, letter, item = todo.popleft()
-            node = len(links)
             # membership before the outputs: a skipped item costs the store's test only
             stepped = store.record(*item)
             links.append((parent, letter, stepped is None))
@@ -359,18 +359,21 @@ def _decide(rep, x, y, store, check_total_mass, *, max_steps=None, trace=None) -
             trace.extend(_extractions(rep, start, links))
 
 
+def _budgeted(rep, x, y, store, max_steps, trace) -> EquivResult:
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    return _decide(rep, _start(rep, x, y), store, True, max_steps, trace)
+
+
 def _checked_bound(rep: LinearRep, result: EquivResult) -> EquivResult:
-    # rank growth bounds every hkc run: at most dim insertions, hence at
-    # most 1 + |alphabet| * dim extractions
-    if (result.iterations > 1 + len(rep.alphabet) * rep.dim
-            or result.relation_size > rep.dim):
+    # a correct hkc run records at most dim pairs and never spends its budget
+    if isinstance(result, Inconclusive) or result.relation_size > rep.dim:
         raise InvariantError(f"hkc run exceeded its bound: {result}")
     return result
 
 
-def _check_certificate(rep: LinearRep, x: str, y: str, basis: CongruenceBasis,
+def _check_certificate(rep: LinearRep, start, basis: CongruenceBasis,
                        result: EquivResult, check_total_mass: bool) -> None:
-    start = [({rep.state_index(s): 1}, 1) for s in (x, y)]
     if isinstance(result, NotEquivalent):
         kind = Cone if result.output is OutputKind.TOTAL_MASS else FiniteWord
         values = [int_measure(rep, u, kind(result.witness)) for u in start]
@@ -386,10 +389,11 @@ def _check_certificate(rep: LinearRep, x: str, y: str, basis: CongruenceBasis,
 
 
 def _hkc(rep, x, y, check_total_mass, debug, trace) -> EquivResult:
-    basis = CongruenceBasis(rep.dim)
-    result = _checked_bound(rep, _decide(rep, x, y, basis, check_total_mass, trace=trace))
+    start, basis = _start(rep, x, y), CongruenceBasis(rep.dim)
+    budget = 1 + len(rep.alphabet) * rep.dim
+    result = _checked_bound(rep, _decide(rep, start, basis, check_total_mass, budget, trace))
     if debug:
-        _check_certificate(rep, x, y, basis, result, check_total_mass)
+        _check_certificate(rep, start, basis, result, check_total_mass)
     return result
 
 
@@ -397,9 +401,10 @@ def hkc_inf(rep: LinearRep, x: str, y: str, *, debug: bool = False,
             trace: list | None = None) -> EquivResult:
     """Decide equality of the full trace measures of two states.
 
-    Always terminates.  ``trace``, a list, gets every extraction after the
-    run; ``debug`` checks the verdict's proof once, after the run (see the
-    module docstring), and raises ``InvariantError`` if it fails.
+    Extracts at most ``1 + |alphabet| * dim`` items, the rank bound, or
+    raises ``InvariantError``, as ``debug`` does when the verdict's proof,
+    checked once after the run (see the module docstring), fails.
+    ``trace``, a list, gets every extraction after the run.
     """
     return _hkc(rep, x, y, True, debug, trace)
 
@@ -413,12 +418,10 @@ def hkc_finite(rep: LinearRep, x: str, y: str, *, debug: bool = False,
 def naive(rep: LinearRep, x: str, y: str, max_steps: int, *,
           trace: list | None = None) -> EquivResult:
     """The plain bisimulation search; may exhaust its budget on weighted systems."""
-    return _decide(rep, x, y, _PairStore(), check_total_mass=True,
-                   max_steps=max_steps, trace=trace)
+    return _budgeted(rep, x, y, _PairStore(), max_steps, trace)
 
 
 def hk(rep: LinearRep, x: str, y: str, max_steps: int, *,
        trace: list | None = None) -> EquivResult:
     """Bisimulation up to equivalence; still budget-bound on weighted systems."""
-    return _decide(rep, x, y, _EquivalenceStore(), check_total_mass=True,
-                   max_steps=max_steps, trace=trace)
+    return _budgeted(rep, x, y, _EquivalenceStore(), max_steps, trace)

@@ -78,10 +78,10 @@ _ONE = Fraction(1)
 
 
 class SingularRestrictedSystem(RuntimeError):
-    """The restricted termination system was singular.
+    """The finite-mass solve failed: the restricted termination system was
+    singular, or a solved mass broke the exact range or fixed-point guard.
 
-    Cannot happen for a valid system; raised only on an internal
-    invariant breach.
+    Cannot happen for a valid system; raised only on an internal invariant breach.
     """
 
 
@@ -452,11 +452,7 @@ def solve_finite_mass(rep: LinearRep, support: Iterable[int]) -> list:
         rhs = common * star.get(k, 0) * const
         for j, q in combined[k].items():
             if j in live:
-                x = row.get(local[j], 0) - q * star_den * const
-                if x:
-                    row[local[j]] = x
-                else:
-                    del row[local[j]]
+                row[local[j]] = row.get(local[j], 0) - q * star_den * const
             elif j in fixed:
                 rhs += q * star_den * fixed[j]
         if rhs:

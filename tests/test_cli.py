@@ -169,6 +169,36 @@ def test_a_malformed_move_entry_exit_2(doc_path, capsys, entry):
             2, "", "error: move entries for state 'x' need letter/to/p fields\n")
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"states": ["x", 1]}, '"states" entries must be non-empty strings, got 1'),
+    ({"states": ["x", ""]}, "\"states\" entries must be non-empty strings, got ''"),
+    ({"alphabet": [None]}, '"alphabet" entries must be non-empty strings, got None'),
+    ({"alphabet": ["a", ""]}, "\"alphabet\" entries must be non-empty strings, got ''"),
+    ({"transitions": {"x": "1"}}, "transitions for state 'x' must be an object"),
+    ({"transitions": {"x": {"stop": "1", "moves": {}}}}, '"moves" for state \'x\' must be a list'),
+], ids=["state-number", "state-empty", "letter-null", "letter-empty", "entry-string",
+        "moves-object"])
+def test_a_malformed_declaration_exit_2(doc_path, capsys, change, message):
+    path = doc_path({"alphabet": ["a"], "states": ["x"],
+                     "transitions": {"x": {"stop": "1"}}, **change})
+    for argv in (("validate", path), ("rep", path),
+                 ("eval", path, "--state", "x", "--query", "all"),
+                 ("equiv", path, "x", "x")):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_validate_prints_a_negative_stop_past_the_str_limit_of_its_digits(doc_path, capsys):
+    # 700 digits: over the 2,000 bits that format_rational passes to str()
+    stop = "-" + "9" * 700
+    path = doc_path({"alphabet": ["a"], "states": ["x"], "transitions": {"x": {"stop": stop}}})
+    messages = [f"stop probability {stop} outside [0, 1]", f"masses sum to {stop}, expected 1"]
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out, err) == (2, "".join(f"x: {m}\n" for m in messages), "")
+    code, out, _ = run(capsys, "validate", path, "--json")
+    assert code == 2
+    assert [v["message"] for v in json.loads(out)["violations"]] == messages
+
+
 @pytest.mark.parametrize("digits", ["\u0661/\u0663", "\uff11/\uff13", "\U0001d7d9/\U0001d7db"])
 def test_non_ascii_digits_exit_2(doc_path, capsys, digits):
     doc = {"alphabet": ["a"], "states": ["x"],

@@ -15,7 +15,7 @@ from ptstrace import (Cone, CongruenceBasis, Equivalent, FiniteWord,
                       brute_measure, build_rep, dirac, hk, hkc_finite,
                       hkc_inf, measure, naive, parse_pts, step,
                       word_oracle_equiv)
-from ptstrace.equivalence import _check_certificate, _checked_bound
+from ptstrace.equivalence import _check_certificate, _checked_bound, _start
 from ptstrace.linear import LinearRep, to_ints
 
 from systems import random_pts, sink_split_pts, split_copy_pts
@@ -291,8 +291,9 @@ def test_iteration_bound_breach_raises(worked_rep):
     bound = 1 + len(worked_rep.alphabet) * worked_rep.dim
     within = Equivalent(iterations=bound, relation_size=worked_rep.dim)
     assert _checked_bound(worked_rep, within) is within
+    # the budget is the bound: an hkc run that spends it has broken it
     with pytest.raises(InvariantError):
-        _checked_bound(worked_rep, Equivalent(iterations=bound + 1, relation_size=1))
+        _checked_bound(worked_rep, Inconclusive(steps_exhausted=bound, relation_size=1))
     with pytest.raises(InvariantError):
         _checked_bound(worked_rep, Equivalent(iterations=1,
                                               relation_size=worked_rep.dim + 1))
@@ -493,9 +494,9 @@ def test_certificate_check_raises_on_an_unhandled_successor(worked_rep):
     basis.record(*item)
     verdict = Equivalent(iterations=3, relation_size=2)
     with pytest.raises(InvariantError):
-        _check_certificate(worked_rep, "x", "z", basis, verdict, True)
+        _check_certificate(worked_rep, _start(worked_rep, "x", "z"), basis, verdict, True)
     basis.record(*successor)
-    _check_certificate(worked_rep, "x", "z", basis, verdict, True)
+    _check_certificate(worked_rep, _start(worked_rep, "x", "z"), basis, verdict, True)
 
 
 
@@ -506,9 +507,9 @@ def test_certificate_check_requires_the_checked_outputs_to_vanish(yz_rep):
     for state in ("y", "z"):
         basis.record({yz_rep.state_index(state): 1}, 1, 1)
     verdict = Equivalent(iterations=1, relation_size=2)
-    _check_certificate(yz_rep, "y", "z", basis, verdict, False)
+    _check_certificate(yz_rep, _start(yz_rep, "y", "z"), basis, verdict, False)
     with pytest.raises(InvariantError):
-        _check_certificate(yz_rep, "y", "z", basis, verdict, True)
+        _check_certificate(yz_rep, _start(yz_rep, "y", "z"), basis, verdict, True)
 
 
 def test_certificate_check_requires_the_witness_to_separate(worked_rep):
@@ -517,7 +518,8 @@ def test_certificate_check_requires_the_witness_to_separate(worked_rep):
     assert values[0] == values[1]
     verdict = NotEquivalent(("a",), OutputKind.TERMINATION, *values, 2, 1)
     with pytest.raises(InvariantError):
-        _check_certificate(worked_rep, "x", "z", CongruenceBasis(worked_rep.dim), verdict, True)
+        _check_certificate(worked_rep, _start(worked_rep, "x", "z"),
+                           CongruenceBasis(worked_rep.dim), verdict, True)
 
 def _skipping_record(k):
     """A wrong store: from the k-th novel item on, it takes every item for
@@ -554,6 +556,34 @@ def test_debug_catches_every_equivalent_of_a_store_that_skips_novel_items(monkey
     assert caught == wrong >= 100
 
 
+class _RanOn(Exception):
+    """A run went on past ten times its bound."""
+
+
+@pytest.mark.parametrize("algorithm", [hkc_inf, hkc_finite])
+def test_a_basis_that_never_grows_stops_at_the_rank_bound(worked_rep, monkeypatch, algorithm):
+    # a record that stores no row takes every item for a new one, so no
+    # rank growth ends the run: only its budget of 1 + |alphabet| * dim does
+    split = build_rep(split_copy_pts(random.Random(3), max_base=6, max_letters=3))
+    for rep, x, y in ((worked_rep, "x", "z"), (split, "a0", "b0p")):
+        assert isinstance(algorithm(rep, x, y), Equivalent)
+        bound = 1 + len(rep.alphabet) * rep.dim
+        calls = 0
+
+        def storing_nothing(self, d, num, den):
+            nonlocal calls
+            calls += 1
+            if calls == 10 * bound:
+                raise _RanOn
+            return d, num, den
+
+        with monkeypatch.context() as patched:
+            patched.setattr(CongruenceBasis, "record", storing_nothing)
+            with pytest.raises(InvariantError, match="exceeded its bound"):
+                algorithm(rep, x, y)
+        assert calls == bound
+
+
 def test_debug_catches_a_shifted_rhs(monkeypatch):
     pts = split_copy_pts(random.Random(0), max_base=14, max_letters=4, perturb=True)
     rep = build_rep(pts)
@@ -576,10 +606,11 @@ def test_guards_survive_optimized_mode():
     # python -O strips assert statements; the guards must still raise
     script = """
 import json
-from ptstrace import (AllFinite, CongruenceBasis, Equivalent, InvariantError,
-                      SingularRestrictedSystem, build_rep, dirac, measure, parse_pts)
+from ptstrace import (AllFinite, CongruenceBasis, Equivalent, Inconclusive,
+                      InvariantError, SingularRestrictedSystem, build_rep, dirac,
+                      measure, parse_pts)
 from ptstrace import linear
-from ptstrace.equivalence import _check_certificate, _checked_bound
+from ptstrace.equivalence import _check_certificate, _checked_bound, _start
 from ptstrace.linear import _solve_sparse, to_ints
 import sys
 sys.path.insert(0, "tests")
@@ -592,9 +623,10 @@ basis.record(*basis.item(x, z))
 # a finite-mass block solved as all zeros breaks the fixed point at x
 linear._solve_sparse = lambda rows, m: ((0,) * m, 1)
 # one row, not closed under M_a: no proof of an Equivalent
-for guard in (lambda: _check_certificate(rep, "x", "z", basis, Equivalent(3, 2), True),
-              lambda: _checked_bound(rep, Equivalent(iterations=rep.dim * 9,
-                                                     relation_size=1)),
+for guard in (lambda: _check_certificate(rep, _start(rep, "x", "z"), basis,
+                                         Equivalent(3, 2), True),
+              lambda: _checked_bound(rep, Inconclusive(steps_exhausted=1 + rep.dim,
+                                                       relation_size=1)),
               lambda: _solve_sparse([{0: 1, 1: 1, 2: 1}, {0: 2, 1: 2, 2: 3}], 2),
               lambda: measure(rep, dirac(rep, "x"), AllFinite())):
     try:

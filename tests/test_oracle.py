@@ -53,6 +53,12 @@ def test_word_oracle_refutes_two_letter_pair(yz_rep):
                                  dirac(yz_rep, "z"), 2)
 
 
+def test_word_oracle_rejects_a_negative_depth(worked_rep):
+    u = dirac(worked_rep, "x")
+    with pytest.raises(ValueError, match=r"^depth must be >= 0$"):
+        word_oracle_equiv(worked_rep, u, u, -1)
+
+
 def test_brute_agrees_with_measure_on_random_systems():
     rng = random.Random(83)
     for _ in range(40):
