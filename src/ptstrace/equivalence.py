@@ -16,7 +16,7 @@ the item whose successors the run enqueues, or None for an item already
 related.  For the hkc variants one reduction of the difference against the
 basis both tests membership and records the pair, as a row written once in
 echelon form, and the run steps the new row or the difference, whichever
-has the smaller entries.  Either choice gives the same run: the row is a
+has fewer bits in all.  Either choice gives the same run: the row is a
 nonzero multiple of the difference minus earlier rows, and breadth-first
 order extracts the successors of the earlier stepped vectors first, so an
 extracted vector d is ``c M_w (e_x - e_y) + z`` for its word w, a rational
@@ -42,6 +42,7 @@ and a ``NotEquivalent`` by walking both states along the witness again.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -131,8 +132,8 @@ class CongruenceBasis:
     ``(d, num, den)``: a sparse difference vector, not always primitive, that
     is ``num / den`` times its pair's u - v plus a vector of the span, stepped
     with ``scaled_step``.  ``record`` returns the item to step in d's place
-    (the new row when its entries are no larger), or None when d was
-    already in the span.  ``insert``/``contains`` take Fraction
+    (the new row when its entries take no more bits in all), or None when d
+    was already in the span.  ``insert``/``contains`` take Fraction
     configurations from outside a run and raise ``ValueError`` on a wrong
     length.
     """
@@ -184,8 +185,10 @@ class CongruenceBasis:
         One reduction both tests membership and records the pair; returns
         None, leaving the basis unchanged, when d was already inside.
         Otherwise it returns the item a run steps in d's place: a copy of
-        the new row or d, whichever has the smaller largest absolute entry
-        (ties go to the row), with its scale (``num / den`` for d).
+        the new row or d, whichever has the smaller total size, the sum of
+        its entries' bit lengths (ties go to the row), with its scale
+        (``num / den`` for d).  The row is zero below its pivot, so it is
+        often the smaller even when its largest entry is not.
         """
         residual, multiple, divisor = self._reduce(d)
         if not residual:
@@ -196,7 +199,7 @@ class CongruenceBasis:
         if residual[pivot] < 0:
             content = -content
         row = self._rows[pivot] = {j: x // content for j, x in residual.items()}
-        if max(map(abs, row.values())) <= max(map(abs, d.values())):
+        if sum(map(int.bit_length, row.values())) <= sum(map(int.bit_length, d.values())):
             # the row is multiple / (divisor * content) times d plus a span vector
             return dict(row), num * multiple, den * divisor * content
         return d, num, den
@@ -360,6 +363,8 @@ def _decide(rep, start, store, check_total_mass, max_steps, trace=None) -> Equiv
 
 
 def _budgeted(rep, x, y, store, max_steps, trace) -> EquivResult:
+    # an integer, or the run, which stops on node == max_steps, never ends
+    max_steps = operator.index(max_steps)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     return _decide(rep, _start(rep, x, y), store, True, max_steps, trace)

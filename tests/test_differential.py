@@ -458,14 +458,15 @@ def test_debug_runs_keep_the_loop_invariant(index):
 
 def test_runs_step_the_smaller_of_row_and_item(monkeypatch):
     # every recorded item is stepped as the vector record returned for it:
-    # the new row, or the item itself when its entries are smaller
+    # the new row, or the item itself when its entries take fewer bits in all
     added, stepped = [], []
     record, successor = CongruenceBasis.record, CongruenceBasis.successor
 
     def recording_record(self, d, *scale):
         result = record(self, d, *scale)
         if result is not None:
-            added.append((d, result))
+            # the row just stored, the last in insertion order
+            added.append((d, result, next(reversed(self._rows.values()))))
         return result
 
     def recording_step(rep, d, letter):
@@ -474,6 +475,10 @@ def test_runs_step_the_smaller_of_row_and_item(monkeypatch):
 
     monkeypatch.setattr(CongruenceBasis, "record", recording_record)
     monkeypatch.setattr(CongruenceBasis, "successor", staticmethod(recording_step))
+
+    def bits(v):
+        return sum(map(int.bit_length, v.values()))
+
     took_row = took_item = 0
     for pts in UNARY_CHAINS + WIDE_CASES:
         rep = build_rep(pts)
@@ -482,12 +487,63 @@ def test_runs_step_the_smaller_of_row_and_item(monkeypatch):
             stepped.clear()
             result = algorithm(rep, "a0", "b0p")
             assert len(added) == result.relation_size
-            assert stepped == [r for _, r in added for _ in rep.alphabet]
-            for d, (r, _, _) in added:
-                assert max(map(abs, r.values())) <= max(map(abs, d.values()))
+            assert stepped == [r for _, r, _ in added for _ in rep.alphabet]
+            for d, (r, _, _), row in added:
+                assert r is d or r == row
+                other = row if r is d else d
+                assert bits(r) <= bits(other)
                 took_item += r is d
-                took_row += r != d
+                took_row += r is not d
     assert took_row >= 20 and took_item >= 20
+
+
+# a sink split copy of n = 600 besides the runs above; the perturbed
+# documents check the scale of the swapped item, which lhs and rhs read
+CHOICE_CASES = (UNARY_CHAINS + WIDE_CASES + [sink_split_pts(random.Random(5), 198, 2)]
+                + PERTURBED_CASES)
+
+
+@pytest.mark.parametrize("index", range(len(CHOICE_CASES)))
+def test_either_choice_in_record_gives_the_same_run(index, monkeypatch):
+    # record may step the new row or the difference: a run that steps the
+    # other one, with its scale, on every second record returns the same
+    # results and traces and ends with the same rows
+    record = CongruenceBasis.record
+    bases, swapped = [], 0
+
+    def keeping_record(self, d, num, den):
+        bases.append(self)
+        return record(self, d, num, den)
+
+    def swapping_record(self, d, num, den):
+        nonlocal swapped
+        residual, multiple, divisor = self._reduce(d)
+        result = keeping_record(self, d, num, den)
+        if result is None or len(self._rows) % 2:
+            return result
+        swapped += 1
+        row = next(reversed(self._rows.values()))
+        if result[0] is d:
+            # the residual is content times the row, its sign included
+            pivot = min(row)
+            content = residual[pivot] // row[pivot]
+            return dict(row), num * multiple, den * divisor * content
+        return d, num, den
+
+    rep = build_rep(CHOICE_CASES[index])
+    runs = []
+    for patched in (keeping_record, swapping_record):
+        monkeypatch.setattr(CongruenceBasis, "record", patched)
+        for algorithm in (hkc_inf, hkc_finite):
+            trace = []
+            result = algorithm(rep, "a0", "b0p")
+            checked = algorithm(rep, "a0", "b0p", debug=True, trace=trace)
+            runs.append((result, checked, trace, list(bases[-1]._rows.items())))
+    assert swapped >= 4
+    assert runs[2:] == runs[:2]
+    expected = Equivalent if index < len(CHOICE_CASES) - len(PERTURBED_CASES) else NotEquivalent
+    for result, checked, _, _ in runs:
+        assert isinstance(result, expected) and checked == result
 
 
 def ref_scaled_step(rep, scaled, letter):

@@ -318,6 +318,33 @@ def test_budgeted_runs_refuse_a_budget_below_one(worked_rep, algorithm, max_step
     assert trace == []
 
 
+@pytest.mark.parametrize("algorithm", [naive, hk])
+@pytest.mark.parametrize("max_steps", [5.5, 5.0, float("inf"), "5", None])
+def test_budgeted_runs_refuse_a_budget_that_is_not_an_integer(worked_rep, algorithm, max_steps,
+                                                              monkeypatch):
+    # x and z never separate, so the run ends only when node == max_steps:
+    # with 5.5 or inf it would never end, so no run may start
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("ptstrace.equivalence._decide", no_run)
+    trace = []
+    with pytest.raises(TypeError):
+        algorithm(worked_rep, "x", "z", max_steps, trace=trace)
+    assert trace == []
+
+
+@pytest.mark.parametrize("algorithm", [naive, hk])
+def test_budgeted_runs_take_any_integer_budget(worked_rep, algorithm):
+    np = pytest.importorskip("numpy")
+    expected = Inconclusive(steps_exhausted=5, relation_size=5)
+    for max_steps in (5, np.int64(5), np.uint8(5)):
+        trace = []
+        result = algorithm(worked_rep, "x", "z", max_steps, trace=trace)
+        assert result == expected and type(result.steps_exhausted) is int
+        assert len(trace) == 5
+
+
 def test_one_reduction_per_extraction(monkeypatch):
     calls = 0
     reduce = CongruenceBasis._reduce
