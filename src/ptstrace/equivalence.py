@@ -30,9 +30,9 @@ the dimension, so an hkc run's budget is that proven bound, 1 + |alphabet| *
 dim extractions, and a run that spends it raises ``InvariantError``; naive
 and hk can run forever on the weighted state space and take the caller's.
 
-Checking both output rows (total mass and termination) decides equality of
-the full measures on finite and infinite words; dropping the total-mass
-comparison (hkc_finite) decides finite-trace equivalence only.  The
+A run checks a tuple of output rows in order: (total mass, termination)
+decides equality of the full measures on finite and infinite words, and
+hkc_finite's (termination,) decides finite-trace equivalence only.  The
 breadth-first worklist and the declared alphabet order make runs
 deterministic and counterexample words shortest possible.  With ``debug``
 an hkc verdict is checked once, after the run: an ``Equivalent`` by its
@@ -70,6 +70,10 @@ class OutputKind(Enum):
     TOTAL_MASS = "total_mass"
     TERMINATION = "termination"
 
+    def target(self, word: Word) -> Cone | FiniteWord:
+        """The word set whose measure is this row after ``word``."""
+        return Cone(word) if self is OutputKind.TOTAL_MASS else FiniteWord(word)
+
 
 @dataclass(frozen=True)
 class Equivalent:
@@ -94,6 +98,7 @@ class Inconclusive:
 
 
 EquivResult = Equivalent | NotEquivalent | Inconclusive
+_ALL_OUTPUTS = (OutputKind.TOTAL_MASS, OutputKind.TERMINATION)  # the full measure's rows
 
 
 @dataclass(frozen=True)
@@ -230,8 +235,8 @@ class CongruenceBasis:
     @staticmethod
     def values(rep: LinearRep, x: IntConfig, word: Word, item, kind) -> tuple[Fraction, Fraction]:
         # lhs - rhs is the item's output over its scale
-        lhs = int_measure(rep, x, kind(word))
-        return lhs, lhs - int_measure(rep, (item[0], 1), kind(())) * Fraction(item[2], item[1])
+        lhs = int_measure(rep, x, kind.target(word))
+        return lhs, lhs - int_measure(rep, (item[0], 1), kind.target(())) / Fraction(*item[1:])
 
 
 class _PairItems:
@@ -252,7 +257,7 @@ class _PairItems:
 
     @staticmethod
     def values(rep: LinearRep, x: IntConfig, word: Word, pair, kind) -> tuple[Fraction, Fraction]:
-        return int_measure(rep, pair[0], kind(())), int_measure(rep, pair[1], kind(()))
+        return tuple(int_measure(rep, u, kind.target(())) for u in pair)
 
 
 def _key(u: IntConfig) -> tuple[frozenset, int]:
@@ -295,12 +300,11 @@ class _EquivalenceStore(_PairItems):
         return u, v
 
 
-def _separating_output(rep: LinearRep, d, check_total_mass: bool) -> OutputKind | None:
+def _separating_output(rep: LinearRep, d, outputs) -> OutputKind | None:
     # each output is linear, so it separates u and v iff it is nonzero on u - v
-    if check_total_mass and sum(d.values()):
-        return OutputKind.TOTAL_MASS
-    if scaled_out_term(rep, d):
-        return OutputKind.TERMINATION
+    for output in outputs:
+        if sum(d.values()) if output is OutputKind.TOTAL_MASS else scaled_out_term(rep, d):
+            return output
     return None
 
 
@@ -327,7 +331,7 @@ def _start(rep: LinearRep, x: str, y: str) -> tuple[IntConfig, IntConfig]:
     return ({rep.state_index(x): 1}, 1), ({rep.state_index(y): 1}, 1)
 
 
-def _decide(rep, start, store, check_total_mass, max_steps, trace=None) -> EquivResult:
+def _decide(rep, start, store, outputs, max_steps, trace=None) -> EquivResult:
     # an entry is (parent node, letter, item), the k-th extraction is node k
     # and appends links[k] = (parent, letter, skipped), so len(links) counts
     # the extractions: words are spelled from the links only for a witness,
@@ -347,11 +351,9 @@ def _decide(rep, start, store, check_total_mass, max_steps, trace=None) -> Equiv
             links.append((parent, letter, stepped is None))
             if stepped is None:
                 continue
-            output = _separating_output(rep, store.difference(stepped), check_total_mass)
-            if output is not None:
-                kind = Cone if output is OutputKind.TOTAL_MASS else FiniteWord
+            if output := _separating_output(rep, store.difference(stepped), outputs):
                 word = _spell(links, node)
-                lhs, rhs = store.values(rep, start[0], word, stepped, kind)
+                lhs, rhs = store.values(rep, start[0], word, stepped, output)
                 return NotEquivalent(word, output, lhs, rhs, len(links), relation_size)
             for letter in rep.alphabet:
                 todo.append((node, letter, store.successor(rep, stepped, letter)))
@@ -364,10 +366,9 @@ def _decide(rep, start, store, check_total_mass, max_steps, trace=None) -> Equiv
 
 def _budgeted(rep, x, y, store, max_steps, trace) -> EquivResult:
     # an integer, or the run, which stops on node == max_steps, never ends
-    max_steps = operator.index(max_steps)
-    if max_steps < 1:
+    if (max_steps := operator.index(max_steps)) < 1:
         raise ValueError("max_steps must be >= 1")
-    return _decide(rep, _start(rep, x, y), store, True, max_steps, trace)
+    return _decide(rep, _start(rep, x, y), store, _ALL_OUTPUTS, max_steps, trace)
 
 
 def _checked_bound(rep: LinearRep, result: EquivResult) -> EquivResult:
@@ -378,27 +379,26 @@ def _checked_bound(rep: LinearRep, result: EquivResult) -> EquivResult:
 
 
 def _check_certificate(rep: LinearRep, start, basis: CongruenceBasis,
-                       result: EquivResult, check_total_mass: bool) -> None:
+                       result: EquivResult, outputs) -> None:
     if isinstance(result, NotEquivalent):
-        kind = Cone if result.output is OutputKind.TOTAL_MASS else FiniteWord
-        values = [int_measure(rep, u, kind(result.witness)) for u in start]
-        proved = values == [result.lhs, result.rhs] and result.lhs != result.rhs
+        lhs, rhs = (int_measure(rep, u, result.output.target(result.witness)) for u in start)
+        proved = (lhs, rhs) == (result.lhs, result.rhs) and lhs != rhs and result.output in outputs
     else:
         rows = basis._rows.values()
         proved = (not basis._reduce(int_difference(*start))[0]
-                  and all(_separating_output(rep, row, check_total_mass) is None for row in rows)
+                  and all(_separating_output(rep, row, outputs) is None for row in rows)
                   and all(not basis._reduce(scaled_step(rep, (row, 1, 1), letter)[0])[0]
                           for row in rows for letter in rep.alphabet))
     if not proved:
         raise InvariantError(f"the hkc verdict fails its check: {result}")
 
 
-def _hkc(rep, x, y, check_total_mass, debug, trace) -> EquivResult:
+def _hkc(rep, x, y, outputs, debug, trace) -> EquivResult:
     start, basis = _start(rep, x, y), CongruenceBasis(rep.dim)
     budget = 1 + len(rep.alphabet) * rep.dim
-    result = _checked_bound(rep, _decide(rep, start, basis, check_total_mass, budget, trace))
+    result = _checked_bound(rep, _decide(rep, start, basis, outputs, budget, trace))
     if debug:
-        _check_certificate(rep, start, basis, result, check_total_mass)
+        _check_certificate(rep, start, basis, result, outputs)
     return result
 
 
@@ -411,13 +411,13 @@ def hkc_inf(rep: LinearRep, x: str, y: str, *, debug: bool = False,
     checked once after the run (see the module docstring), fails.
     ``trace``, a list, gets every extraction after the run.
     """
-    return _hkc(rep, x, y, True, debug, trace)
+    return _hkc(rep, x, y, _ALL_OUTPUTS, debug, trace)
 
 
 def hkc_finite(rep: LinearRep, x: str, y: str, *, debug: bool = False,
                trace: list | None = None) -> EquivResult:
-    """Decide equality on finite words only: the total-mass comparison is dropped."""
-    return _hkc(rep, x, y, False, debug, trace)
+    """Decide equality on finite words only: the checked rows are ``(TERMINATION,)``."""
+    return _hkc(rep, x, y, (OutputKind.TERMINATION,), debug, trace)
 
 
 def naive(rep: LinearRep, x: str, y: str, max_steps: int, *,

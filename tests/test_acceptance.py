@@ -128,8 +128,7 @@ def test_criterion_6_randomized_property_suite():
         assert result.iterations <= 1 + len(pts.alphabet) * n
         if isinstance(result, NotEquivalent):
             # independent of the kernel: path enumeration on the witness set
-            witness = (Cone if result.output == OutputKind.TOTAL_MASS
-                       else FiniteWord)(result.witness)
+            witness = result.output.target(result.witness)
             lhs, rhs = (brute_measure(pts, s, witness) for s in (x, y))
             assert (lhs, rhs) == (result.lhs, result.rhs)
             assert lhs != rhs

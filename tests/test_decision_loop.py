@@ -3,8 +3,9 @@
 A stdlib AST check on ``equivalence.py``: inside the ``while`` loop of
 ``_decide`` no name ``trace``, ``Extraction`` or ``from_ints`` is read, so
 traced and untraced runs take one path; a trace is read off the run's
-links after the loop.  And exactly one function of the module constructs
-an ``Extraction``.
+links after the loop.  Exactly one function of the module constructs
+an ``Extraction``, and exactly one, ``OutputKind.target``, names the word
+sets ``Cone`` and ``FiniteWord`` that read an output row.
 """
 
 import ast
@@ -31,14 +32,26 @@ def loop_reads(source: str, function: str = "_decide") -> list[tuple[int, str]]:
     return sorted(read for read in reads if read[1] in TRACE_NAMES)
 
 
+def functions(source: str) -> list[ast.FunctionDef]:
+    """The functions at module level or in a class body."""
+    tree = ast.parse(source)
+    found = [node for node in tree.body if isinstance(node, FUNCTIONS)]
+    return found + [node for c in tree.body if isinstance(c, ast.ClassDef)
+                    for node in c.body if isinstance(node, FUNCTIONS)]
+
+
 def constructors(source: str, name: str = "Extraction") -> list[str]:
     """The functions, at module level or in a class body, that call ``name``."""
-    tree = ast.parse(source)
-    functions = [node for node in tree.body if isinstance(node, FUNCTIONS)]
-    functions += [node for c in tree.body if isinstance(c, ast.ClassDef)
-                  for node in c.body if isinstance(node, FUNCTIONS)]
-    return sorted(f.name for f in functions
+    return sorted(f.name for f in functions(source)
                   if any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+                         for node in ast.walk(f)))
+
+
+def readers(source: str, names: set[str]) -> list[str]:
+    """The functions, at module level or in a class body, that read any of
+    ``names``: a call, or the bare name bound or passed on to be called later."""
+    return sorted(f.name for f in functions(source)
+                  if any(isinstance(node, ast.Name) and node.id in names
                          for node in ast.walk(f)))
 
 
@@ -74,3 +87,27 @@ def test_a_trace_branch_in_the_loop_is_reported():
     assert loop_reads(source) == [(7, "trace"), (8, "Extraction"), (8, "from_ints"),
                                   (8, "trace")]
     assert constructors(source) == ["_decide", "_extractions", "dump"]
+
+
+ROW_SETS = {"Cone", "FiniteWord"}
+
+
+def test_one_function_maps_an_output_row_to_its_word_set():
+    assert readers(SOURCE, ROW_SETS) == ["target"]
+
+
+def test_a_second_mapping_of_a_row_is_reported():
+    source = (
+        "class OutputKind(Enum):\n"
+        "    def target(self, word):\n"
+        "        return Cone(word) if self is TOTAL_MASS else FiniteWord(word)\n"
+        "def _decide(rep, output, word):\n"
+        "    kind = Cone if output is TOTAL_MASS else FiniteWord\n"
+        "    return kind(word)\n"
+        "def _check(rep, word):\n"
+        "    return [measure(rep, FiniteWord(word))]\n"
+        "def _other(rep, word):\n"
+        "    return InfCone(word)\n")
+    # a bare name counts as a mapping, a call of another word set does not
+    assert readers(source, ROW_SETS) == ["_check", "_decide", "target"]
+    assert constructors(source, "Cone") == ["target"]

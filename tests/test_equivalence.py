@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ptstrace import (Cone, CongruenceBasis, Equivalent, FiniteWord,
+from ptstrace import (CongruenceBasis, Equivalent, FiniteWord,
                       Inconclusive, InvariantError, NotEquivalent, OutputKind,
                       brute_measure, build_rep, dirac, hk, hkc_finite,
                       hkc_inf, measure, naive, parse_pts, step,
@@ -18,9 +18,12 @@ from ptstrace import (Cone, CongruenceBasis, Equivalent, FiniteWord,
 from ptstrace.equivalence import _check_certificate, _checked_bound, _start
 from ptstrace.linear import LinearRep, to_ints
 
-from systems import random_pts, sink_split_pts, split_copy_pts
+from systems import document, load, random_pts, sink_split_pts, split_copy_pts
 
 F = Fraction
+# the output rows hkc_inf and hkc_finite check, in check order
+FULL = (OutputKind.TOTAL_MASS, OutputKind.TERMINATION)
+FINITE = (OutputKind.TERMINATION,)
 
 
 def test_basis_contains_worked_query():
@@ -247,8 +250,7 @@ def test_counterexamples_revalidate():
             continue
         checked += 1
         # independent of the kernel: path enumeration on the witness set
-        witness = (Cone if result.output == OutputKind.TOTAL_MASS
-                   else FiniteWord)(result.witness)
+        witness = result.output.target(result.witness)
         lhs, rhs = (brute_measure(pts, s, witness) for s in (x, y))
         assert (lhs, rhs) == (result.lhs, result.rhs)
         assert lhs != rhs
@@ -472,8 +474,7 @@ def test_witness_values_are_measures_of_deep_witnesses(monkeypatch):
                 if not isinstance(result, NotEquivalent):
                     continue
                 depths[algorithm].append(len(result.witness))
-                target = (Cone(result.witness) if result.output == OutputKind.TOTAL_MASS
-                          else FiniteWord(result.witness))
+                target = result.output.target(result.witness)
                 assert result.lhs == measure(rep, dirac(rep, x), target)
                 assert result.rhs == measure(rep, dirac(rep, y), target)
                 assert result.lhs != result.rhs
@@ -499,8 +500,7 @@ def test_witness_values_are_measures_of_deep_witnesses(monkeypatch):
                         assert not marks
                         continue
                     marked += marks == [True]
-                    target = (Cone(result.witness) if result.output == OutputKind.TOTAL_MASS
-                              else FiniteWord(result.witness))
+                    target = result.output.target(result.witness)
                     assert result.lhs == measure(rep, dirac(rep, x), target)
                     assert result.rhs == measure(rep, dirac(rep, y), target)
                     assert result.lhs != result.rhs
@@ -521,9 +521,9 @@ def test_certificate_check_raises_on_an_unhandled_successor(worked_rep):
     basis.record(*item)
     verdict = Equivalent(iterations=3, relation_size=2)
     with pytest.raises(InvariantError):
-        _check_certificate(worked_rep, _start(worked_rep, "x", "z"), basis, verdict, True)
+        _check_certificate(worked_rep, _start(worked_rep, "x", "z"), basis, verdict, FULL)
     basis.record(*successor)
-    _check_certificate(worked_rep, _start(worked_rep, "x", "z"), basis, verdict, True)
+    _check_certificate(worked_rep, _start(worked_rep, "x", "z"), basis, verdict, FULL)
 
 
 
@@ -534,9 +534,9 @@ def test_certificate_check_requires_the_checked_outputs_to_vanish(yz_rep):
     for state in ("y", "z"):
         basis.record({yz_rep.state_index(state): 1}, 1, 1)
     verdict = Equivalent(iterations=1, relation_size=2)
-    _check_certificate(yz_rep, _start(yz_rep, "y", "z"), basis, verdict, False)
+    _check_certificate(yz_rep, _start(yz_rep, "y", "z"), basis, verdict, FINITE)
     with pytest.raises(InvariantError):
-        _check_certificate(yz_rep, _start(yz_rep, "y", "z"), basis, verdict, True)
+        _check_certificate(yz_rep, _start(yz_rep, "y", "z"), basis, verdict, FULL)
 
 
 def test_certificate_check_requires_the_witness_to_separate(worked_rep):
@@ -546,7 +546,39 @@ def test_certificate_check_requires_the_witness_to_separate(worked_rep):
     verdict = NotEquivalent(("a",), OutputKind.TERMINATION, *values, 2, 1)
     with pytest.raises(InvariantError):
         _check_certificate(worked_rep, _start(worked_rep, "x", "z"),
-                           CongruenceBasis(worked_rep.dim), verdict, True)
+                           CongruenceBasis(worked_rep.dim), verdict, FULL)
+
+
+# x and y differ on the word a in both rows, with the same values: each
+# stops with 1/2, then x moves on a with 1/2 and y with 1/3 (and on b with
+# 1/6), and every successor stops
+BOTH_ROWS_SEPARATE = document(
+    ("a", "b"), ("x", "x1", "y", "y1", "y2"),
+    {"x": F(1, 2), "x1": F(1), "y": F(1, 2), "y1": F(1), "y2": F(1)},
+    {("x", "a", "x1"): F(1, 2), ("y", "a", "y1"): F(1, 3), ("y", "b", "y2"): F(1, 6)})
+
+
+def test_the_first_checked_row_that_separates_is_reported():
+    rep = build_rep(load(BOTH_ROWS_SEPARATE))
+    runs = {hkc_inf: OutputKind.TOTAL_MASS, hkc_finite: OutputKind.TERMINATION,
+            lambda *pair: naive(*pair, 60): OutputKind.TOTAL_MASS,
+            lambda *pair: hk(*pair, 60): OutputKind.TOTAL_MASS}
+    for decide, output in runs.items():
+        result = decide(rep, "x", "y")
+        assert isinstance(result, NotEquivalent)
+        assert (result.witness, result.output) == (("a",), output)
+        assert (result.lhs, result.rhs) == (F(1, 2), F(1, 3))
+
+
+def test_certificate_check_requires_a_checked_row():
+    # a total-mass witness proves nothing about finite words alone
+    rep = build_rep(load(BOTH_ROWS_SEPARATE))
+    start, verdict = _start(rep, "x", "y"), hkc_inf(rep, "x", "y", debug=True)
+    assert verdict.output == OutputKind.TOTAL_MASS
+    _check_certificate(rep, start, CongruenceBasis(rep.dim), verdict, FULL)
+    with pytest.raises(InvariantError):
+        _check_certificate(rep, start, CongruenceBasis(rep.dim), verdict, FINITE)
+
 
 def _skipping_record(k):
     """A wrong store: from the k-th novel item on, it takes every item for
@@ -634,8 +666,8 @@ def test_guards_survive_optimized_mode():
     script = """
 import json
 from ptstrace import (AllFinite, CongruenceBasis, Equivalent, Inconclusive,
-                      InvariantError, SingularRestrictedSystem, build_rep, dirac,
-                      measure, parse_pts)
+                      InvariantError, OutputKind, SingularRestrictedSystem, build_rep,
+                      dirac, measure, parse_pts)
 from ptstrace import linear
 from ptstrace.equivalence import _check_certificate, _checked_bound, _start
 from ptstrace.linear import _solve_sparse, to_ints
@@ -650,8 +682,8 @@ basis.record(*basis.item(x, z))
 # a finite-mass block solved as all zeros breaks the fixed point at x
 linear._solve_sparse = lambda rows, m: ((0,) * m, 1)
 # one row, not closed under M_a: no proof of an Equivalent
-for guard in (lambda: _check_certificate(rep, _start(rep, "x", "z"), basis,
-                                         Equivalent(3, 2), True),
+for guard in (lambda: _check_certificate(rep, _start(rep, "x", "z"), basis, Equivalent(3, 2),
+                                         (OutputKind.TOTAL_MASS, OutputKind.TERMINATION)),
               lambda: _checked_bound(rep, Inconclusive(steps_exhausted=1 + rep.dim,
                                                        relation_size=1)),
               lambda: _solve_sparse([{0: 1, 1: 1, 2: 1}, {0: 2, 1: 2, 2: 3}], 2),
