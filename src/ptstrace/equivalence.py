@@ -50,8 +50,8 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .linear import (Config, IntConfig, LinearRep, Sparse, eliminate,
-                     from_ints, int_difference, int_walk, scaled_out_term,
+from .linear import (Config, IntConfig, LinearRep, Sparse, Step, eliminate,
+                     from_ints, int_difference, int_step, scaled_out_term,
                      scaled_step, to_ints)
 from .measure import Cone, FiniteWord, int_measure
 from .model import Word
@@ -136,11 +136,12 @@ class CongruenceBasis:
     It is the hkc variants' pair store.  A worklist item (``item``) is
     ``(d, num, den)``: a sparse difference vector, not always primitive, that
     is ``num / den`` times its pair's u - v plus a vector of the span, stepped
-    with ``scaled_step``.  ``record`` returns the item to step in d's place
-    (the new row when its entries take no more bits in all), or None when d
-    was already in the span.  ``insert``/``contains`` take Fraction
-    configurations from outside a run and raise ``ValueError`` on a wrong
-    length.
+    with ``scaled_step``.  ``record`` returns the item to step in d's place,
+    the stored row itself when its entries take no more bits in all, or None
+    when d was already in the span; a d that holds no pivot is its own
+    residual.  No item or row is written once made, so none is copied.
+    ``insert``/``contains`` take Fraction configurations from outside a run
+    and raise ``ValueError`` on a wrong length.
     """
 
     def __init__(self, dim: int):
@@ -165,12 +166,16 @@ class CongruenceBasis:
 
     def _reduce(self, d: Sparse) -> tuple[Sparse, int, int]:
         """``(w, num, den)``: w is ``num / den`` times d minus its component
-        in the span, as a new dict.  Clearing a pivot changes only larger
-        columns, so w's pivots are cleared smallest first, from a heap.  Each
-        step is ``eliminate``, which divides out w's content after a
-        scaling, or w would grow by a pivot entry's bits at every step."""
-        rows, w, num, den = self._rows, dict(d), 1, 1
-        heap = [j for j in w if j in rows]
+        in the span, a new dict, or d itself, not copied, when d holds no
+        pivot.  Clearing a pivot changes only larger columns, so w's pivots
+        are cleared smallest first, from a heap.  Each step is ``eliminate``,
+        which divides out w's content after a scaling, or w would grow by a
+        pivot entry's bits at every step."""
+        rows = self._rows
+        heap = [j for j in d if j in rows]
+        if not heap:
+            return d, 1, 1
+        w, num, den = dict(d), 1, 1
         heapify(heap)
         while heap:
             pivot = heappop(heap)
@@ -189,9 +194,9 @@ class CongruenceBasis:
 
         One reduction both tests membership and records the pair; returns
         None, leaving the basis unchanged, when d was already inside.
-        Otherwise it returns the item a run steps in d's place: a copy of
-        the new row or d, whichever has the smaller total size, the sum of
-        its entries' bit lengths (ties go to the row), with its scale
+        Otherwise it returns the item a run steps in d's place, uncopied:
+        the stored row or d, whichever has the smaller total size, the sum
+        of its entries' bit lengths (ties go to the row), with its scale
         (``num / den`` for d).  The row is zero below its pivot, so it is
         often the smaller even when its largest entry is not.
         """
@@ -206,7 +211,7 @@ class CongruenceBasis:
         row = self._rows[pivot] = {j: x // content for j, x in residual.items()}
         if sum(map(int.bit_length, row.values())) <= sum(map(int.bit_length, d.values())):
             # the row is multiple / (divisor * content) times d plus a span vector
-            return dict(row), num * multiple, den * divisor * content
+            return row, num * multiple, den * divisor * content
         return d, num, den
 
     def _pair_difference(self, u: Config, v: Config) -> Sparse:
@@ -247,9 +252,9 @@ class _PairItems:
         return u, v
 
     @staticmethod
-    def successor(rep: LinearRep, pair, letter: str) -> tuple[IntConfig, IntConfig]:
+    def successor(step: Step, pair) -> tuple[IntConfig, IntConfig]:
         u, v = pair
-        return int_walk(rep, u, (letter,)), int_walk(rep, v, (letter,))
+        return int_step(step, u), int_step(step, v)
 
     @staticmethod
     def difference(pair) -> Sparse:
@@ -319,9 +324,9 @@ def _spell(links: list[tuple[int, str, bool]], node: int) -> Word:
 
 def _extractions(rep: LinearRep, start, links: list[tuple[int, str, bool]]) -> list[Extraction]:
     # each node's configuration pair, stepped from its parent's by its letter
-    configs = [start]
+    steps, configs = {letter: rep.letter_columns(letter) for letter in rep.alphabet}, [start]
     for parent, letter, _ in links[1:]:
-        configs.append(_PairItems.successor(rep, configs[parent], letter))
+        configs.append(_PairItems.successor(steps[letter], configs[parent]))
     return [Extraction(_spell(links, node), from_ints(u, rep.dim), from_ints(v, rep.dim), link[2])
             for node, ((u, v), link) in enumerate(zip(configs, links))]
 
@@ -336,8 +341,11 @@ def _decide(rep, start, store, outputs, max_steps, trace=None) -> EquivResult:
     # and appends links[k] = (parent, letter, skipped), so len(links) counts
     # the extractions: words are spelled from the links only for a witness,
     # and a trace is read off them once the run has ended
+    steps = [(letter, rep.letter_columns(letter)) for letter in rep.alphabet]
     todo = deque([(0, None, store.item(*start))])
     links: list[tuple[int, str, bool]] = []
+    record, successor, difference = store.record, store.successor, store.difference
+    push, pop, link = todo.append, todo.popleft, links.append
     # the items recorded with agreeing outputs: the relation built so far
     relation_size = 0
     try:
@@ -345,18 +353,18 @@ def _decide(rep, start, store, outputs, max_steps, trace=None) -> EquivResult:
             node = len(links)
             if node == max_steps:
                 return Inconclusive(steps_exhausted=max_steps, relation_size=relation_size)
-            parent, letter, item = todo.popleft()
+            parent, letter, item = pop()
             # membership before the outputs: a skipped item costs the store's test only
-            stepped = store.record(*item)
-            links.append((parent, letter, stepped is None))
+            stepped = record(*item)
+            link((parent, letter, stepped is None))
             if stepped is None:
                 continue
-            if output := _separating_output(rep, store.difference(stepped), outputs):
+            if output := _separating_output(rep, difference(stepped), outputs):
                 word = _spell(links, node)
                 lhs, rhs = store.values(rep, start[0], word, stepped, output)
                 return NotEquivalent(word, output, lhs, rhs, len(links), relation_size)
-            for letter in rep.alphabet:
-                todo.append((node, letter, store.successor(rep, stepped, letter)))
+            for letter, step in steps:
+                push((node, letter, successor(step, stepped)))
             relation_size += 1
         return Equivalent(iterations=len(links), relation_size=relation_size)
     finally:  # on every exit, so a trace holds a witness's extraction too
@@ -384,11 +392,11 @@ def _check_certificate(rep: LinearRep, start, basis: CongruenceBasis,
         lhs, rhs = (int_measure(rep, u, result.output.target(result.witness)) for u in start)
         proved = (lhs, rhs) == (result.lhs, result.rhs) and lhs != rhs and result.output in outputs
     else:
-        rows = basis._rows.values()
+        rows, steps = basis._rows.values(), [rep.letter_columns(a) for a in rep.alphabet]
         proved = (not basis._reduce(int_difference(*start))[0]
                   and all(_separating_output(rep, row, outputs) is None for row in rows)
-                  and all(not basis._reduce(scaled_step(rep, (row, 1, 1), letter)[0])[0]
-                          for row in rows for letter in rep.alphabet))
+                  and all(not basis._reduce(scaled_step(step, (row, 1, 1))[0])[0]
+                          for row in rows for step in steps))
     if not proved:
         raise InvariantError(f"the hkc verdict fails its check: {result}")
 

@@ -25,7 +25,8 @@ at the end and between letters only once the denominator has doubled its
 bits.  Where only the direction of a vector counts, as for the
 differences the equivalence checker carries, it is a bare sparse vector,
 and ``scaled_step`` steps it with no denominator or gcd, reporting the
-factor it scaled the true step by.
+factor it scaled the true step by.  It and ``int_step``, the one-letter
+walk, take a ``Step``: a letter's columns, as a run resolves them once.
 
 The mass on finite words, the least nonnegative fixed point of
 ``s = l_star + (sum_a M_a)^T s``, is cached on the representation, each
@@ -72,6 +73,8 @@ Sparse = dict[int, int]
 IntConfig = tuple[Sparse, int]
 # per source state: the (target index, integer numerator) pairs of nonzero moves
 Columns = tuple[tuple[tuple[int, int], ...], ...]
+# a letter's columns and their common denominator, resolved once per run
+Step = tuple[Columns, int]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -118,7 +121,7 @@ class LinearRep:
         except ValueError:
             raise UnknownIdentifier(f"undeclared state {state!r}") from None
 
-    def letter_columns(self, letter: str) -> tuple[Columns, int]:
+    def letter_columns(self, letter: str) -> Step:
         """The sparse columns of a letter and their common denominator."""
         try:
             return self.columns[letter], self.denominators[letter]
@@ -242,13 +245,17 @@ def _lowest(nums: Sparse, den: int) -> IntConfig:
     return ({j: x // g for j, x in nums.items()}, den // g) if g > 1 else (nums, den)
 
 
-def scaled_step(rep: LinearRep, scaled: tuple[Sparse, int, int],
-                letter: str) -> tuple[Sparse, int, int]:
-    """A step of a direction and its scale: ``(d, num, den)`` steps to
-    ``(a M_letter . d, num * a, den)``, ``a`` the letter's denominator, with
-    no content divided out (``record`` makes the rows it keeps primitive)."""
+def int_step(step: Step, u: IntConfig) -> IntConfig:
+    """``M . u`` in lowest terms for a resolved ``Step``: the one-letter ``int_walk``."""
+    return _lowest(_product(step[0], u[0]), u[1] * step[1])
+
+
+def scaled_step(step: Step, scaled: tuple[Sparse, int, int]) -> tuple[Sparse, int, int]:
+    """A step of a direction and its scale by a letter's resolved ``(columns,
+    a)``: ``(d, num, den)`` steps to ``(a M . d, num * a, den)``, with no
+    content divided out (``record`` makes the rows it keeps primitive)."""
+    columns, denominator = step
     d, num, den = scaled
-    columns, denominator = rep.letter_columns(letter)
     return _product(columns, d), num * denominator, den
 
 

@@ -1,9 +1,11 @@
-"""The decision loop knows nothing of traces.
+"""The decision loop knows nothing of traces and resolves no letter.
 
 A stdlib AST check on ``equivalence.py``: inside the ``while`` loop of
 ``_decide`` no name ``trace``, ``Extraction`` or ``from_ints`` is read, so
 traced and untraced runs take one path; a trace is read off the run's
-links after the loop.  Exactly one function of the module constructs
+links after the loop.  Nor is ``letter_columns`` called or the alphabet
+read there: each letter's step is resolved once, before the loop, not
+once per extraction.  Exactly one function of the module constructs
 an ``Extraction``, and exactly one, ``OutputKind.target``, names the word
 sets ``Cone`` and ``FiniteWord`` that read an output row.
 """
@@ -13,12 +15,14 @@ from pathlib import Path
 
 MODULE = Path(__file__).resolve().parents[1] / "src" / "ptstrace" / "equivalence.py"
 TRACE_NAMES = {"trace", "Extraction", "from_ints"}
+STEP_NAMES = {"letter_columns", "alphabet"}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def loop_reads(source: str, function: str = "_decide") -> list[tuple[int, str]]:
-    """``(line, name)`` of each read of a trace name inside a ``while`` loop
-    of ``function``, as a bare name or an attribute."""
+def loop_reads(source: str, function: str = "_decide",
+               names: set[str] = TRACE_NAMES) -> list[tuple[int, str]]:
+    """``(line, name)`` of each read of one of ``names`` inside a ``while``
+    loop of ``function``, as a bare name or an attribute."""
     tree = ast.parse(source)
     body = next(node for node in tree.body if getattr(node, "name", "") == function)
     reads = set()
@@ -29,7 +33,7 @@ def loop_reads(source: str, function: str = "_decide") -> list[tuple[int, str]]:
                     reads.add((node.lineno, node.id))
                 elif isinstance(node, ast.Attribute):
                     reads.add((node.lineno, node.attr))
-    return sorted(read for read in reads if read[1] in TRACE_NAMES)
+    return sorted(read for read in reads if read[1] in names)
 
 
 def functions(source: str) -> list[ast.FunctionDef]:
@@ -87,6 +91,26 @@ def test_a_trace_branch_in_the_loop_is_reported():
     assert loop_reads(source) == [(7, "trace"), (8, "Extraction"), (8, "from_ints"),
                                   (8, "trace")]
     assert constructors(source) == ["_decide", "_extractions", "dump"]
+
+
+def test_the_decision_loop_resolves_no_letter():
+    assert loop_reads(SOURCE, names=STEP_NAMES) == []
+
+
+def test_a_letter_resolved_in_the_loop_is_reported():
+    source = (
+        "def _decide(rep, store):\n"
+        "    steps = [(a, rep.letter_columns(a)) for a in rep.alphabet]\n"
+        "    while store.todo:\n"
+        "        for letter in rep.alphabet:\n"
+        "            store.push(scaled_step(rep.letter_columns(letter), store.pop()))\n"
+        "        for letter, step in steps:\n"
+        "            store.push(scaled_step(step, store.pop()))\n"
+        "        alphabet = letters = steps\n"
+        "    return rep.alphabet\n")
+    # the steps resolved before the loop, a store to a name and the return
+    # are not reads in it
+    assert loop_reads(source, names=STEP_NAMES) == [(4, "alphabet"), (5, "letter_columns")]
 
 
 ROW_SETS = {"Cone", "FiniteWord"}

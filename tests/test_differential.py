@@ -34,6 +34,7 @@ from copy import deepcopy
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -45,8 +46,8 @@ from ptstrace import (All, AllFinite, AllInfinite, Cone, CongruenceBasis,
                       brute_measure, build_rep, dirac, finite_mass_vector, hk,
                       hkc_finite, hkc_inf, measure, naive, step)
 from ptstrace import equivalence, linear
-from ptstrace.linear import (eliminate, from_ints, int_walk, primitive, scaled_step,
-                             to_ints)
+from ptstrace.linear import (eliminate, from_ints, int_step, int_walk, primitive,
+                             scaled_step, to_ints)
 
 from systems import (all_words, components_pts, l_star, named, pts_of, random_pts,
                      sink_split_pts, split_copy_pts)
@@ -113,15 +114,18 @@ def test_sparse_steps_match_dense_reference(case, den):
     d, letter, cancelled = case
     n = STEP_REP.dim
     expected = ref_step(STEP_MATS, from_ints((d, den), n), letter)
+    resolved = STEP_REP.letter_columns(letter)
     nums, out_den = int_walk(STEP_REP, (d, den), (letter,))
     assert from_ints((nums, out_den), n) == expected
     assert to_ints(expected, n) == (nums, out_den)
-    direction, a, one = scaled_step(STEP_REP, (d, 1, 1), letter)
+    # the one-letter walk on a step resolved once
+    assert int_step(resolved, (d, den)) == (nums, out_den)
+    direction, a, one = scaled_step(resolved, (d, 1, 1))
     # direction = a M_a d, where d = den * u, not divided by its content
     assert a == STEP_REP.denominators[letter] and one == 1
     assert from_ints((direction, a), n) == tuple(x * den for x in expected)
     assert primitive(direction) == primitive(to_ints(expected, n)[0])
-    assert scaled_step(STEP_REP, (d, 3, -5), letter) == (direction, 3 * a, -5)
+    assert scaled_step(resolved, (d, 3, -5)) == (direction, 3 * a, -5)
     # entries that cancel to zero are dropped, never stored
     assert 0 not in nums.values() and 0 not in direction.values()
     if cancelled is not None:
@@ -436,6 +440,57 @@ def test_a_trace_does_not_change_the_run(index, monkeypatch):
             assert len(trace) == len(calls)
 
 
+# the differential systems and one sink split copy of n = 600
+READ_ONLY_CASES = SYSTEMS + [(sink_split_pts(random.Random(5), 198, 2), "a0", "b0p")]
+
+
+@pytest.mark.parametrize("index", range(0, len(READ_ONLY_CASES), 8))
+def test_hkc_runs_write_no_item_stepped_vector_or_stored_row(index, monkeypatch):
+    # record steps the stored row and _reduce returns a pivot-free item
+    # uncopied, which is safe only while nothing writes to them: with every
+    # queue item, stepped vector and stored row a read-only view, where a
+    # write raises, runs return the same results, traces and rows
+    item, successor, record = (CongruenceBasis.item, CongruenceBasis.successor,
+                               CongruenceBasis.record)
+    bases = []
+
+    def read_only(scaled):
+        return (MappingProxyType(scaled[0]),) + scaled[1:]
+
+    def keeping_record(self, d, num, den):
+        bases.append(self)
+        return record(self, d, num, den)
+
+    def read_only_record(self, d, num, den):
+        result = keeping_record(self, d, num, den)
+        if result is None:
+            return None
+        pivot = next(reversed(self._rows))
+        self._rows[pivot] = MappingProxyType(self._rows[pivot])
+        return read_only(result)
+
+    runs = {}
+    for read_only_run in (False, True):
+        with monkeypatch.context() as patched:
+            if read_only_run:
+                patched.setattr(CongruenceBasis, "item",
+                                staticmethod(lambda u, v: read_only(item(u, v))))
+                patched.setattr(CongruenceBasis, "successor",
+                                staticmethod(lambda step, d: read_only(successor(step, d))))
+            patched.setattr(CongruenceBasis, "record",
+                            read_only_record if read_only_run else keeping_record)
+            runs[read_only_run] = []
+            for pts, x, y in READ_ONLY_CASES[index:index + 8]:
+                rep = build_rep(pts)
+                for algorithm in (hkc_inf, hkc_finite):
+                    trace = []
+                    result = algorithm(rep, x, y, debug=True, trace=trace)
+                    runs[read_only_run].append((result, trace, list(bases[-1]._rows.items())))
+    assert runs[True] == runs[False]
+    rows = [row for _, _, final in runs[True] for _, row in final]
+    assert rows and all(type(row) is MappingProxyType for row in rows)
+
+
 # the same documents, each with one move of a state reachable from b0p
 # shifted to stopping: every one of them separates a0 and b0p
 PERTURBED_CASES = ([split_copy_pts(random.Random(seed), max_base=20, max_letters=1,
@@ -469,9 +524,9 @@ def test_runs_step_the_smaller_of_row_and_item(monkeypatch):
             added.append((d, result, next(reversed(self._rows.values()))))
         return result
 
-    def recording_step(rep, d, letter):
+    def recording_step(step, d):
         stepped.append(d)
-        return successor(rep, d, letter)
+        return successor(step, d)
 
     monkeypatch.setattr(CongruenceBasis, "record", recording_record)
     monkeypatch.setattr(CongruenceBasis, "successor", staticmethod(recording_step))
@@ -546,12 +601,12 @@ def test_either_choice_in_record_gives_the_same_run(index, monkeypatch):
         assert isinstance(result, expected) and checked == result
 
 
-def ref_scaled_step(rep, scaled, letter):
+def ref_scaled_step(step, scaled):
     """The successor the hkc runs used to step: ``(d, num, den)`` steps to
-    ``(p, num * a, den * g)``, ``p = (a / g) M_letter . d`` divided by its
-    content ``g``, for ``a`` the letter's denominator."""
+    ``(p, num * a, den * g)``, ``p = (a / g) M . d`` divided by its
+    content ``g``, for ``step`` a letter's ``(columns, a)``."""
     d, num, den = scaled
-    columns, denominator = rep.letter_columns(letter)
+    columns, denominator = step
     acc = linear._product(columns, d)
     g = gcd(*acc.values())
     if g > 1:
@@ -584,8 +639,8 @@ def test_hkc_runs_match_the_primitive_successor_runs(index, monkeypatch):
     # its answer: the same extractions, skips, witness, output and values
     contents = []
 
-    def recording_step(rep, item, letter):
-        stepped = scaled_step(rep, item, letter)
+    def recording_step(step, item):
+        stepped = scaled_step(step, item)
         contents.append(gcd(*stepped[0].values()))
         return stepped
 

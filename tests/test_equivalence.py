@@ -15,8 +15,9 @@ from ptstrace import (CongruenceBasis, Equivalent, FiniteWord,
                       brute_measure, build_rep, dirac, hk, hkc_finite,
                       hkc_inf, measure, naive, parse_pts, step,
                       word_oracle_equiv)
+from ptstrace import linear
 from ptstrace.equivalence import _check_certificate, _checked_bound, _start
-from ptstrace.linear import LinearRep, to_ints
+from ptstrace.linear import to_ints
 
 from systems import document, load, random_pts, sink_split_pts, split_copy_pts
 
@@ -368,16 +369,16 @@ def test_one_reduction_per_extraction(monkeypatch):
 
 
 def _count_steps(monkeypatch):
-    # every kernel step, of a configuration or of a difference vector,
-    # looks its letter's columns up exactly once
+    # every kernel step, of a configuration or of a difference vector, is
+    # exactly one sparse product
     calls = [0]
-    lookup = LinearRep.letter_columns
+    product = linear._product
 
-    def counting(self, letter):
+    def counting(columns, nums):
         calls[0] += 1
-        return lookup(self, letter)
+        return product(columns, nums)
 
-    monkeypatch.setattr(LinearRep, "letter_columns", counting)
+    monkeypatch.setattr(linear, "_product", counting)
     return calls
 
 
@@ -438,8 +439,8 @@ def _mark_row_paths(monkeypatch):
             return (_RowVector(result[0]),) + result[1:]
         return result
 
-    def marking_successor(rep, item, letter):
-        result = successor(rep, item, letter)
+    def marking_successor(step, item):
+        result = successor(step, item)
         if isinstance(item[0], _RowVector):
             return (_RowVector(result[0]),) + result[1:]
         return result
@@ -516,7 +517,7 @@ def test_certificate_check_raises_on_an_unhandled_successor(worked_rep):
     # under M_a, so they do not prove an Equivalent
     basis = CongruenceBasis(worked_rep.dim)
     item = basis.item(*(to_ints(dirac(worked_rep, s), worked_rep.dim) for s in ("x", "z")))
-    successor = basis.successor(worked_rep, item, "a")
+    successor = basis.successor(worked_rep.letter_columns("a"), item)
     assert any(successor[0])
     basis.record(*item)
     verdict = Equivalent(iterations=3, relation_size=2)
