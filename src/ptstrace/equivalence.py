@@ -11,24 +11,25 @@ membership, both output tests and the successors of a pair
 carry one sparse difference vector per pair instead of two configurations,
 stepped with no gcd.  A run keeps one link per extraction, (parent,
 letter, skipped), and a trace is read off the links after the run.  Each
-store has one operation, ``record``, which records an item and returns
-the item whose successors the run enqueues, or None for an item already
-related.  For the hkc variants one reduction of the difference against the
-basis both tests membership and records the pair, as a row written once in
-echelon form, and the run steps the new row or the difference, whichever
-has fewer bits in all.  Either choice gives the same run: the row is a
-nonzero multiple of the difference minus earlier rows, and breadth-first
-order extracts the successors of the earlier stepped vectors first, so an
-extracted vector d is ``c M_w (e_x - e_y) + z`` for its word w, a rational
-c != 0 and a z in the span, on which every checked output vanishes.  So
-every test answers as for the true difference, and with c carried exactly
-a counterexample costs one walk: ``lhs`` is read from x's unit vector along
-the witness and ``rhs = lhs - o(d) / c`` for the separating output o (naive
-and hk read both from their pair).  Every run has a step budget.  Each
-recorded pair strictly increases the rank of the difference basis, at most
-the dimension, so an hkc run's budget is that proven bound, 1 + |alphabet| *
-dim extractions, and a run that spends it raises ``InvariantError``; naive
-and hk can run forever on the weighted state space and take the caller's.
+store has one operation, ``record``, which records an item and returns the
+item the run queues once per letter, stepped only when that entry is
+extracted, or None for an item already related.  For the hkc variants one
+reduction of the difference against the basis both tests membership and
+records the pair, as a row written once in echelon form, and the run steps
+the new row or the difference, whichever has fewer bits in all.  Either
+choice gives the same run: the row is a nonzero multiple of the difference
+minus earlier rows, and breadth-first order extracts the successors of the
+earlier stepped vectors first, so an extracted vector d is ``c M_w (e_x -
+e_y) + z`` for its word w, a rational c != 0 and a z in the span, on which
+every checked output vanishes.  So every test answers as for the true
+difference, and with c carried exactly a counterexample costs one walk:
+``lhs`` is read from x's unit vector along the witness and ``rhs = lhs -
+o(d) / c`` for the separating output o (naive and hk read both from their
+pair).  Every run has a step budget.  Each recorded pair strictly increases
+the rank of the difference basis, at most the dimension, so an hkc run's
+budget is that proven bound, 1 + |alphabet| * dim extractions, and a run
+that spends it raises ``InvariantError``; naive and hk can run forever on
+the weighted state space and take the caller's.
 
 A run checks a tuple of output rows in order: (total mass, termination)
 decides equality of the full measures on finite and infinite words, and
@@ -139,9 +140,10 @@ class CongruenceBasis:
     with ``scaled_step``.  ``record`` returns the item to step in d's place,
     the stored row itself when its entries take no more bits in all, or None
     when d was already in the span; a d that holds no pivot is its own
-    residual.  No item or row is written once made, so none is copied.
-    ``insert``/``contains`` take Fraction configurations from outside a run
-    and raise ``ValueError`` on a wrong length.
+    residual, and its own row too when primitive with a positive first entry.
+    No item or row is written once made, so none is copied.  ``insert`` and
+    ``contains`` take Fraction configurations from outside a run and raise
+    ``ValueError`` on a wrong length.
     """
 
     def __init__(self, dim: int):
@@ -198,7 +200,10 @@ class CongruenceBasis:
         the stored row or d, whichever has the smaller total size, the sum
         of its entries' bit lengths (ties go to the row), with its scale
         (``num / den`` for d).  The row is zero below its pivot, so it is
-        often the smaller even when its largest entry is not.
+        often the smaller even when its largest entry is not.  A residual is
+        stored as it is when primitive with a positive pivot entry; a d that
+        holds no pivot is its residual, so its row is d over its signed
+        content, never the larger, and is returned with no sizes summed.
         """
         residual, multiple, divisor = self._reduce(d)
         if not residual:
@@ -208,9 +213,11 @@ class CongruenceBasis:
         content = gcd(*residual.values())
         if residual[pivot] < 0:
             content = -content
-        row = self._rows[pivot] = {j: x // content for j, x in residual.items()}
-        if sum(map(int.bit_length, row.values())) <= sum(map(int.bit_length, d.values())):
-            # the row is multiple / (divisor * content) times d plus a span vector
+        # the row is multiple / (divisor * content) times d plus a span vector
+        row = self._rows[pivot] = residual if content == 1 else {
+            j: x // content for j, x in residual.items()}
+        if residual is d or sum(map(int.bit_length, row.values())) <= sum(
+                map(int.bit_length, d.values())):
             return row, num * multiple, den * divisor * content
         return d, num, den
 
@@ -337,12 +344,13 @@ def _start(rep: LinearRep, x: str, y: str) -> tuple[IntConfig, IntConfig]:
 
 
 def _decide(rep, start, store, outputs, max_steps, trace=None) -> EquivResult:
-    # an entry is (parent node, letter, item), the k-th extraction is node k
-    # and appends links[k] = (parent, letter, skipped), so len(links) counts
-    # the extractions: words are spelled from the links only for a witness,
-    # and a trace is read off them once the run has ended
+    # an entry is (parent node, letter, step, stepped item), stepped only when
+    # extracted, the start's (0, None, None, item); the k-th extraction is
+    # node k and appends links[k] = (parent, letter, skipped), so len(links)
+    # counts the extractions: words are spelled from the links only for a
+    # witness, and a trace is read off them once the run has ended
     steps = [(letter, rep.letter_columns(letter)) for letter in rep.alphabet]
-    todo = deque([(0, None, store.item(*start))])
+    todo = deque([(0, None, None, store.item(*start))])
     links: list[tuple[int, str, bool]] = []
     record, successor, difference = store.record, store.successor, store.difference
     push, pop, link = todo.append, todo.popleft, links.append
@@ -353,9 +361,9 @@ def _decide(rep, start, store, outputs, max_steps, trace=None) -> EquivResult:
             node = len(links)
             if node == max_steps:
                 return Inconclusive(steps_exhausted=max_steps, relation_size=relation_size)
-            parent, letter, item = pop()
-            # membership before the outputs: a skipped item costs the store's test only
-            stepped = record(*item)
+            parent, letter, step, item = pop()
+            # membership before the outputs: a skipped item costs its step and the test only
+            stepped = record(*(item if step is None else successor(step, item)))
             link((parent, letter, stepped is None))
             if stepped is None:
                 continue
@@ -364,7 +372,7 @@ def _decide(rep, start, store, outputs, max_steps, trace=None) -> EquivResult:
                 lhs, rhs = store.values(rep, start[0], word, stepped, output)
                 return NotEquivalent(word, output, lhs, rhs, len(links), relation_size)
             for letter, step in steps:
-                push((node, letter, successor(step, stepped)))
+                push((node, letter, step, stepped))
             relation_size += 1
         return Equivalent(iterations=len(links), relation_size=relation_size)
     finally:  # on every exit, so a trace holds a witness's extraction too

@@ -59,6 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator
 
@@ -170,29 +171,35 @@ class LinearRep:
         combined: list[Sparse] = [{} for _ in self.states]
         for letter, columns in self.columns.items():
             scale = common // self.denominators[letter]
-            for out, column in zip(combined, columns):
+            for out, column in compress(zip(combined, columns), columns):
                 for j, p in column:
                     out[j] = out.get(j, 0) + p * scale
         return combined, common, [None] * self.dim
 
 
 def build_rep(pts: Pts) -> LinearRep:
-    """Determinize a valid Pts into its linear representation, from its stops and rows."""
-    # per letter and source state: (target index, numerator, denominator)
-    moves = [[[] for _ in pts.states] for _ in pts.alphabet]
+    """Determinize a valid Pts into its linear representation, from its stops and
+    rows, in O(moves + |alphabet| * n) with the |alphabet| * n part at C speed."""
+    # a letter's denominator is the lcm of its moves' distinct denominators
+    distinct = [set() for _ in pts.alphabet]
+    for row in pts.rows:
+        for (a, _), (numerator, denominator) in row.items():
+            if numerator:
+                distinct[a].add(denominator)
+    denominators = [lcm(*ds) for ds in distinct]
+    scales = [{d: m // d for d in ds} for m, ds in zip(denominators, distinct)]
+    # each letter's columns fill one [()] * n, or stay ((),) * n with no moves
+    filled = [[()] * len(pts.states) if ds else ((),) * len(pts.states) for ds in distinct]
     for k, row in enumerate(pts.rows):
+        by_letter = {}
         for (a, j), (numerator, denominator) in row.items():
             if numerator:
-                moves[a][k].append((j, numerator, denominator))
-    columns, denominators = {}, {}
-    for letter, per_source in zip(pts.alphabet, moves):
-        denominator = lcm(*[d for column in per_source for _, _, d in column])
-        denominators[letter] = denominator
-        columns[letter] = tuple(
-            tuple([(j, p * (denominator // d)) for j, p, d in column])
-            for column in per_source)
+                by_letter.setdefault(a, []).append((j, numerator * scales[a][denominator]))
+        for a, column in by_letter.items():
+            filled[a][k] = tuple(column)
     return LinearRep(states=pts.states, alphabet=pts.alphabet, stops=pts.stops,
-                     columns=columns, denominators=denominators)
+                     columns={letter: tuple(f) for letter, f in zip(pts.alphabet, filled)},
+                     denominators=dict(zip(pts.alphabet, denominators)))
 
 
 def to_ints(u: Config, dim: int) -> IntConfig:

@@ -25,6 +25,9 @@ Fraction-to-kernel conversion.  hkc runs, which step difference vectors
 without dividing out their content, are checked against runs stepping
 the content-divided successor they used before.  A traced run hands its
 stores the same items as the untraced run and returns the same result.
+``build_rep`` and the finite-mass cache's one-step map are checked against
+the per-(letter, state) builder they replaced, on systems with unused
+letters, moves of probability zero, mixed denominators and shuffled moves.
 """
 
 import random
@@ -44,7 +47,7 @@ from ptstrace import (All, AllFinite, AllInfinite, Cone, CongruenceBasis,
                       Empty, Equivalent, Extraction, FiniteWord, Inconclusive,
                       InfCone, NotEquivalent, OutputKind, SingularRestrictedSystem,
                       brute_measure, build_rep, dirac, finite_mass_vector, hk,
-                      hkc_finite, hkc_inf, measure, naive, step)
+                      hkc_finite, hkc_inf, measure, naive, step, validate)
 from ptstrace import equivalence, linear
 from ptstrace.linear import (eliminate, from_ints, int_step, int_walk, primitive,
                              scaled_step, to_ints)
@@ -76,6 +79,71 @@ def _transform(rep, u, word):
     for letter in word:
         u = step(rep, u, letter)
     return u
+
+
+def ref_build(pts):
+    """The columns and denominators of the builder build_rep replaced, which
+    made a list and a tuple per (letter, state)."""
+    moves = [[[] for _ in pts.states] for _ in pts.alphabet]
+    for k, row in enumerate(pts.rows):
+        for (a, j), (numerator, denominator) in row.items():
+            if numerator:
+                moves[a][k].append((j, numerator, denominator))
+    columns, denominators = {}, {}
+    for letter, per_source in zip(pts.alphabet, moves):
+        denominator = lcm(*[d for column in per_source for _, _, d in column])
+        denominators[letter] = denominator
+        columns[letter] = tuple(tuple([(j, p * (denominator // d)) for j, p, d in column])
+                                for column in per_source)
+    return columns, denominators
+
+
+def ref_combined(rep):
+    # the finite-mass cache's one-step map from every (letter, state), in
+    # the order the cache sums it
+    common = lcm(*rep.denominators.values())
+    combined = [{} for _ in rep.states]
+    for letter, columns in rep.columns.items():
+        for out, column in zip(combined, columns):
+            for j, p in column:
+                out[j] = out.get(j, 0) + p * (common // rep.denominators[letter])
+    return [list(out.items()) for out in combined], common
+
+
+def _builder_case(rng, pts):
+    # the system with unused letters spliced into its alphabet, moves of
+    # probability zero added (some on the unused letters) and each state's
+    # moves listed in shuffled order
+    alphabet, states, term, moves = named(pts)
+    letters = list(alphabet)
+    for i in range(rng.randint(1, 4)):
+        letters.insert(rng.randint(0, len(letters)), f"u{i}")
+    for _ in range(rng.randint(1, 5)):
+        moves.setdefault((rng.choice(states), rng.choice(letters), rng.choice(states)), _ZERO)
+    shuffled = list(moves.items())
+    rng.shuffle(shuffled)
+    return pts_of(tuple(letters), states, term, dict(shuffled))
+
+
+def test_build_rep_matches_the_builder_it_replaced():
+    rng = random.Random(61)
+    sources = ([random_pts(rng, max_states=6, max_letters=3) for _ in range(40)]
+               + [split_copy_pts(rng, max_base=8, max_letters=4) for _ in range(20)]
+               + [sink_split_pts(rng, 30, k) for k in (1, 2, 4)] + [components_pts(rng)])
+    unused = zero_moves = mixed = 0
+    for pts in sources:
+        for case in (pts, _builder_case(rng, pts)):
+            assert validate(case) == []
+            rep = build_rep(case)
+            assert (rep.columns, rep.denominators) == ref_build(case)
+            assert list(rep.columns) == list(rep.denominators) == list(case.alphabet)
+            assert [list(out.items()) for out in rep._mass_cache[0]] == ref_combined(rep)[0]
+            assert rep._mass_cache[1] == ref_combined(rep)[1]
+            unused += sum(not any(columns) for columns in rep.columns.values())
+            zero_moves += sum(not p for row in case.rows for p, _ in row.values())
+            mixed += sum(len({d for row in case.rows for (b, _), (p, d) in row.items()
+                              if b == a and p}) > 1 for a in range(len(case.alphabet)))
+    assert unused >= 100 and zero_moves >= 100 and mixed >= 100
 
 
 # a split copy of 5 base states on two letters (n = 15): the copies b<i>p

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,55 @@ def test_basis_add_never_rewrites_a_stored_row():
     assert basis._rows[0] == {0: 1, 1: -1}
     assert basis.rows == [[F(1), F(0), F(-1)], [F(0), F(1), F(-1)]]
     assert sorted(basis._rows) == [0, 1]
+
+
+def test_record_stores_a_pivot_free_difference_as_its_row():
+    # a difference that holds no pivot is its own residual: primitive with
+    # a positive first entry it is stored and returned as the same object,
+    # with its scale unchanged; otherwise divided by its signed content c,
+    # with den * c
+    basis = CongruenceBasis(6)
+    d = {1: 3, 4: -2}
+    stepped = basis.record(d, 7, 5)
+    assert stepped[0] is d and basis._rows[1] is d and stepped[1:] == (7, 5)
+    for d, content, row in (({0: 4, 2: 8}, 4, {0: 1, 2: 2}),
+                            ({2: -6, 3: 9}, -3, {2: 2, 3: -3})):
+        assert basis.record(d, 7, 5) == (row, 7, 5 * content)
+        assert basis._rows[min(d)] == row and basis._rows[min(d)] is not d
+    assert list(basis._rows) == [1, 0, 2]
+
+
+def _sized_record(basis, d, num, den):
+    # record as it was before pivot-free differences were stored as they
+    # are: the row always a new dict, and the smaller of it and d stepped
+    residual, multiple, divisor = basis._reduce(d)
+    if not residual:
+        return None
+    pivot = min(residual)
+    content = gcd(*residual.values())
+    if residual[pivot] < 0:
+        content = -content
+    row = basis._rows[pivot] = {j: x // content for j, x in residual.items()}
+    if sum(map(int.bit_length, row.values())) <= sum(map(int.bit_length, d.values())):
+        return row, num * multiple, den * divisor * content
+    return d, num, den
+
+
+def test_record_returns_what_the_sized_record_returns():
+    rng = random.Random(67)
+    pivot_free = 0
+    for _ in range(200):
+        dim = rng.randint(1, 8)
+        basis, sized = CongruenceBasis(dim), CongruenceBasis(dim)
+        for _ in range(2 * dim):
+            d = {j: x for j in range(dim) if (x := rng.choice((0, 0, 1, -1, 2, -4, 6, 9)))}
+            if not d:
+                continue
+            pivot_free += not any(j in basis._rows for j in d)
+            num, den = rng.randint(1, 9), rng.choice((1, -2, 3))
+            assert basis.record(d, num, den) == _sized_record(sized, dict(d), num, den)
+            assert list(basis._rows.items()) == list(sized._rows.items())
+    assert pivot_free >= 200
 
 
 def test_basis_two_rows_from_worked_loops():
@@ -384,7 +434,9 @@ def _count_steps(monkeypatch):
 
 def test_hkc_steps_one_difference_per_recorded_pair(monkeypatch):
     # stepping both configurations of every recorded pair takes twice this;
-    # a counterexample's values add one walk of the witness
+    # an entry is stepped when it is extracted, so a run that separates
+    # steps exactly its extractions after the first, and a counterexample's
+    # values add one walk of the witness
     calls = _count_steps(monkeypatch)
     equivalent = split_copy_pts(random.Random(9), max_base=10, max_letters=2)
     perturbed = split_copy_pts(random.Random(50), max_base=20, max_letters=2, perturb=True)
@@ -400,12 +452,12 @@ def test_hkc_steps_one_difference_per_recorded_pair(monkeypatch):
                 assert calls[0] == steps
             else:
                 assert len(result.witness) >= 5
-                assert calls[0] <= steps + len(result.witness)
+                assert calls[0] == result.iterations - 1 + len(result.witness)
 
 
 def test_pair_searches_read_counterexample_values_from_the_pair(monkeypatch):
-    # naive and hk step both configurations of every recorded pair, and
-    # nothing more: the separating pair's outputs are the values
+    # naive and hk step both configurations of every extracted pair after
+    # the first, and nothing more: the separating pair's outputs are the values
     calls = _count_steps(monkeypatch)
     rng = random.Random(83)
     found = 0
@@ -418,8 +470,51 @@ def test_pair_searches_read_counterexample_values_from_the_pair(monkeypatch):
                 result = decide(rep, f"a{k}", f"b{k}p", 600)
                 if isinstance(result, NotEquivalent):
                     found += len(result.witness) >= 3
-                    assert calls[0] == 2 * len(rep.alphabet) * result.relation_size
+                    assert calls[0] == 2 * (result.iterations - 1)
     assert found >= 10
+
+
+@pytest.mark.parametrize("letters", [2, 4])
+def test_witness_runs_never_step_what_is_still_queued(letters, monkeypatch):
+    # an entry is stepped when it is extracted: the k-th successor call, for
+    # k >= 1, steps the vector recorded at extraction k's parent, and a run
+    # that stops at a witness leaves entries queued that it never stepped
+    recorded, stepped = [], []
+    record, successor = CongruenceBasis.record, CongruenceBasis.successor
+
+    def recording_record(self, d, *scale):
+        recorded.append(result := record(self, d, *scale))
+        return result
+
+    def recording_step(step, item):
+        stepped.append(item)
+        return successor(step, item)
+
+    monkeypatch.setattr(CongruenceBasis, "record", recording_record)
+    monkeypatch.setattr(CongruenceBasis, "successor", staticmethod(recording_step))
+    rng = random.Random(71)
+    documents = [sink_split_pts(random.Random(seed), 30, letters, perturb=True)
+                 for seed in range(3)]
+    runs = unstepped = 0
+    while runs < 18:
+        pts = documents.pop() if documents else _letters_exactly(
+            rng, letters, max_base=20, perturb=True)
+        rep = build_rep(pts)
+        for decide in (hkc_inf, hkc_finite):
+            recorded.clear()
+            stepped.clear()
+            trace = []
+            result = decide(rep, "a0", "b0p", trace=trace)
+            if not isinstance(result, NotEquivalent):
+                continue
+            runs += 1
+            node = {extraction.word: k for k, extraction in enumerate(trace)}
+            parents = [node[extraction.word[:-1]] for extraction in trace[1:]]
+            assert len(stepped) == result.iterations - 1
+            assert all(item is recorded[parent] for item, parent in zip(stepped, parents))
+            # every recorded pair but the witness's queued one entry per letter
+            unstepped += 1 + letters * result.relation_size - result.iterations
+    assert unstepped >= 20
 
 
 class _RowVector(dict):
