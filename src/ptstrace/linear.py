@@ -20,22 +20,29 @@ is returned or kept (``to_ints``, which checks the length, and
 ``from_ints`` convert); the termination row, kept as each state's stop
 pair, is read as one, ``stop_row``.  A step is integer multiply-adds over
 the nonzero entries only, dropping entries that cancel to zero;
-``int_walk`` walks a whole word, one step per letter, reducing the terms
-at the end and between letters only once the denominator has doubled its
-bits.  Where only the direction of a vector counts, as for the
-differences the equivalence checker carries, it is a bare sparse vector,
-and ``scaled_step`` steps it with no denominator or gcd, reporting the
-factor it scaled the true step by.  It and ``int_step``, the one-letter
-walk, take a ``Step``: a letter's columns, as a run resolves them once.
+``int_walk`` walks a whole word, one step per letter, each distinct letter
+resolved once per walk, reducing the terms at the end and between letters
+only once the denominator has doubled its bits.  A walk's step sums into a
+dense list accumulator (``_dense_product``) when the vector holds more
+than a quarter of the states, where indexing a list costs less than a
+dict's membership test per term, and into a dict (``_product``)
+otherwise; every other step uses the dict.  Where only the direction of a
+vector counts, as for the differences the equivalence checker carries, it
+is a bare sparse vector, and ``scaled_step`` steps it with no denominator
+or gcd, reporting the factor it scaled the true step by.  It and
+``int_step``, the one-letter walk, take a ``Step``: a letter's columns, as
+a run resolves them once.
 
 The mass on finite words, the least nonnegative fixed point of
 ``s = l_star + (sum_a M_a)^T s``, is cached on the representation, each
 state solved once: a query solves the unsolved states its vector reaches,
 found in one walk, as one block with the solved states they reach as
 constants, by sparse fraction-free elimination in Markowitz order (fewest
-rows per cleared column first, which keeps fill-in low).  Each cache entry is the state's
-own value as a ``(numerator, denominator)`` pair; only this module reads
-them (``int_out_finite``, ``finite_mass_vector``).
+rows per cleared column first, which keeps fill-in low).  The walk reads
+each state's one-step row over all letters, built the first time a solve
+reaches the state and kept.  Each cache entry is the state's own value as
+a ``(numerator, denominator)`` pair; only this module reads them
+(``int_out_finite``, ``finite_mass_vector``).
 
 That elimination and the congruence basis of ``equivalence`` share one
 pivot step, ``eliminate`` (Bareiss's fraction-free step, in place), which
@@ -102,8 +109,8 @@ class LinearRep:
     total-mass row ``l_one`` is all ones, as each state's masses sum to 1.
     Immutable after construction apart from caches of derived values;
     safe to share between threads, as the caches only grow: a state's
-    finite mass is stored in one assignment, and an exact value, once
-    cached, never changes.
+    finite mass and its combined one-step row are each stored in one
+    assignment, and an exact value, once cached, never changes.
     """
 
     states: tuple[str, ...]
@@ -159,22 +166,22 @@ class LinearRep:
             yield row
 
     @cached_property
-    def _mass_cache(self) -> tuple[list[Sparse], int, list]:
-        """The finite-mass cache, ``(combined, common, solved)``.
+    def _mass_cache(self) -> tuple[list, int, list, tuple[tuple[Columns, int], ...]]:
+        """The finite-mass cache, ``(combined, common, solved, moving)``.
 
-        ``combined[k][j] / common`` is the one-step probability from the
-        k-th to the j-th state over all letters, and ``solved[k]`` is the
-        k-th state's finite mass as a ``(numerator, denominator)`` pair once
-        it is solved; the stops are read from ``stop_row``.
+        ``moving`` holds each letter with a move, in alphabet order, as its
+        columns and its scale to the common denominator ``common``.
+        ``combined[k]`` is None until a solve first reaches the k-th state;
+        then ``combined[k][j] / common`` is the one-step probability from the
+        k-th to the j-th state over all letters, built from that state's
+        moves in alphabet order and stored in one assignment.  ``solved[k]``
+        is the k-th state's finite mass as a ``(numerator, denominator)``
+        pair once it is solved; the stops are read from ``stop_row``.
         """
         common = lcm(*self.denominators.values())
-        combined: list[Sparse] = [{} for _ in self.states]
-        for letter, columns in self.columns.items():
-            scale = common // self.denominators[letter]
-            for out, column in compress(zip(combined, columns), columns):
-                for j, p in column:
-                    out[j] = out.get(j, 0) + p * scale
-        return combined, common, [None] * self.dim
+        moving = tuple((columns, common // self.denominators[letter])
+                       for letter, columns in self.columns.items() if any(columns))
+        return [None] * self.dim, common, [None] * self.dim, moving
 
 
 def build_rep(pts: Pts) -> LinearRep:
@@ -230,19 +237,35 @@ def _product(columns: Columns, nums: Sparse) -> Sparse:
     return acc if all(acc.values()) else {j: x for j, x in acc.items() if x}
 
 
+def _dense_product(columns: Columns, nums: Sparse, dim: int) -> Sparse:
+    # _product through a dense list accumulator, its nonzeros in index order
+    acc = [0] * dim
+    for k, x in nums.items():
+        for j, p in columns[k]:
+            acc[j] += p * x
+    return dict(compress(enumerate(acc), acc))
+
+
 def int_walk(rep: LinearRep, u: IntConfig, word: Iterable[str]) -> IntConfig:
     """``M_w . u`` on the integer kernel, in lowest terms: one product per
-    letter of ``w``, left to right.  The terms are reduced at the end, and
-    before a letter only once the denominator has over twice the bits it had
-    after the last reduction (at first, the start's)."""
+    letter of ``w``, left to right, each distinct letter resolved once.  A
+    product of a vector holding more than a quarter of the states sums into
+    a dense list, otherwise into a dict (``_product``).  The terms are
+    reduced at the end, and before a letter only once the denominator has
+    over twice the bits it had after the last reduction (at first, the
+    start's)."""
     nums, den = u
     bound = 2 * den.bit_length()
+    dim, steps = rep.dim, {}
     for letter in word:
         if den.bit_length() > bound:
             nums, den = _lowest(nums, den)
             bound = 2 * den.bit_length()
-        columns, denominator = rep.letter_columns(letter)
-        nums = _product(columns, nums)
+        if (step := steps.get(letter)) is None:
+            step = steps[letter] = rep.letter_columns(letter)
+        columns, denominator = step
+        nums = _dense_product(columns, nums, dim) if 4 * len(nums) > dim \
+            else _product(columns, nums)
         den *= denominator
     return _lowest(nums, den)
 
@@ -424,7 +447,7 @@ def solve_finite_mass(rep: LinearRep, support: Iterable[int]) -> list:
     states it reaches and the live seeds, which stop or reach a solved
     state of positive mass; the block states that reach no seed are dead.
     """
-    combined, common, solved = rep._mass_cache
+    combined, common, solved, moving = rep._mass_cache
     star, star_den = rep.stop_row
     sources: dict[int, list[int]] = {k: [] for k in support if solved[k] is None}
     stack, masses, live = list(sources), {}, set()
@@ -432,7 +455,14 @@ def solve_finite_mass(rep: LinearRep, support: Iterable[int]) -> list:
         k = stack.pop()
         if k in star:
             live.add(k)
-        for j in combined[k]:
+        if (row := combined[k]) is None:
+            # the state's combined row, built on first visit
+            row = {}
+            for columns, scale in moving:
+                for j, p in columns[k]:
+                    row[j] = row.get(j, 0) + p * scale
+            combined[k] = row
+        for j in row:
             if (value := solved[j]) is not None:
                 masses[j] = value
                 if value[0]:

@@ -1,6 +1,6 @@
 import pytest
 
-from ptstrace import build_rep
+from ptstrace import build_rep, linear
 
 from systems import (CANTOR, CONGRUENCE_XZ, HALF_LOOP_XY,
                      SINGLE_LETTER_CHAIN, TWO_LETTER_YZ, load)
@@ -54,3 +54,23 @@ def half_loop_pts():
 @pytest.fixture
 def half_loop_rep(half_loop_pts):
     return build_rep(half_loop_pts)
+
+
+@pytest.fixture
+def walk_steps(monkeypatch):
+    """Every kernel product, through either accumulator, as ``(accumulator,
+    input vector)`` in call order: ``"sparse"`` for the dict one
+    (``linear._product``), ``"dense"`` for the list one."""
+    steps, sparse, dense = [], linear._product, linear._dense_product
+
+    def sparse_step(columns, nums):
+        steps.append(("sparse", nums))
+        return sparse(columns, nums)
+
+    def dense_step(columns, nums, dim):
+        steps.append(("dense", nums))
+        return dense(columns, nums, dim)
+
+    monkeypatch.setattr(linear, "_product", sparse_step)
+    monkeypatch.setattr(linear, "_dense_product", dense_step)
+    return steps

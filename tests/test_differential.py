@@ -46,8 +46,9 @@ from hypothesis import strategies as st
 from ptstrace import (All, AllFinite, AllInfinite, Cone, CongruenceBasis,
                       Empty, Equivalent, Extraction, FiniteWord, Inconclusive,
                       InfCone, NotEquivalent, OutputKind, SingularRestrictedSystem,
-                      brute_measure, build_rep, dirac, finite_mass_vector, hk,
-                      hkc_finite, hkc_inf, measure, naive, step, validate)
+                      UnknownIdentifier, brute_measure, build_rep, dirac,
+                      finite_mass_vector, hk, hkc_finite, hkc_inf, measure, naive,
+                      step, validate)
 from ptstrace import equivalence, linear
 from ptstrace.linear import (eliminate, from_ints, int_step, int_walk, primitive,
                              scaled_step, to_ints)
@@ -100,14 +101,19 @@ def ref_build(pts):
 
 def ref_combined(rep):
     # the finite-mass cache's one-step map from every (letter, state), in
-    # the order the cache sums it
+    # the order a solve sums a state's row: its moves in alphabet order
     common = lcm(*rep.denominators.values())
     combined = [{} for _ in rep.states]
     for letter, columns in rep.columns.items():
         for out, column in zip(combined, columns):
             for j, p in column:
                 out[j] = out.get(j, 0) + p * (common // rep.denominators[letter])
-    return [list(out.items()) for out in combined], common
+    return combined, common
+
+
+def built_rows(rep):
+    """The finite-mass cache's combined rows built so far, by state index."""
+    return {k: row for k, row in enumerate(rep._mass_cache[0]) if row is not None}
 
 
 def _builder_case(rng, pts):
@@ -137,8 +143,14 @@ def test_build_rep_matches_the_builder_it_replaced():
             rep = build_rep(case)
             assert (rep.columns, rep.denominators) == ref_build(case)
             assert list(rep.columns) == list(rep.denominators) == list(case.alphabet)
-            assert [list(out.items()) for out in rep._mass_cache[0]] == ref_combined(rep)[0]
-            assert rep._mass_cache[1] == ref_combined(rep)[1]
+            combined, common = ref_combined(rep)
+            assert rep._mass_cache[1] == common and built_rows(rep) == {}
+            # a whole-document solve builds every state's row: the same
+            # entries as the reference, in the same order
+            finite_mass_vector(rep)
+            rows = built_rows(rep)
+            assert len(rows) == rep.dim
+            assert all(list(row.items()) == list(combined[k].items()) for k, row in rows.items())
             unused += sum(not any(columns) for columns in rep.columns.values())
             zero_moves += sum(not p for row in case.rows for p, _ in row.values())
             mixed += sum(len({d for row in case.rows for (b, _), (p, d) in row.items()
@@ -1219,7 +1231,8 @@ def ref_block(rep, support):
     the solved neighbours and the live seeds.  Returns ``(rows, m, facts)``,
     or None when nothing is left to solve; ``facts`` tells the coverage
     test which shapes the query had."""
-    combined, common, solved = rep._mass_cache
+    combined, common = ref_combined(rep)
+    solved = rep._mass_cache[2]
     star, star_den = rep.stop_row
     stack = [k for k in support if solved[k] is None]
     reached = set(stack)
@@ -1328,6 +1341,32 @@ def test_finite_mass_blocks_match_the_two_pass_builder(index, monkeypatch):
         assert any(facts[fact] for facts in seen), fact
 
 
+@pytest.mark.parametrize("letters", [1, 2, 4])
+def test_a_finite_query_builds_the_rows_of_its_block_only(letters, monkeypatch):
+    # from a0 of a sink split copy the solve reaches the a-states alone, a
+    # third of the document: only their combined rows are built, each the
+    # reference's, and a later whole-document solve builds the rest
+    pts = sink_split_pts(random.Random(7), 20, letters)
+    rep = build_rep(pts)
+    start = rep.state_index("a0")
+    _, m, _ = ref_block(rep, [start])
+    blocks, solve = [], linear._solve_sparse
+
+    def counted(rows, size):
+        blocks.append(size)
+        return solve(rows, size)
+
+    monkeypatch.setattr(linear, "_solve_sparse", counted)
+    assert measure(rep, dirac(rep, "a0"), AllFinite()) == ref_finite_mass(pts)[start]
+    combined, _ = ref_combined(rep)
+    rows = built_rows(rep)
+    assert blocks == [m] and len(rows) == m == rep.dim // 3 < rep.dim
+    assert set(rows) == {k for k, state in enumerate(pts.states) if state.startswith("a")}
+    assert all(list(row.items()) == list(combined[k].items()) for k, row in rows.items())
+    assert finite_mass_vector(rep) == ref_finite_mass(pts)
+    assert len(built_rows(rep)) == rep.dim and sum(blocks) == rep.dim
+
+
 def test_in_place_solve_with_negative_pivots_and_singular_systems():
     # negative pivots force a scaling with a sign change; the reference and
     # the kernel agree, and both find a singular system singular
@@ -1434,7 +1473,7 @@ LOOP_PTS = pts_of(("a",), ("x", "y"), {"x": F(0), "y": F(1, 6)},
 
 @pytest.mark.parametrize("pts, state", [(LOOP_PTS, "x"), (UNARY_CHAINS[0], "b0p")],
                          ids=["loop", "unary"])
-def test_long_walks_keep_their_entries_bounded(pts, state, monkeypatch):
+def test_long_walks_keep_their_entries_bounded(pts, state, walk_steps):
     # every product reads entries of at most twice the bits of the widest
     # lowest-terms denominator along the walk, plus the letter's, plus one
     rep = build_rep(pts)
@@ -1443,18 +1482,112 @@ def test_long_walks_keep_their_entries_bounded(pts, state, monkeypatch):
     for letter in word:
         chained = int_walk(rep, chained, (letter,))
         widest = max(widest, chained[1].bit_length())
-    largest, product = [0], linear._product
-
-    def recording_product(columns, nums):
-        largest[0] = max(largest[0], *map(abs, nums.values()), 0)
-        return product(columns, nums)
-
-    monkeypatch.setattr(linear, "_product", recording_product)
+    walk_steps.clear()
     assert int_walk(rep, u, word) == chained
+    # the wrappers saw every step, whichever accumulator took it
+    assert len(walk_steps) == len(word)
+    largest = max(abs(x) for _, nums in walk_steps for x in nums.values())
     bound = 2 * widest + rep.denominators["a"].bit_length() + 1
-    assert largest[0].bit_length() <= bound
+    assert largest.bit_length() <= bound
     if pts is LOOP_PTS:
         assert chained == ({0: 1}, 1) and bound == 6
+
+
+# the two-letter split copy of the step tests (n = 15), a unary split copy
+# (n = 54) and a four-letter sink split copy (n = 36, where a quarter of
+# the states is a whole number)
+ACCUMULATOR_CASES = [STEP_PTS, UNARY_CHAINS[0], sink_split_pts(random.Random(13), 10, 4)]
+
+
+def _signed_vector(rng, n, size):
+    return {k: rng.choice((-1, 1)) * rng.randint(1, 60) for k in rng.sample(range(n), size)}
+
+
+def _cancelling(rng, columns, d):
+    """d scaled, with one entry changed, so that the product's terms at a
+    target of that entry's column cancel: ``(vector, target)``, or None
+    when every such change would clear the entry."""
+    for k in rng.sample(sorted(d), len(d)):
+        if columns[k]:
+            j, p = rng.choice(columns[k])
+            total = sum(q * d[i] for i in d for t, q in columns[i] if t == j)
+            if x := p * d[k] - total:
+                return {**{i: p * y for i, y in d.items()}, k: x}, j
+    return None
+
+
+@pytest.mark.parametrize("index", range(len(ACCUMULATOR_CASES)))
+def test_the_two_accumulators_agree_with_the_reference(index, walk_steps):
+    # seeded signed vectors on both sides of the switch (a quarter of the
+    # states), the full support, the empty vector and products whose terms
+    # cancel: equal dicts, no zero stored, the dense one in index order; a
+    # one-letter walk takes the dense one exactly past a quarter
+    pts = ACCUMULATOR_CASES[index]
+    rep, mats, n = build_rep(pts), ref_mats(pts), len(pts.states)
+    rng = random.Random(300 + index)
+    vectors = [{}] + [_signed_vector(rng, n, size)
+                      for size in (n // 4, n // 4 + 1, n) for _ in range(4)]
+    cancelled = set()
+    for letter in pts.alphabet:
+        columns, denominator = rep.letter_columns(letter)
+        for d in vectors:
+            walk_steps.clear()
+            int_walk(rep, (d, 1), (letter,))
+            assert [kind for kind, _ in walk_steps] == ["dense" if 4 * len(d) > n else "sparse"]
+            cases = [(d, None)]
+            if d and (case := _cancelling(rng, columns, d)):
+                cases.append(case)
+            for v, target in cases:
+                sparse, dense = linear._product(columns, v), linear._dense_product(columns, v, n)
+                assert sparse == dense and 0 not in dense.values()
+                assert list(dense) == sorted(dense)
+                assert from_ints((dense, denominator), n) == \
+                    ref_step(mats, from_ints((v, 1), n), letter)
+                if target is not None:
+                    assert target not in dense
+                    cancelled.add(len(v))
+    assert cancelled == {n // 4, n // 4 + 1, n}
+
+
+@pytest.mark.parametrize("pts", UNARY_CHAINS, ids=["n54", "n60"])
+def test_walks_crossing_the_switch_equal_the_chain_of_steps(pts, walk_steps):
+    # b0p's support grows past a quarter of the states a few letters in:
+    # the walk moves from the dict accumulator to the list one
+    rep, mats = build_rep(pts), ref_mats(pts)
+    u, word = to_ints(dirac(rep, "b0p"), rep.dim), ("a",) * 40
+    chained, reference = u, dirac(rep, "b0p")
+    for letter in word:
+        chained = int_walk(rep, chained, (letter,))
+        reference = ref_step(mats, reference, letter)
+    walk_steps.clear()
+    assert int_walk(rep, u, word) == chained == to_ints(reference, rep.dim)
+    kinds = [kind for kind, _ in walk_steps]
+    switch = kinds.index("dense")
+    assert 0 < switch and kinds == ["sparse"] * switch + ["dense"] * (len(word) - switch)
+    assert all((4 * len(nums) > rep.dim) == (kind == "dense") for kind, nums in walk_steps)
+
+
+def test_a_walk_reads_its_word_once_and_names_an_undeclared_letter(yz_rep, monkeypatch):
+    u, word = to_ints(dirac(yz_rep, "y"), yz_rep.dim), ("b", "a", "b", "b", "a")
+    read, resolved, letter_columns = [], [], linear.LinearRep.letter_columns
+
+    def resolving(rep, letter):
+        resolved.append(letter)
+        return letter_columns(rep, letter)
+
+    def letters(word):
+        for letter in word:
+            read.append(letter)
+            yield letter
+
+    expected = int_walk(yz_rep, u, word)
+    monkeypatch.setattr(linear.LinearRep, "letter_columns", resolving)
+    # each distinct letter is resolved once, in the order it first occurs
+    assert int_walk(yz_rep, u, letters(word)) == expected
+    assert read == list(word) and resolved == ["b", "a"]
+    for bad in (("z",), ("a", "b", "z", "a"), letters(("a", "z"))):
+        with pytest.raises(UnknownIdentifier, match=r"^undeclared letter 'z'$"):
+            int_walk(yz_rep, u, bad)
 
 
 def ref_to_ints(u):

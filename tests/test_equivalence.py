@@ -16,7 +16,6 @@ from ptstrace import (CongruenceBasis, Equivalent, FiniteWord,
                       brute_measure, build_rep, dirac, hk, hkc_finite,
                       hkc_inf, measure, naive, parse_pts, step,
                       word_oracle_equiv)
-from ptstrace import linear
 from ptstrace.equivalence import _check_certificate, _checked_bound, _start
 from ptstrace.linear import to_ints
 
@@ -418,47 +417,34 @@ def test_one_reduction_per_extraction(monkeypatch):
         assert calls == result.iterations
 
 
-def _count_steps(monkeypatch):
+def test_hkc_steps_one_difference_per_recorded_pair(walk_steps):
     # every kernel step, of a configuration or of a difference vector, is
-    # exactly one sparse product
-    calls = [0]
-    product = linear._product
-
-    def counting(columns, nums):
-        calls[0] += 1
-        return product(columns, nums)
-
-    monkeypatch.setattr(linear, "_product", counting)
-    return calls
-
-
-def test_hkc_steps_one_difference_per_recorded_pair(monkeypatch):
-    # stepping both configurations of every recorded pair takes twice this;
-    # an entry is stepped when it is extracted, so a run that separates
-    # steps exactly its extractions after the first, and a counterexample's
-    # values add one walk of the witness
-    calls = _count_steps(monkeypatch)
+    # one product through either accumulator.  Stepping both configurations
+    # of every recorded pair takes twice this; an entry is stepped when it
+    # is extracted, so a run that separates steps exactly its extractions
+    # after the first, and a counterexample's values add one walk of the
+    # witness.  The perturbed document's witness is extracted while entries
+    # are still queued, which a run stepping them when queued would step too
     equivalent = split_copy_pts(random.Random(9), max_base=10, max_letters=2)
-    perturbed = split_copy_pts(random.Random(50), max_base=20, max_letters=2, perturb=True)
+    perturbed = sink_split_pts(random.Random(3), 10, 2, perturb=True)
     for pts, verdict in ((equivalent, Equivalent), (perturbed, NotEquivalent)):
         rep = build_rep(pts)
         for decide in (hkc_inf, hkc_finite):
-            calls[0] = 0
+            walk_steps.clear()
             result = decide(rep, "a0", "b0p")
             assert isinstance(result, verdict)
             assert result.relation_size >= 10
             steps = result.relation_size * len(rep.alphabet)
             if verdict is Equivalent:
-                assert calls[0] == steps
+                assert len(walk_steps) == steps
             else:
-                assert len(result.witness) >= 5
-                assert calls[0] == result.iterations - 1 + len(result.witness)
+                assert len(result.witness) >= 5 and result.iterations - 1 < steps
+                assert len(walk_steps) == result.iterations - 1 + len(result.witness)
 
 
-def test_pair_searches_read_counterexample_values_from_the_pair(monkeypatch):
+def test_pair_searches_read_counterexample_values_from_the_pair(walk_steps):
     # naive and hk step both configurations of every extracted pair after
     # the first, and nothing more: the separating pair's outputs are the values
-    calls = _count_steps(monkeypatch)
     rng = random.Random(83)
     found = 0
     for _ in range(4):
@@ -466,11 +452,11 @@ def test_pair_searches_read_counterexample_values_from_the_pair(monkeypatch):
         rep = build_rep(pts)
         for k in range(len(pts.states) // 3):
             for decide in (naive, hk):
-                calls[0] = 0
+                walk_steps.clear()
                 result = decide(rep, f"a{k}", f"b{k}p", 600)
                 if isinstance(result, NotEquivalent):
                     found += len(result.witness) >= 3
-                    assert calls[0] == 2 * (result.iterations - 1)
+                    assert len(walk_steps) == 2 * (result.iterations - 1)
     assert found >= 10
 
 
