@@ -62,11 +62,11 @@ def _cmd_validate(args) -> int:
 def _cmd_rep(args) -> int:
     rep = build_rep(parse_pts(_read(args.input)))
     # json.dumps's bytes, one row of mats[a][j][k] at a time; rationals need no escaping
-    write = sys.stdout.write
-    write(f'{{"l_one": {json.dumps(["1"] * rep.dim)}, "l_star": '
-          f'{json.dumps([format_rational(Fraction(*stop)) for stop in rep.stops])}, "mats": {{')
-    for i, (letter, d) in enumerate(rep.denominators.items()):
-        rows = rep.dense(letter, lambda p, d=d: f'"{format_rational(Fraction(p, d))}"', '"0"')
+    write, (star, den) = sys.stdout.write, rep.stop_row
+    l_star = [format_rational(Fraction(star.get(k, 0), den)) for k in range(rep.dim)]
+    write(f'{{"l_one": {json.dumps(["1"] * rep.dim)}, "l_star": {json.dumps(l_star)}, "mats": {{')
+    for i, letter in enumerate(rep.alphabet):
+        rows = rep.dense(letter, lambda p, d: f'"{format_rational(Fraction(p, d))}"', '"0"')
         write(f'{", " if i else ""}{json.dumps(letter)}: [')
         for j, row in enumerate(rows):
             write(f'{", " if j else ""}[{", ".join(row)}]')

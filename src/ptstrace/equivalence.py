@@ -260,8 +260,7 @@ class _PairItems:
 
     @staticmethod
     def successor(step: Step, pair) -> tuple[IntConfig, IntConfig]:
-        u, v = pair
-        return int_step(step, u), int_step(step, v)
+        return int_step(step, pair[0]), int_step(step, pair[1])
 
     @staticmethod
     def difference(pair) -> Sparse:
@@ -331,7 +330,7 @@ def _spell(links: list[tuple[int, str, bool]], node: int) -> Word:
 
 def _extractions(rep: LinearRep, start, links: list[tuple[int, str, bool]]) -> list[Extraction]:
     # each node's configuration pair, stepped from its parent's by its letter
-    steps, configs = {letter: rep.letter_columns(letter) for letter in rep.alphabet}, [start]
+    steps, configs = rep.steps, [start]
     for parent, letter, _ in links[1:]:
         configs.append(_PairItems.successor(steps[letter], configs[parent]))
     return [Extraction(_spell(links, node), from_ints(u, rep.dim), from_ints(v, rep.dim), link[2])
@@ -349,7 +348,7 @@ def _decide(rep, start, store, outputs, max_steps, trace=None) -> EquivResult:
     # node k and appends links[k] = (parent, letter, skipped), so len(links)
     # counts the extractions: words are spelled from the links only for a
     # witness, and a trace is read off them once the run has ended
-    steps = [(letter, rep.letter_columns(letter)) for letter in rep.alphabet]
+    by_letter = tuple(rep.steps.items())
     todo = deque([(0, None, None, store.item(*start))])
     links: list[tuple[int, str, bool]] = []
     record, successor, difference = store.record, store.successor, store.difference
@@ -371,7 +370,7 @@ def _decide(rep, start, store, outputs, max_steps, trace=None) -> EquivResult:
                 word = _spell(links, node)
                 lhs, rhs = store.values(rep, start[0], word, stepped, output)
                 return NotEquivalent(word, output, lhs, rhs, len(links), relation_size)
-            for letter, step in steps:
+            for letter, step in by_letter:
                 push((node, letter, step, stepped))
             relation_size += 1
         return Equivalent(iterations=len(links), relation_size=relation_size)
@@ -400,7 +399,7 @@ def _check_certificate(rep: LinearRep, start, basis: CongruenceBasis,
         lhs, rhs = (int_measure(rep, u, result.output.target(result.witness)) for u in start)
         proved = (lhs, rhs) == (result.lhs, result.rhs) and lhs != rhs and result.output in outputs
     else:
-        rows, steps = basis._rows.values(), [rep.letter_columns(a) for a in rep.alphabet]
+        rows, steps = basis._rows.values(), rep.steps.values()
         proved = (not basis._reduce(int_difference(*start))[0]
                   and all(_separating_output(rep, row, outputs) is None for row in rows)
                   and all(not basis._reduce(scaled_step(step, (row, 1, 1))[0])[0]

@@ -11,27 +11,26 @@ here (``scaled_out_term`` over the denominator of ``LinearRep.stop_row``,
 difference for zero (``scaled_out_term``).
 
 Internally everything runs on one sparse integer kernel.  Each letter is
-stored as sparse columns, one per source state, listing ``(target, p)``
-pairs with integer ``p`` over one common denominator for the letter.  A
-vector inside the kernel is sparse (``Sparse``): a dict from index to a
-nonzero integer, which never stores a zero.  A configuration is such a
-vector over one positive common denominator, in lowest terms wherever one
-is returned or kept (``to_ints``, which checks the length, and
-``from_ints`` convert); the termination row, kept as each state's stop
-pair, is read as one, ``stop_row``.  A step is integer multiply-adds over
-the nonzero entries only, dropping entries that cancel to zero;
-``int_walk`` walks a whole word, one step per letter, each distinct letter
-resolved once per walk, reducing the terms at the end and between letters
-only once the denominator has doubled its bits.  A walk's step sums into a
-dense list accumulator (``_dense_product``) when the vector holds more
-than a quarter of the states, where indexing a list costs less than a
-dict's membership test per term, and into a dict (``_product``)
-otherwise; every other step uses the dict.  Where only the direction of a
-vector counts, as for the differences the equivalence checker carries, it
-is a bare sparse vector, and ``scaled_step`` steps it with no denominator
-or gcd, reporting the factor it scaled the true step by.  It and
-``int_step``, the one-letter walk, take a ``Step``: a letter's columns, as
-a run resolves them once.
+stored once, as its ``Step`` in ``LinearRep.steps``: sparse columns, one
+per source state, listing ``(target, p)`` pairs with integer ``p`` over
+one common denominator for the letter.  A vector inside the kernel is
+sparse (``Sparse``): a dict from index to a nonzero integer, which never
+stores a zero.  A configuration is such a vector over one positive common
+denominator, in lowest terms wherever one is returned or kept
+(``to_ints``, which checks the length, and ``from_ints`` convert); the
+termination row is one, ``LinearRep.stop_row``.  A step is integer
+multiply-adds over the nonzero entries only, dropping entries that cancel
+to zero, and every step takes one product, ``_product``, with one rule:
+it sums into a dense list accumulator when the vector holds more than a
+quarter of the states, where indexing a list costs less than a dict's
+membership test per term, and into a dict otherwise.  ``int_walk`` walks a
+whole word, one step per letter, read from ``steps`` as it comes,
+reducing the terms at the end and between letters only once the
+denominator has doubled its bits.  Where only the direction of a vector
+counts, as for the differences the equivalence checker carries, it is a
+bare sparse vector, and ``scaled_step`` steps it with no denominator or
+gcd, reporting the factor it scaled the true step by.  It and
+``int_step``, the one-letter walk, take a letter's ``Step``.
 
 The mass on finite words, the least nonnegative fixed point of
 ``s = l_star + (sum_a M_a)^T s``, is cached on the representation, each
@@ -68,6 +67,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd, lcm
+from numbers import Rational
 from typing import Callable, Iterable, Iterator
 
 from .model import Pts, UnknownIdentifier
@@ -81,7 +81,7 @@ Sparse = dict[int, int]
 IntConfig = tuple[Sparse, int]
 # per source state: the (target index, integer numerator) pairs of nonzero moves
 Columns = tuple[tuple[tuple[int, int], ...], ...]
-# a letter's columns and their common denominator, resolved once per run
+# a letter's columns and their common denominator
 Step = tuple[Columns, int]
 
 _ZERO = Fraction(0)
@@ -98,14 +98,14 @@ class SingularRestrictedSystem(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearRep:
-    """Linear representation of a system: each state's stop probability and
-    one sparse transition operator per letter, indexed in declared state order.
+    """Linear representation of a system: the termination row and one
+    sparse transition operator per letter, indexed in declared state order.
 
-    ``stops[k]`` is the k-th state's stop probability, a lowest-terms
-    ``(numerator, denominator)`` pair; ``columns[a][k]`` lists the ``(j, p)``
-    pairs with ``p / denominators[a]`` the probability of moving from the
-    k-th to the j-th state on ``a``.  The stops are the termination row
-    ``l_star``, read by the kernel as ``stop_row``, made on first read; the
+    ``stop_row`` is ``l_star``, each state's stop probability, as sparse
+    integers over their least common denominator; ``steps[a]`` is the
+    letter's ``Step``, ``(columns, d)``, in alphabet order, where
+    ``columns[k]`` lists the ``(j, p)`` pairs with ``p / d`` the
+    probability of moving from the k-th to the j-th state on ``a``.  The
     total-mass row ``l_one`` is all ones, as each state's masses sum to 1.
     Immutable after construction apart from caches of derived values;
     safe to share between threads, as the caches only grow: a state's
@@ -115,9 +115,8 @@ class LinearRep:
 
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
-    stops: tuple[tuple[int, int], ...]
-    columns: dict[str, Columns]
-    denominators: dict[str, int]
+    stop_row: IntConfig
+    steps: dict[str, Step]
 
     @property
     def dim(self) -> int:
@@ -129,35 +128,27 @@ class LinearRep:
         except ValueError:
             raise UnknownIdentifier(f"undeclared state {state!r}") from None
 
-    def letter_columns(self, letter: str) -> Step:
-        """The sparse columns of a letter and their common denominator."""
-        try:
-            return self.columns[letter], self.denominators[letter]
-        except KeyError:
-            raise UnknownIdentifier(f"undeclared letter {letter!r}") from None
-
-    @cached_property
-    def stop_row(self) -> IntConfig:
-        """``l_star`` on the kernel: sparse integers over their least common denominator."""
-        den = lcm(*[d for _, d in self.stops])
-        return {k: n * (den // d) for k, (n, d) in enumerate(self.stops) if n}, den
-
     @cached_property
     def mats(self) -> dict[str, Matrix]:
-        """Dense Fraction matrices, ``mats[a][j][k]``, derived from the columns:
+        """Dense Fraction matrices, ``mats[a][j][k]``, derived from the steps:
         a view for callers, which the package itself never reads."""
-        return {letter: tuple(map(tuple, self.dense(letter, lambda p, d=d: Fraction(p, d), _ZERO)))
-                for letter, d in self.denominators.items()}
+        return {letter: tuple(map(tuple, self.dense(letter, Fraction, _ZERO)))
+                for letter in self.alphabet}
 
-    def dense(self, letter: str, cell: Callable[[int], object], zero: object) -> Iterator[list]:
+    def dense(self, letter: str, cell: Callable[[int, int], object], zero) -> Iterator[list]:
         """A letter's matrix laid out densely, one row ``[j]`` at a time:
-        ``cell(p)`` at k for each move ``(j, p)`` of the k-th state's column,
-        ``zero`` elsewhere; ``cell`` is called once per distinct numerator."""
+        ``cell(p, d)`` at k for each move ``(j, p)`` of the k-th state's
+        column, d the letter's denominator, ``zero`` elsewhere; ``cell`` is
+        called once per distinct numerator."""
+        try:
+            columns, d = self.steps[letter]
+        except KeyError:
+            raise UnknownIdentifier(f"undeclared letter {letter!r}") from None
         by_row, cells = [[] for _ in range(self.dim)], {}
-        for k, column in enumerate(self.columns[letter]):
+        for k, column in enumerate(columns):
             for j, p in column:
                 if (x := cells.get(p)) is None:
-                    x = cells[p] = cell(p)
+                    x = cells[p] = cell(p, d)
                 by_row[j].append((k, x))
         for entries in by_row:
             row = [zero] * self.dim
@@ -176,11 +167,11 @@ class LinearRep:
         k-th to the j-th state over all letters, built from that state's
         moves in alphabet order and stored in one assignment.  ``solved[k]``
         is the k-th state's finite mass as a ``(numerator, denominator)``
-        pair once it is solved; the stops are read from ``stop_row``.
+        pair once it is solved.
         """
-        common = lcm(*self.denominators.values())
-        moving = tuple((columns, common // self.denominators[letter])
-                       for letter, columns in self.columns.items() if any(columns))
+        common = lcm(*[d for _, d in self.steps.values()])
+        moving = tuple((columns, common // d) for columns, d in self.steps.values()
+                       if any(columns))
         return [None] * self.dim, common, [None] * self.dim, moving
 
 
@@ -204,9 +195,10 @@ def build_rep(pts: Pts) -> LinearRep:
                 by_letter.setdefault(a, []).append((j, numerator * scales[a][denominator]))
         for a, column in by_letter.items():
             filled[a][k] = tuple(column)
-    return LinearRep(states=pts.states, alphabet=pts.alphabet, stops=pts.stops,
-                     columns={letter: tuple(f) for letter, f in zip(pts.alphabet, filled)},
-                     denominators=dict(zip(pts.alphabet, denominators)))
+    den = lcm(*[d for _, d in pts.stops])
+    stop_row = {k: n * (den // d) for k, (n, d) in enumerate(pts.stops) if n}, den
+    return LinearRep(states=pts.states, alphabet=pts.alphabet, stop_row=stop_row,
+                     steps=dict(zip(pts.alphabet, zip(map(tuple, filled), denominators))))
 
 
 def to_ints(u: Config, dim: int) -> IntConfig:
@@ -216,8 +208,12 @@ def to_ints(u: Config, dim: int) -> IntConfig:
     if len(u) != dim:
         raise ValueError(f"configuration has length {len(u)}, expected {dim}")
     nonzero = [(k, x) for k, x in enumerate(u) if x is not _ZERO and x]
-    denominator = lcm(*(x.denominator for _, x in nonzero))
-    return {k: x.numerator * (denominator // x.denominator) for k, x in nonzero}, denominator
+    try:
+        denominator = lcm(*(x.denominator for _, x in nonzero))
+        return {k: x.numerator * (denominator // x.denominator) for k, x in nonzero}, denominator
+    except AttributeError:
+        k, x = next((k, x) for k, x in nonzero if not isinstance(x, Rational))
+        raise TypeError(f"configuration entry {k} is a {type(x).__name__}, not rational") from None
 
 
 def from_ints(u: IntConfig, dim: int) -> Config:
@@ -226,7 +222,13 @@ def from_ints(u: IntConfig, dim: int) -> Config:
 
 
 def _product(columns: Columns, nums: Sparse) -> Sparse:
-    # the integer numerators of M . nums, over the letter's denominator
+    # the integer numerators of M . nums, over the letter's denominator: the
+    # one product every step calls, summed into a list when nums holds more
+    # than a quarter of the states, into a dict otherwise
+    return (_dense_product if 4 * len(nums) > len(columns) else _sparse_product)(columns, nums)
+
+
+def _sparse_product(columns: Columns, nums: Sparse) -> Sparse:
     acc: Sparse = {}
     for k, x in nums.items():
         for j, p in columns[k]:
@@ -237,9 +239,9 @@ def _product(columns: Columns, nums: Sparse) -> Sparse:
     return acc if all(acc.values()) else {j: x for j, x in acc.items() if x}
 
 
-def _dense_product(columns: Columns, nums: Sparse, dim: int) -> Sparse:
-    # _product through a dense list accumulator, its nonzeros in index order
-    acc = [0] * dim
+def _dense_product(columns: Columns, nums: Sparse) -> Sparse:
+    # a list accumulator, its nonzeros read back in index order
+    acc = [0] * len(columns)
     for k, x in nums.items():
         for j, p in columns[k]:
             acc[j] += p * x
@@ -248,24 +250,21 @@ def _dense_product(columns: Columns, nums: Sparse, dim: int) -> Sparse:
 
 def int_walk(rep: LinearRep, u: IntConfig, word: Iterable[str]) -> IntConfig:
     """``M_w . u`` on the integer kernel, in lowest terms: one product per
-    letter of ``w``, left to right, each distinct letter resolved once.  A
-    product of a vector holding more than a quarter of the states sums into
-    a dense list, otherwise into a dict (``_product``).  The terms are
-    reduced at the end, and before a letter only once the denominator has
-    over twice the bits it had after the last reduction (at first, the
+    letter of ``w``, left to right, each read from ``rep.steps``.  The terms
+    are reduced at the end, and before a letter only once the denominator
+    has over twice the bits it had after the last reduction (at first, the
     start's)."""
     nums, den = u
     bound = 2 * den.bit_length()
-    dim, steps = rep.dim, {}
     for letter in word:
         if den.bit_length() > bound:
             nums, den = _lowest(nums, den)
             bound = 2 * den.bit_length()
-        if (step := steps.get(letter)) is None:
-            step = steps[letter] = rep.letter_columns(letter)
-        columns, denominator = step
-        nums = _dense_product(columns, nums, dim) if 4 * len(nums) > dim \
-            else _product(columns, nums)
+        try:
+            columns, denominator = rep.steps[letter]
+        except KeyError:
+            raise UnknownIdentifier(f"undeclared letter {letter!r}") from None
+        nums = _product(columns, nums)
         den *= denominator
     return _lowest(nums, den)
 
@@ -276,16 +275,15 @@ def _lowest(nums: Sparse, den: int) -> IntConfig:
 
 
 def int_step(step: Step, u: IntConfig) -> IntConfig:
-    """``M . u`` in lowest terms for a resolved ``Step``: the one-letter ``int_walk``."""
+    """``M . u`` in lowest terms for a letter's ``Step``: the one-letter ``int_walk``."""
     return _lowest(_product(step[0], u[0]), u[1] * step[1])
 
 
 def scaled_step(step: Step, scaled: tuple[Sparse, int, int]) -> tuple[Sparse, int, int]:
-    """A step of a direction and its scale by a letter's resolved ``(columns,
+    """A step of a direction and its scale by a letter's ``Step``, ``(columns,
     a)``: ``(d, num, den)`` steps to ``(a M . d, num * a, den)``, with no
     content divided out (``record`` makes the rows it keeps primitive)."""
-    columns, denominator = step
-    d, num, den = scaled
+    (columns, denominator), (d, num, den) = step, scaled
     return _product(columns, d), num * denominator, den
 
 

@@ -58,19 +58,21 @@ def half_loop_rep(half_loop_pts):
 
 @pytest.fixture
 def walk_steps(monkeypatch):
-    """Every kernel product, through either accumulator, as ``(accumulator,
-    input vector)`` in call order: ``"sparse"`` for the dict one
-    (``linear._product``), ``"dense"`` for the list one."""
-    steps, sparse, dense = [], linear._product, linear._dense_product
+    """Every kernel product as ``(accumulator, input vector)``, in call
+    order: every step goes through the one selection site,
+    ``linear._product``, which hands it to the dict accumulator
+    (``"sparse"``, ``linear._sparse_product``) or the list one (``"dense"``,
+    ``linear._dense_product``)."""
+    steps, sparse, dense = [], linear._sparse_product, linear._dense_product
 
     def sparse_step(columns, nums):
         steps.append(("sparse", nums))
         return sparse(columns, nums)
 
-    def dense_step(columns, nums, dim):
+    def dense_step(columns, nums):
         steps.append(("dense", nums))
-        return dense(columns, nums, dim)
+        return dense(columns, nums)
 
-    monkeypatch.setattr(linear, "_product", sparse_step)
+    monkeypatch.setattr(linear, "_sparse_product", sparse_step)
     monkeypatch.setattr(linear, "_dense_product", dense_step)
     return steps

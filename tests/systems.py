@@ -92,9 +92,12 @@ Named = namedtuple("Named", "alphabet states term moves")
 
 
 def l_star(rep) -> tuple[Fraction, ...]:
-    """The termination row of a representation, or of a system, read from
-    its stop pairs: one Fraction per state."""
-    return tuple(Fraction(*p) for p in rep.stops)
+    """The termination row of a representation, read from its ``stop_row``,
+    or of a system, read from its stop pairs: one Fraction per state."""
+    if isinstance(rep, Pts):
+        return tuple(Fraction(*p) for p in rep.stops)
+    star, den = rep.stop_row
+    return tuple(Fraction(star.get(k, 0), den) for k in range(len(rep.states)))
 
 
 def named(pts: Pts) -> Named:

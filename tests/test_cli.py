@@ -146,8 +146,8 @@ def test_rep_formats_shared_numerators_over_each_letters_denominator(doc_path, c
                                             {"letter": "a", "to": "y", "p": "1/3"},
                                             {"letter": "b", "to": "y", "p": "1/3"}]}}}
     rep = build_rep(parse_pts(json.dumps(doc)))
-    assert rep.denominators == {"a": 12, "b": 6}
-    numerators = [{p for column in rep.columns[a] for _, p in column} for a in "ab"]
+    assert {a: d for a, (_, d) in rep.steps.items()} == {"a": 12, "b": 6}
+    numerators = [{p for column in rep.steps[a][0] for _, p in column} for a in "ab"]
     assert numerators[0] & numerators[1] == {3}
     code, out, err = run(capsys, "rep", doc_path(doc))
     assert (code, out, err) == (0, _dense_rep_output(doc), "")

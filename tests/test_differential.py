@@ -102,12 +102,12 @@ def ref_build(pts):
 def ref_combined(rep):
     # the finite-mass cache's one-step map from every (letter, state), in
     # the order a solve sums a state's row: its moves in alphabet order
-    common = lcm(*rep.denominators.values())
+    common = lcm(*[d for _, d in rep.steps.values()])
     combined = [{} for _ in rep.states]
-    for letter, columns in rep.columns.items():
+    for columns, d in rep.steps.values():
         for out, column in zip(combined, columns):
             for j, p in column:
-                out[j] = out.get(j, 0) + p * (common // rep.denominators[letter])
+                out[j] = out.get(j, 0) + p * (common // d)
     return combined, common
 
 
@@ -141,8 +141,9 @@ def test_build_rep_matches_the_builder_it_replaced():
         for case in (pts, _builder_case(rng, pts)):
             assert validate(case) == []
             rep = build_rep(case)
-            assert (rep.columns, rep.denominators) == ref_build(case)
-            assert list(rep.columns) == list(rep.denominators) == list(case.alphabet)
+            columns, denominators = ref_build(case)
+            assert rep.steps == {a: (columns[a], denominators[a]) for a in case.alphabet}
+            assert list(rep.steps) == list(case.alphabet) and l_star(rep) == l_star(case)
             combined, common = ref_combined(rep)
             assert rep._mass_cache[1] == common and built_rows(rep) == {}
             # a whole-document solve builds every state's row: the same
@@ -151,7 +152,7 @@ def test_build_rep_matches_the_builder_it_replaced():
             rows = built_rows(rep)
             assert len(rows) == rep.dim
             assert all(list(row.items()) == list(combined[k].items()) for k, row in rows.items())
-            unused += sum(not any(columns) for columns in rep.columns.values())
+            unused += sum(not any(columns) for columns, _ in rep.steps.values())
             zero_moves += sum(not p for row in case.rows for p, _ in row.values())
             mixed += sum(len({d for row in case.rows for (b, _), (p, d) in row.items()
                               if b == a and p}) > 1 for a in range(len(case.alphabet)))
@@ -178,11 +179,11 @@ def _cancelling_difference(draw):
     # that M_a cancels exactly at the target t of p's first move on a
     i = draw(st.integers(0, STEP_BASE - 1))
     p, q = (STEP_PTS.states.index(f"b{i}{c}") for c in "pq")
-    letters = [a for a in STEP_PTS.alphabet if STEP_REP.columns[a][p]]
+    letters = [a for a in STEP_PTS.alphabet if STEP_REP.steps[a][0][p]]
     if not letters:
         return {p: 1, q: -1}, STEP_PTS.alphabet[0], None
     letter = draw(st.sampled_from(letters))
-    t = STEP_REP.columns[letter][p][0][0]
+    t = STEP_REP.steps[letter][0][p][0][0]
     x, y = STEP_MATS[letter][t][q], STEP_MATS[letter][t][p]
     scale = draw(st.integers(1, 6)) * x.denominator * y.denominator
     return {p: int(x * scale), q: -int(y * scale)}, letter, t
@@ -194,7 +195,7 @@ def test_sparse_steps_match_dense_reference(case, den):
     d, letter, cancelled = case
     n = STEP_REP.dim
     expected = ref_step(STEP_MATS, from_ints((d, den), n), letter)
-    resolved = STEP_REP.letter_columns(letter)
+    resolved = STEP_REP.steps[letter]
     nums, out_den = int_walk(STEP_REP, (d, den), (letter,))
     assert from_ints((nums, out_den), n) == expected
     assert to_ints(expected, n) == (nums, out_den)
@@ -202,7 +203,7 @@ def test_sparse_steps_match_dense_reference(case, den):
     assert int_step(resolved, (d, den)) == (nums, out_den)
     direction, a, one = scaled_step(resolved, (d, 1, 1))
     # direction = a M_a d, where d = den * u, not divided by its content
-    assert a == STEP_REP.denominators[letter] and one == 1
+    assert a == STEP_REP.steps[letter][1] and one == 1
     assert from_ints((direction, a), n) == tuple(x * den for x in expected)
     assert primitive(direction) == primitive(to_ints(expected, n)[0])
     assert scaled_step(resolved, (d, 3, -5)) == (direction, 3 * a, -5)
@@ -1461,7 +1462,7 @@ def test_walk_equals_the_chain_of_steps(index, monkeypatch):
         between.append((reductions[0] - 1, len(word) - 1))
     assert any(done < places for done, places in between)
     # with every move probability an integer no denominator ever grows
-    assert any(done for done, _ in between) or max(rep.denominators.values()) == 1
+    assert any(done for done, _ in between) or max(d for _, d in rep.steps.values()) == 1
 
 
 # x loops with probability 1 on the one letter, whose moves from y have
@@ -1487,7 +1488,7 @@ def test_long_walks_keep_their_entries_bounded(pts, state, walk_steps):
     # the wrappers saw every step, whichever accumulator took it
     assert len(walk_steps) == len(word)
     largest = max(abs(x) for _, nums in walk_steps for x in nums.values())
-    bound = 2 * widest + rep.denominators["a"].bit_length() + 1
+    bound = 2 * widest + rep.steps["a"][1].bit_length() + 1
     assert largest.bit_length() <= bound
     if pts is LOOP_PTS:
         assert chained == ({0: 1}, 1) and bound == 6
@@ -1529,7 +1530,7 @@ def test_the_two_accumulators_agree_with_the_reference(index, walk_steps):
                       for size in (n // 4, n // 4 + 1, n) for _ in range(4)]
     cancelled = set()
     for letter in pts.alphabet:
-        columns, denominator = rep.letter_columns(letter)
+        columns, denominator = rep.steps[letter]
         for d in vectors:
             walk_steps.clear()
             int_walk(rep, (d, 1), (letter,))
@@ -1538,7 +1539,7 @@ def test_the_two_accumulators_agree_with_the_reference(index, walk_steps):
             if d and (case := _cancelling(rng, columns, d)):
                 cases.append(case)
             for v, target in cases:
-                sparse, dense = linear._product(columns, v), linear._dense_product(columns, v, n)
+                sparse, dense = linear._sparse_product(columns, v), linear._dense_product(columns, v)
                 assert sparse == dense and 0 not in dense.values()
                 assert list(dense) == sorted(dense)
                 assert from_ints((dense, denominator), n) == \
@@ -1567,13 +1568,9 @@ def test_walks_crossing_the_switch_equal_the_chain_of_steps(pts, walk_steps):
     assert all((4 * len(nums) > rep.dim) == (kind == "dense") for kind, nums in walk_steps)
 
 
-def test_a_walk_reads_its_word_once_and_names_an_undeclared_letter(yz_rep, monkeypatch):
+def test_a_walk_reads_its_word_once_and_names_an_undeclared_letter(yz_rep):
     u, word = to_ints(dirac(yz_rep, "y"), yz_rep.dim), ("b", "a", "b", "b", "a")
-    read, resolved, letter_columns = [], [], linear.LinearRep.letter_columns
-
-    def resolving(rep, letter):
-        resolved.append(letter)
-        return letter_columns(rep, letter)
+    read = []
 
     def letters(word):
         for letter in word:
@@ -1581,10 +1578,8 @@ def test_a_walk_reads_its_word_once_and_names_an_undeclared_letter(yz_rep, monke
             yield letter
 
     expected = int_walk(yz_rep, u, word)
-    monkeypatch.setattr(linear.LinearRep, "letter_columns", resolving)
-    # each distinct letter is resolved once, in the order it first occurs
     assert int_walk(yz_rep, u, letters(word)) == expected
-    assert read == list(word) and resolved == ["b", "a"]
+    assert read == list(word)
     for bad in (("z",), ("a", "b", "z", "a"), letters(("a", "z"))):
         with pytest.raises(UnknownIdentifier, match=r"^undeclared letter 'z'$"):
             int_walk(yz_rep, u, bad)

@@ -598,7 +598,7 @@ def test_certificate_check_raises_on_an_unhandled_successor(worked_rep):
     # under M_a, so they do not prove an Equivalent
     basis = CongruenceBasis(worked_rep.dim)
     item = basis.item(*(to_ints(dirac(worked_rep, s), worked_rep.dim) for s in ("x", "z")))
-    successor = basis.successor(worked_rep.letter_columns("a"), item)
+    successor = basis.successor(worked_rep.steps["a"], item)
     assert any(successor[0])
     basis.record(*item)
     verdict = Equivalent(iterations=3, relation_size=2)

@@ -112,7 +112,9 @@ def _eager(text):
 
 
 def _rep_fields(rep):
-    return rep.columns, rep.denominators, l_star(rep)
+    columns = {letter: columns for letter, (columns, _) in rep.steps.items()}
+    denominators = {letter: d for letter, (_, d) in rep.steps.items()}
+    return columns, denominators, l_star(rep)
 
 
 def _reference_error(violations):
