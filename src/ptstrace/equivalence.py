@@ -9,8 +9,11 @@ linear span of previously recorded differences (the hkc variants).  Span
 membership, both output tests and the successors of a pair
 (``M_a u - M_a v = M_a (u - v)``) are linear in u - v, so the hkc variants
 carry one sparse difference vector per pair instead of two configurations,
-stepped with no gcd.  A run keeps one link per extraction, (parent,
-letter, skipped), and a trace is read off the links after the run.  Each
+stepped with no gcd.  A step reads the letter's ``Step`` from
+``LinearRep.steps``, each letter paired with its step once before the
+loop, and sums by the kernel's one accumulator rule, as a walk does.  A
+run keeps one link per extraction, (parent, letter, skipped), and a
+trace is read off the links after the run.  Each
 store has one operation, ``record``, which records an item and returns the
 item the run queues once per letter, stepped only when that entry is
 extracted, or None for an item already related.  For the hkc variants one

@@ -12,25 +12,22 @@ difference for zero (``scaled_out_term``).
 
 Internally everything runs on one sparse integer kernel.  Each letter is
 stored once, as its ``Step`` in ``LinearRep.steps``: sparse columns, one
-per source state, listing ``(target, p)`` pairs with integer ``p`` over
-one common denominator for the letter.  A vector inside the kernel is
-sparse (``Sparse``): a dict from index to a nonzero integer, which never
-stores a zero.  A configuration is such a vector over one positive common
-denominator, in lowest terms wherever one is returned or kept
-(``to_ints``, which checks the length, and ``from_ints`` convert); the
-termination row is one, ``LinearRep.stop_row``.  A step is integer
-multiply-adds over the nonzero entries only, dropping entries that cancel
-to zero, and every step takes one product, ``_product``, with one rule:
-it sums into a dense list accumulator when the vector holds more than a
-quarter of the states, where indexing a list costs less than a dict's
-membership test per term, and into a dict otherwise.  ``int_walk`` walks a
-whole word, one step per letter, read from ``steps`` as it comes,
-reducing the terms at the end and between letters only once the
-denominator has doubled its bits.  Where only the direction of a vector
-counts, as for the differences the equivalence checker carries, it is a
-bare sparse vector, and ``scaled_step`` steps it with no denominator or
-gcd, reporting the factor it scaled the true step by.  It and
-``int_step``, the one-letter walk, take a letter's ``Step``.
+per source state, of ``(target, p)`` pairs with integer ``p`` over one
+common denominator for the letter.  A vector inside the kernel is sparse
+(``Sparse``): a dict from index to a nonzero integer.  A configuration is
+such a vector over one positive common denominator, in lowest terms
+wherever one is returned or kept (``to_ints``, which checks the length,
+and ``from_ints`` convert), as is the termination row,
+``LinearRep.stop_row``.  Every step is one product, ``_product``, over the
+nonzero entries only, dropping entries that cancel, with one rule: it
+sums into a dense list when the vector holds more than a quarter of the
+states, where a list index costs less than a dict's membership test per
+term, and into a dict otherwise.  ``int_walk`` walks a word, reading each
+letter's step as it comes and reducing the terms at the end, and between
+letters only once the denominator has doubled its bits.  The equivalence
+checker's differences need only their direction: ``scaled_step`` steps
+one with no denominator or gcd, reporting the factor it scaled the true
+step by.  It and ``int_step``, the one-letter walk, take a ``Step``.
 
 The mass on finite words, the least nonnegative fixed point of
 ``s = l_star + (sum_a M_a)^T s``, is cached on the representation, each

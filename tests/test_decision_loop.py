@@ -3,9 +3,9 @@
 A stdlib AST check on ``equivalence.py``: inside the ``while`` loop of
 ``_decide`` no name ``trace``, ``Extraction`` or ``from_ints`` is read, so
 traced and untraced runs take one path; a trace is read off the run's
-links after the loop.  Nor is ``letter_columns`` called or the alphabet
-read there: each letter's step is resolved once, before the loop, not
-once per extraction.  Exactly one function of the module constructs
+links after the loop.  Nor is ``steps`` or the alphabet read there:
+each letter is paired with its step once, before the loop, not once per
+extraction.  Exactly one function of the module constructs
 an ``Extraction``, and exactly one, ``OutputKind.target``, names the word
 sets ``Cone`` and ``FiniteWord`` that read an output row.
 """
@@ -15,7 +15,7 @@ from pathlib import Path
 
 MODULE = Path(__file__).resolve().parents[1] / "src" / "ptstrace" / "equivalence.py"
 TRACE_NAMES = {"trace", "Extraction", "from_ints"}
-STEP_NAMES = {"letter_columns", "alphabet"}
+STEP_NAMES = {"steps", "alphabet"}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -100,17 +100,20 @@ def test_the_decision_loop_resolves_no_letter():
 def test_a_letter_resolved_in_the_loop_is_reported():
     source = (
         "def _decide(rep, store):\n"
-        "    steps = [(a, rep.letter_columns(a)) for a in rep.alphabet]\n"
+        "    by_letter = tuple(rep.steps.items())\n"
         "    while store.todo:\n"
         "        for letter in rep.alphabet:\n"
-        "            store.push(scaled_step(rep.letter_columns(letter), store.pop()))\n"
-        "        for letter, step in steps:\n"
+        "            store.push(scaled_step(rep.steps[letter], store.pop()))\n"
+        "        for letter, step in by_letter:\n"
         "            store.push(scaled_step(step, store.pop()))\n"
-        "        alphabet = letters = steps\n"
-        "    return rep.alphabet\n")
-    # the steps resolved before the loop, a store to a name and the return
-    # are not reads in it
-    assert loop_reads(source, names=STEP_NAMES) == [(4, "alphabet"), (5, "letter_columns")]
+        "        for step in steps:\n"
+        "            store.push(scaled_step(step, store.pop()))\n"
+        "        alphabet = steps = by_letter\n"
+        "    return rep.alphabet, rep.steps\n")
+    # the steps paired before the loop, a store to a name and the return
+    # are not reads in it; a bare name and an attribute are
+    assert loop_reads(source, names=STEP_NAMES) == [(4, "alphabet"), (5, "steps"),
+                                                    (8, "steps")]
 
 
 ROW_SETS = {"Cone", "FiniteWord"}

@@ -682,6 +682,66 @@ def test_either_choice_in_record_gives_the_same_run(index, monkeypatch):
         assert isinstance(result, expected) and checked == result
 
 
+# the differential systems in groups of 8, then each choice case alone:
+# the unary chains, the wide and sink split copies (n = 600 among them) and
+# the perturbed documents
+ONE_RULE_CASES = ([SYSTEMS[i:i + 8] for i in range(0, len(SYSTEMS), 8)]
+                  + [[(pts, "a0", "b0p")] for pts in CHOICE_CASES])
+
+
+@pytest.mark.parametrize("index", range(len(ONE_RULE_CASES)))
+def test_one_accumulator_rule_gives_the_runs_of_the_dict_accumulator(index, walk_steps,
+                                                                    monkeypatch):
+    # every product picks the dict or the list accumulator by one rule; with
+    # every product forced through the dict one, hkc_inf, hkc_finite, naive
+    # and hk return the same results and traces, and hkc runs end with the
+    # same stored rows, compared as mappings
+    record, bases = CongruenceBasis.record, []
+
+    def keeping_record(self, d, num, den):
+        bases.append(self)
+        return record(self, d, num, den)
+
+    monkeypatch.setattr(CongruenceBasis, "record", keeping_record)
+    runs, kinds = [], []
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(linear, "_product", linear._sparse_product)
+        walk_steps.clear()
+        runs.append([])
+        for pts, x, y in ONE_RULE_CASES[index]:
+            rep = build_rep(pts)
+            for algorithm in (hkc_inf, hkc_finite):
+                trace = []
+                result = algorithm(rep, x, y, debug=True, trace=trace)
+                runs[-1].append((result, trace, list(bases[-1]._rows.items())))
+            for algorithm in (naive, hk):
+                trace = []
+                runs[-1].append((algorithm(rep, x, y, 100, trace=trace), trace))
+        kinds.append({kind for kind, _ in walk_steps})
+    assert runs[1] == runs[0]
+    # the dict accumulator alone when forced; unforced, every case but the
+    # four-letter split copies and the perturbed unary chains takes the list one too
+    assert kinds[1] == {"sparse"}
+    dict_only = [WIDE_CASES[0], *PERTURBED_CASES[:3]]
+    assert ("dense" in kinds[0]) != any(pts is other for pts, _, _ in ONE_RULE_CASES[index]
+                                        for other in dict_only)
+
+
+@pytest.mark.parametrize("pts", UNARY_CHAINS, ids=["n54", "n60"])
+def test_hkc_runs_on_unary_chains_take_the_list_accumulator(pts, walk_steps):
+    # the differences of a unary chain cover more than a quarter of the
+    # states within a few letters: most of their products sum into a list,
+    # each exactly when its vector holds more than a quarter of the states
+    rep = build_rep(pts)
+    for algorithm in (hkc_inf, hkc_finite):
+        walk_steps.clear()
+        assert isinstance(algorithm(rep, "a0", "b0p"), Equivalent)
+        dense = [kind == "dense" for kind, _ in walk_steps]
+        assert 2 * sum(dense) > len(dense) > sum(dense) > 0
+        assert all((4 * len(nums) > rep.dim) == (kind == "dense") for kind, nums in walk_steps)
+
+
 def ref_scaled_step(step, scaled):
     """The successor the hkc runs used to step: ``(d, num, den)`` steps to
     ``(p, num * a, den * g)``, ``p = (a / g) M . d`` divided by its

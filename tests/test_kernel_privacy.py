@@ -7,6 +7,9 @@ each module reads only the ``_``-prefixed attributes it defines itself.  A
 read is an attribute access (``rep._name``), a ``getattr`` with the name as
 a literal, or a ``from .module import _name``.  And ``brute_measure``
 reads only the four fields of its ``Pts`` and no name imported from ``linear``.
+The letter layout is known to the kernel and the equivalence checker alone:
+``cli.py``, ``measure.py`` and ``oracle.py`` read no ``steps`` attribute,
+and reach a letter through ``int_walk``, ``step`` or ``LinearRep.dense``.
 """
 
 import ast
@@ -19,6 +22,7 @@ KERNEL = PACKAGE / "linear.py"
 MODULES = sorted(PACKAGE.glob("*.py"))
 READERS = [p for p in MODULES if p != KERNEL]
 FIELDS = {"alphabet", "states", "stops", "rows"}
+LAYOUT_FREE = ("cli.py", "measure.py", "oracle.py")
 
 
 def _private(name: str) -> bool:
@@ -154,3 +158,25 @@ def test_an_oracle_reading_a_view_or_the_kernel_is_reported():
               "    moves, rows = pts.moves, pts.rows\n"
               "    return rep_of(pts), linear.dirac(pts, state), pts.stops\n")
     assert oracle_reads(source) == [(4, "moves"), (5, "linear"), (5, "rep_of")]
+
+
+def attribute_reads(source: str, name: str = "steps") -> list[int]:
+    """The lines of each read of the attribute ``name``: an attribute access
+    or a ``getattr`` with the name as a literal, not a bare name."""
+    return sorted(line for line, attr, module in _reads(source) if attr == name and module is None)
+
+
+@pytest.mark.parametrize("name", LAYOUT_FREE)
+def test_module_reads_no_letter_step(name):
+    assert attribute_reads((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+def test_a_letter_step_read_is_reported():
+    source = ("from .linear import steps\n"
+              "def rows(rep, letter, steps):\n"
+              "    columns, d = rep.steps[letter]\n"
+              "    return getattr(rep, 'steps'), steps, rep.dense(letter, str, '0')\n"
+              "def walk(rep, word):\n"
+              "    return [rep.steps.get(a) for a in word], rep.stop_row\n")
+    # the import and the bare parameter are not attribute reads
+    assert attribute_reads(source) == [3, 4, 6]

@@ -2,14 +2,15 @@
 
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ptstrace import (All, Cone, FiniteWord, UnknownIdentifier, brute_measure,
-                      build_rep, dirac, measure, parse_pts, step)
+from ptstrace import (All, Cone, CongruenceBasis, FiniteWord, UnknownIdentifier,
+                      brute_measure, build_rep, dirac, measure, parse_pts, step)
 
 from systems import CONGRUENCE_XZ, l_star, load, random_pts
 
@@ -52,6 +53,27 @@ def test_dirac(worked_rep):
     assert dirac(single, "s") == (F(1),)
     with pytest.raises(UnknownIdentifier):
         dirac(worked_rep, "ghost")
+
+
+def test_dense_lays_out_a_letter_and_names_an_undeclared_one(yz_rep):
+    # cell gets each numerator with the letter's denominator
+    assert list(yz_rep.dense("a", lambda p, d: f"{p}/{d}", "0")) == [["2/4", "0"], ["0", "3/4"]]
+    with pytest.raises(UnknownIdentifier, match=r"^undeclared letter 'zz'$"):
+        list(yz_rep.dense("zz", str, "0"))
+
+
+@pytest.mark.parametrize("entry", [0.5, "1/2", Decimal("0.5"), 1j],
+                         ids=["float", "str", "Decimal", "complex"])
+def test_a_non_rational_entry_is_refused_by_index_and_type(worked_rep, entry):
+    # Fraction and int entries beside it are read as they always were
+    u, x = (F(1, 3), 2, entry, F(0)), dirac(worked_rep, "x")
+    message = rf"^configuration entry 2 is a {type(entry).__name__}, not rational$"
+    for call in (lambda: measure(worked_rep, u, All()), lambda: step(worked_rep, u, "a"),
+                 lambda: CongruenceBasis(4).contains(u, x),
+                 lambda: CongruenceBasis(4).insert(x, u)):
+        with pytest.raises(TypeError, match=message):
+            call()
+    assert measure(worked_rep, (F(1, 3), 2, F(0), 0), All()) == F(7, 3)
 
 
 def test_step_examples(worked_rep):
