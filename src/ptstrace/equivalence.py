@@ -1,8 +1,8 @@
 """Trace-equivalence decision procedures on the determinized linear view.
 
-Four variants share one FIFO worklist loop and differ only in their store,
-which decides what a worklist item is and how a candidate pair is
-discharged before its outputs are compared: exact pair lookup (naive) or
+Four variants share one breadth-first loop and differ only in their store,
+which decides what an item is and how a candidate pair is discharged
+before its outputs are compared: exact pair lookup (naive) or
 equivalence closure via union-find (hk), both keyed on a hashable form of
 the configuration pair, or membership of the difference vector in the
 linear span of previously recorded differences (the hkc variants).  Span
@@ -11,33 +11,43 @@ membership, both output tests and the successors of a pair
 carry one sparse difference vector per pair instead of two configurations,
 stepped with no gcd.  A step reads the letter's ``Step`` from
 ``LinearRep.steps``, each letter paired with its step once before the
-loop, and sums by the kernel's one accumulator rule, as a walk does.  A
-run keeps one link per extraction, (parent, letter, skipped), and a
-trace is read off the links after the run.  Each
-store has one operation, ``record``, which records an item and returns the
-item the run queues once per letter, stepped only when that entry is
-extracted, or None for an item already related.  For the hkc variants one
-reduction of the difference against the basis both tests membership and
-records the pair, as a row written once in echelon form, and the run steps
-the new row or the difference, whichever has fewer bits in all.  Either
-choice gives the same run: the row is a nonzero multiple of the difference
-minus earlier rows, and breadth-first order extracts the successors of the
-earlier stepped vectors first, so an extracted vector d is ``c M_w (e_x -
-e_y) + z`` for its word w, a rational c != 0 and a z in the span, on which
-every checked output vanishes.  So every test answers as for the true
-difference, and with c carried exactly a counterexample costs one walk:
-``lhs`` is read from x's unit vector along the witness and ``rhs = lhs -
-o(d) / c`` for the separating output o (naive and hk read both from their
-pair).  Every run has a step budget.  Each recorded pair strictly increases
-the rank of the difference basis, at most the dimension, so an hkc run's
-budget is that proven bound, 1 + |alphabet| * dim extractions, and a run
-that spends it raises ``InvariantError``; naive and hk can run forever on
-the weighted state space and take the caller's.
+loop, and sums by the kernel's one accumulator rule, as a walk does.
+
+The loop walks the recorded items in record order and steps each by every
+letter in alphabet order, the order a FIFO worklist would extract them in,
+with nothing queued: extraction 0 is the start pair and extraction ``1 + k
+|alphabet| + i`` steps the k-th recorded item by the i-th letter, so
+``iterations`` counts the extractions.  A run keeps one (parent, letter)
+per recorded item, and a trace is rebuilt from them after the run, every
+extraction included.  In the hkc variants an item whose difference holds no
+source that moves on a letter steps to zero, which is always related: that
+extraction is counted as skipped with no step and no record, and a letter
+that moves no source is never visited.  naive and hk step every letter,
+since naive records the empty pair the first time it meets it.  Each store
+has one operation, ``record``, which records an item and returns the item
+the run steps by each letter in turn, or None for an item already related.
+For the hkc variants one reduction of the difference against the basis both
+tests membership and records the pair, as a row written once in echelon
+form, and the run steps the new row or the difference, whichever has fewer
+bits in all.  Either choice gives the same run: the row is a nonzero
+multiple of the difference minus earlier rows, and breadth-first order
+extracts the successors of the earlier stepped vectors first, so an
+extracted vector d is ``c M_w (e_x - e_y) + z`` for its word w, a rational
+c != 0 and a z in the span, on which every checked output vanishes.  So
+every test answers as for the true difference, and with c carried exactly a
+counterexample costs one walk: ``lhs`` is read from x's unit vector along
+the witness and ``rhs = lhs - o(d) / c`` for the separating output o (naive
+and hk read both from their pair).  Every run has a step budget.  Each
+recorded pair strictly increases the rank of the difference basis, at most
+the dimension, so an hkc run's budget is that proven bound,
+1 + |alphabet| * dim extractions, and a run that spends it raises
+``InvariantError``; naive and hk can run forever on the weighted state
+space and take the caller's.
 
 A run checks a tuple of output rows in order: (total mass, termination)
 decides equality of the full measures on finite and infinite words, and
 hkc_finite's (termination,) decides finite-trace equivalence only.  The
-breadth-first worklist and the declared alphabet order make runs
+breadth-first order and the declared alphabet order make runs
 deterministic and counterexample words shortest possible.  With ``debug``
 an hkc verdict is checked once, after the run: an ``Equivalent`` by its
 certificate, the final rows, whose span is a bisimulation up to congruence,
@@ -47,7 +57,6 @@ and a ``NotEquivalent`` by walking both states along the witness again.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -55,8 +64,8 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .linear import (Config, IntConfig, LinearRep, Sparse, Step, eliminate,
-                     from_ints, int_difference, int_step, scaled_out_term,
-                     scaled_step, to_ints)
+                     from_ints, int_difference, int_step, moving_sources,
+                     scaled_out_term, scaled_step, to_ints)
 from .measure import Cone, FiniteWord, int_measure
 from .model import Word
 
@@ -107,7 +116,7 @@ _ALL_OUTPUTS = (OutputKind.TOTAL_MASS, OutputKind.TERMINATION)  # the full measu
 
 @dataclass(frozen=True)
 class Extraction:
-    """One pair taken off the worklist, read off the run's links after the run.
+    """One extraction of a run, rebuilt from the run's parents after the run.
 
     ``left`` and ``right`` are the configurations reached from the two
     states along ``word``, stepped from its parent's: the hkc variants carry
@@ -242,6 +251,8 @@ class CongruenceBasis:
         return int_difference(u, v), lcm(u[1], v[1]), 1
 
     successor = staticmethod(scaled_step)
+    # an item whose d holds no source that moves on a letter steps to zero
+    moving = staticmethod(moving_sources)
 
     @staticmethod
     def difference(item) -> Sparse:
@@ -264,6 +275,11 @@ class _PairItems:
     @staticmethod
     def successor(step: Step, pair) -> tuple[IntConfig, IntConfig]:
         return int_step(step, pair[0]), int_step(step, pair[1])
+
+    @staticmethod
+    def moving(step: Step) -> None:
+        # every letter is stepped: naive records the empty pair once
+        return None
 
     @staticmethod
     def difference(pair) -> Sparse:
@@ -322,22 +338,32 @@ def _separating_output(rep: LinearRep, d, outputs) -> OutputKind | None:
     return None
 
 
-def _spell(links: list[tuple[int, str, bool]], node: int) -> Word:
-    # node k is reached from node links[k][0] by the letter links[k][1]
+def _spell(parents: list[tuple[int, str]], k: int) -> Word:
+    # the k-th recorded item is reached from item parents[k][0] by parents[k][1]
     word = []
-    while node:
-        node, letter, _ = links[node]
+    while k:
+        k, letter = parents[k]
         word.append(letter)
     return tuple(reversed(word))
 
 
-def _extractions(rep: LinearRep, start, links: list[tuple[int, str, bool]]) -> list[Extraction]:
-    # each node's configuration pair, stepped from its parent's by its letter
-    steps, configs = rep.steps, [start]
-    for parent, letter, _ in links[1:]:
-        configs.append(_PairItems.successor(steps[letter], configs[parent]))
-    return [Extraction(_spell(links, node), from_ints(u, rep.dim), from_ints(v, rep.dim), link[2])
-            for node, ((u, v), link) in enumerate(zip(configs, links))]
+def _extractions(rep: LinearRep, start, parents: list[tuple[int, str]],
+                 iterations: int) -> list[Extraction]:
+    # every extraction's configuration pair, stepped from its recorded
+    # parent's, the ones the run skipped without a step too
+    by_letter, dim, recorded = tuple(rep.steps.items()), rep.dim, set(parents[1:])
+    pairs, words = [start], [()]
+    extractions = [Extraction((), from_ints(start[0], dim), from_ints(start[1], dim),
+                              not parents)]
+    for node in range(1, iterations):
+        k, i = divmod(node - 1, len(by_letter))
+        letter, step = by_letter[i]
+        (u, v), word = _PairItems.successor(step, pairs[k]), words[k] + (letter,)
+        if not (skipped := (k, letter) not in recorded):
+            pairs.append((u, v))
+            words.append(word)
+        extractions.append(Extraction(word, from_ints(u, dim), from_ints(v, dim), skipped))
+    return extractions
 
 
 def _start(rep: LinearRep, x: str, y: str) -> tuple[IntConfig, IntConfig]:
@@ -346,40 +372,58 @@ def _start(rep: LinearRep, x: str, y: str) -> tuple[IntConfig, IntConfig]:
 
 
 def _decide(rep, start, store, outputs, max_steps, trace=None) -> EquivResult:
-    # an entry is (parent node, letter, step, stepped item), stepped only when
-    # extracted, the start's (0, None, None, item); the k-th extraction is
-    # node k and appends links[k] = (parent, letter, skipped), so len(links)
-    # counts the extractions: words are spelled from the links only for a
-    # witness, and a trace is read off them once the run has ended
-    by_letter = tuple(rep.steps.items())
-    todo = deque([(0, None, None, store.item(*start))])
-    links: list[tuple[int, str, bool]] = []
+    # extraction 0 is the start and extraction 1 + k |alphabet| + i steps the
+    # k-th recorded item by the i-th letter, the order a FIFO worklist would
+    # take, with nothing queued; parents[k] = (parent, letter) is all the run
+    # keeps of the k-th recorded item's extraction, so words are spelled
+    # from the parents only for a witness and a trace is rebuilt from them
+    # once the run has ended.  A letter's moving sources are None for a
+    # store that steps every letter; otherwise an item whose difference
+    # holds none of them steps to zero, so its extraction is skipped
+    # without a step, and a letter with none is never visited
+    size = len(rep.steps)
+    by_letter = tuple((i, letter, step, moving)
+                      for i, (letter, step) in enumerate(rep.steps.items())
+                      if (moving := store.moving(step)) is None or moving)
     record, successor, difference = store.record, store.successor, store.difference
-    push, pop, link = todo.append, todo.popleft, links.append
-    # the items recorded with agreeing outputs: the relation built so far
-    relation_size = 0
+    # the recorded items with agreeing outputs, each with its difference's
+    # support: the relation built so far
+    relation: list = []
+    parents: list[tuple[int, str]] = []
+    # the extractions taken, the one being taken included
+    iterations = 1
+
+    def related(stepped, parent: int, letter: str | None) -> NotEquivalent | None:
+        # a recorded item joins the relation unless an output separates it
+        parents.append((parent, letter))
+        if output := _separating_output(rep, d := difference(stepped), outputs):
+            word = _spell(parents, len(parents) - 1)
+            lhs, rhs = store.values(rep, start[0], word, stepped, output)
+            return NotEquivalent(word, output, lhs, rhs, iterations, len(relation))
+        relation.append((stepped, d.keys()))
+        return None
+
     try:
-        while todo:
-            node = len(links)
-            if node == max_steps:
-                return Inconclusive(steps_exhausted=max_steps, relation_size=relation_size)
-            parent, letter, step, item = pop()
-            # membership before the outputs: a skipped item costs its step and the test only
-            stepped = record(*(item if step is None else successor(step, item)))
-            link((parent, letter, stepped is None))
-            if stepped is None:
-                continue
-            if output := _separating_output(rep, difference(stepped), outputs):
-                word = _spell(links, node)
-                lhs, rhs = store.values(rep, start[0], word, stepped, output)
-                return NotEquivalent(word, output, lhs, rhs, len(links), relation_size)
-            for letter, step in by_letter:
-                push((node, letter, step, stepped))
-            relation_size += 1
-        return Equivalent(iterations=len(links), relation_size=relation_size)
+        # membership before the outputs: a skipped item costs its step and the test only
+        if (stepped := record(*store.item(*start))) is not None and (
+                found := related(stepped, 0, None)):
+            return found
+        # the relation grows while it is walked: every item is reached
+        for k, (item, support) in enumerate(relation):
+            for i, letter, step, moving in by_letter:
+                if (iterations := 2 + k * size + i) > max_steps:
+                    return Inconclusive(steps_exhausted=max_steps, relation_size=len(relation))
+                if moving is not None and support.isdisjoint(moving):
+                    continue
+                if (stepped := record(*successor(step, item))) is not None and (
+                        found := related(stepped, k, letter)):
+                    return found
+        if (iterations := 1 + size * len(relation)) > max_steps:
+            return Inconclusive(steps_exhausted=max_steps, relation_size=len(relation))
+        return Equivalent(iterations=iterations, relation_size=len(relation))
     finally:  # on every exit, so a trace holds a witness's extraction too
         if trace is not None:
-            trace.extend(_extractions(rep, start, links))
+            trace.extend(_extractions(rep, start, parents, min(iterations, max_steps)))
 
 
 def _budgeted(rep, x, y, store, max_steps, trace) -> EquivResult:

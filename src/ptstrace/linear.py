@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
 from numbers import Rational
 from typing import Callable, Iterable, Iterator
@@ -136,22 +136,19 @@ class LinearRep:
         """A letter's matrix laid out densely, one row ``[j]`` at a time:
         ``cell(p, d)`` at k for each move ``(j, p)`` of the k-th state's
         column, d the letter's denominator, ``zero`` elsewhere; ``cell`` is
-        called once per distinct numerator."""
+        called once per distinct numerator, before the first row.  An
+        undeclared letter raises at the call."""
         try:
             columns, d = self.steps[letter]
         except KeyError:
             raise UnknownIdentifier(f"undeclared letter {letter!r}") from None
-        by_row, cells = [[] for _ in range(self.dim)], {}
+        by_row, cells = [{} for _ in range(self.dim)], {}
         for k, column in enumerate(columns):
             for j, p in column:
                 if (x := cells.get(p)) is None:
                     x = cells[p] = cell(p, d)
-                by_row[j].append((k, x))
-        for entries in by_row:
-            row = [zero] * self.dim
-            for k, x in entries:
-                row[k] = x
-            yield row
+                by_row[j][k] = x
+        return (list(map(row.get, range(self.dim), repeat(zero))) for row in by_row)
 
     @cached_property
     def _mass_cache(self) -> tuple[list, int, list, tuple[tuple[Columns, int], ...]]:
@@ -204,13 +201,15 @@ def to_ints(u: Config, dim: int) -> IntConfig:
     ``dirac`` are skipped by identity."""
     if len(u) != dim:
         raise ValueError(f"configuration has length {len(u)}, expected {dim}")
-    nonzero = [(k, x) for k, x in enumerate(u) if x is not _ZERO and x]
+    # a zero entry is type-checked too, and dropped only after
+    entries = [(k, x) for k, x in enumerate(u) if x is not _ZERO]
     try:
-        denominator = lcm(*(x.denominator for _, x in nonzero))
-        return {k: x.numerator * (denominator // x.denominator) for k, x in nonzero}, denominator
+        denominator = lcm(*(x.denominator for _, x in entries))
     except AttributeError:
-        k, x = next((k, x) for k, x in nonzero if not isinstance(x, Rational))
+        k, x = next((k, x) for k, x in entries if not isinstance(x, Rational))
         raise TypeError(f"configuration entry {k} is a {type(x).__name__}, not rational") from None
+    return {k: n * (denominator // x.denominator)
+            for k, x in entries if (n := x.numerator)}, denominator
 
 
 def from_ints(u: IntConfig, dim: int) -> Config:
@@ -274,6 +273,13 @@ def _lowest(nums: Sparse, den: int) -> IntConfig:
 def int_step(step: Step, u: IntConfig) -> IntConfig:
     """``M . u`` in lowest terms for a letter's ``Step``: the one-letter ``int_walk``."""
     return _lowest(_product(step[0], u[0]), u[1] * step[1])
+
+
+def moving_sources(step: Step) -> frozenset[int]:
+    """The sources with a move on a letter's ``Step``, found at C speed: a
+    vector that holds none of them steps to zero."""
+    columns = step[0]
+    return frozenset(compress(range(len(columns)), columns))
 
 
 def scaled_step(step: Step, scaled: tuple[Sparse, int, int]) -> tuple[Sparse, int, int]:

@@ -1,4 +1,5 @@
-"""Canonical example systems and randomized system generation for the tests."""
+"""Canonical example systems, randomized system generation and a count
+read off hkc runs, for the tests."""
 
 import json
 from collections import namedtuple
@@ -127,6 +128,20 @@ def pts_of(alphabet, states, term, moves) -> Pts:
     """The system of ``document(alphabet, states, term, moves)``, parsed
     unchecked: its masses may break the model, its names must be declared."""
     return pts_from_dict(document(alphabet, states, term, moves), check=False)
+
+
+def omitted_extractions(rep, trace, items) -> list[int]:
+    """The extractions of an hkc run that step a vector with no move on
+    their letter, by index into the run's trace, read from the trace and
+    the items ``record`` returned for its recorded extractions, in order,
+    with the moves read from the dense matrices: such a step is zero, and
+    the run skips it without stepping or recording anything."""
+    moving = {letter: {k for k in range(rep.dim) if any(row[k] for row in rep.mats[letter])}
+              for letter in rep.alphabet}
+    recorded = [extraction.word for extraction in trace if not extraction.skipped]
+    stepped = {word: item[0] for word, item in zip(recorded, items, strict=True)}
+    return [node for node, e in enumerate(trace[1:], 1)
+            if moving[e.word[-1]].isdisjoint(stepped[e.word[:-1]])]
 
 
 def all_words(alphabet, max_len):
@@ -271,8 +286,10 @@ def sink_split_pts(rng, m, n_letters=2, sinks=2, perturb=False):
     pseudo-random earlier state, and every third one leaks into a sink;
     the sinks only move among themselves.  The finite-mass system then
     couples far-apart states, the case where elimination order matters.
+    The letters are ``a``-``d`` and then ``l4``, ``l5``, ..., as many as
+    ``n_letters``; with more letters than states some never move.
     """
-    letters = ("a", "b", "c", "d")[:n_letters]
+    letters = ("a", "b", "c", "d")[:n_letters] + tuple(f"l{i}" for i in range(4, n_letters))
     k = len(letters)
     base = [f"a{i}" for i in range(m + sinks)]
     outcomes = {}

@@ -1,11 +1,11 @@
 """The decision loop knows nothing of traces and resolves no letter.
 
-A stdlib AST check on ``equivalence.py``: inside the ``while`` loop of
-``_decide`` no name ``trace``, ``Extraction`` or ``from_ints`` is read, so
-traced and untraced runs take one path; a trace is read off the run's
-links after the loop.  Nor is ``steps`` or the alphabet read there:
-each letter is paired with its step once, before the loop, not once per
-extraction.  Exactly one function of the module constructs
+A stdlib AST check on ``equivalence.py``: inside the ``for`` and
+``while`` loops of ``_decide`` no name ``trace``, ``Extraction`` or
+``from_ints`` is read, so traced and untraced runs take one path; a trace
+is rebuilt from the run's parents after the loop.  Nor is ``steps`` or the
+alphabet read there: each letter is paired with its step once, before the
+loop, not once per extraction.  Exactly one function of the module constructs
 an ``Extraction``, and exactly one, ``OutputKind.target``, names the word
 sets ``Cone`` and ``FiniteWord`` that read an output row.
 """
@@ -21,13 +21,13 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 def loop_reads(source: str, function: str = "_decide",
                names: set[str] = TRACE_NAMES) -> list[tuple[int, str]]:
-    """``(line, name)`` of each read of one of ``names`` inside a ``while``
-    loop of ``function``, as a bare name or an attribute."""
+    """``(line, name)`` of each read of one of ``names`` inside a ``for``
+    or ``while`` loop of ``function``, as a bare name or an attribute."""
     tree = ast.parse(source)
     body = next(node for node in tree.body if getattr(node, "name", "") == function)
     reads = set()
     for loop in ast.walk(body):
-        if isinstance(loop, ast.While):
+        if isinstance(loop, (ast.For, ast.While)):
             for node in ast.walk(loop):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     reads.add((node.lineno, node.id))
@@ -81,15 +81,17 @@ def test_a_trace_branch_in_the_loop_is_reported():
         "        if trace is not None:\n"
         "            trace.append(Extraction(item, linear.from_ints(item)))\n"
         "        trace = None\n"
+        "    for item in store.items:\n"
+        "        configs.append(trace)\n"
         "    return Extraction(configs)\n"
         "class Store:\n"
         "    def dump(self):\n"
         "        return [Extraction(x) for x in self.items]\n"
         "def _extractions(links):\n"
         "    return [Extraction(link) for link in links]\n")
-    # the read before the loop, the store to trace and the return are not in it
+    # the read before the loops, the store to trace and the return are not in them
     assert loop_reads(source) == [(7, "trace"), (8, "Extraction"), (8, "from_ints"),
-                                  (8, "trace")]
+                                  (8, "trace"), (11, "trace")]
     assert constructors(source) == ["_decide", "_extractions", "dump"]
 
 

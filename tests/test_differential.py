@@ -53,8 +53,8 @@ from ptstrace import equivalence, linear
 from ptstrace.linear import (eliminate, from_ints, int_step, int_walk, primitive,
                              scaled_step, to_ints)
 
-from systems import (all_words, components_pts, l_star, named, pts_of, random_pts,
-                     sink_split_pts, split_copy_pts)
+from systems import (all_words, components_pts, l_star, named, omitted_extractions,
+                     pts_of, random_pts, sink_split_pts, split_copy_pts)
 
 F = Fraction
 _ZERO = F(0)
@@ -493,6 +493,55 @@ def test_hkc_matches_dense_reference_on_wide_and_sink_split_copies(index):
         assert sorted(basis._rows) == store.basis.pivots
 
 
+# sink split copies over 8 and 64 letters, equivalent and perturbed: most
+# letters move few of their states or none, so most extractions step a
+# vector with no move on their letter, which the run skips unstepped
+MANY_LETTER_CASES = [sink_split_pts(random.Random(seed), m, letters, perturb=seed == 3)
+                     for letters, m in ((8, 16), (64, 10)) for seed in (1, 3)]
+
+
+@pytest.mark.parametrize("index", range(len(MANY_LETTER_CASES)))
+def test_hkc_matches_dense_reference_over_many_letters(index, monkeypatch):
+    items, record = [], CongruenceBasis.record
+
+    def keeping_record(self, d, num, den):
+        if (result := record(self, d, num, den)) is not None:
+            items.append(result)
+        return result
+
+    monkeypatch.setattr(CongruenceBasis, "record", keeping_record)
+    pts = MANY_LETTER_CASES[index]
+    rep = build_rep(pts)
+    for algorithm, check_total_mass in ((hkc_inf, True), (hkc_finite, False)):
+        store = RefSpan(rep.dim)
+        expected, expected_trace = ref_decide(pts, "a0", "b0p", store, check_total_mass)
+        items.clear()
+        trace = []
+        result = algorithm(rep, "a0", "b0p", trace=trace)
+        assert result == expected
+        assert trace == expected_trace
+        assert isinstance(result, NotEquivalent if index % 2 else Equivalent)
+        assert 2 * len(omitted_extractions(rep, trace, items)) > len(trace)
+
+
+def test_hkc_runs_cut_at_every_budget_match_the_dense_reference():
+    # a budget that runs out among the extractions an hkc run skips without
+    # a step, the letters that move nothing included, ends the run at the
+    # same extraction as a run that steps them all
+    pts = sink_split_pts(random.Random(1), 3, 8, perturb=False)
+    rep = build_rep(pts)
+    start = equivalence._start(rep, "a0", "b0p")
+    full = hkc_inf(rep, "a0", "b0p")
+    assert isinstance(full, Equivalent)
+    for budget in range(1, full.iterations + 2):
+        trace = []
+        result = equivalence._decide(rep, start, CongruenceBasis(rep.dim),
+                                     equivalence._ALL_OUTPUTS, budget, trace)
+        expected, expected_trace = ref_decide(pts, "a0", "b0p", RefSpan(rep.dim), True, budget)
+        assert result == expected
+        assert trace == expected_trace
+
+
 # the differential systems and one sink split copy, each run by every
 # algorithm, naive and hk at budget 100
 TRACE_CASES = SYSTEMS + [(WIDE_CASES[1], "a0", "b0p")]
@@ -501,12 +550,15 @@ TRACE_CASES = SYSTEMS + [(WIDE_CASES[1], "a0", "b0p")]
 @pytest.mark.parametrize("index", range(0, len(TRACE_CASES), 8))
 def test_a_trace_does_not_change_the_run(index, monkeypatch):
     # traced or not, a run hands its stores equal items in the same order,
-    # one per extraction, and returns an equal result
-    calls = []
+    # one per extraction it steps, and returns an equal result; naive and
+    # hk step every extraction, hkc all but those of a vector with no move
+    # on their letter
+    calls, results = [], []
     for store in (CongruenceBasis, equivalence._PairStore, equivalence._EquivalenceStore):
         def record(self, *item, _record=store.record):
             calls.append(deepcopy(item))
-            return _record(self, *item)
+            results.append(result := _record(self, *item))
+            return result
         monkeypatch.setattr(store, "record", record)
     for pts, x, y in TRACE_CASES[index:index + 8]:
         rep = build_rep(pts)
@@ -515,10 +567,37 @@ def test_a_trace_does_not_change_the_run(index, monkeypatch):
             untraced = algorithm(rep, x, y, *budget)
             untraced_calls = calls[:]
             calls.clear()
+            results.clear()
             trace = []
             assert algorithm(rep, x, y, *budget, trace=trace) == untraced
             assert calls == untraced_calls
-            assert len(trace) == len(calls)
+            recorded = [item for item in results if item is not None]
+            omitted = 0 if budget else len(omitted_extractions(rep, trace, recorded))
+            assert len(trace) == len(calls) + omitted
+
+
+def test_every_run_extracts_what_its_result_counts():
+    # an Equivalent extracts the start and every letter of every related
+    # item, and a trace holds one extraction per counted one: iterations of
+    # them, or steps_exhausted for an Inconclusive; naive and hk at budgets
+    # that cut some runs short
+    cases = TRACE_CASES + [(pts, "a0", "b0p") for pts in MANY_LETTER_CASES]
+    seen = set()
+    for pts, x, y in cases:
+        rep = build_rep(pts)
+        runs = [(hkc_inf, ()), (hkc_finite, ())] + [
+            (algorithm, (budget,)) for algorithm in (naive, hk) for budget in (1, 7, 100)]
+        for algorithm, budget in runs:
+            trace = []
+            result = algorithm(rep, x, y, *budget, trace=trace)
+            seen.add(type(result))
+            if isinstance(result, Inconclusive):
+                assert len(trace) == result.steps_exhausted == budget[0]
+                continue
+            assert len(trace) == result.iterations
+            if isinstance(result, Equivalent):
+                assert result.iterations == 1 + len(rep.alphabet) * result.relation_size
+    assert seen == {Equivalent, NotEquivalent, Inconclusive}
 
 
 # the differential systems and one sink split copy of n = 600
@@ -594,7 +673,8 @@ def test_debug_runs_keep_the_loop_invariant(index):
 
 def test_runs_step_the_smaller_of_row_and_item(monkeypatch):
     # every recorded item is stepped as the vector record returned for it:
-    # the new row, or the item itself when its entries take fewer bits in all
+    # the new row, or the item itself when its entries take fewer bits in
+    # all; by each letter in order but those on which it has no move
     added, stepped = [], []
     record, successor = CongruenceBasis.record, CongruenceBasis.successor
 
@@ -621,9 +701,13 @@ def test_runs_step_the_smaller_of_row_and_item(monkeypatch):
         for algorithm in (hkc_inf, hkc_finite):
             added.clear()
             stepped.clear()
-            result = algorithm(rep, "a0", "b0p")
+            trace = []
+            result = algorithm(rep, "a0", "b0p", trace=trace)
             assert len(added) == result.relation_size
-            assert stepped == [r for _, r, _ in added for _ in rep.alphabet]
+            omitted = len(omitted_extractions(rep, trace, [r for _, r, _ in added]))
+            assert len(stepped) == result.relation_size * len(rep.alphabet) - omitted
+            assert stepped == [r for _, r, _ in added for letter in rep.alphabet
+                               if any(rep.mats[letter][j][k] for k in r[0] for j in range(rep.dim))]
             for d, (r, _, _), row in added:
                 assert r is d or r == row
                 other = row if r is d else d

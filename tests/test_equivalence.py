@@ -19,7 +19,8 @@ from ptstrace import (CongruenceBasis, Equivalent, FiniteWord,
 from ptstrace.equivalence import _check_certificate, _checked_bound, _start
 from ptstrace.linear import to_ints
 
-from systems import document, load, random_pts, sink_split_pts, split_copy_pts
+from systems import (document, load, omitted_extractions, random_pts, sink_split_pts,
+                     split_copy_pts)
 
 F = Fraction
 # the output rows hkc_inf and hkc_finite check, in check order
@@ -397,7 +398,22 @@ def test_budgeted_runs_take_any_integer_budget(worked_rep, algorithm):
         assert len(trace) == 5
 
 
+def _keeping_items(monkeypatch) -> list:
+    # the items the hkc record returns for the extractions it records, in order
+    items, record = [], CongruenceBasis.record
+
+    def keeping_record(self, d, num, den):
+        if (result := record(self, d, num, den)) is not None:
+            items.append(result)
+        return result
+
+    monkeypatch.setattr(CongruenceBasis, "record", keeping_record)
+    return items
+
+
 def test_one_reduction_per_extraction(monkeypatch):
+    # every extraction the run steps is reduced once, and only the ones
+    # that step a vector with no move on their letter are not stepped
     calls = 0
     reduce = CongruenceBasis._reduce
 
@@ -407,39 +423,54 @@ def test_one_reduction_per_extraction(monkeypatch):
         return reduce(self, w)
 
     monkeypatch.setattr(CongruenceBasis, "_reduce", counting)
+    items = _keeping_items(monkeypatch)
     pts = split_copy_pts(random.Random(9), max_base=10, max_letters=2)
     rep = build_rep(pts)
     for decide in (hkc_inf, hkc_finite):
         calls = 0
-        result = decide(rep, "a0", "b0p")
+        items.clear()
+        trace = []
+        result = decide(rep, "a0", "b0p", trace=trace)
         assert isinstance(result, Equivalent)
         assert result.relation_size >= 10
-        assert calls == result.iterations
+        omitted = len(omitted_extractions(rep, trace, items))
+        assert omitted >= 1
+        assert calls == result.iterations - omitted
 
 
-def test_hkc_steps_one_difference_per_recorded_pair(walk_steps):
+def test_hkc_steps_one_difference_per_recorded_pair(walk_steps, monkeypatch):
     # every kernel step, of a configuration or of a difference vector, is
     # one product through either accumulator.  Stepping both configurations
     # of every recorded pair takes twice this; an entry is stepped when it
     # is extracted, so a run that separates steps exactly its extractions
     # after the first, and a counterexample's values add one walk of the
     # witness.  The perturbed document's witness is extracted while entries
-    # are still queued, which a run stepping them when queued would step too
+    # are still queued, which a run stepping them when queued would step
+    # too.  An extraction of a vector with no move on its letter is not
+    # stepped; they are counted on a traced run, whose trace takes steps of
+    # its own, of the items the run records
+    items, all_omitted = _keeping_items(monkeypatch), 0
     equivalent = split_copy_pts(random.Random(9), max_base=10, max_letters=2)
     perturbed = sink_split_pts(random.Random(3), 10, 2, perturb=True)
     for pts, verdict in ((equivalent, Equivalent), (perturbed, NotEquivalent)):
         rep = build_rep(pts)
         for decide in (hkc_inf, hkc_finite):
+            items.clear()
+            trace = []
+            decide(rep, "a0", "b0p", trace=trace)
+            omitted = len(omitted_extractions(rep, trace, items))
+            all_omitted += omitted
             walk_steps.clear()
             result = decide(rep, "a0", "b0p")
             assert isinstance(result, verdict)
             assert result.relation_size >= 10
             steps = result.relation_size * len(rep.alphabet)
             if verdict is Equivalent:
-                assert len(walk_steps) == steps
+                assert len(walk_steps) == steps - omitted
             else:
                 assert len(result.witness) >= 5 and result.iterations - 1 < steps
-                assert len(walk_steps) == result.iterations - 1 + len(result.witness)
+                assert len(walk_steps) == result.iterations - 1 - omitted + len(result.witness)
+    assert all_omitted >= 1
 
 
 def test_pair_searches_read_counterexample_values_from_the_pair(walk_steps):
@@ -462,9 +493,11 @@ def test_pair_searches_read_counterexample_values_from_the_pair(walk_steps):
 
 @pytest.mark.parametrize("letters", [2, 4])
 def test_witness_runs_never_step_what_is_still_queued(letters, monkeypatch):
-    # an entry is stepped when it is extracted: the k-th successor call, for
-    # k >= 1, steps the vector recorded at extraction k's parent, and a run
-    # that stops at a witness leaves entries queued that it never stepped
+    # an entry is stepped when it is extracted: the successor calls step,
+    # in order, the vector recorded at the parent of each extraction after
+    # the first but those that step a vector with no move on their letter,
+    # and a run that stops at a witness leaves entries queued that it never
+    # stepped
     recorded, stepped = [], []
     record, successor = CongruenceBasis.record, CongruenceBasis.successor
 
@@ -494,10 +527,13 @@ def test_witness_runs_never_step_what_is_still_queued(letters, monkeypatch):
             if not isinstance(result, NotEquivalent):
                 continue
             runs += 1
-            node = {extraction.word: k for k, extraction in enumerate(trace)}
-            parents = [node[extraction.word[:-1]] for extraction in trace[1:]]
-            assert len(stepped) == result.iterations - 1
-            assert all(item is recorded[parent] for item, parent in zip(stepped, parents))
+            items = [item for item in recorded if item is not None]
+            omitted = set(omitted_extractions(rep, trace, items))
+            at = dict(zip((e.word for e in trace if not e.skipped), items, strict=True))
+            parents = [at[e.word[:-1]] for node, e in enumerate(trace[1:], 1)
+                       if node not in omitted]
+            assert len(stepped) == result.iterations - 1 - len(omitted)
+            assert all(item is parent for item, parent in zip(stepped, parents, strict=True))
             # every recorded pair but the witness's queued one entry per letter
             unstepped += 1 + letters * result.relation_size - result.iterations
     assert unstepped >= 20
@@ -704,25 +740,28 @@ class _RanOn(Exception):
 @pytest.mark.parametrize("algorithm", [hkc_inf, hkc_finite])
 def test_a_basis_that_never_grows_stops_at_the_rank_bound(worked_rep, monkeypatch, algorithm):
     # a record that stores no row takes every item for a new one, so no
-    # rank growth ends the run: only its budget of 1 + |alphabet| * dim does
+    # rank growth ends the run: only its budget of 1 + |alphabet| * dim
+    # extractions does, each recorded but those that step a vector with no
+    # move on their letter
     split = build_rep(split_copy_pts(random.Random(3), max_base=6, max_letters=3))
     for rep, x, y in ((worked_rep, "x", "z"), (split, "a0", "b0p")):
         assert isinstance(algorithm(rep, x, y), Equivalent)
         bound = 1 + len(rep.alphabet) * rep.dim
-        calls = 0
+        items = []
 
         def storing_nothing(self, d, num, den):
-            nonlocal calls
-            calls += 1
-            if calls == 10 * bound:
+            items.append((d, num, den))
+            if len(items) == 10 * bound:
                 raise _RanOn
             return d, num, den
 
+        trace = []
         with monkeypatch.context() as patched:
             patched.setattr(CongruenceBasis, "record", storing_nothing)
             with pytest.raises(InvariantError, match="exceeded its bound"):
-                algorithm(rep, x, y)
-        assert calls == bound
+                algorithm(rep, x, y, trace=trace)
+        assert len(trace) == bound
+        assert len(items) == bound - len(omitted_extractions(rep, trace, items))
 
 
 def test_debug_catches_a_shifted_rhs(monkeypatch):

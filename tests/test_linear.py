@@ -59,13 +59,15 @@ def test_dense_lays_out_a_letter_and_names_an_undeclared_one(yz_rep):
     # cell gets each numerator with the letter's denominator
     assert list(yz_rep.dense("a", lambda p, d: f"{p}/{d}", "0")) == [["2/4", "0"], ["0", "3/4"]]
     with pytest.raises(UnknownIdentifier, match=r"^undeclared letter 'zz'$"):
-        list(yz_rep.dense("zz", str, "0"))
+        yz_rep.dense("zz", str, "0")
 
 
-@pytest.mark.parametrize("entry", [0.5, "1/2", Decimal("0.5"), 1j],
-                         ids=["float", "str", "Decimal", "complex"])
+@pytest.mark.parametrize("entry", [0.5, "1/2", Decimal("0.5"), 1j, 0.0, None, ""],
+                         ids=["float", "str", "Decimal", "complex", "zero float", "None",
+                              "empty str"])
 def test_a_non_rational_entry_is_refused_by_index_and_type(worked_rep, entry):
-    # Fraction and int entries beside it are read as they always were
+    # a zero-valued or falsy entry too; Fraction and int entries beside it
+    # are read as they always were
     u, x = (F(1, 3), 2, entry, F(0)), dirac(worked_rep, "x")
     message = rf"^configuration entry 2 is a {type(entry).__name__}, not rational$"
     for call in (lambda: measure(worked_rep, u, All()), lambda: step(worked_rep, u, "a"),
