@@ -18,8 +18,9 @@ letter in alphabet order, the order a FIFO worklist would extract them in,
 with nothing queued: extraction 0 is the start pair and extraction ``1 + k
 |alphabet| + i`` steps the k-th recorded item by the i-th letter, so
 ``iterations`` counts the extractions.  A run keeps one (parent, letter)
-per recorded item, and a trace is rebuilt from them after the run, every
-extraction included.  In the hkc variants an item whose difference holds no
+per recorded item and returns them with its result; a trace is rebuilt
+from them and the result's count after the run, every extraction
+included.  In the hkc variants an item whose difference holds no
 source that moves on a letter steps to zero, which is always related: that
 extraction is counted as skipped with no step and no record, and a letter
 that moves no source is never visited.  naive and hk step every letter,
@@ -146,7 +147,7 @@ class CongruenceBasis:
     row-echelon form of the span (Fraction rows, pivot entries 1), which
     membership never needs.
 
-    It is the hkc variants' pair store.  A worklist item (``item``) is
+    It is the hkc variants' pair store.  An item (``item``) is
     ``(d, num, den)``: a sparse difference vector, not always primitive, that
     is ``num / den`` times its pair's u - v plus a vector of the span, stepped
     with ``scaled_step``.  ``record`` returns the item to step in d's place,
@@ -244,7 +245,7 @@ class CongruenceBasis:
         """Add u - v to the span; returns False when it was already inside."""
         return self.record(self._pair_difference(u, v), 1, 1) is not None
 
-    # the worklist item of a pair is its difference with the scale of u - v
+    # the item of a pair is its difference with the scale of u - v
 
     @staticmethod
     def item(u: IntConfig, v: IntConfig) -> tuple[Sparse, int, int]:
@@ -266,7 +267,7 @@ class CongruenceBasis:
 
 
 class _PairItems:
-    """The worklist item of a pair is the pair of configurations itself."""
+    """The item of a pair is the pair of configurations itself."""
 
     @staticmethod
     def item(u: IntConfig, v: IntConfig) -> tuple[IntConfig, IntConfig]:
@@ -371,16 +372,16 @@ def _start(rep: LinearRep, x: str, y: str) -> tuple[IntConfig, IntConfig]:
     return ({rep.state_index(x): 1}, 1), ({rep.state_index(y): 1}, 1)
 
 
-def _decide(rep, start, store, outputs, max_steps, trace=None) -> EquivResult:
+def _decide(rep, start, store, outputs, max_steps) -> tuple[EquivResult, list]:
     # extraction 0 is the start and extraction 1 + k |alphabet| + i steps the
     # k-th recorded item by the i-th letter, the order a FIFO worklist would
     # take, with nothing queued; parents[k] = (parent, letter) is all the run
     # keeps of the k-th recorded item's extraction, so words are spelled
-    # from the parents only for a witness and a trace is rebuilt from them
-    # once the run has ended.  A letter's moving sources are None for a
-    # store that steps every letter; otherwise an item whose difference
-    # holds none of them steps to zero, so its extraction is skipped
-    # without a step, and a letter with none is never visited
+    # from the parents only for a witness, and the run returns them with its
+    # result.  A letter's moving sources are None for a store that steps
+    # every letter; otherwise an item whose difference holds none of them
+    # steps to zero, so its extraction is skipped without a step, and a
+    # letter with none is never visited
     size = len(rep.steps)
     by_letter = tuple((i, letter, step, moving)
                       for i, (letter, step) in enumerate(rep.steps.items())
@@ -390,11 +391,11 @@ def _decide(rep, start, store, outputs, max_steps, trace=None) -> EquivResult:
     # support: the relation built so far
     relation: list = []
     parents: list[tuple[int, str]] = []
-    # the extractions taken, the one being taken included
-    iterations = 1
 
-    def related(stepped, parent: int, letter: str | None) -> NotEquivalent | None:
-        # a recorded item joins the relation unless an output separates it
+    def related(stepped, parent: int, letter: str | None,
+                iterations: int) -> NotEquivalent | None:
+        # a recorded item joins the relation unless an output separates it;
+        # iterations counts the extractions taken, this one included
         parents.append((parent, letter))
         if output := _separating_output(rep, d := difference(stepped), outputs):
             word = _spell(parents, len(parents) - 1)
@@ -403,34 +404,36 @@ def _decide(rep, start, store, outputs, max_steps, trace=None) -> EquivResult:
         relation.append((stepped, d.keys()))
         return None
 
-    try:
-        # membership before the outputs: a skipped item costs its step and the test only
-        if (stepped := record(*store.item(*start))) is not None and (
-                found := related(stepped, 0, None)):
-            return found
-        # the relation grows while it is walked: every item is reached
-        for k, (item, support) in enumerate(relation):
-            for i, letter, step, moving in by_letter:
-                if (iterations := 2 + k * size + i) > max_steps:
-                    return Inconclusive(steps_exhausted=max_steps, relation_size=len(relation))
-                if moving is not None and support.isdisjoint(moving):
-                    continue
-                if (stepped := record(*successor(step, item))) is not None and (
-                        found := related(stepped, k, letter)):
-                    return found
-        if (iterations := 1 + size * len(relation)) > max_steps:
-            return Inconclusive(steps_exhausted=max_steps, relation_size=len(relation))
-        return Equivalent(iterations=iterations, relation_size=len(relation))
-    finally:  # on every exit, so a trace holds a witness's extraction too
-        if trace is not None:
-            trace.extend(_extractions(rep, start, parents, min(iterations, max_steps)))
+    # membership before the outputs: a skipped item costs its step and the test only
+    if (stepped := record(*store.item(*start))) is not None and (
+            found := related(stepped, 0, None, 1)):
+        return found, parents
+    # the relation grows while it is walked: every item is reached
+    for k, (item, support) in enumerate(relation):
+        for i, letter, step, moving in by_letter:
+            if (iterations := 2 + k * size + i) > max_steps:
+                return Inconclusive(max_steps, len(relation)), parents
+            if moving is not None and support.isdisjoint(moving):
+                continue
+            if (stepped := record(*successor(step, item))) is not None and (
+                    found := related(stepped, k, letter, iterations)):
+                return found, parents
+    if (iterations := 1 + size * len(relation)) > max_steps:
+        return Inconclusive(max_steps, len(relation)), parents
+    return Equivalent(iterations, len(relation)), parents
 
 
-def _budgeted(rep, x, y, store, max_steps, trace) -> EquivResult:
+def _budgeted(rep, x, y, store, outputs, max_steps, trace) -> EquivResult:
     # an integer, or the run, which stops on node == max_steps, never ends
     if (max_steps := operator.index(max_steps)) < 1:
         raise ValueError("max_steps must be >= 1")
-    return _decide(rep, _start(rep, x, y), store, _ALL_OUTPUTS, max_steps, trace)
+    start = _start(rep, x, y)
+    result, parents = _decide(rep, start, store, outputs, max_steps)
+    if trace is not None:
+        # every extraction the result counts, a witness's included
+        taken = result.steps_exhausted if isinstance(result, Inconclusive) else result.iterations
+        trace.extend(_extractions(rep, start, parents, taken))
+    return result
 
 
 def _checked_bound(rep: LinearRep, result: EquivResult) -> EquivResult:
@@ -456,11 +459,11 @@ def _check_certificate(rep: LinearRep, start, basis: CongruenceBasis,
 
 
 def _hkc(rep, x, y, outputs, debug, trace) -> EquivResult:
-    start, basis = _start(rep, x, y), CongruenceBasis(rep.dim)
+    basis = CongruenceBasis(rep.dim)
     budget = 1 + len(rep.alphabet) * rep.dim
-    result = _checked_bound(rep, _decide(rep, start, basis, outputs, budget, trace))
+    result = _checked_bound(rep, _budgeted(rep, x, y, basis, outputs, budget, trace))
     if debug:
-        _check_certificate(rep, start, basis, result, outputs)
+        _check_certificate(rep, _start(rep, x, y), basis, result, outputs)
     return result
 
 
@@ -485,10 +488,10 @@ def hkc_finite(rep: LinearRep, x: str, y: str, *, debug: bool = False,
 def naive(rep: LinearRep, x: str, y: str, max_steps: int, *,
           trace: list | None = None) -> EquivResult:
     """The plain bisimulation search; may exhaust its budget on weighted systems."""
-    return _budgeted(rep, x, y, _PairStore(), max_steps, trace)
+    return _budgeted(rep, x, y, _PairStore(), _ALL_OUTPUTS, max_steps, trace)
 
 
 def hk(rep: LinearRep, x: str, y: str, max_steps: int, *,
        trace: list | None = None) -> EquivResult:
     """Bisimulation up to equivalence; still budget-bound on weighted systems."""
-    return _budgeted(rep, x, y, _EquivalenceStore(), max_steps, trace)
+    return _budgeted(rep, x, y, _EquivalenceStore(), _ALL_OUTPUTS, max_steps, trace)

@@ -35,10 +35,11 @@ state solved once: a query solves the unsolved states its vector reaches,
 found in one walk, as one block with the solved states they reach as
 constants, by sparse fraction-free elimination in Markowitz order (fewest
 rows per cleared column first, which keeps fill-in low).  The walk reads
-each state's one-step row over all letters, built the first time a solve
-reaches the state and kept.  Each cache entry is the state's own value as
-a ``(numerator, denominator)`` pair; only this module reads them
-(``int_out_finite``, ``finite_mass_vector``).
+each block state's one-step row over all letters, which the solve builds
+for its own block and drops when it returns.  The cache holds the solved
+values alone, each the state's own value as a ``(numerator,
+denominator)`` pair; only this module reads them (``int_out_finite``,
+``finite_mass_vector``).
 
 That elimination and the congruence basis of ``equivalence`` share one
 pivot step, ``eliminate`` (Bareiss's fraction-free step, in place), which
@@ -105,8 +106,8 @@ class LinearRep:
     probability of moving from the k-th to the j-th state on ``a``.  The
     total-mass row ``l_one`` is all ones, as each state's masses sum to 1.
     Immutable after construction apart from caches of derived values;
-    safe to share between threads, as the caches only grow: a state's
-    finite mass and its combined one-step row are each stored in one
+    safe to share between threads, as the caches only grow: the
+    finite-mass cache keeps each solved state's mass alone, stored in one
     assignment, and an exact value, once cached, never changes.
     """
 
@@ -151,22 +152,11 @@ class LinearRep:
         return (list(map(row.get, range(self.dim), repeat(zero))) for row in by_row)
 
     @cached_property
-    def _mass_cache(self) -> tuple[list, int, list, tuple[tuple[Columns, int], ...]]:
-        """The finite-mass cache, ``(combined, common, solved, moving)``.
-
-        ``moving`` holds each letter with a move, in alphabet order, as its
-        columns and its scale to the common denominator ``common``.
-        ``combined[k]`` is None until a solve first reaches the k-th state;
-        then ``combined[k][j] / common`` is the one-step probability from the
-        k-th to the j-th state over all letters, built from that state's
-        moves in alphabet order and stored in one assignment.  ``solved[k]``
-        is the k-th state's finite mass as a ``(numerator, denominator)``
-        pair once it is solved.
-        """
-        common = lcm(*[d for _, d in self.steps.values()])
-        moving = tuple((columns, common // d) for columns, d in self.steps.values()
-                       if any(columns))
-        return [None] * self.dim, common, [None] * self.dim, moving
+    def _mass_cache(self) -> list[tuple[int, int] | None]:
+        """The finite-mass cache: the k-th entry is None until the k-th
+        state is solved, then its finite mass as a ``(numerator,
+        denominator)`` pair."""
+        return [None] * self.dim
 
 
 def build_rep(pts: Pts) -> LinearRep:
@@ -447,22 +437,27 @@ def solve_finite_mass(rep: LinearRep, support: Iterable[int]) -> list:
     finds the block, each block state's sources inside it, the solved
     states it reaches and the live seeds, which stop or reach a solved
     state of positive mass; the block states that reach no seed are dead.
+    The walk builds each block state's combined row, read again by the
+    system and the fixed-point guard; only the solved masses are kept.
     """
-    combined, common, solved, moving = rep._mass_cache
-    star, star_den = rep.stop_row
+    solved = rep._mass_cache
     sources: dict[int, list[int]] = {k: [] for k in support if solved[k] is None}
-    stack, masses, live = list(sources), {}, set()
+    if not sources:
+        return solved
+    # combined[k][j] / common is the one-step probability from the k-th to
+    # the j-th state over all letters, its moves summed in alphabet order
+    common = lcm(*[d for _, d in rep.steps.values()])
+    moving = [(columns, common // d) for columns, d in rep.steps.values() if any(columns)]
+    star, star_den = rep.stop_row
+    stack, combined, masses, live = list(sources), {}, {}, set()
     while stack:
         k = stack.pop()
         if k in star:
             live.add(k)
-        if (row := combined[k]) is None:
-            # the state's combined row, built on first visit
-            row = {}
-            for columns, scale in moving:
-                for j, p in columns[k]:
-                    row[j] = row.get(j, 0) + p * scale
-            combined[k] = row
+        row = combined[k] = {}
+        for columns, scale in moving:
+            for j, p in columns[k]:
+                row[j] = row.get(j, 0) + p * scale
         for j in row:
             if (value := solved[j]) is not None:
                 masses[j] = value
@@ -473,8 +468,6 @@ def solve_finite_mass(rep: LinearRep, support: Iterable[int]) -> list:
             else:
                 sources[j] = [k]
                 stack.append(j)
-    if not sources:
-        return solved
     states = sorted(sources)
     local = {k: i for i, k in enumerate(states)}
     m = len(states)

@@ -1,10 +1,12 @@
 """The decision loop knows nothing of traces and resolves no letter.
 
-A stdlib AST check on ``equivalence.py``: inside the ``for`` and
-``while`` loops of ``_decide`` no name ``trace``, ``Extraction`` or
-``from_ints`` is read, so traced and untraced runs take one path; a trace
-is rebuilt from the run's parents after the loop.  Nor is ``steps`` or the
-alphabet read there: each letter is paired with its step once, before the
+A stdlib AST check on ``equivalence.py``: nowhere in ``_decide``, its
+signature and nested functions included, does a name ``trace``,
+``Extraction`` or ``from_ints`` appear, nor a ``try`` statement, so
+traced and untraced runs take one path and a run returns what it
+recorded; a trace is rebuilt from the returned parents by the caller.
+Inside the ``for`` and ``while`` loops of ``_decide`` no ``steps`` or
+alphabet is read: each letter is paired with its step once, before the
 loop, not once per extraction.  Exactly one function of the module constructs
 an ``Extraction``, and exactly one, ``OutputKind.target``, names the word
 sets ``Cone`` and ``FiniteWord`` that read an output row.
@@ -19,12 +21,32 @@ STEP_NAMES = {"steps", "alphabet"}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def loop_reads(source: str, function: str = "_decide",
-               names: set[str] = TRACE_NAMES) -> list[tuple[int, str]]:
+def _function(source: str, name: str) -> ast.AST:
+    tree = ast.parse(source)
+    return next(node for node in tree.body if getattr(node, "name", "") == name)
+
+
+def trace_marks(source: str, function: str = "_decide") -> list[tuple[int, str]]:
+    """``(line, word)`` of each ``try`` statement in ``function`` and each
+    appearance there of a name of ``TRACE_NAMES``: a bare name, read or
+    bound, an attribute or a parameter, anywhere in its definition."""
+    marks = set()
+    for node in ast.walk(_function(source, function)):
+        if isinstance(node, ast.Try):
+            marks.add((node.lineno, "try"))
+        elif isinstance(node, ast.Name):
+            marks.add((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            marks.add((node.lineno, node.attr))
+        elif isinstance(node, ast.arg):
+            marks.add((node.lineno, node.arg))
+    return sorted(mark for mark in marks if mark[1] in TRACE_NAMES | {"try"})
+
+
+def loop_reads(source: str, names: set[str], function: str = "_decide") -> list[tuple[int, str]]:
     """``(line, name)`` of each read of one of ``names`` inside a ``for``
     or ``while`` loop of ``function``, as a bare name or an attribute."""
-    tree = ast.parse(source)
-    body = next(node for node in tree.body if getattr(node, "name", "") == function)
+    body = _function(source, function)
     reads = set()
     for loop in ast.walk(body):
         if isinstance(loop, (ast.For, ast.While)):
@@ -63,7 +85,7 @@ SOURCE = MODULE.read_text(encoding="utf-8")
 
 
 def test_the_decision_loop_reads_no_trace_name():
-    assert loop_reads(SOURCE) == []
+    assert trace_marks(SOURCE) == []
 
 
 def test_one_function_constructs_extractions():
@@ -89,14 +111,36 @@ def test_a_trace_branch_in_the_loop_is_reported():
         "        return [Extraction(x) for x in self.items]\n"
         "def _extractions(links):\n"
         "    return [Extraction(link) for link in links]\n")
-    # the read before the loops, the store to trace and the return are not in them
-    assert loop_reads(source) == [(7, "trace"), (8, "Extraction"), (8, "from_ints"),
-                                  (8, "trace"), (11, "trace")]
+    # every appearance in _decide counts, in or out of its loops, the
+    # parameter and a store to the name included; none in other functions
+    assert trace_marks(source) == [(1, "trace"), (3, "trace"), (7, "trace"),
+                                   (8, "Extraction"), (8, "from_ints"), (8, "trace"),
+                                   (9, "trace"), (11, "trace"), (12, "Extraction")]
     assert constructors(source) == ["_decide", "_extractions", "dump"]
 
 
+def test_a_trace_filled_in_a_finally_is_reported():
+    # a run that fills its caller's trace on every exit, with no trace
+    # name inside its loops
+    source = (
+        "def _decide(rep, start, store, max_steps, trace=None):\n"
+        "    parents, iterations = [], 1\n"
+        "    try:\n"
+        "        for k, item in enumerate(store.items):\n"
+        "            if (iterations := 2 + k) > max_steps:\n"
+        "                return Inconclusive(max_steps)\n"
+        "        return Equivalent(iterations)\n"
+        "    finally:\n"
+        "        if trace is not None:\n"
+        "            trace.extend(_extractions(rep, start, parents, iterations))\n"
+        "def _budgeted(rep, start, store, max_steps, trace):\n"
+        "    return _decide(rep, start, store, max_steps, trace)\n")
+    assert loop_reads(source, TRACE_NAMES) == []
+    assert trace_marks(source) == [(1, "trace"), (3, "try"), (9, "trace"), (10, "trace")]
+
+
 def test_the_decision_loop_resolves_no_letter():
-    assert loop_reads(SOURCE, names=STEP_NAMES) == []
+    assert loop_reads(SOURCE, STEP_NAMES) == []
 
 
 def test_a_letter_resolved_in_the_loop_is_reported():
@@ -114,8 +158,7 @@ def test_a_letter_resolved_in_the_loop_is_reported():
         "    return rep.alphabet, rep.steps\n")
     # the steps paired before the loop, a store to a name and the return
     # are not reads in it; a bare name and an attribute are
-    assert loop_reads(source, names=STEP_NAMES) == [(4, "alphabet"), (5, "steps"),
-                                                    (8, "steps")]
+    assert loop_reads(source, STEP_NAMES) == [(4, "alphabet"), (5, "steps"), (8, "steps")]
 
 
 ROW_SETS = {"Cone", "FiniteWord"}

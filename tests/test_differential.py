@@ -25,9 +25,10 @@ Fraction-to-kernel conversion.  hkc runs, which step difference vectors
 without dividing out their content, are checked against runs stepping
 the content-divided successor they used before.  A traced run hands its
 stores the same items as the untraced run and returns the same result.
-``build_rep`` and the finite-mass cache's one-step map are checked against
-the per-(letter, state) builder they replaced, on systems with unused
-letters, moves of probability zero, mixed denominators and shuffled moves.
+``build_rep`` and the finite-mass solve's one-step map, seen through the
+system it hands the solver, are checked against the per-(letter, state)
+builder they replaced, on systems with unused letters, moves of
+probability zero, mixed denominators and shuffled moves.
 """
 
 import random
@@ -100,7 +101,7 @@ def ref_build(pts):
 
 
 def ref_combined(rep):
-    # the finite-mass cache's one-step map from every (letter, state), in
+    # the finite-mass solve's one-step map from every (letter, state), in
     # the order a solve sums a state's row: its moves in alphabet order
     common = lcm(*[d for _, d in rep.steps.values()])
     combined = [{} for _ in rep.states]
@@ -111,9 +112,27 @@ def ref_combined(rep):
     return combined, common
 
 
-def built_rows(rep):
-    """The finite-mass cache's combined rows built so far, by state index."""
-    return {k: row for k, row in enumerate(rep._mass_cache[0]) if row is not None}
+def solved_states(rep):
+    """The indices of the states the finite-mass cache holds a mass for."""
+    return {k for k, value in enumerate(rep._mass_cache) if value is not None}
+
+
+def solver_inputs(monkeypatch):
+    """Every system handed to ``linear._solve_sparse`` from now on, copied,
+    as ``(rows, m)`` with each row's entries listed in order: a combined
+    row's entries enter its system row in the order the row holds them."""
+    captured, solve = [], linear._solve_sparse
+
+    def capture(rows, m):
+        captured.append((ordered(rows), m))
+        return solve(rows, m)
+
+    monkeypatch.setattr(linear, "_solve_sparse", capture)
+    return captured
+
+
+def ordered(rows):
+    return [list(row.items()) for row in rows]
 
 
 def _builder_case(rng, pts):
@@ -131,7 +150,8 @@ def _builder_case(rng, pts):
     return pts_of(tuple(letters), states, term, dict(shuffled))
 
 
-def test_build_rep_matches_the_builder_it_replaced():
+def test_build_rep_matches_the_builder_it_replaced(monkeypatch):
+    captured = solver_inputs(monkeypatch)
     rng = random.Random(61)
     sources = ([random_pts(rng, max_states=6, max_letters=3) for _ in range(40)]
                + [split_copy_pts(rng, max_base=8, max_letters=4) for _ in range(20)]
@@ -144,14 +164,16 @@ def test_build_rep_matches_the_builder_it_replaced():
             columns, denominators = ref_build(case)
             assert rep.steps == {a: (columns[a], denominators[a]) for a in case.alphabet}
             assert list(rep.steps) == list(case.alphabet) and l_star(rep) == l_star(case)
-            combined, common = ref_combined(rep)
-            assert rep._mass_cache[1] == common and built_rows(rep) == {}
-            # a whole-document solve builds every state's row: the same
-            # entries as the reference, in the same order
+            # nothing is solved before a query; a whole-document solve hands
+            # the solver the system made from the reference's combined rows
+            # and common denominator, the same entries in the same order,
+            # and solves every state
+            assert solved_states(rep) == set()
+            rows, m, _ = ref_block(rep, range(rep.dim))
+            captured.clear()
             finite_mass_vector(rep)
-            rows = built_rows(rep)
-            assert len(rows) == rep.dim
-            assert all(list(row.items()) == list(combined[k].items()) for k, row in rows.items())
+            assert captured == [(ordered(rows), m)] and m == rep.dim
+            assert solved_states(rep) == set(range(rep.dim))
             unused += sum(not any(columns) for columns, _ in rep.steps.values())
             zero_moves += sum(not p for row in case.rows for p, _ in row.values())
             mixed += sum(len({d for row in case.rows for (b, _), (p, d) in row.items()
@@ -534,9 +556,10 @@ def test_hkc_runs_cut_at_every_budget_match_the_dense_reference():
     full = hkc_inf(rep, "a0", "b0p")
     assert isinstance(full, Equivalent)
     for budget in range(1, full.iterations + 2):
-        trace = []
-        result = equivalence._decide(rep, start, CongruenceBasis(rep.dim),
-                                     equivalence._ALL_OUTPUTS, budget, trace)
+        result, parents = equivalence._decide(rep, start, CongruenceBasis(rep.dim),
+                                              equivalence._ALL_OUTPUTS, budget)
+        taken = result.steps_exhausted if isinstance(result, Inconclusive) else result.iterations
+        trace = equivalence._extractions(rep, start, parents, taken)
         expected, expected_trace = ref_decide(pts, "a0", "b0p", RefSpan(rep.dim), True, budget)
         assert result == expected
         assert trace == expected_trace
@@ -1377,7 +1400,7 @@ def ref_block(rep, support):
     or None when nothing is left to solve; ``facts`` tells the coverage
     test which shapes the query had."""
     combined, common = ref_combined(rep)
-    solved = rep._mass_cache[2]
+    solved = rep._mass_cache
     star, star_den = rep.stop_row
     stack = [k for k in support if solved[k] is None]
     reached = set(stack)
@@ -1489,27 +1512,22 @@ def test_finite_mass_blocks_match_the_two_pass_builder(index, monkeypatch):
 @pytest.mark.parametrize("letters", [1, 2, 4])
 def test_a_finite_query_builds_the_rows_of_its_block_only(letters, monkeypatch):
     # from a0 of a sink split copy the solve reaches the a-states alone, a
-    # third of the document: only their combined rows are built, each the
-    # reference's, and a later whole-document solve builds the rest
+    # third of the document: it solves one system, the one made from the
+    # reference's combined rows of those states, entry for entry, and a
+    # later whole-document solve makes the rest's
     pts = sink_split_pts(random.Random(7), 20, letters)
     rep = build_rep(pts)
     start = rep.state_index("a0")
-    _, m, _ = ref_block(rep, [start])
-    blocks, solve = [], linear._solve_sparse
-
-    def counted(rows, size):
-        blocks.append(size)
-        return solve(rows, size)
-
-    monkeypatch.setattr(linear, "_solve_sparse", counted)
+    rows, m, _ = ref_block(rep, [start])
+    captured = solver_inputs(monkeypatch)
     assert measure(rep, dirac(rep, "a0"), AllFinite()) == ref_finite_mass(pts)[start]
-    combined, _ = ref_combined(rep)
-    rows = built_rows(rep)
-    assert blocks == [m] and len(rows) == m == rep.dim // 3 < rep.dim
-    assert set(rows) == {k for k, state in enumerate(pts.states) if state.startswith("a")}
-    assert all(list(row.items()) == list(combined[k].items()) for k, row in rows.items())
+    assert captured == [(ordered(rows), m)] and m == rep.dim // 3 < rep.dim
+    assert solved_states(rep) == {k for k, state in enumerate(pts.states)
+                                  if state.startswith("a")}
+    rest, size, _ = ref_block(rep, range(rep.dim))
     assert finite_mass_vector(rep) == ref_finite_mass(pts)
-    assert len(built_rows(rep)) == rep.dim and sum(blocks) == rep.dim
+    assert captured[1:] == [(ordered(rest), size)] and m + size == rep.dim
+    assert solved_states(rep) == set(range(rep.dim))
 
 
 def test_in_place_solve_with_negative_pivots_and_singular_systems():

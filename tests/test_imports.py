@@ -1,9 +1,9 @@
 """Every name a module imports is used in that module.
 
 A stdlib stand-in for a linter's unused-import rule, run over the package,
-the tests, the demos and the benchmark's scripts (``perfbench/``).  The
-package's ``__init__.py`` is left out: its imports are the re-exports
-listed in ``__all__``.
+the tests, the demos, the benchmark's scripts (``perfbench/``) and the
+tools (``tools/``).  The package's ``__init__.py`` is left out: its
+imports are the re-exports listed in ``__all__``.
 """
 
 import ast
@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ptstrace"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-SCRIPTS = sorted(path for folder in ("tests", "demos", "perfbench")
+SCRIPTS = sorted(path for folder in ("tests", "demos", "perfbench", "tools")
                  for path in (ROOT / folder).glob("*.py"))
 
 
